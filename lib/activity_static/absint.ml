@@ -1,7 +1,8 @@
 (* Conservative abstract interpretation of one kernel's post-checkpoint
    cone — [run] followed by [output] — over the extracted {!Model}.
 
-   Three over-approximations are computed in a single walk:
+   One walk computes the facts of two analyses side by side, a product
+   domain over one value shape.  The activity facts:
 
    - a per-field *first-effect* status (the kill-before-read lattice):
      [Untouched] (never observed), [Killed] (fully overwritten before
@@ -17,10 +18,31 @@
      any read is unresolvable (data-dependent subscripts, unknown
      bounds).
 
-   Everything unrecognized degrades toward [Mayread]/[Top]/more edges,
-   never the other way; {!Incomplete} aborts the whole app to Unknown
-   when even that is impossible (missing [run]/[output], fuel
-   exhaustion). *)
+   The escape facts (the guard's question: can this value reach the
+   output through NON-SMOOTH dataflow?):
+
+   - every flow of field taint into a discrete consumer — a branch or
+     loop predicate, an integer conversion, an array subscript, a
+     comparison, a kink — recorded as an {!Escapes.site} with the
+     tainting fields, closed over the write-edge graph so a taint
+     laundered through another field still names its source;
+   - a leak set: fields whose taint flowed into code the pass cannot
+     see (an unknown callee, an untracked structure holding an array).
+
+   The components differ in two places.  Where a value escapes into an
+   untracked structure (tuple, record, constructor), activity consumes
+   it whole while the escape side leaks only array handles and the
+   state record.  And calls through a non-[Scalar.S] functor parameter
+   (IS's [O : INT_OPS]) are unknown calls to the activity side but are
+   resolved against the first in-file definition for the escape side,
+   whose bodies carry the real escape sites: there the walk runs both
+   callee treatments, each recording only its own component's facts
+   (see {!split}).
+
+   Everything unrecognized degrades toward [Mayread]/[Top]/more edges
+   and more escapes/leaks, never the other way; {!Incomplete} aborts
+   the whole app when even that is impossible (missing [run]/[output],
+   fuel exhaustion). *)
 
 open Parsetree
 module SS = Set.Make (String)
@@ -69,6 +91,7 @@ and closure = {
 
 let opaque = { taint = SS.empty; sh = Scalar_sh; ie = Iunknown }
 let scalar ?(ie = Iunknown) taint = { taint; sh = Scalar_sh; ie }
+let closure_value c = { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
 
 (* ---- affine arithmetic ----------------------------------------------- *)
 
@@ -118,43 +141,64 @@ let ishift a b =
 
 type ctx = {
   model : Model.t;
+  (* activity component *)
   mutable status : feffect SM.t;
   edges : (string, SS.t ref) Hashtbl.t;  (* dst -> sources *)
   ranges : (int, int * int) Hashtbl.t;  (* loop-var id -> inclusive range *)
   sites : (string, site list ref) Hashtbl.t;
   tops : (string, unit) Hashtbl.t;
   mutable notes : string list;
+  (* escape component *)
+  escapes : (int * Escapes.escape_kind * string, SS.t ref) Hashtbl.t;
+      (* (line, kind, detail) -> tainting fields; loop passes merge *)
+  escape_edges : (string, SS.t ref) Hashtbl.t;
+      (* the write-edge graph as the escape side walked it *)
+  mutable leaked : SS.t;
+  mutable escape_notes : string list;
+  (* Which components record facts: both, except inside a {!split}. *)
+  mutable act : bool;
+  mutable esc : bool;
   mutable fuel : int;
   mutable depth : int;
   mutable next_id : int;
 }
 
-let note ctx msg =
-  if not (List.mem msg ctx.notes) then ctx.notes <- ctx.notes @ [ msg ]
+let add_note notes msg = if List.mem msg notes then notes else notes @ [ msg ]
+let note ctx msg = if ctx.act then ctx.notes <- add_note ctx.notes msg
+
+let escape_note ctx msg =
+  if ctx.esc then ctx.escape_notes <- add_note ctx.escape_notes msg
 
 let fields_of ctx =
   Hashtbl.fold (fun f _ acc -> f :: acc) ctx.model.Model.fields []
 
 let read_field ctx f =
-  match SM.find_opt f ctx.status with
-  | Some Untouched -> ctx.status <- SM.add f Mayread ctx.status
-  | _ -> ()
+  if ctx.act then
+    match SM.find_opt f ctx.status with
+    | Some Untouched -> ctx.status <- SM.add f Mayread ctx.status
+    | _ -> ()
 
 let kill_field ctx f =
-  match SM.find_opt f ctx.status with
-  | Some Untouched -> ctx.status <- SM.add f Killed ctx.status
-  | _ -> ()
+  if ctx.act then
+    match SM.find_opt f ctx.status with
+    | Some Untouched -> ctx.status <- SM.add f Killed ctx.status
+    | _ -> ()
+
+let add_to tbl srcs dst =
+  match Hashtbl.find_opt tbl dst with
+  | Some r -> r := SS.union !r srcs
+  | None -> Hashtbl.add tbl dst (ref srcs)
 
 let add_edge ctx srcs dst =
-  if not (SS.is_empty srcs) then
-    match Hashtbl.find_opt ctx.edges dst with
-    | Some r -> r := SS.union !r srcs
-    | None -> Hashtbl.add ctx.edges dst (ref srcs)
+  if not (SS.is_empty srcs) then begin
+    if ctx.act then add_to ctx.edges srcs dst;
+    if ctx.esc then add_to ctx.escape_edges srcs dst
+  end
 
-let mark_top ctx f = Hashtbl.replace ctx.tops f ()
+let mark_top ctx f = if ctx.act then Hashtbl.replace ctx.tops f ()
 
 let record_site ctx f ie =
-  if not (Hashtbl.mem ctx.tops f) then
+  if ctx.act && not (Hashtbl.mem ctx.tops f) then
     let resolved =
       match ie with
       | Const c -> Some { s_base = c; s_terms = [] }
@@ -176,6 +220,16 @@ let record_site ctx f ie =
         | None -> Hashtbl.add ctx.sites f (ref [ site ]))
     | None -> mark_top ctx f
 
+let record_escape ctx (loc : Location.t) kind detail taint =
+  if ctx.esc && not (SS.is_empty taint) then begin
+    let key = (loc.loc_start.Lexing.pos_lnum, kind, detail) in
+    match Hashtbl.find_opt ctx.escapes key with
+    | Some r -> r := SS.union !r taint
+    | None -> Hashtbl.add ctx.escapes key (ref taint)
+  end
+
+let leak ctx taint = if ctx.esc then ctx.leaked <- SS.union ctx.leaked taint
+
 (* An element read of field [f] at abstract index [ie]. *)
 let read_elem ctx f ie =
   read_field ctx f;
@@ -187,12 +241,16 @@ let read_all ctx f =
   mark_top ctx f
 
 (* The state record escaped into code we cannot see: every field may be
-   read and written, with arbitrary cross-field flow. *)
-let state_escape ctx what =
+   read, written and compared, with arbitrary cross-field flow.  The
+   escape component may name the context differently. *)
+let state_escape ?escape ctx activity =
+  let escape = Option.value escape ~default:activity in
   note ctx
-    (Printf.sprintf "state escaped to %s: all fields conservative" what);
+    (Printf.sprintf "state escaped to %s: all fields conservative" activity);
+  escape_note ctx (Printf.sprintf "state escaped to %s: all fields leak" escape);
   let fields = fields_of ctx in
   let all = SS.of_list fields in
+  leak ctx all;
   List.iter
     (fun f ->
       read_all ctx f;
@@ -209,12 +267,33 @@ let rec deep_taint v =
   | _ -> v.taint
 
 (* A value flowing somewhere opaque: arrays are fully read, state
-   escapes. *)
+   escapes, and its whole taint leaks (the unseen consumer could branch
+   on it). *)
 let rec use_value ctx v =
   (match v.sh with
   | Field_arr f -> read_all ctx f
-  | State_sh -> ignore (state_escape ctx "an opaque context")
+  | State_sh ->
+      ignore (state_escape ctx "an opaque context")
   | Ref_sh c -> ignore (use_value ctx c.c_val)
+  | Local_arr _ | Closure_sh _ | Scalar_sh -> ());
+  let t = deep_taint v in
+  leak ctx t;
+  t
+
+(* A value boxed into a structure we do not track (tuple, record,
+   constructor).  Activity consumes it as {!use_value} does.  The escape
+   side is narrower: scalar taint merges into the structure's taint and
+   keeps flowing — only array handles and the state record leak,
+   because their later element reads happen where we cannot see
+   them. *)
+let rec structured ctx v =
+  (match v.sh with
+  | Field_arr f ->
+      read_all ctx f;
+      leak ctx (SS.singleton f)
+  | State_sh ->
+      ignore (state_escape ~escape:"a structure" ctx "an opaque context")
+  | Ref_sh c -> ignore (structured ctx c.c_val)
   | Local_arr _ | Closure_sh _ | Scalar_sh -> ());
   deep_taint v
 
@@ -248,6 +327,18 @@ and join_raw a b =
 
 let cell_join ctx c v =
   c.c_val <- join_value ctx c.c_val v
+
+(* Run [f] with only the named components recording facts.  No handler
+   inside the walk catches an exception, so one that escapes [f] ends
+   the analysis and the flags need no restoring. *)
+let only ctx ~act ~esc f =
+  let saved_act = ctx.act and saved_esc = ctx.esc in
+  ctx.act <- saved_act && act;
+  ctx.esc <- saved_esc && esc;
+  let v = f () in
+  ctx.act <- saved_act;
+  ctx.esc <- saved_esc;
+  v
 
 (* ---- pattern binding ------------------------------------------------- *)
 
@@ -296,6 +387,42 @@ let direct_children (e : expression) =
 let loop_passes = 3
 let max_depth = 80
 
+let closure_of_fn name (fn : Model.fn) =
+  {
+    cl_params = fn.Model.fn_params;
+    cl_body = fn.Model.fn_body;
+    cl_env = SM.empty;
+    cl_rec = Some name;
+  }
+
+let const_of ctx name =
+  match Hashtbl.find_opt ctx.model.Model.consts name with
+  | Some c -> { taint = SS.empty; sh = Scalar_sh; ie = Const c }
+  | None -> opaque
+
+let is_local_module ctx head = Hashtbl.mem ctx.model.Model.local_modules head
+
+(* A functor parameter whose operations resolve against the first
+   in-file definition of the same name (IS's [O : INT_OPS] resolves to
+   [Plain_ops]). *)
+let is_param_module ctx head =
+  let param = Hashtbl.mem ctx.model.Model.param_modules head in
+  if param then
+    escape_note ctx
+      (Printf.sprintf
+         "calls through functor parameter %s resolved against the first \
+          in-file definition of each operation"
+         head);
+  param
+
+let positional vals =
+  List.filter_map
+    (fun (label, v) ->
+      match label with Asttypes.Nolabel -> Some v | _ -> None)
+    vals
+
+let nolabel vals = List.map (fun v -> (Asttypes.Nolabel, v)) vals
+
 let rec interp ctx env (e : expression) : value =
   ctx.fuel <- ctx.fuel - 1;
   if ctx.fuel <= 0 then raise (Incomplete "interpretation fuel exhausted");
@@ -317,8 +444,8 @@ let rec interp ctx env (e : expression) : value =
         List.fold_left
           (fun acc vb ->
             let v =
-              match split_closure ctx env rec_flag vb with
-              | Some c -> { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
+              match split_closure rec_flag env vb with
+              | Some c -> closure_value c
               | None -> interp ctx env vb.pvb_expr
             in
             bind_pattern acc vb.pvb_pat v)
@@ -326,8 +453,8 @@ let rec interp ctx env (e : expression) : value =
       in
       interp ctx env' body
   | Pexp_fun _ | Pexp_function _ -> (
-      match split_closure_expr ctx env e with
-      | Some c -> { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
+      match split_closure_expr env e with
+      | Some c -> closure_value c
       | None -> opaque)
   | Pexp_field (base, { txt; _ }) -> eval_field ctx env base txt
   | Pexp_setfield (base, { txt; _ }, rhs) ->
@@ -339,11 +466,13 @@ let rec interp ctx env (e : expression) : value =
           (* Whole-field overwrite: scalar fields are fully killed. *)
           kill_field ctx f;
           add_edge ctx (deep_taint rv) f
-      | State_sh -> ignore (state_escape ctx "a set of an unknown field")
-      | _ -> ignore (use_value ctx rv));
-      { opaque with taint = SS.empty }
+      | State_sh ->
+          ignore (state_escape ctx "a set of an unknown field")
+      | _ -> ignore (structured ctx rv));
+      opaque
   | Pexp_ifthenelse (cond, then_e, else_e) ->
       let cv = interp ctx env cond in
+      record_escape ctx cond.pexp_loc Escapes.Branch "if condition" cv.taint;
       let before = ctx.status in
       let tv = interp ctx env then_e in
       let after_then = ctx.status in
@@ -357,13 +486,22 @@ let rec interp ctx env (e : expression) : value =
       { v with taint = SS.union v.taint cv.taint }
   | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
       let sv = interp ctx env scrut in
+      let discriminates =
+        List.length cases > 1
+        || List.exists (fun (c : case) -> c.pc_guard <> None) cases
+      in
+      if discriminates then
+        record_escape ctx scrut.pexp_loc Escapes.Branch "match scrutinee"
+          sv.taint;
       interp_cases ctx env sv cases
   | Pexp_while (cond, body) ->
       interp_loop ctx env ~var:None ~cond:(Some cond) body
   | Pexp_for (pat, lo, hi, dir, body) ->
       let lov = interp ctx env lo in
       let hiv = interp ctx env hi in
-      let var =
+      let bound_taint = SS.union lov.taint hiv.taint in
+      record_escape ctx e.pexp_loc Escapes.Branch "for-loop bound" bound_taint;
+      let ie =
         match (lov.ie, hiv.ie) with
         | Const a, Const b ->
             let lo, hi =
@@ -372,30 +510,24 @@ let rec interp ctx env (e : expression) : value =
             let id = ctx.next_id in
             ctx.next_id <- id + 1;
             Hashtbl.replace ctx.ranges id (lo, hi);
-            Some
-              ( pat,
-                {
-                  taint = SS.union lov.taint hiv.taint;
-                  sh = Scalar_sh;
-                  ie = Affine (0, [ (id, 1) ]);
-                } )
-        | _ -> Some (pat, scalar (SS.union lov.taint hiv.taint))
+            Affine (0, [ (id, 1) ])
+        | _ -> Iunknown
       in
-      interp_loop ctx env ~var ~cond:None body
-  | Pexp_apply (fn, args) -> interp_apply ctx env fn args
+      interp_loop ctx env ~var:(Some (pat, scalar ~ie bound_taint)) ~cond:None
+        body
+  | Pexp_apply (fn, args) -> interp_apply ctx env ~loc:e.pexp_loc fn args
   | Pexp_tuple parts ->
       (* Components escape into a structure we do not track: consume
          them, so an array boxed here is still counted as read. *)
       let taint =
         List.fold_left
-          (fun acc p -> SS.union acc (use_value ctx (interp ctx env p)))
+          (fun acc p -> SS.union acc (structured ctx (interp ctx env p)))
           SS.empty parts
       in
       scalar taint
   | Pexp_construct (_, None) -> opaque
   | Pexp_construct (_, Some arg) ->
-      let v = interp ctx env arg in
-      scalar (use_value ctx v)
+      scalar (structured ctx (interp ctx env arg))
   | Pexp_array parts ->
       let elem =
         List.fold_left
@@ -404,13 +536,15 @@ let rec interp ctx env (e : expression) : value =
       in
       { taint = SS.empty; sh = Local_arr { c_val = elem }; ie = Iunknown }
   | Pexp_assert cond ->
-      ignore (interp ctx env cond);
+      let cv = interp ctx env cond in
+      record_escape ctx cond.pexp_loc Escapes.Branch "assert condition"
+        cv.taint;
       opaque
   | Pexp_lazy body -> interp ctx env body
   | Pexp_record (fields, base) ->
       let taint =
         List.fold_left
-          (fun acc (_, fv) -> SS.union acc (use_value ctx (interp ctx env fv)))
+          (fun acc (_, fv) -> SS.union acc (structured ctx (interp ctx env fv)))
           SS.empty fields
       in
       let taint =
@@ -424,7 +558,7 @@ let rec interp ctx env (e : expression) : value =
          every direct child and consume the results conservatively. *)
       let taint =
         List.fold_left
-          (fun acc ce -> SS.union acc (use_value ctx (interp ctx env ce)))
+          (fun acc ce -> SS.union acc (structured ctx (interp ctx env ce)))
           SS.empty (direct_children e)
       in
       scalar taint
@@ -455,7 +589,9 @@ and interp_cases ctx env sv cases =
             (pattern_vars case.pc_lhs)
         in
         (match case.pc_guard with
-        | Some g -> ignore (interp ctx env' g)
+        | Some g ->
+            let gv = interp ctx env' g in
+            record_escape ctx g.pexp_loc Escapes.Branch "match guard" gv.taint
         | None -> ());
         let v = interp ctx env' case.pc_rhs in
         (join_value ctx av v, merge_status astatus ctx.status))
@@ -465,9 +601,9 @@ and interp_cases ctx env sv cases =
   { v with taint = SS.union v.taint sv.taint }
 
 (* Loop bodies run a bounded number of passes (local taints converge
-   through ref cells), then the first-effect map is merged against the
-   pre-loop state: a kill inside a possibly-zero-trip loop does not
-   survive it, a may-read does. *)
+   through ref cells and the write-edge graph), then the first-effect
+   map is merged against the pre-loop state: a kill inside a
+   possibly-zero-trip loop does not survive it, a may-read does. *)
 and interp_loop ctx env ~var ~cond body =
   let before = ctx.status in
   let env' =
@@ -476,7 +612,11 @@ and interp_loop ctx env ~var ~cond body =
     | None -> env
   in
   for _pass = 1 to loop_passes do
-    (match cond with Some c -> ignore (interp ctx env' c) | None -> ());
+    (match cond with
+    | Some c ->
+        let cv = interp ctx env' c in
+        record_escape ctx c.pexp_loc Escapes.Branch "while condition" cv.taint
+    | None -> ());
     ignore (interp ctx env' body)
   done;
   let after = ctx.status in
@@ -487,10 +627,10 @@ and interp_loop ctx env ~var ~cond body =
       before after;
   opaque
 
-and split_closure ctx env rec_flag vb =
+and split_closure rec_flag env vb =
   match (Model.binding_name_of vb.pvb_pat, vb.pvb_expr.pexp_desc) with
   | Some name, (Pexp_fun _ | Pexp_function _) -> (
-      match split_closure_expr ctx env vb.pvb_expr with
+      match split_closure_expr env vb.pvb_expr with
       | Some c ->
           Some
             {
@@ -501,7 +641,7 @@ and split_closure ctx env rec_flag vb =
       | None -> None)
   | _ -> None
 
-and split_closure_expr _ctx env (e : expression) =
+and split_closure_expr env (e : expression) =
   let rec peel params (e : expression) =
     match e.pexp_desc with
     | Pexp_fun (label, _, pat, body) -> peel ((label, pat) :: params) body
@@ -520,47 +660,20 @@ and eval_ident ctx env (lid : Longident.t) =
       | Some v -> v
       | None -> (
           match Model.find_fn ctx.model name with
-          | Some fn ->
-              {
-                taint = SS.empty;
-                sh =
-                  Closure_sh
-                    {
-                      cl_params = fn.Model.fn_params;
-                      cl_body = fn.Model.fn_body;
-                      cl_env = SM.empty;
-                      cl_rec = Some name;
-                    };
-                ie = Iunknown;
-              }
-          | None -> (
-              match Hashtbl.find_opt ctx.model.Model.consts name with
-              | Some c -> { taint = SS.empty; sh = Scalar_sh; ie = Const c }
-              | None -> opaque)))
+          | Some fn -> closure_value (closure_of_fn name fn)
+          | None -> const_of ctx name))
   | _ -> (
-      let segs = Model.flatten lid in
-      match segs with
-      | head :: _ when Hashtbl.mem ctx.model.Model.local_modules head -> (
-          let last = Model.last_segment lid in
-          match Model.find_fn ctx.model last with
-          | Some fn ->
-              {
-                taint = SS.empty;
-                sh =
-                  Closure_sh
-                    {
-                      cl_params = fn.Model.fn_params;
-                      cl_body = fn.Model.fn_body;
-                      cl_env = SM.empty;
-                      cl_rec = Some last;
-                    };
-                ie = Iunknown;
-              }
-          | None -> (
-              match Hashtbl.find_opt ctx.model.Model.consts last with
-              | Some c -> { taint = SS.empty; sh = Scalar_sh; ie = Const c }
-              | None -> opaque))
-      | _ -> opaque)
+      match Model.flatten lid with
+      | head :: _ ->
+          let local = is_local_module ctx head in
+          if local || is_param_module ctx head then
+            let last = Model.last_segment lid in
+            match Model.find_fn ctx.model last with
+            | Some fn -> closure_value (closure_of_fn last fn)
+            | None when local -> const_of ctx last
+            | None -> opaque
+          else opaque
+      | [] -> opaque)
 
 and eval_field ctx env base (lid : Longident.t) =
   let bv = interp ctx env base in
@@ -586,7 +699,7 @@ and eval_field ctx env base (lid : Longident.t) =
          through, structure is opaque. *)
       scalar bv.taint
 
-and interp_apply ctx env fn args =
+and interp_apply ctx env ~loc fn args =
   match fn.pexp_desc with
   | Pexp_ident { txt; _ } -> (
       let fnv =
@@ -597,94 +710,112 @@ and interp_apply ctx env fn args =
         | _ -> None
       in
       match fnv with
-      | Some v -> apply_value ctx env v args
+      | Some v -> apply_value ctx v (eval_args ctx env args)
       | None -> (
           let path = Model.flatten txt in
-          let pure_module m =
-            Hashtbl.mem ctx.model.Model.pure_modules m
-          in
-          match Effects.classify ~pure_module path with
-          | Effects.Pure -> apply_pure ctx env path args
-          | Effects.Array_get -> apply_array_get ctx env args
-          | Effects.Array_set -> apply_array_set ctx env args
-          | Effects.Array_length -> apply_array_length ctx env args
-          | Effects.Array_alloc -> apply_array_alloc ctx env args
-          | Effects.Array_init -> apply_array_init ctx env args
-          | Effects.Array_hof h -> apply_hof ctx env h args
-          | Effects.Array_fill -> apply_array_fill ctx env args
-          | Effects.Array_blit -> apply_array_blit ctx env args
-          | Effects.Array_sort -> apply_array_sort ctx env args
-          | Effects.Deref -> apply_deref ctx env args
-          | Effects.Assign -> apply_assign ctx env args
-          | Effects.Incr -> apply_incr ctx env args
-          | Effects.Ref_make -> apply_ref_make ctx env args
-          | Effects.Ignore ->
-              List.iter (fun (_, a) -> ignore (interp ctx env a)) args;
-              opaque
-          | Effects.Raise ->
-              List.iter (fun (_, a) -> ignore (interp ctx env a)) args;
-              opaque
-          | Effects.Vranlc -> apply_vranlc ctx env args
-          | Effects.Unknown_call -> (
-              (* A locally-defined function, or truly unknown code. *)
-              match resolve_local_fn ctx txt with
-              | Some c ->
-                  apply_value ctx env
-                    { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
-                    args
-              | None -> unknown_call ctx (eval_args ctx env args))))
+          let pure_module m = Hashtbl.mem ctx.model.Model.pure_modules m in
+          let effect = Effects.classify ~pure_module path in
+          match resolve_local_fn ctx txt with
+          | Some c when activity_resolves ctx effect txt ->
+              apply_closure ctx c (eval_args ctx env args)
+          | Some c -> split ctx ~loc path effect c (eval_args ctx env args)
+          | None ->
+              let vals = eval_args ctx env args in
+              (* Discrete-consumer interception comes first: most of the
+                 vocabulary classifies as Pure, and purity is exactly
+                 what hides the escape from the activity facts. *)
+              let name = Model.last_segment txt in
+              (match Escapes.classify name with
+              | Some kind -> record_escape ctx loc kind name (all_taint vals)
+              | None -> ());
+              apply_effect ctx ~loc path effect vals))
   | _ ->
       let fnv = interp ctx env fn in
-      apply_value ctx env fnv args
+      apply_value ctx fnv (eval_args ctx env args)
 
+(* The callee of an application, when its body is in this file: a
+   plain name, or a path through a local module or a functor
+   parameter. *)
 and resolve_local_fn ctx (lid : Longident.t) =
   let resolvable =
     match lid with
     | Longident.Lident _ -> true
     | _ -> (
         match Model.flatten lid with
-        | head :: _ -> Hashtbl.mem ctx.model.Model.local_modules head
+        | head :: _ -> is_local_module ctx head || is_param_module ctx head
         | [] -> false)
   in
   if not resolvable then None
   else
     let last = Model.last_segment lid in
-    match Model.find_fn ctx.model last with
-    | Some fn ->
-        Some
-          {
-            cl_params = fn.Model.fn_params;
-            cl_body = fn.Model.fn_body;
-            cl_env = SM.empty;
-            cl_rec = Some last;
-          }
-    | None -> None
+    Option.map (closure_of_fn last) (Model.find_fn ctx.model last)
+
+(* Activity interprets a resolvable callee only when the effect table
+   does not know it, and never through a functor parameter: another
+   instantiation could bind a different implementation. *)
+and activity_resolves ctx effect (lid : Longident.t) =
+  effect = Effects.Unknown_call
+  &&
+  match lid with
+  | Longident.Lident _ -> true
+  | _ -> (
+      match Model.flatten lid with
+      | head :: _ -> is_local_module ctx head
+      | [] -> false)
+
+(* The product at a callee the two components treat differently: the
+   activity side applies its effect table (an unknown call for functor
+   parameters), the escape side interprets the in-file body, each with
+   the other component's facts muted.  The result keeps the activity
+   side's index expression and the union of both taints. *)
+and split ctx ~loc path effect c vals =
+  let va =
+    only ctx ~act:true ~esc:false (fun () ->
+        apply_effect ctx ~loc path effect vals)
+  in
+  let ve = only ctx ~act:false ~esc:true (fun () -> apply_closure ctx c vals) in
+  { va with taint = SS.union va.taint ve.taint }
 
 and eval_args ctx env args =
   List.map (fun (label, a) -> (label, interp ctx env a)) args
 
-and positional vals =
-  List.filter_map
-    (fun (label, v) ->
-      match label with Asttypes.Nolabel -> Some v | _ -> None)
-    vals
+and all_taint vals =
+  List.fold_left (fun acc (_, v) -> SS.union acc (deep_taint v)) SS.empty vals
 
-(* Apply a value (closure or opaque) to arguments. *)
-and apply_value ctx env fnv args =
-  let vals = eval_args ctx env args in
+and apply_effect ctx ~loc path effect vals =
+  match effect with
+  | Effects.Pure -> apply_pure path vals
+  | Effects.Array_get -> apply_array_get ctx ~loc vals
+  | Effects.Array_set -> apply_array_set ctx ~loc vals
+  | Effects.Array_length -> apply_array_length ctx vals
+  | Effects.Array_alloc -> apply_array_alloc ctx vals
+  | Effects.Array_init -> apply_array_init ctx vals
+  | Effects.Array_hof h -> apply_hof ctx h vals
+  | Effects.Array_fill -> apply_array_fill ctx ~loc vals
+  | Effects.Array_blit -> apply_array_blit ctx vals
+  | Effects.Array_sort -> apply_array_sort ctx vals
+  | Effects.Deref -> apply_deref ctx vals
+  | Effects.Assign -> apply_assign ctx vals
+  | Effects.Ref_make -> apply_ref_make ctx vals
+  | Effects.Incr | Effects.Ignore | Effects.Raise -> opaque
+  | Effects.Vranlc -> apply_vranlc ctx vals
+  | Effects.Unknown_call -> unknown_call ctx vals
+
+(* Apply a value (closure or opaque) to evaluated arguments. *)
+and apply_value ctx fnv vals =
   match fnv.sh with
   | Closure_sh c -> apply_closure ctx c vals
   | Ref_sh cell -> (
       match cell.c_val.sh with
       | Closure_sh c -> apply_closure ctx c vals
       | _ -> unknown_call ctx vals)
-  | _ ->
-      ignore env;
-      unknown_call ctx vals
+  | _ -> unknown_call ctx vals
 
 and apply_closure ctx c vals =
   if ctx.depth >= max_depth then begin
-    note ctx "call depth limit hit: treating a call conservatively";
+    let msg = "call depth limit hit: treating a call conservatively" in
+    note ctx msg;
+    escape_note ctx msg;
     unknown_call ctx vals
   end
   else begin
@@ -697,10 +828,7 @@ and apply_closure ctx c vals =
 and apply_closure_inner ctx c vals =
   let env =
     match c.cl_rec with
-    | Some name ->
-        SM.add name
-          { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
-          c.cl_env
+    | Some name -> SM.add name (closure_value c) c.cl_env
     | None -> c.cl_env
   in
   (* Match labelled arguments to labelled parameters, positionals in
@@ -742,11 +870,7 @@ and apply_closure_inner ctx c vals =
   in
   let env, remaining = bind env c.cl_params in
   if remaining <> [] then
-    {
-      taint = SS.empty;
-      sh = Closure_sh { c with cl_params = remaining; cl_env = env };
-      ie = Iunknown;
-    }
+    closure_value { c with cl_params = remaining; cl_env = env }
   else
     let result = interp ctx env c.cl_body in
     match !pos_vals with
@@ -754,13 +878,13 @@ and apply_closure_inner ctx c vals =
     | extra -> (
         (* Over-application: the result must itself be a function. *)
         match result.sh with
-        | Closure_sh c' -> apply_closure ctx c' (List.map (fun v -> (Asttypes.Nolabel, v)) extra)
-        | _ -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) extra))
+        | Closure_sh c' -> apply_closure ctx c' (nolabel extra)
+        | _ -> unknown_call ctx (nolabel extra))
 
-(* Unknown callee: every argument is consumed, array arguments are also
-   written (with cross-argument flow), closures may be invoked by the
-   callee (so their bodies run once against opaque arguments), state
-   escapes. *)
+(* Unknown callee: every argument is consumed (and its taint leaks),
+   array arguments are also written (with cross-argument flow), closures
+   may be invoked by the callee (so their bodies run once against opaque
+   arguments), state escapes. *)
 and unknown_call ctx vals =
   let taints =
     List.fold_left
@@ -780,8 +904,7 @@ and unknown_call ctx vals =
     (fun (_, v) ->
       match v.sh with
       | Field_arr f -> add_edge ctx taints f
-      | Local_arr cell -> cell_join ctx cell (scalar taints)
-      | Ref_sh cell -> cell_join ctx cell (scalar taints)
+      | Local_arr cell | Ref_sh cell -> cell_join ctx cell (scalar taints)
       | _ -> ())
     vals;
   scalar taints
@@ -793,11 +916,7 @@ and force_closure ctx c =
   apply_closure ctx c
     (List.map (fun (label, _) -> (label, opaque)) c.cl_params)
 
-and apply_pure ctx env path args =
-  let vals = eval_args ctx env args in
-  let taint =
-    List.fold_left (fun acc (_, v) -> SS.union acc (deep_taint v)) SS.empty vals
-  in
+and apply_pure path vals =
   let ie =
     let name = match List.rev path with n :: _ -> n | [] -> "" in
     match (name, positional vals) with
@@ -812,11 +931,12 @@ and apply_pure ctx env path args =
         | _ -> Iunknown)
     | _ -> Iunknown
   in
-  { taint; sh = Scalar_sh; ie }
+  scalar ~ie (all_taint vals)
 
-and apply_array_get ctx env args =
-  match positional (eval_args ctx env args) with
+and apply_array_get ctx ~loc vals =
+  match positional vals with
   | [ arr; idx ] -> (
+      record_escape ctx loc Escapes.Subscript "array read index" idx.taint;
       match arr.sh with
       | Field_arr f ->
           read_elem ctx f idx.ie;
@@ -829,21 +949,24 @@ and apply_array_get ctx env args =
                 (SS.union arr.taint idx.taint);
           }
       | _ -> scalar (SS.union arr.taint idx.taint))
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
-and apply_array_set ctx env args =
-  match positional (eval_args ctx env args) with
+and apply_array_set ctx ~loc vals =
+  match positional vals with
   | [ arr; idx; v ] ->
+      record_escape ctx loc Escapes.Subscript "array write index" idx.taint;
       let srcs = SS.union (deep_taint v) idx.taint in
       (match arr.sh with
       | Field_arr f -> add_edge ctx srcs f
       | Local_arr cell -> cell_join ctx cell { v with taint = srcs }
-      | _ -> ignore (use_value ctx v));
+      | _ -> ignore (structured ctx v));
       opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
-and apply_array_length ctx env args =
-  match positional (eval_args ctx env args) with
+(* Length is layout metadata, independent of the checkpointed element
+   values: untainted, and constant for a declared field. *)
+and apply_array_length ctx vals =
+  match positional vals with
   | [ arr ] -> (
       match arr.sh with
       | Field_arr f -> (
@@ -851,10 +974,9 @@ and apply_array_length ctx env args =
           | Some n -> { taint = SS.empty; sh = Scalar_sh; ie = Const n }
           | None -> opaque)
       | _ -> opaque)
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
-and apply_array_alloc ctx env args =
-  let vals = eval_args ctx env args in
+and apply_array_alloc ctx vals =
   let taint =
     List.fold_left
       (fun acc (_, v) ->
@@ -864,8 +986,8 @@ and apply_array_alloc ctx env args =
   in
   { taint = SS.empty; sh = Local_arr { c_val = scalar taint }; ie = Iunknown }
 
-and apply_array_init ctx env args =
-  match positional (eval_args ctx env args) with
+and apply_array_init ctx vals =
+  match positional vals with
   | [ n; f ] ->
       let elem =
         match f.sh with
@@ -874,10 +996,9 @@ and apply_array_init ctx env args =
       in
       let elem = { elem with taint = SS.union elem.taint n.taint } in
       { taint = SS.empty; sh = Local_arr { c_val = elem }; ie = Iunknown }
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
-and apply_hof ctx env kind args =
-  let vals = eval_args ctx env args in
+and apply_hof ctx kind vals =
   (* The traversed sequence(s) are whole-array reads; the callback sees
      element values tainted by them. *)
   let arrays, fns =
@@ -914,57 +1035,58 @@ and apply_hof ctx env kind args =
   let elem = scalar (SS.union elem_taint other_taint) in
   let apply_cb args_for_cb =
     match closure with
-    | Some c ->
-        apply_closure ctx c
-          (List.map (fun v -> (Asttypes.Nolabel, v)) args_for_cb)
+    | Some c -> apply_closure ctx c (nolabel args_for_cb)
     | None -> scalar (SS.union elem_taint other_taint)
   in
-  let result =
-    match kind with
-    | Effects.Iter ->
-        ignore (apply_cb [ elem ]);
-        ignore (apply_cb [ elem ]);
-        opaque
-    | Effects.Iteri ->
-        ignore (apply_cb [ opaque; elem ]);
-        ignore (apply_cb [ opaque; elem ]);
-        opaque
-    | Effects.Map ->
-        let r = apply_cb [ elem ] in
-        {
-          taint = SS.empty;
-          sh = Local_arr { c_val = scalar (SS.union (deep_taint r) elem.taint) };
-          ie = Iunknown;
-        }
-    | Effects.Fold ->
-        (* fold f init seq / fold_right f seq init: thread the
-           accumulator twice so element taint reaches it. *)
-        let acc0 = scalar other_taint in
-        let acc1 = apply_cb [ acc0; elem ] in
-        let acc2 = apply_cb [ scalar (SS.union (deep_taint acc1) elem.taint); elem ] in
-        scalar (SS.union (deep_taint acc2) (SS.union elem_taint other_taint))
-  in
-  (* Writes performed by mutating callbacks went through Array_set /
-     field paths inside the closure body; nothing more to do here. *)
-  result
+  (* Writes performed by mutating callbacks go through Array_set /
+     field paths inside the closure body. *)
+  match kind with
+  | Effects.Iter ->
+      ignore (apply_cb [ elem ]);
+      ignore (apply_cb [ elem ]);
+      opaque
+  | Effects.Iteri ->
+      ignore (apply_cb [ opaque; elem ]);
+      ignore (apply_cb [ opaque; elem ]);
+      opaque
+  | Effects.Map ->
+      let r = apply_cb [ elem ] in
+      {
+        taint = SS.empty;
+        sh = Local_arr { c_val = scalar (SS.union (deep_taint r) elem.taint) };
+        ie = Iunknown;
+      }
+  | Effects.Fold ->
+      (* fold f init seq / fold_right f seq init: thread the
+         accumulator twice so element taint reaches it. *)
+      let acc0 = scalar other_taint in
+      let acc1 = apply_cb [ acc0; elem ] in
+      let acc2 =
+        apply_cb [ scalar (SS.union (deep_taint acc1) elem.taint); elem ]
+      in
+      scalar (SS.union (deep_taint acc2) (SS.union elem_taint other_taint))
 
-and apply_array_fill ctx env args =
-  match positional (eval_args ctx env args) with
+and apply_array_fill ctx ~loc vals =
+  match positional vals with
   | [ arr; pos; len; v ] ->
+      let bounds = SS.union pos.taint len.taint in
+      record_escape ctx loc Escapes.Subscript "fill bounds" bounds;
+      let srcs = SS.union (deep_taint v) bounds in
       (match arr.sh with
       | Field_arr f -> (
-          let srcs = SS.union (deep_taint v) (SS.union pos.taint len.taint) in
           add_edge ctx srcs f;
-          match (pos.ie, len.ie, Hashtbl.find_opt ctx.model.Model.field_elements f) with
+          match
+            (pos.ie, len.ie, Hashtbl.find_opt ctx.model.Model.field_elements f)
+          with
           | Const 0, Const n, Some elems when n >= elems -> kill_field ctx f
           | _ -> ())
-      | Local_arr cell -> cell_join ctx cell v
-      | _ -> ignore (use_value ctx v));
+      | Local_arr cell -> cell_join ctx cell { v with taint = srcs }
+      | _ -> ignore (structured ctx v));
       opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
-and apply_array_blit ctx env args =
-  match positional (eval_args ctx env args) with
+and apply_array_blit ctx vals =
+  match positional vals with
   | [ src; _spos; dst; _dpos; _len ] ->
       let srcs =
         match src.sh with
@@ -979,10 +1101,10 @@ and apply_array_blit ctx env args =
       | Local_arr cell -> cell_join ctx cell (scalar srcs)
       | _ -> ());
       opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
-and apply_array_sort ctx env args =
-  let vals = eval_args ctx env args in
+(* A comparison sort reads and rewrites every element. *)
+and apply_array_sort ctx vals =
   List.iter
     (fun (_, v) ->
       match v.sh with
@@ -993,41 +1115,34 @@ and apply_array_sort ctx env args =
     vals;
   opaque
 
-and apply_deref ctx env args =
-  match positional (eval_args ctx env args) with
+and apply_deref ctx vals =
+  match positional vals with
   | [ r ] -> (
       match r.sh with
       | Ref_sh cell ->
           { cell.c_val with taint = SS.union cell.c_val.taint r.taint }
       | _ -> scalar r.taint)
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
-and apply_assign ctx env args =
-  match positional (eval_args ctx env args) with
+and apply_assign ctx vals =
+  match positional vals with
   | [ r; v ] ->
       (match r.sh with
       | Ref_sh cell -> cell_join ctx cell v
-      | _ -> ignore (use_value ctx v));
+      | _ -> ignore (structured ctx v));
       opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
-and apply_incr ctx env args =
-  List.iter (fun (_, a) -> ignore (interp ctx env a)) args;
-  opaque
-
-and apply_ref_make ctx env args =
-  match positional (eval_args ctx env args) with
+and apply_ref_make ctx vals =
+  match positional vals with
   | [ v ] -> { taint = SS.empty; sh = Ref_sh { c_val = v }; ie = Iunknown }
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  | vals -> unknown_call ctx (nolabel vals)
 
 (* [Nprand.vranlc rng ~a count arr off]: writes [count] fresh deviates
-   at [arr.(off ...)]; a full-extent write at offset 0 kills the
-   array. *)
-and apply_vranlc ctx env args =
-  let vals = eval_args ctx env args in
-  let srcs =
-    List.fold_left (fun acc (_, v) -> SS.union acc (deep_taint v)) SS.empty vals
-  in
+   at [arr.(off ...)]; the control parameters flow in, nothing escapes
+   discretely, and a full-extent write at offset 0 kills the array. *)
+and apply_vranlc ctx vals =
+  let srcs = all_taint vals in
   (match positional vals with
   | [ _rng; count; arr; off ] -> (
       match arr.sh with
@@ -1054,19 +1169,23 @@ type outcome = {
           re-run closures over it *)
   o_footprints : (string * footprint) list;
   o_notes : string list;
+  o_escapes : (Escapes.site * SS.t) list;
+  o_leaked : SS.t;
+  o_escape_notes : string list;
 }
 
-let reaches_of ctx =
+(* The state fields reachable backward from [seeds] over [edges]. *)
+let backward_closure ctx edges seeds =
   let visited = Hashtbl.create 16 in
   let rec go dst =
     if not (Hashtbl.mem visited dst) then begin
       Hashtbl.add visited dst ();
-      match Hashtbl.find_opt ctx.edges dst with
+      match Hashtbl.find_opt edges dst with
       | Some srcs -> SS.iter go !srcs
       | None -> ()
     end
   in
-  go "@output";
+  SS.iter go seeds;
   Hashtbl.fold
     (fun f _ acc -> if Model.is_state_field ctx.model f then SS.add f acc else acc)
     visited SS.empty
@@ -1096,6 +1215,12 @@ let analyze (model : Model.t) : outcome =
       sites = Hashtbl.create 8;
       tops = Hashtbl.create 8;
       notes = [];
+      escapes = Hashtbl.create 32;
+      escape_edges = Hashtbl.create 32;
+      leaked = SS.empty;
+      escape_notes = [];
+      act = true;
+      esc = true;
       fuel = 50_000_000;
       depth = 0;
       next_id = 0;
@@ -1104,12 +1229,11 @@ let analyze (model : Model.t) : outcome =
   let bind_params params =
     (* First parameter is the state; the window bounds are opaque. *)
     List.fold_left
-      (fun (env, first) (label, pat) ->
+      (fun (env, first) (_label, pat) ->
         let v =
           if first then { taint = SS.empty; sh = State_sh; ie = Iunknown }
           else opaque
         in
-        ignore label;
         (bind_pattern env pat v, false))
       (SM.empty, true) params
     |> fst
@@ -1118,8 +1242,7 @@ let analyze (model : Model.t) : outcome =
   let out_v =
     interp ctx (bind_params output.Model.fn_params) output.Model.fn_body
   in
-  add_edge ctx (deep_taint out_v) "@output";
-  let reaches = reaches_of ctx in
+  add_to ctx.edges (deep_taint out_v) "@output";
   let footprints =
     Hashtbl.fold
       (fun f _ acc ->
@@ -1134,10 +1257,33 @@ let analyze (model : Model.t) : outcome =
     Hashtbl.fold (fun dst srcs acc -> (dst, !srcs) :: acc) ctx.edges []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
+  (* A field that flows into a tainting field is itself tainting:
+     laundering through another field does not wash an escape away. *)
+  let close_taint = backward_closure ctx ctx.escape_edges in
+  let escapes =
+    Hashtbl.fold
+      (fun (line, kind, detail) taint acc ->
+        ( {
+            Escapes.s_file = model.Model.file;
+            s_line = line;
+            s_kind = kind;
+            s_detail = detail;
+          },
+          close_taint !taint )
+        :: acc)
+      ctx.escapes []
+    |> List.sort (fun ((a : Escapes.site), _) (b, _) ->
+           compare
+             (a.Escapes.s_line, a.Escapes.s_kind, a.Escapes.s_detail)
+             (b.Escapes.s_line, b.Escapes.s_kind, b.Escapes.s_detail))
+  in
   {
     o_status = SM.bindings ctx.status;
-    o_reaches = reaches;
+    o_reaches = backward_closure ctx ctx.edges (SS.singleton "@output");
     o_edges = edges;
     o_footprints = footprints;
     o_notes = ctx.notes;
+    o_escapes = escapes;
+    o_leaked = close_taint ctx.leaked;
+    o_escape_notes = ctx.escape_notes;
   }

@@ -1,6 +1,7 @@
 (** Conservative abstract interpretation of a kernel's post-checkpoint
-    cone ([run] then [output]) over the extracted {!Model}.  Produces,
-    per state field:
+    cone ([run] then [output]) over the extracted {!Model}: the one
+    parsetree walk behind the activity, guard and discover passes.
+    Produces, per state field:
 
     - a first-effect status — [Untouched] / [Killed] (fully overwritten
       before any possible read) / [Mayread].  The first two are proofs
@@ -11,11 +12,14 @@
       closure of a flow-insensitive dependence edge graph seeded at the
       synthetic [@output] sink);
     - a read footprint: the affine read sites with constant loop
-      ranges, or [Top] as soon as any read is unresolvable.
+      ranges, or [Top] as soon as any read is unresolvable;
+    - the float-to-discrete escape sites it taints (branch, conversion,
+      subscript, comparison, kink) and whether its taint leaked into
+      code the pass cannot see.
 
     Unrecognized constructs always degrade toward
-    [Mayread]/[Top]/more edges; {!Incomplete} aborts the app to a
-    fully-Unknown verdict. *)
+    [Mayread]/[Top]/more edges/more escapes and leaks; {!Incomplete}
+    aborts the app to a fully-Unknown verdict. *)
 
 module SS : Set.S with type elt = string
 
@@ -40,7 +44,12 @@ type outcome = {
           on {!Model.is_state_field} when only fields matter.  The
           discover pass runs its recomputability fixpoint over these. *)
   o_footprints : (string * footprint) list;
-  o_notes : string list;
+  o_notes : string list;  (** activity imprecision notes *)
+  o_escapes : (Escapes.site * SS.t) list;
+      (** escape sites with the state fields tainting them, closed over
+          the write-edge graph (field-to-field laundering included) *)
+  o_leaked : SS.t;  (** fields whose taint reached unseen code (closed) *)
+  o_escape_notes : string list;  (** escape transparency notes *)
 }
 
 (** Raises {!Incomplete} when the cone cannot be interpreted at all

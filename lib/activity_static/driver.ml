@@ -20,36 +20,6 @@ module Finding = Scvad_lint.Finding
 module Ljson = Scvad_util.Ljson
 module Regions = Scvad_checkpoint.Regions
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse ~file source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | ast -> Ok ast
-  | exception Syntaxerr.Error _ ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum;
-          message = "syntax error: the file does not parse";
-          severity = Finding.Error;
-        }
-  | exception Lexer.Error (_, loc) ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = loc.Location.loc_start.Lexing.pos_lnum;
-          message = "lexing error: the file does not parse";
-          severity = Finding.Error;
-        }
-
 (* ------------------------------------------------------------------ *)
 (* Verdict assembly                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -140,7 +110,7 @@ let var_verdict ~pragmas (outcome : Absint.outcome option)
    problems either way. *)
 let analyze_source ~file source =
   let pragmas, pragma_errors = Apragma.scan ~file source in
-  match parse ~file source with
+  match Source.parse ~file source with
   | Error f -> (None, [ f ])
   | Ok ast -> (
       let m = Model.of_structure ~file ast in
@@ -165,26 +135,9 @@ let analyze_source ~file source =
           in
           (Some av, pragma_errors @ Apragma.unused pragmas))
 
-let analyze_file file =
-  let source = read_file file in
-  analyze_source ~file source
-
-let analyze_files files =
-  List.fold_left
-    (fun (apps, findings) file ->
-      let app, fs = analyze_file file in
-      let apps = match app with Some a -> apps @ [ a ] | None -> apps in
-      (apps, findings @ fs))
-    ([], []) files
-
-let analyze_dir dir =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".ml")
-    |> List.sort String.compare
-    |> List.map (Filename.concat dir)
-  in
-  analyze_files files
+let analyze_file file = analyze_source ~file (Source.read_file file)
+let analyze_files files = Source.analyze_files analyze_source files
+let analyze_dir dir = analyze_files (Source.ml_files dir)
 
 (* Walk up from [cwd] (or the current directory) to the dune-project
    root and return its lib/npb directory, so the tool works from any

@@ -32,19 +32,18 @@ type t =
 (* Pure by (unqualified) name: Stdlib arithmetic, comparisons, math,
    conversions — and the Scalar.S vocabulary, which reaches here
    unqualified inside [S.(...)] opens. *)
-let pure_names =
-  [
-    "+"; "-"; "*"; "/"; "mod"; "land"; "lor"; "lxor"; "lsl"; "lsr"; "asr";
-    "~-"; "~+"; "+."; "-."; "*."; "/."; "**"; "~-."; "~+."; "abs";
-    "abs_float"; "sqrt"; "exp"; "log"; "log10"; "sin"; "cos"; "tan"; "atan";
-    "atan2"; "floor"; "ceil"; "min"; "max"; "float_of_int"; "int_of_float";
-    "truncate"; "float"; "of_int"; "to_int"; "of_float"; "to_float"; "succ";
-    "pred"; "="; "<>"; "<"; ">"; "<="; ">="; "=="; "!="; "compare"; "&&";
-    "||"; "not"; "fst"; "snd"; "mod_float"; "copysign"; "is_nan"; "pow";
-    "one"; "zero"; "of_floats"; "to_floats";
-  ]
-
-let is_pure_name name = List.mem name pure_names
+let is_pure_name = function
+  | "+" | "-" | "*" | "/" | "mod" | "land" | "lor" | "lxor" | "lsl" | "lsr"
+  | "asr" | "~-" | "~+" | "+." | "-." | "*." | "/." | "**" | "~-." | "~+."
+  | "abs" | "abs_float" | "sqrt" | "exp" | "log" | "log10" | "sin" | "cos"
+  | "tan" | "atan" | "atan2" | "floor" | "ceil" | "min" | "max"
+  | "float_of_int" | "int_of_float" | "truncate" | "float" | "of_int"
+  | "to_int" | "of_float" | "to_float" | "succ" | "pred" | "=" | "<>" | "<"
+  | ">" | "<=" | ">=" | "==" | "!=" | "compare" | "&&" | "||" | "not" | "fst"
+  | "snd" | "mod_float" | "copysign" | "is_nan" | "pow" | "one" | "zero"
+  | "of_floats" | "to_floats" ->
+      true
+  | _ -> false
 
 (* Stdlib container modules whose higher-order functions we model.
    List/Seq traffic never aliases a state array, so sharing the Array

@@ -13,8 +13,8 @@ let rec flatten (lid : Longident.t) =
   | Ldot (l, s) -> flatten l @ [ s ]
   | Lapply (a, b) -> flatten a @ flatten b
 
-let last_segment lid =
-  match List.rev (flatten lid) with s :: _ -> s | [] -> ""
+let rec last_segment (lid : Longident.t) =
+  match lid with Lident s | Ldot (_, s) -> s | Lapply (_, b) -> last_segment b
 
 let line_of (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
 

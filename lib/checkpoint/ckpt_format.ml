@@ -163,10 +163,12 @@ let decode data =
     raise (Corrupt "truncated file");
   let body_len = String.length data - 8 in
   let body = String.sub data 0 body_len in
-  (* Verify the trailing CRC first. *)
+  (* Verify the trailing CRC first: all 8 bytes of the field, which
+     [encode] writes as the sign-extended 32-bit checksum. *)
   let crc_rd = Bytesio.Rd.of_string (String.sub data body_len 8) in
-  let stored_crc = Int64.to_int32 (Bytesio.Rd.i64 crc_rd) in
-  if Crc32.of_string body <> stored_crc then raise (Corrupt "CRC mismatch");
+  let stored_crc = Bytesio.Rd.i64 crc_rd in
+  if Int64.of_int32 (Crc32.of_string body) <> stored_crc then
+    raise (Corrupt "CRC mismatch");
   let r = Bytesio.Rd.of_string body in
   (try
      if Bytesio.Rd.raw r (String.length magic) <> magic then

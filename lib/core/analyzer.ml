@@ -59,17 +59,6 @@ let sweep_profile_of (last : Tape_intf.sweep_stats option) =
       })
     last
 
-(* Static pre-resolution (the paper's "scrutinize before you run"
-   carried to its limit): float variables the static activity pass
-   proved [Statically_inactive] are never lifted onto the tape — their
-   masks are all-false and their impact magnitudes all-zero by
-   construction.  The @activity-check gate keeps this honest: it fails
-   if the unfiltered dynamic analysis ever finds a critical element
-   inside a statically-inactive claim. *)
-let static_skips = function
-  | None -> []
-  | Some av -> Scvad_activity.Verdict.skippable_float_vars av
-
 let all_false_reports ~name ~shape ~spe =
   let n = Scvad_nd.Shape.size shape in
   ( Criticality.of_mask ~name ~shape ~spe ~kind:Criticality.Float_var
@@ -113,9 +102,8 @@ let int_reports (module A : App.S) (int_vars : Variable.int_t list) =
    is zero / nonzero) and impact magnitudes (|derivative| per element),
    which power the mixed-precision extension.  Extraction — one scan of
    every snapshot plus the region encoding — fans out per variable. *)
-let reverse_analysis ?pool ?static ?(pruned = []) ?capacity_hint
+let reverse_analysis ?pool ~skips ?capacity_hint
     (module A : App.S) ~at_iter ~niter =
-  let skips = static_skips static @ pruned in
   let capacity_hint =
     (* A caller-supplied hint (e.g. the static cost model's exact
        prediction) overrides the app's hand-maintained ballpark. *)
@@ -177,9 +165,8 @@ let reverse_analysis ?pool ?static ?(pruned = []) ?capacity_hint
    continuation", verified bitwise by the falsifier's stability check)
    is exactly what makes the replay deterministic.  The final segment
    also recomputes the output reduction, so its nodes replay too. *)
-let segmented_reverse_analysis ?pool ?static ?(pruned = []) ~budget_nodes
+let segmented_reverse_analysis ?pool ~skips ~budget_nodes
     ~schedule (module A : App.S) ~at_iter ~niter =
-  let skips = static_skips static @ pruned in
   let module T = Tape.Segmented in
   let tape = T.create ~schedule ~budget_nodes () in
   let module RS = Reverse.Segmented.Scalar_of (struct
@@ -263,9 +250,8 @@ let segmented_reverse_analysis ?pool ?static ?(pruned = []) ~budget_nodes
     sweep_profile = sweep_profile_of (T.last_sweep tape);
   }
 
-let activity_analysis ?pool ?static ?(pruned = []) (module A : App.S)
+let activity_analysis ?pool ~skips (module A : App.S)
     ~at_iter ~niter =
-  let skips = static_skips static @ pruned in
   let tape = Dep_tape.create ~capacity:(1 lsl 16) () in
   let module AS = Activity.Scalar_of (struct
     let tape = tape
@@ -308,9 +294,8 @@ let activity_analysis ?pool ?static ?(pruned = []) (module A : App.S)
     sweep_profile = sweep_profile_of (Dep_tape.last_sweep tape);
   }
 
-let forward_analysis ?pool ?static ?(pruned = []) (module A : App.S)
+let forward_analysis ?pool ~skips (module A : App.S)
     ~at_iter ~niter =
-  let skips = static_skips static @ pruned in
   let module I = A.Make (Dual.Scalar) in
   (* Structure discovery run (no seeding). *)
   let skeleton = I.create () in
@@ -362,17 +347,24 @@ let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
   let niter = Option.value niter ~default:A.analysis_niter in
   if at_iter < 0 || at_iter >= niter then
     invalid_arg "Analyzer.run: need 0 <= at_iter < niter";
-  let static =
-    Option.bind static (fun vs ->
-        Scvad_activity.Verdict.find_app vs ~app:A.name)
-  in
-  (* Discovered mode: scrutinize the statically-proposed checkpoint set
-     instead of (only) the declared one.  Float variables whose backing
-     field the discovery pass ranked prunable are pre-resolved exactly
-     like statically-inactive ones — never lifted, all-false masks —
-     and the @discover-check gate holds the ranking to the same
-     standard as @activity-check holds the verdict table. *)
-  let pruned =
+  (* The skip set: float variables pre-resolved before any AD runs —
+     never lifted onto the tape (or probed), with all-false masks and
+     all-zero magnitudes by construction.  Two sources feed it: the
+     variables the static activity pass proved [Statically_inactive]
+     (the paper's "scrutinize before you run" carried to its limit),
+     and in discovered mode the variables whose backing field the
+     discovery pass ranked prunable.  The @activity-check and
+     @discover-check gates fail if the unfiltered dynamic analysis ever
+     finds a critical element inside a skipped variable, so a
+     gate-checked table never changes a mask. *)
+  let skips =
+    (match
+       Option.bind static (fun vs ->
+           Scvad_activity.Verdict.find_app vs ~app:A.name)
+     with
+    | Some av -> Scvad_activity.Verdict.skippable_float_vars av
+    | None -> [])
+    @
     match
       Option.bind discovered (fun ps ->
           Scvad_discover.Rank.find_app ps ~app:A.name)
@@ -387,18 +379,18 @@ let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
   let a =
     match (mode, memory_budget) with
     | Criticality.Reverse_gradient, Some budget_nodes ->
-        segmented_reverse_analysis ?pool ?static ~pruned ~budget_nodes
+        segmented_reverse_analysis ?pool ~skips ~budget_nodes
           ~schedule
           (module A)
           ~at_iter ~niter
     | Criticality.Reverse_gradient, None ->
-        reverse_analysis ?pool ?static ~pruned ?capacity_hint
+        reverse_analysis ?pool ~skips ?capacity_hint
           (module A)
           ~at_iter ~niter
     | Criticality.Activity_dependence, _ ->
-        activity_analysis ?pool ?static ~pruned (module A) ~at_iter ~niter
+        activity_analysis ?pool ~skips (module A) ~at_iter ~niter
     | Criticality.Forward_probe, _ ->
-        forward_analysis ?pool ?static ~pruned (module A) ~at_iter ~niter
+        forward_analysis ?pool ~skips (module A) ~at_iter ~niter
   in
   {
     Criticality.app = A.name;
@@ -645,6 +637,6 @@ let analyze_impact ?(at_iter = 0) ?niter (module A : App.S) =
   let niter = Option.value niter ~default:A.analysis_niter in
   if at_iter < 0 || at_iter >= niter then
     invalid_arg "Analyzer.analyze_impact: need 0 <= at_iter < niter";
-  let a = reverse_analysis (module A) ~at_iter ~niter in
+  let a = reverse_analysis ~skips:[] (module A) ~at_iter ~niter in
   { Impact.app = A.name; at_iteration = at_iter; analyzed_until = niter;
     vars = a.impact_reports }

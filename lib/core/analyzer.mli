@@ -19,94 +19,6 @@
     probe its state — so results are bitwise identical for any job
     count. *)
 
-(** What one analysis pass produced, by kind.  [impact_reports] is
-    non-empty only for {!reverse_analysis} — the one mode whose
-    backward sweep yields derivative magnitudes as well as masks. *)
-type analysis = {
-  float_reports : Criticality.var_report list;
-  impact_reports : Impact.var_impact list;
-  int_reports : Criticality.var_report list;
-  tape_nodes : int;
-  tape_profile : Criticality.tape_profile option;
-      (** set only by {!segmented_reverse_analysis} *)
-  sweep_profile : Criticality.sweep_profile option;
-      (** what the backward sweep visited; [None] for forward probing *)
-}
-
-(** One taped run + one backward sweep for all elements (what Enzyme
-    does for the paper's authors); also yields impact magnitudes.  The
-    tape is sized from [capacity_hint] when given (e.g. the static cost
-    model's exact prediction), else [App.S.tape_nodes_hint], so the
-    common case allocates its storage exactly once.
-
-    [static] pre-resolves the variables the static activity pass
-    ({!Scvad_activity}) proved [Statically_inactive] for this app:
-    they are never lifted onto the tape — fewer tape nodes, less
-    backward-sweep work — and their reports are all-false masks /
-    all-zero magnitudes by construction.  The [@activity-check] gate
-    asserts the static claims against the unfiltered dynamic analysis,
-    so passing a gate-checked verdict table never changes a mask.
-
-    [pruned] extends the skip set with explicit variable names — the
-    discovery pass's prunable-ranked fields ({!Config.discovered}); the
-    same pre-resolution, the same all-false reports, the same dynamic
-    gate obligation (@discover-check). *)
-val reverse_analysis :
-  ?pool:Scvad_par.Pool.t ->
-  ?static:Scvad_activity.Verdict.app_verdicts ->
-  ?pruned:string list ->
-  ?capacity_hint:int ->
-  (module App.S) ->
-  at_iter:int ->
-  niter:int ->
-  analysis
-
-(** {!reverse_analysis} under a node budget, recorded on
-    {!Scvad_ad.Tape.Segmented}: at most [budget_nodes] tape slots are
-    materialized at any moment.  Each main-loop iteration of the
-    analyzed window becomes one tape segment; checkpoint variables
-    (floats and ints) are snapshotted at segment boundaries per the
-    schedule, and the backward sweep replays iterations from restored
-    boundaries to rebuild discarded tape windows.  Masks and impact
-    magnitudes are bitwise identical to the dense analysis; the
-    returned [tape_profile] accounts for the recompute-vs-store trade
-    (segments, snapshots, replays, peak live nodes). *)
-val segmented_reverse_analysis :
-  ?pool:Scvad_par.Pool.t ->
-  ?static:Scvad_activity.Verdict.app_verdicts ->
-  ?pruned:string list ->
-  budget_nodes:int ->
-  schedule:Scvad_ad.Tape.Segmented.schedule ->
-  (module App.S) ->
-  at_iter:int ->
-  niter:int ->
-  analysis
-
-(** Edges-only dependence reachability — cheaper, but a zero-valued
-    partial still counts as a dependence.  [static] as in
-    {!reverse_analysis}. *)
-val activity_analysis :
-  ?pool:Scvad_par.Pool.t ->
-  ?static:Scvad_activity.Verdict.app_verdicts ->
-  ?pruned:string list ->
-  (module App.S) ->
-  at_iter:int ->
-  niter:int ->
-  analysis
-
-(** One dual-number re-run per element — the naive reading of "inspect
-    every single element"; oracle and ablation.  The element loop
-    shards across the pool (each probe owns its state).  [static]
-    skips every probe of a statically-inactive variable. *)
-val forward_analysis :
-  ?pool:Scvad_par.Pool.t ->
-  ?static:Scvad_activity.Verdict.app_verdicts ->
-  ?pruned:string list ->
-  (module App.S) ->
-  at_iter:int ->
-  niter:int ->
-  analysis
-
 (** Guarded scrutiny: after the AD pass, harden the report against the
     static guard certificates.  For every variable the guard classified
     [Control_tainted] (its dataflow escapes into branches, integer

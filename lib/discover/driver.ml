@@ -1,47 +1,16 @@
 (* The discover driver: parse an NPB kernel with compiler-libs, extract
-   the {!Scvad_activity.Model}, run the activity pass's abstract
-   interpreter (first effects, dependence edges) and the guard's escape
-   interpreter (leak facts for the recomputability check), and rank
-   every mutable state field with {!Rank.rank}.  The result is a
+   the {!Scvad_activity.Model}, run the abstract interpreter (first
+   effects, dependence edges, and the leak facts of the recomputability
+   check), and rank every mutable state field with {!Rank.rank}.  The result is a
    proposed checkpoint set per app — discovery, where the rest of the
    tree only scrutinizes a hand-declared set. *)
 
 module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
-module Einterp = Scvad_guard.Einterp
+module Source = Scvad_activity.Source
 module Verdict = Scvad_activity.Verdict
 module Finding = Scvad_lint.Finding
 module Ljson = Scvad_util.Ljson
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse ~file source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | ast -> Ok ast
-  | exception Syntaxerr.Error _ ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum;
-          message = "syntax error: the file does not parse";
-          severity = Finding.Error;
-        }
-  | exception Lexer.Error (_, loc) ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = loc.Location.loc_start.Lexing.pos_lnum;
-          message = "lexing error: the file does not parse";
-          severity = Finding.Error;
-        }
 
 (* Pragma overrides: force the named field's verdict, mark it assumed.
    Axes keep their computed values — an assumption replaces the
@@ -63,28 +32,25 @@ let apply_pragmas pragmas (f : Rank.field_rank) =
    way. *)
 let analyze_source ~file source =
   let pragmas, pragma_errors = Dpragma.scan ~file source in
-  match parse ~file source with
+  match Source.parse ~file source with
   | Error f -> (None, [ f ])
   | Ok ast -> (
       let m = Model.of_structure ~file ast in
       match m.Model.app_name with
       | None -> (None, pragma_errors)
       | Some app ->
-          let absint, absint_notes =
+          let absint, notes =
             match Absint.analyze m with
             | o -> (Some o, [])
             | exception Absint.Incomplete msg ->
-                (None, [ Printf.sprintf "activity analysis incomplete: %s" msg ])
-          in
-          let einterp, einterp_notes =
-            match Einterp.analyze m with
-            | o -> (Some o, [])
-            | exception Einterp.Incomplete msg ->
-                (None, [ Printf.sprintf "escape analysis incomplete: %s" msg ])
+                ( None,
+                  [
+                    Printf.sprintf "activity analysis incomplete: %s" msg;
+                    Printf.sprintf "escape analysis incomplete: %s" msg;
+                  ] )
           in
           let fields =
-            List.map (apply_pragmas pragmas)
-              (Rank.rank ?absint ?einterp m)
+            List.map (apply_pragmas pragmas) (Rank.rank ?absint m)
           in
           let ar =
             {
@@ -92,31 +58,14 @@ let analyze_source ~file source =
               r_source = file;
               r_resolved = absint <> None;
               r_fields = fields;
-              r_notes = List.rev m.Model.notes @ absint_notes @ einterp_notes;
+              r_notes = List.rev m.Model.notes @ notes;
             }
           in
           (Some ar, pragma_errors @ Dpragma.unused pragmas))
 
-let analyze_file file =
-  let source = read_file file in
-  analyze_source ~file source
-
-let analyze_files files =
-  List.fold_left
-    (fun (apps, findings) file ->
-      let app, fs = analyze_file file in
-      let apps = match app with Some a -> apps @ [ a ] | None -> apps in
-      (apps, findings @ fs))
-    ([], []) files
-
-let analyze_dir dir =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".ml")
-    |> List.sort String.compare
-    |> List.map (Filename.concat dir)
-  in
-  analyze_files files
+let analyze_file file = analyze_source ~file (Source.read_file file)
+let analyze_files files = Source.analyze_files analyze_source files
+let analyze_dir dir = analyze_files (Source.ml_files dir)
 
 let locate_npb_dir = Scvad_activity.Driver.locate_npb_dir
 

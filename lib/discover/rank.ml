@@ -11,7 +11,6 @@
 
 module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
-module Einterp = Scvad_guard.Einterp
 module Verdict = Scvad_activity.Verdict
 module SS = Absint.SS
 
@@ -160,7 +159,7 @@ let recomputable_set ~edges ~leaked ~(m : Model.t) ~keep killed =
 
 let comma set = String.concat ", " (SS.elements set)
 
-let rank ?absint ?einterp (m : Model.t) =
+let rank ?absint (m : Model.t) =
   let fields = state_fields m in
   match absint with
   | None ->
@@ -180,14 +179,7 @@ let rank ?absint ?einterp (m : Model.t) =
           (List.assoc_opt f o.Absint.o_status)
           ~default:Absint.Mayread
       in
-      let leaked =
-        match einterp with
-        | Some (e : Einterp.outcome) ->
-            (* Einterp.SS and Absint.SS are distinct Set instances over
-               string; rebuild on this module's SS. *)
-            Einterp.SS.fold SS.add e.Einterp.e_leaked SS.empty
-        | None -> SS.of_list fields
-      in
+      let leaked = o.Absint.o_leaked in
       let keep =
         SS.of_list
           (List.filter (fun f -> status f = Absint.Mayread) fields)

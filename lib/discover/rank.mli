@@ -90,14 +90,11 @@ val added_fields : app_ranks -> field_rank list
 
 val count_verdict : proposals -> verdict -> int
 
-(** Rank every state field of [model].  [absint] and [einterp] are the
-    outcomes of the activity and escape interpreters when they
-    resolved; with no [absint] every field is [Unknown] (the
-    conservative bottom).  With no [einterp] every field counts as
-    leaked, which blocks recomputable justifications but never affects
-    prunability itself. *)
+(** Rank every state field of [model].  [absint] is the abstract
+    interpreter's outcome when it resolved; with none every field is
+    [Unknown] (the conservative bottom).  Its leak facts block
+    recomputable justifications but never affect prunability itself. *)
 val rank :
   ?absint:Scvad_activity.Absint.outcome ->
-  ?einterp:Scvad_guard.Einterp.outcome ->
   Scvad_activity.Model.t ->
   field_rank list

@@ -28,36 +28,28 @@
 
 module Verdict = Scvad_activity.Verdict
 
-type escape_kind = Branch | Int_conversion | Subscript | Compare | Kink
+(* The escape vocabulary lives beside the interpreter that records it;
+   re-exported here so certificates keep their own names. *)
+module Escapes = Scvad_activity.Escapes
 
-let escape_kind_name = function
-  | Branch -> "branch"
-  | Int_conversion -> "int-conversion"
-  | Subscript -> "subscript"
-  | Compare -> "compare"
-  | Kink -> "kink"
+type escape_kind = Escapes.escape_kind =
+  | Branch
+  | Int_conversion
+  | Subscript
+  | Compare
+  | Kink
 
-let escape_kind_of_name = function
-  | "branch" -> Some Branch
-  | "int-conversion" -> Some Int_conversion
-  | "subscript" -> Some Subscript
-  | "compare" -> Some Compare
-  | "kink" -> Some Kink
-  | _ -> None
+let escape_kind_name = Escapes.escape_kind_name
+let escape_kind_of_name = Escapes.escape_kind_of_name
 
-(* One concrete float-to-discrete escape: where (file:line), how
-   (kind), and what the expression was (detail, e.g. "if condition" or
-   "int_of_float"). *)
-type site = {
+type site = Escapes.site = {
   s_file : string;
   s_line : int;
   s_kind : escape_kind;
   s_detail : string;
 }
 
-let site_to_string s =
-  Printf.sprintf "%s:%d %s (%s)" s.s_file s.s_line
-    (escape_kind_name s.s_kind) s.s_detail
+let site_to_string = Escapes.site_to_string
 
 type class_ = Smooth | Control_tainted | Unknown
 

@@ -9,7 +9,8 @@
 
 module Verdict = Scvad_activity.Verdict
 
-type escape_kind =
+(** Escape kinds and sites are {!Scvad_activity.Escapes}'s, re-exported. *)
+type escape_kind = Scvad_activity.Escapes.escape_kind =
   | Branch  (** branch predicate, loop condition or bound *)
   | Int_conversion  (** int/float conversion severing the chain *)
   | Subscript  (** data-dependent array index *)
@@ -19,7 +20,7 @@ type escape_kind =
 val escape_kind_name : escape_kind -> string
 val escape_kind_of_name : string -> escape_kind option
 
-type site = {
+type site = Scvad_activity.Escapes.site = {
   s_file : string;
   s_line : int;
   s_kind : escape_kind;

@@ -1,7 +1,7 @@
 (* The guard driver: parse an NPB kernel with compiler-libs, extract
-   the {!Scvad_activity.Model}, run the activity pass's abstract
-   interpreter (for kill/reach facts) and the escape interpreter, and
-   assemble one {!Cert.var_cert} per checkpoint variable.
+   the {!Scvad_activity.Model}, run the abstract interpreter (kill and
+   reach facts, escape sites, leaks), and assemble one
+   {!Cert.var_cert} per checkpoint variable.
 
    The certificate rule (soundness argument in DESIGN.md §12):
 
@@ -33,76 +33,24 @@
 
 module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
+module Source = Scvad_activity.Source
 module Verdict = Scvad_activity.Verdict
 module Finding = Scvad_lint.Finding
 module Ljson = Scvad_util.Ljson
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse ~file source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | ast -> Ok ast
-  | exception Syntaxerr.Error _ ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum;
-          message = "syntax error: the file does not parse";
-          severity = Finding.Error;
-        }
-  | exception Lexer.Error (_, loc) ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = loc.Location.loc_start.Lexing.pos_lnum;
-          message = "lexing error: the file does not parse";
-          severity = Finding.Error;
-        }
 
 (* ------------------------------------------------------------------ *)
 (* Certificate assembly                                                *)
 (* ------------------------------------------------------------------ *)
 
-type analysis = {
-  a_absint : Absint.outcome option;  (* kill/reach facts *)
-  a_einterp : Einterp.outcome option;  (* escapes and leaks *)
-}
-
-let field_status (a : analysis) f =
-  Option.bind a.a_absint (fun o -> List.assoc_opt f o.Absint.o_status)
-
-let field_reaches (a : analysis) f =
-  match a.a_absint with
-  | Some o -> Absint.SS.mem f o.Absint.o_reaches
-  | None -> false
-
-let field_sites (a : analysis) f =
-  match a.a_einterp with
-  | Some o ->
-      List.filter_map
-        (fun (site, taint) ->
-          if Einterp.SS.mem f taint then Some site else None)
-        o.Einterp.e_escapes
-  | None -> []
-
-let field_leaked (a : analysis) f =
-  match a.a_einterp with
-  | Some o -> Einterp.SS.mem f o.Einterp.e_leaked
-  | None -> true
+let field_sites (a : Absint.outcome) f =
+  List.filter_map
+    (fun (site, taint) -> if Absint.SS.mem f taint then Some site else None)
+    a.Absint.o_escapes
 
 (* Base certificate before pragmas. *)
-let base_cert (a : analysis) (v : Model.var_decl) =
-  let unresolved = a.a_absint = None || a.a_einterp = None in
+let base_cert (a : Absint.outcome option) (v : Model.var_decl) =
   let declared = v.Model.v_declared_critical in
-  match v.Model.v_field with
+  match (v.Model.v_field, a) with
   | _ when declared <> None && v.Model.v_kind = Verdict.Int_var ->
       ( Cert.Control_tainted,
         [],
@@ -111,12 +59,12 @@ let base_cert (a : analysis) (v : Model.var_decl) =
           "declared Always_critical (%s): the derivative criterion is never \
            consulted"
           (Option.value declared ~default:"declared") )
-  | None ->
+  | None, _ ->
       (Cert.Unknown, [], false, "declaration not bound to a unique state field")
-  | Some _ when unresolved -> (Cert.Unknown, [], false, "analysis incomplete")
-  | Some f -> (
-      let reaches = field_reaches a f in
-      match field_status a f with
+  | Some _, None -> (Cert.Unknown, [], false, "analysis incomplete")
+  | Some f, Some a -> (
+      let reaches = Absint.SS.mem f a.Absint.o_reaches in
+      match List.assoc_opt f a.Absint.o_status with
       | Some Absint.Untouched ->
           ( Cert.Smooth,
             [],
@@ -143,7 +91,7 @@ let base_cert (a : analysis) (v : Model.var_decl) =
                   reaches,
                   "integer dataflow reaches the output: it enters AD as a \
                    constant, so a zero derivative is structural" )
-              else if field_leaked a f then
+              else if Absint.SS.mem f a.Absint.o_leaked then
                 ( Cert.Unknown,
                   [],
                   reaches,
@@ -155,7 +103,7 @@ let base_cert (a : analysis) (v : Model.var_decl) =
                   "every resolved flow to the output is smooth scalar \
                    arithmetic" )))
 
-let var_cert ~pragmas (a : analysis) (v : Model.var_decl) =
+let var_cert ~pragmas a (v : Model.var_decl) =
   let class_, sites, reaches, reason = base_cert a v in
   let class_, reason, assumed =
     match Gpragma.assume pragmas ~var:v.Model.v_name ~line:v.Model.v_line with
@@ -179,58 +127,38 @@ let var_cert ~pragmas (a : analysis) (v : Model.var_decl) =
    way. *)
 let analyze_source ~file source =
   let pragmas, pragma_errors = Gpragma.scan ~file source in
-  match parse ~file source with
+  match Source.parse ~file source with
   | Error f -> (None, [ f ])
   | Ok ast -> (
       let m = Model.of_structure ~file ast in
       match m.Model.app_name with
       | None -> (None, pragma_errors)
       | Some app ->
-          let a_absint, absint_notes =
+          let a, notes =
             match Absint.analyze m with
-            | o -> (Some o, [])
+            | o -> (Some o, o.Absint.o_escape_notes)
             | exception Absint.Incomplete msg ->
-                (None, [ Printf.sprintf "activity analysis incomplete: %s" msg ])
+                ( None,
+                  [
+                    Printf.sprintf "activity analysis incomplete: %s" msg;
+                    Printf.sprintf "escape analysis incomplete: %s" msg;
+                  ] )
           in
-          let a_einterp, einterp_notes =
-            match Einterp.analyze m with
-            | o -> (Some o, o.Einterp.e_notes)
-            | exception Einterp.Incomplete msg ->
-                (None, [ Printf.sprintf "escape analysis incomplete: %s" msg ])
-          in
-          let a = { a_absint; a_einterp } in
           let certs = List.map (var_cert ~pragmas a) m.Model.vars in
           let ac =
             {
               Cert.app;
               source = file;
-              resolved = a_absint <> None && a_einterp <> None;
+              resolved = a <> None;
               certs;
-              notes = List.rev m.Model.notes @ absint_notes @ einterp_notes;
+              notes = List.rev m.Model.notes @ notes;
             }
           in
           (Some ac, pragma_errors @ Gpragma.unused pragmas))
 
-let analyze_file file =
-  let source = read_file file in
-  analyze_source ~file source
-
-let analyze_files files =
-  List.fold_left
-    (fun (apps, findings) file ->
-      let app, fs = analyze_file file in
-      let apps = match app with Some a -> apps @ [ a ] | None -> apps in
-      (apps, findings @ fs))
-    ([], []) files
-
-let analyze_dir dir =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".ml")
-    |> List.sort String.compare
-    |> List.map (Filename.concat dir)
-  in
-  analyze_files files
+let analyze_file file = analyze_source ~file (Source.read_file file)
+let analyze_files files = Source.analyze_files analyze_source files
+let analyze_dir dir = analyze_files (Source.ml_files dir)
 
 let locate_npb_dir = Scvad_activity.Driver.locate_npb_dir
 

@@ -182,6 +182,28 @@ let test_format_crc_detects_corruption () =
   | exception Ckpt_format.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncation not detected"
 
+(* Every bit of the 8-byte CRC field is checked, including the upper
+   four bytes that carry the sign extension of the 32-bit checksum. *)
+let test_format_crc_field_every_bit () =
+  let file =
+    {
+      Ckpt_format.app = "mg";
+      iteration = 3;
+      sections =
+        [ f64_section ~name:"u" ~dims:[| 4 |] ~spe:1 [| 1.; 2.; 3.; 4. |] ];
+    }
+  in
+  let encoded = Ckpt_format.encode file in
+  let field = String.length encoded - 8 in
+  for bit = 0 to 63 do
+    let s = Bytes.of_string encoded in
+    let at = field + (bit / 8) in
+    Bytes.set s at (Char.chr (Char.code (Bytes.get s at) lxor (1 lsl (bit mod 8))));
+    match Ckpt_format.decode (Bytes.to_string s) with
+    | exception Ckpt_format.Corrupt _ -> ()
+    | _ -> Alcotest.failf "flip of CRC field bit %d not detected" bit
+  done
+
 let test_format_payload_mismatch_rejected () =
   let s = f64_section ~name:"u" ~dims:[| 4 |] ~spe:1 [| 1.; 2. |] in
   match
@@ -357,6 +379,8 @@ let suites =
         Alcotest.test_case "two scalars per element" `Quick test_format_spe2;
         Alcotest.test_case "CRC detects corruption" `Quick
           test_format_crc_detects_corruption;
+        Alcotest.test_case "every CRC field bit checked" `Quick
+          test_format_crc_field_every_bit;
         Alcotest.test_case "payload mismatch rejected" `Quick
           test_format_payload_mismatch_rejected;
         Alcotest.test_case "auxiliary file" `Quick test_format_aux_file;

@@ -10,8 +10,7 @@
 
 module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
-module Einterp = Scvad_guard.Einterp
-module Cert = Scvad_guard.Cert
+module Escapes = Scvad_activity.Escapes
 
 let golden_file = "outcome_golden.txt"
 
@@ -34,8 +33,10 @@ let render_footprint = function
 (* The walk's facts, in the order the outcome lists them. *)
 let render_facts b (m : Model.t) =
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
-  (match Absint.analyze m with
-  | exception Absint.Incomplete msg -> line "  activity incomplete: %s" msg
+  match Absint.analyze m with
+  | exception Absint.Incomplete msg ->
+      line "  activity incomplete: %s" msg;
+      line "  escape incomplete: %s" msg
   | o ->
       List.iter
         (fun (f, st) -> line "  status %s %s" f (Absint.feffect_name st))
@@ -48,17 +49,14 @@ let render_facts b (m : Model.t) =
       List.iter
         (fun (f, fp) -> line "  footprint %s %s" f (render_footprint fp))
         (List.sort compare o.Absint.o_footprints);
-      List.iter (fun n -> line "  activity note: %s" n) o.Absint.o_notes);
-  match Einterp.analyze m with
-  | exception Einterp.Incomplete msg -> line "  escape incomplete: %s" msg
-  | o ->
+      List.iter (fun n -> line "  activity note: %s" n) o.Absint.o_notes;
       List.iter
         (fun (s, taint) ->
-          line "  escape %s <- %s" (Cert.site_to_string s)
-            (set (Einterp.SS.elements taint)))
-        o.Einterp.e_escapes;
-      line "  leaked %s" (set (Einterp.SS.elements o.Einterp.e_leaked));
-      List.iter (fun n -> line "  escape note: %s" n) o.Einterp.e_notes
+          line "  escape %s <- %s" (Escapes.site_to_string s)
+            (set (Absint.SS.elements taint)))
+        o.Absint.o_escapes;
+      line "  leaked %s" (set (Absint.SS.elements o.Absint.o_leaked));
+      List.iter (fun n -> line "  escape note: %s" n) o.Absint.o_escape_notes
 
 (* ---- the corpus ----------------------------------------------------- *)
 
