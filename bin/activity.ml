@@ -1,25 +1,15 @@
-(* scvad_activity driver: static activity verdicts over the NPB kernel
+(* `scvad check activity`: static activity verdicts over the NPB kernel
    sources, with an optional dynamic soundness gate.
 
-   Usage: activity [--format text|json] [--out FILE] [--check] [ROOT]
-
-   ROOT is the directory of kernel sources (default: the repo's
-   lib/npb, found by walking up to dune-project).  --check runs the
-   unfiltered dynamic reverse analysis for every analyzed app and
-   fails if any statically-inactive element is dynamically critical,
-   if the static pass proved nothing at all (a vacuous pass would make
-   the gate meaningless), or if the analyzer fast path (static
-   pre-resolution) changes any criticality mask.  Exit status: 0
-   clean, 1 on error findings or a gate violation, 2 on usage errors. *)
+   --gate runs the unfiltered dynamic reverse analysis for every
+   analyzed app and fails if any statically-inactive element is
+   dynamically critical, if the static pass proved nothing at all (a
+   vacuous pass would make the gate meaningless), or if the analyzer
+   fast path (static pre-resolution) changes any criticality mask. *)
 
 module Driver = Scvad_activity.Driver
 module Verdict = Scvad_activity.Verdict
-module Finding = Scvad_lint.Finding
 module Criticality = Scvad_core.Criticality
-
-let fail_usage msg =
-  prerr_endline ("activity: " ^ msg);
-  exit 2
 
 (* Dynamic criticality masks of one app (true = critical), keyed by
    variable name, from the unfiltered reverse analysis. *)
@@ -45,26 +35,12 @@ let check_soundness (av : Verdict.app_verdicts) report =
       false
 
 (* The gate, part 2: pre-resolving statically-inactive variables must
-   not change any mask — gate part 1 plus all-false masks for skipped
-   variables imply this, so a mismatch means an analyzer bug. *)
+   not change any mask. *)
 let check_fast_path (module A : Scvad_core.App.S) verdicts report =
-  let filtered =
-    Scvad_core.Analyzer.run
-      ~config:Scvad_core.Analyzer.Config.(default |> with_static verdicts)
-      (module A)
-  in
-  List.for_all
-    (fun (v : Criticality.var_report) ->
-      let f = Criticality.find filtered v.Criticality.name in
-      if f.Criticality.mask = v.Criticality.mask then true
-      else begin
-        Printf.eprintf
-          "activity: GATE VIOLATION: %s.%s: fast-path mask differs from the \
-           unfiltered analysis\n"
-          A.name v.Criticality.name;
-        false
-      end)
-    report.Criticality.vars
+  Gate.masks_identical ~pass:"activity" ~mode:"fast-path" ~app:A.name report
+    (Scvad_core.Analyzer.run
+       ~config:Scvad_core.Analyzer.Config.(default |> with_static verdicts)
+       (module A))
 
 let run_gate verdicts =
   let ok = ref true in
@@ -78,12 +54,9 @@ let run_gate verdicts =
   let checked =
     List.filter_map
       (fun (av : Verdict.app_verdicts) ->
-        match Scvad_npb.Suite.find av.Verdict.app with
+        match Gate.registered ~pass:"activity" av.Verdict.app with
         | Some app -> Some (av, app)
         | None ->
-            Printf.eprintf
-              "activity: GATE VIOLATION: app %s has no registered benchmark\n"
-              av.Verdict.app;
             ok := false;
             None)
       verdicts
@@ -102,52 +75,7 @@ let run_gate verdicts =
       claims (List.length checked);
   !ok
 
-let () =
-  let format = ref "text" in
-  let out = ref "" in
-  let check = ref false in
-  let roots = ref [] in
-  let spec =
-    [
-      ( "--format",
-        Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
-        " report format (default text)" );
-      ("--out", Arg.Set_string out, "FILE also write the report to FILE");
-      ( "--check",
-        Arg.Set check,
-        " gate the verdicts against the dynamic reverse analysis" );
-    ]
-  in
-  let usage = "activity [--format text|json] [--out FILE] [--check] [ROOT]" in
-  Arg.parse spec (fun p -> roots := p :: !roots) usage;
-  let root =
-    match List.rev !roots with
-    | [] -> (
-        match Driver.locate_npb_dir () with
-        | Some d -> d
-        | None -> fail_usage "no ROOT given and no lib/npb found above cwd")
-    | [ d ] -> d
-    | _ -> fail_usage "at most one ROOT directory"
-  in
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    fail_usage (Printf.sprintf "ROOT %s is not a directory" root);
+let check ~json ~gate root =
   let verdicts, findings = Driver.analyze_dir root in
-  let report =
-    match !format with
-    | "json" -> Driver.render_json verdicts findings
-    | _ -> Driver.render_text verdicts findings
-  in
-  print_string report;
-  if !out <> "" then begin
-    let oc = open_out !out in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc report)
-  end;
-  let has_errors =
-    List.exists
-      (fun (f : Finding.t) -> f.Finding.severity = Finding.Error)
-      findings
-  in
-  let gate_ok = if !check then run_gate verdicts else true in
-  if has_errors || not gate_ok then exit 1
+  let render = if json then Driver.render_json else Driver.render_text in
+  (render verdicts findings, findings, fun () -> (not gate) || run_gate verdicts)

@@ -1,17 +1,12 @@
-(* scvad_cost driver: static tape-size predictions over the NPB kernel
+(* `scvad check cost`: static tape-size predictions over the NPB kernel
    sources, with an optional dynamic exactness gate.
 
-   Usage: cost [--format text|json] [--out FILE] [--check] [ROOT]
-
-   ROOT is the directory of kernel sources (default: the repo's
-   lib/npb, found by walking up to dune-project).  --check runs the
-   real dynamic reverse analysis for every predicted app and fails
-   unless every prediction matches the measured tape node count
-   EXACTLY, every committed tape_nodes_hint sits within 10% of its
-   prediction, IS is proven to record zero float nodes, and a planned
-   segmented analysis reproduces the dense masks bitwise within its
-   predicted replay budget.  Exit status: 0 clean, 1 on a gate
-   violation, 2 on usage errors. *)
+   --gate runs the real dynamic reverse analysis for every predicted
+   app and fails unless every prediction matches the measured tape
+   node count EXACTLY, every committed tape_nodes_hint sits within 10%
+   of its prediction, IS is proven to record zero float nodes, and a
+   planned segmented analysis reproduces the dense masks bitwise within
+   its predicted replay budget. *)
 
 module World = Scvad_cost.World
 module Driver = Scvad_cost.Driver
@@ -19,10 +14,6 @@ module Predict = Scvad_cost.Predict
 module Plan = Scvad_cost.Plan
 module Criticality = Scvad_core.Criticality
 module Config = Scvad_core.Analyzer.Config
-
-let fail_usage msg =
-  prerr_endline ("cost: " ^ msg);
-  exit 2
 
 let violation = ref false
 
@@ -37,8 +28,8 @@ let fail fmt =
    measured dense tape node count, exactly — the cost model claims a
    node-for-node reproduction of the recording, so "close" is a bug. *)
 let check_exactness (c : Driver.app_cost) =
-  match Scvad_npb.Suite.find c.Driver.c_app with
-  | None -> fail "app %s has no registered benchmark" c.Driver.c_app
+  match Gate.registered ~pass:"cost" c.Driver.c_app with
+  | None -> violation := true
   | Some (module A : Scvad_core.App.S) ->
       let report = Scvad_core.Analyzer.run (module A) in
       let measured = report.Criticality.tape_nodes in
@@ -139,35 +130,9 @@ let run_gate world costs =
       (List.length costs);
   not !violation
 
-let () =
-  let format = ref "text" in
-  let out = ref "" in
-  let check = ref false in
-  let roots = ref [] in
-  let spec =
-    [
-      ( "--format",
-        Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
-        " report format (default text)" );
-      ("--out", Arg.Set_string out, "FILE also write the report to FILE");
-      ( "--check",
-        Arg.Set check,
-        " gate the predictions against the dynamic reverse analysis" );
-    ]
-  in
-  let usage = "cost [--format text|json] [--out FILE] [--check] [ROOT]" in
-  Arg.parse spec (fun p -> roots := p :: !roots) usage;
-  let root =
-    match List.rev !roots with
-    | [] -> (
-        match Scvad_activity.Driver.locate_npb_dir () with
-        | Some d -> d
-        | None -> fail_usage "no ROOT given and no lib/npb found above cwd")
-    | [ d ] -> d
-    | _ -> fail_usage "at most one ROOT directory"
-  in
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    fail_usage (Printf.sprintf "ROOT %s is not a directory" root);
+(* A kernel the interpreter cannot load is reported without a table:
+   no prediction can be trusted then. *)
+let check ~json ~gate root =
   match
     let world = World.load ~npb_dir:root () in
     let costs = Driver.analyze world in
@@ -178,17 +143,5 @@ let () =
       prerr_endline ("cost: interpreter error: " ^ msg);
       exit 1
   | world, costs, fits ->
-      let report =
-        match !format with
-        | "json" -> Driver.render_json costs fits
-        | _ -> Driver.render_text costs fits
-      in
-      print_string report;
-      if !out <> "" then begin
-        let oc = open_out !out in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc report)
-      end;
-      let gate_ok = if !check then run_gate world costs else true in
-      if not gate_ok then exit 1
+      let render = if json then Driver.render_json else Driver.render_text in
+      (render costs fits, [], fun () -> (not gate) || run_gate world costs)

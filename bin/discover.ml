@@ -1,12 +1,6 @@
-(* scvad_discover driver: AutoCheck-style static discovery of the
+(* `scvad check discover`: AutoCheck-style static discovery of the
    checkpoint set over the NPB kernel sources, cross-validated against
-   the dynamic engine.
-
-   Usage: discover [--format text|json] [--out FILE] [--check] [ROOT]
-
-   ROOT is the directory of kernel sources (default: the repo's
-   lib/npb, found by walking up to dune-project).  --check runs the
-   gate:
+   the dynamic engine.  --gate runs:
 
    - containment: at every benched checkpoint boundary (the first and
      the last), no dynamically critical variable may sit in a field
@@ -21,19 +15,12 @@
      declarations did not already say.
 
    Declared-but-prunable variables are reported as candidate dead
-   weight in the declaration, with the static evidence.  Exit status:
-   0 clean, 1 on error findings or a gate violation, 2 on usage
-   errors. *)
+   weight in the declaration, with the static evidence. *)
 
 module Driver = Scvad_discover.Driver
 module Rank = Scvad_discover.Rank
-module Finding = Scvad_lint.Finding
 module Criticality = Scvad_core.Criticality
 module Analyzer = Scvad_core.Analyzer
-
-let fail_usage msg =
-  prerr_endline ("discover: " ^ msg);
-  exit 2
 
 (* The benched boundaries: the first checkpoint and the latest one the
    app's analysis window admits.  Criticality varies with the boundary
@@ -78,27 +65,14 @@ let check_containment (a : Rank.app_ranks) (module A : Scvad_core.App.S) =
   !ok
 
 (* Gate part 2 — fast path: pre-resolving the pruned variables must
-   not change any mask.  Containment plus all-false masks for skipped
-   variables imply this, so a mismatch means an analyzer bug. *)
+   not change any mask. *)
 let check_fast_path (ps : Rank.proposals) (module A : Scvad_core.App.S) =
   let unfiltered = Analyzer.run (module A) in
-  let filtered =
-    Analyzer.run
-      ~config:Analyzer.Config.(default |> with_discovered ps)
-      (module A)
-  in
-  List.for_all
-    (fun (v : Criticality.var_report) ->
-      let f = Criticality.find filtered v.Criticality.name in
-      if f.Criticality.mask = v.Criticality.mask then true
-      else begin
-        Printf.eprintf
-          "discover: GATE VIOLATION: %s.%s: discovered-mode mask differs \
-           from the unfiltered analysis\n"
-          A.name v.Criticality.name;
-        false
-      end)
-    unfiltered.Criticality.vars
+  Gate.masks_identical ~pass:"discover" ~mode:"discovered-mode" ~app:A.name
+    unfiltered
+    (Analyzer.run
+       ~config:Analyzer.Config.(default |> with_discovered ps)
+       (module A))
 
 (* Candidate dead weight: hand-declared variables the ranking prunes,
    reported with the static evidence (not a failure — the declaration
@@ -135,12 +109,9 @@ let run_gate (ps : Rank.proposals) =
             a.Rank.r_app;
           ok := false
         end;
-        match Scvad_npb.Suite.find a.Rank.r_app with
+        match Gate.registered ~pass:"discover" a.Rank.r_app with
         | Some app -> Some (a, app)
         | None ->
-            Printf.eprintf
-              "discover: GATE VIOLATION: app %s has no registered benchmark\n"
-              a.Rank.r_app;
             ok := false;
             None)
       ps
@@ -181,52 +152,9 @@ let run_gate (ps : Rank.proposals) =
       (Rank.count_verdict ps Rank.Unknown);
   !ok
 
-let () =
-  let format = ref "text" in
-  let out = ref "" in
-  let check = ref false in
-  let roots = ref [] in
-  let spec =
-    [
-      ( "--format",
-        Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
-        " report format (default text)" );
-      ("--out", Arg.Set_string out, "FILE also write the report to FILE");
-      ( "--check",
-        Arg.Set check,
-        " gate the proposals against the dynamic reverse analysis" );
-    ]
-  in
-  let usage = "discover [--format text|json] [--out FILE] [--check] [ROOT]" in
-  Arg.parse spec (fun p -> roots := p :: !roots) usage;
-  let root =
-    match List.rev !roots with
-    | [] -> (
-        match Driver.locate_npb_dir () with
-        | Some d -> d
-        | None -> fail_usage "no ROOT given and no lib/npb found above cwd")
-    | [ d ] -> d
-    | _ -> fail_usage "at most one ROOT directory"
-  in
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    fail_usage (Printf.sprintf "ROOT %s is not a directory" root);
+let check ~json ~gate root =
   let proposals, findings = Driver.analyze_dir root in
-  let report =
-    match !format with
-    | "json" -> Driver.render_json proposals findings
-    | _ -> Driver.render_text proposals findings
-  in
-  print_string report;
-  if !out <> "" then begin
-    let oc = open_out !out in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc report)
-  end;
-  let has_errors =
-    List.exists
-      (fun (f : Finding.t) -> f.Finding.severity = Finding.Error)
-      findings
-  in
-  let gate_ok = if !check then run_gate proposals else true in
-  if has_errors || not gate_ok then exit 1
+  let render = if json then Driver.render_json else Driver.render_text in
+  ( render proposals findings,
+    findings,
+    fun () -> (not gate) || run_gate proposals )

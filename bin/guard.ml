@@ -1,12 +1,6 @@
-(* scvad_guard driver: non-differentiable dataflow certificates over
+(* `scvad check guard`: non-differentiable dataflow certificates over
    the NPB kernel sources, with a dynamic perturbation-falsifier gate.
-
-   Usage: guard [--format text|json] [--out FILE] [--check]
-                [--trials N] [--seed N] [--baseline FILE] [ROOT]
-
-   ROOT is the directory of kernel sources (default: the repo's
-   lib/npb, found by walking up to dune-project).  --check runs the
-   full gate:
+   --gate runs the full gate:
 
    (a) every variable of every app is classified (no Unknown left
        after pragmas) and every app's analyses resolved;
@@ -19,22 +13,21 @@
    (d) every app's falsifier-hardened masks still pass the
        crash/restart verification harness.
 
+   --trials sets the total perturbation budget of the gate.
    --baseline compares against a committed certificate JSON and fails
    if any previously-Smooth variable regressed to Control_tainted or
-   Unknown without a pragma.  Exit status: 0 clean, 1 on error findings
-   or a gate violation, 2 on usage errors. *)
+   Unknown without a pragma. *)
 
 module Driver = Scvad_guard.Driver
 module Cert = Scvad_guard.Cert
-module Finding = Scvad_lint.Finding
 module Analyzer = Scvad_core.Analyzer
 module Falsifier = Scvad_core.Falsifier
 module Harness = Scvad_core.Harness
 module Criticality = Scvad_core.Criticality
 
-let fail_usage msg =
-  prerr_endline ("guard: " ^ msg);
-  exit 2
+(* The falsifier's RNG seed: fixed, so every gate run perturbs the same
+   elements. *)
+let seed = 0
 
 (* ------------------------------------------------------------------ *)
 (* Gate                                                                *)
@@ -76,14 +69,11 @@ let contexts (certs : Cert.certificates) =
   let ctxs =
     List.filter_map
       (fun (a : Cert.app_certs) ->
-        match Scvad_npb.Suite.find a.Cert.app with
+        match Gate.registered ~pass:"guard" a.Cert.app with
         | Some app ->
             Some
               { x_certs = a; x_app = app; x_report = Analyzer.run app }
         | None ->
-            Printf.eprintf
-              "guard: GATE VIOLATION: app %s has no registered benchmark\n"
-              a.Cert.app;
             ok := false;
             None)
       certs
@@ -97,7 +87,7 @@ let restrict_targets targets vars =
    window ends — boundary 0 (perturb initial state, rerun everything)
    and boundary = niter (perturb final state, recompute the output
    reduction only; IS's bucket ranks live here). *)
-let hunt_witnesses ~trials ~seed ctx =
+let hunt_witnesses ~trials ctx =
   let (module A : Scvad_core.App.S) = ctx.x_app in
   let tainted = Cert.tainted_vars ctx.x_certs in
   let targets =
@@ -130,7 +120,7 @@ let smooth_targets ctx =
     (Falsifier.targets_of_report ctx.x_report)
     (Cert.smooth_vars ctx.x_certs)
 
-let validate_smooth ~trials ~seed ctx =
+let validate_smooth ~trials ctx =
   let (module A : Scvad_core.App.S) = ctx.x_app in
   let targets = smooth_targets ctx in
   if targets = [] || trials = 0 then (0, [])
@@ -189,7 +179,7 @@ let describe_witness app (w : Falsifier.witness) =
     | Some fd -> Printf.sprintf ", fd %g" fd
     | None -> "")
 
-let run_gate ~trials ~seed (certs : Cert.certificates) =
+let run_gate ~trials (certs : Cert.certificates) =
   let ok = ref (check_classified certs) in
   let ctxs, ctx_ok = contexts certs in
   if not ctx_ok then ok := false;
@@ -204,7 +194,7 @@ let run_gate ~trials ~seed (certs : Cert.certificates) =
   let witnesses =
     List.concat_map
       (fun ctx ->
-        let ws = hunt_witnesses ~trials:hunt_share ~seed ctx in
+        let ws = hunt_witnesses ~trials:hunt_share ctx in
         let (module A : Scvad_core.App.S) = ctx.x_app in
         List.iter
           (fun w ->
@@ -226,7 +216,7 @@ let run_gate ~trials ~seed (certs : Cert.certificates) =
   let smooth_trials = ref 0 in
   List.iter
     (fun (ctx, share) ->
-      let t, ws = validate_smooth ~trials:share ~seed ctx in
+      let t, ws = validate_smooth ~trials:share ctx in
       smooth_trials := !smooth_trials + t;
       List.iter
         (fun w ->
@@ -259,23 +249,17 @@ let run_gate ~trials ~seed (certs : Cert.certificates) =
 (* Baseline regression check                                           *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* A variable certified Smooth in the committed baseline must stay
    Smooth; a silent regression to Control_tainted or Unknown means the
    kernel (or the pass) changed in a way that invalidates masks pruned
    under the old certificate. *)
 let check_baseline ~baseline (certs : Cert.certificates) =
   let base =
-    try Driver.certs_of_json (read_file baseline)
+    try Driver.certs_of_json (Scvad_lint.Source.read_file baseline)
     with e ->
-      fail_usage
-        (Printf.sprintf "cannot read baseline %s: %s" baseline
-           (Printexc.to_string e))
+      Printf.eprintf "guard: cannot read baseline %s: %s\n" baseline
+        (Printexc.to_string e);
+      exit 2
   in
   let ok = ref true in
   List.iter
@@ -304,73 +288,16 @@ let check_baseline ~baseline (certs : Cert.certificates) =
     base;
   !ok
 
-(* ------------------------------------------------------------------ *)
-
-let () =
-  let format = ref "text" in
-  let out = ref "" in
-  let check = ref false in
-  let trials = ref 10_000 in
-  let seed = ref 0 in
-  let baseline = ref "" in
-  let roots = ref [] in
-  let spec =
-    [
-      ( "--format",
-        Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
-        " report format (default text)" );
-      ("--out", Arg.Set_string out, "FILE also write the report to FILE");
-      ( "--check",
-        Arg.Set check,
-        " run the falsifier gate over the certificates" );
-      ( "--trials",
-        Arg.Set_int trials,
-        "N total perturbation trials for --check (default 10000)" );
-      ("--seed", Arg.Set_int seed, "N falsifier RNG seed (default 0)");
-      ( "--baseline",
-        Arg.Set_string baseline,
-        "FILE fail if a Smooth certificate in FILE regressed" );
-    ]
-  in
-  let usage =
-    "guard [--format text|json] [--out FILE] [--check] [--trials N] [--seed \
-     N] [--baseline FILE] [ROOT]"
-  in
-  Arg.parse spec (fun p -> roots := p :: !roots) usage;
-  if !trials < 1 then fail_usage "--trials must be >= 1";
-  let root =
-    match List.rev !roots with
-    | [] -> (
-        match Driver.locate_npb_dir () with
-        | Some d -> d
-        | None -> fail_usage "no ROOT given and no lib/npb found above cwd")
-    | [ d ] -> d
-    | _ -> fail_usage "at most one ROOT directory"
-  in
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    fail_usage (Printf.sprintf "ROOT %s is not a directory" root);
+let check ~trials ?baseline ~json ~gate root =
   let certs, findings = Driver.analyze_dir root in
-  let report =
-    match !format with
-    | "json" -> Driver.render_json certs findings
-    | _ -> Driver.render_text certs findings
-  in
-  print_string report;
-  if !out <> "" then begin
-    let oc = open_out !out in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc report)
-  end;
-  let has_errors =
-    List.exists
-      (fun (f : Finding.t) -> f.Finding.severity = Finding.Error)
-      findings
-  in
-  let baseline_ok =
-    if !baseline <> "" then check_baseline ~baseline:!baseline certs else true
-  in
-  let gate_ok =
-    if !check then run_gate ~trials:!trials ~seed:!seed certs else true
-  in
-  if has_errors || not baseline_ok || not gate_ok then exit 1
+  let render = if json then Driver.render_json else Driver.render_text in
+  ( render certs findings,
+    findings,
+    fun () ->
+      let baseline_ok =
+        match baseline with
+        | Some baseline -> check_baseline ~baseline certs
+        | None -> true
+      in
+      let gate_ok = (not gate) || run_gate ~trials certs in
+      baseline_ok && gate_ok )

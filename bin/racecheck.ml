@@ -1,13 +1,10 @@
-(* racecheck driver: static data-race freedom certification for the
+(* `scvad check race`: static data-race freedom certification for the
    domain-parallel engine, cross-checked by the dynamic write-set
    sanitizer (DESIGN.md §17).
 
-   Usage: racecheck [--format text|json] [--out FILE] [--check] [ROOT]
-
-   ROOT is the scanned library tree (default: the repo's lib/, found by
-   walking up to dune-project; lib/par and lib/sanitize are excluded by
-   construction — they are the trusted runtime the certification is
-   about).  --check runs the gate:
+   ROOT is the scanned library tree (default: the repo's lib/; lib/par
+   and lib/sanitize are excluded by construction — they are the trusted
+   runtime the certification is about).  --gate runs:
 
    - coverage: every syntactic Pool.map / Pool.init fan-out site must
      be classified, with zero [Unknown] verdicts — an unproved site is
@@ -18,21 +15,13 @@
      plus dedicated reverse (per-variable + fan commit) and forward
      (per-element) analyses must produce no witness — a witness against
      a [Race_free] certificate means the static pass is wrong, not just
-     incomplete.
-
-   Exit status: 0 clean, 1 on error findings or a gate violation, 2 on
-   usage errors. *)
+     incomplete. *)
 
 module Driver = Scvad_racefree.Driver
 module Verdict = Scvad_racefree.Verdict
-module Finding = Scvad_lint.Finding
 module Sanitize = Scvad_sanitize.Sanitize
 module Analyzer = Scvad_core.Analyzer
 module Criticality = Scvad_core.Criticality
-
-let fail_usage msg =
-  prerr_endline ("racecheck: " ^ msg);
-  exit 2
 
 (* Gate part 1 — static coverage: every site classified, nothing
    unknown, nothing shared without a pragma. *)
@@ -117,67 +106,21 @@ let check_dynamic () =
     (List.length stats.Sanitize.witnesses);
   stats.Sanitize.witnesses = []
 
-let () =
-  let format = ref "text" in
-  let out = ref "" in
-  let check = ref false in
-  let roots = ref [] in
-  let spec =
-    [
-      ( "--format",
-        Arg.Symbol ([ "text"; "json" ], fun s -> format := s),
-        " report format (default text)" );
-      ("--out", Arg.Set_string out, "FILE also write the report to FILE");
-      ( "--check",
-        Arg.Set check,
-        " gate the certificates and hunt sanitizer witnesses at jobs=4" );
-    ]
-  in
-  let usage = "racecheck [--format text|json] [--out FILE] [--check] [ROOT]" in
-  Arg.parse spec (fun p -> roots := p :: !roots) usage;
-  let root =
-    match List.rev !roots with
-    | [] -> (
-        match Driver.locate_lib_dir () with
-        | Some d -> d
-        | None -> fail_usage "no ROOT given and no lib/ found above cwd")
-    | [ d ] -> d
-    | _ -> fail_usage "at most one ROOT directory"
-  in
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    fail_usage (Printf.sprintf "ROOT %s is not a directory" root);
+let run_gate report =
+  let static_ok = check_static report in
+  (* The sanitizer hunt runs even when the static gate failed: a
+     witness tells the developer which failure is a real race. *)
+  let dynamic_ok = check_dynamic () in
+  if static_ok && dynamic_ok then
+    Printf.printf
+      "racecheck: gate passed: %d site(s) classified (%d race-free, %d \
+       assumed), no sanitizer witness at jobs=4.\n"
+      (List.length report.Driver.r_sites)
+      (Driver.count report "race-free")
+      (Driver.count report "assumed");
+  static_ok && dynamic_ok
+
+let check ~json ~gate root =
   let report = Driver.certify ~root in
-  let rendered =
-    match !format with
-    | "json" -> Driver.render_json report
-    | _ -> Driver.render_text report
-  in
-  print_string rendered;
-  if !out <> "" then begin
-    let oc = open_out !out in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc rendered)
-  end;
-  let has_errors =
-    List.exists
-      (fun (f : Finding.t) -> f.Finding.severity = Finding.Error)
-      report.Driver.r_findings
-  in
-  let gate_ok =
-    if !check then
-      let static_ok = check_static report in
-      (* The sanitizer hunt runs even when the static gate failed: a
-         witness tells the developer which failure is a real race. *)
-      let dynamic_ok = check_dynamic () in
-      if static_ok && dynamic_ok then
-        Printf.printf
-          "racecheck: gate passed: %d site(s) classified (%d race-free, %d \
-           assumed), no sanitizer witness at jobs=4.\n"
-          (List.length report.Driver.r_sites)
-          (Driver.count report "race-free")
-          (Driver.count report "assumed");
-      static_ok && dynamic_ok
-    else true
-  in
-  if has_errors || not gate_ok then exit 1
+  let render = if json then Driver.render_json else Driver.render_text in
+  (render report, report.Driver.r_findings, fun () -> (not gate) || run_gate report)

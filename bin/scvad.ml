@@ -7,10 +7,14 @@
      visualize   render a variable's criticality distribution
      checkpoint  run with periodic (optionally pruned) checkpoints
      restart     restore the latest checkpoint and finish the run
-     report      regenerate every table and figure                     *)
+     impact      per-element derivative magnitudes, mixed precision
+     report      regenerate every table and figure
+     check       run a static pass, optionally gated (activity, guard,
+                 discover, cost, race)                                 *)
 
 open Cmdliner
 module Crit = Scvad_core.Criticality
+module Finding = Scvad_lint.Finding
 
 let find_app name =
   match Scvad_npb.Suite.find name with
@@ -118,17 +122,16 @@ let memory_budget_arg =
 let schedule_arg =
   let doc =
     "Recompute-vs-store schedule under --memory-budget: $(b,binomial)
-     (optimal re-snapshotting during replay), $(b,log-stride) (doubling
-     snapshot stride, replay from retained snapshots only),
-     $(b,all-store) (never discard; the budget is ignored), or
-     $(b,planned) (snapshot boundaries computed offline by the static
-     cost model before any recording)."
+     (optimal re-snapshotting during replay), $(b,all-store) (never
+     discard; the budget is ignored), or $(b,planned) (snapshot
+     boundaries computed offline by the static cost model before any
+     recording)."
   in
   Arg.(
     value
     & opt (enum
-             [ ("binomial", `Binomial); ("log-stride", `Log_stride);
-               ("all-store", `All_store); ("planned", `Planned) ])
+             [ ("binomial", `Binomial); ("all-store", `All_store);
+               ("planned", `Planned) ])
         `Binomial
     & info [ "tape-schedule" ] ~doc)
 
@@ -371,7 +374,6 @@ let analyze_cmd =
           let schedule =
             match schedule with
             | `Binomial -> Scvad_ad.Tape.Segmented.Binomial
-            | `Log_stride -> Scvad_ad.Tape.Segmented.Log_stride
             | `All_store -> Scvad_ad.Tape.Segmented.All_store
             | `Planned ->
                 let _, pl = Option.get planned in
@@ -643,6 +645,41 @@ let impact_cmd =
 (* report                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper's six distribution figures: a headline on stdout, the full
+   text and the images under [out]. *)
+let write_figures ~out reports =
+  let find app var =
+    Crit.find (List.find (fun r -> r.Crit.app = app) reports) var
+  in
+  List.iter
+    (fun (fig : Scvad_viz.Figures.output) ->
+      Printf.printf "== %s\n" fig.Scvad_viz.Figures.title;
+      (match String.index_opt fig.Scvad_viz.Figures.text '\n' with
+      | Some i -> print_endline (String.sub fig.Scvad_viz.Figures.text 0 i)
+      | None -> print_string fig.Scvad_viz.Figures.text);
+      let txt_path =
+        Filename.concat out
+          (String.map
+             (fun c -> if c = ' ' || c = '.' then '_' else c)
+             fig.Scvad_viz.Figures.title
+          ^ ".txt")
+      in
+      Out_channel.with_open_bin txt_path (fun oc ->
+          output_string oc fig.Scvad_viz.Figures.text);
+      List.iter
+        (fun p -> Printf.printf "   wrote %s\n" p)
+        (Scvad_viz.Figures.write_images ~dir:out fig);
+      Printf.printf "   wrote %s\n" txt_path)
+    Scvad_viz.Figures.
+      [
+        fig3 (find "bt" "u");
+        fig4 (find "mg" "u");
+        fig5 (find "mg" "r");
+        fig6 (find "cg" "x");
+        fig7 (find "lu" "u");
+        fig8 (find "ft" "y");
+      ]
+
 let report_cmd =
   let run out jobs =
     mkdir_p out;
@@ -662,10 +699,109 @@ let report_cmd =
             (fun ((module A : Scvad_core.App.S), r) ->
               Scvad_core.Report.table3_row (module A) r)
             reports));
+    print_newline ();
+    write_figures ~out (List.map snd reports);
+    Printf.printf "\nAll artifacts under %s/\n" out;
     0
   in
-  Cmd.v (Cmd.info "report" ~doc:"Regenerate the paper's tables")
+  Cmd.v
+    (Cmd.info "report" ~doc:"Regenerate the paper's tables and figures")
     Term.(const run $ out_arg $ jobs_arg)
+
+(* ------------------------------------------------------------------ *)
+(* check                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let format_arg =
+  let doc = "Report format: $(b,text) or $(b,json)." in
+  Arg.(
+    value
+    & opt (enum [ ("text", false); ("json", true) ]) false
+    & info [ "format" ] ~docv:"FORMAT" ~doc)
+
+let gate_arg =
+  let doc =
+    "Gate the static claims against the dynamic engine; any violation
+     exits 1."
+  in
+  Arg.(value & flag & info [ "gate" ] ~doc)
+
+let root_arg default =
+  let doc =
+    Printf.sprintf
+      "Source directory to analyze (default: the repo's %s, found by \
+       walking up to dune-project)."
+      default
+  in
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"ROOT" ~doc)
+
+let trials_arg =
+  let doc = "Total perturbation trials of the guard gate." in
+  Arg.(value & opt positive_int 10_000 & info [ "trials" ] ~docv:"N" ~doc)
+
+let baseline_arg =
+  let doc = "Fail if a Smooth certificate in $(docv) regressed." in
+  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
+
+(* The one output/exit step of every pass: print the report, run the
+   requested checks, exit 0 when clean, 1 on an error finding or a
+   violation, 2 when ROOT is missing or not a directory. *)
+let check_pass ~prefix ~default_root pass json gate root =
+  let usage fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "%s: %s\n" prefix msg;
+        2)
+      fmt
+  in
+  match
+    match root with
+    | Some _ -> root
+    | None -> Scvad_lint.Source.locate default_root
+  with
+  | None -> usage "no ROOT given and no %s found above cwd" default_root
+  | Some d when not (Sys.file_exists d && Sys.is_directory d) ->
+      usage "ROOT %s is not a directory" d
+  | Some d ->
+      let report, findings, verify = pass ~json ~gate d in
+      print_string report;
+      let ok = verify () in
+      let errors =
+        List.exists
+          (fun (f : Finding.t) -> f.Finding.severity = Finding.Error)
+          findings
+      in
+      if errors || not ok then 1 else 0
+
+let check_cmd =
+  let pass name ?(prefix = name) ?(default_root = "lib/npb") ~doc term =
+    Cmd.v (Cmd.info name ~doc)
+      Term.(
+        const (check_pass ~prefix ~default_root)
+        $ term $ format_arg $ gate_arg $ root_arg default_root)
+  in
+  Cmd.group
+    (Cmd.info "check"
+       ~doc:
+         "Run a static pass over the sources, optionally gated against the \
+          dynamic engine")
+    [
+      pass "activity" ~doc:"Static activity verdicts (gate: soundness)"
+        Term.(const Activity.check);
+      pass "guard"
+        ~doc:"Non-differentiable dataflow certificates (gate: falsifier)"
+        Term.(
+          const (fun trials baseline -> Guard.check ~trials ?baseline)
+          $ trials_arg $ baseline_arg);
+      pass "discover"
+        ~doc:"Static checkpoint-set discovery (gate: containment)"
+        Term.(const Discover.check);
+      pass "cost" ~doc:"Static tape-size predictions (gate: exactness)"
+        Term.(const Cost.check);
+      pass "race" ~prefix:"racecheck" ~default_root:"lib"
+        ~doc:"Data-race freedom certificates (gate: sanitizer at jobs=4)"
+        Term.(const Racecheck.check);
+    ]
 
 let () =
   let doc = "scrutinize checkpoint variables with automatic differentiation" in
@@ -674,4 +810,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ list_cmd; run_cmd; analyze_cmd; visualize_cmd; checkpoint_cmd;
-            restart_cmd; impact_cmd; report_cmd ]))
+            restart_cmd; impact_cmd; report_cmd; check_cmd ]))

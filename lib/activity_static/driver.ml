@@ -17,6 +17,7 @@
      of a path is never promoted to an inactivity claim.) *)
 
 module Finding = Scvad_lint.Finding
+module Source = Scvad_lint.Source
 module Ljson = Scvad_util.Ljson
 module Regions = Scvad_checkpoint.Regions
 
@@ -139,19 +140,7 @@ let analyze_file file = analyze_source ~file (Source.read_file file)
 let analyze_files files = Source.analyze_files analyze_source files
 let analyze_dir dir = analyze_files (Source.ml_files dir)
 
-(* Walk up from [cwd] (or the current directory) to the dune-project
-   root and return its lib/npb directory, so the tool works from any
-   build or sandbox directory. *)
-let locate_npb_dir ?cwd () =
-  let rec up dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then
-      let npb = Filename.concat (Filename.concat dir "lib") "npb" in
-      if Sys.file_exists npb && Sys.is_directory npb then Some npb else None
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else up parent
-  in
-  up (match cwd with Some d -> d | None -> Sys.getcwd ())
+let locate_npb_dir ?cwd () = Source.locate ?cwd "lib/npb"
 
 (* ------------------------------------------------------------------ *)
 (* Soundness gate support                                              *)

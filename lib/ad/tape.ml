@@ -536,14 +536,12 @@ let adjoint g id = if id < 0 || id > g.upto then 0. else g.adj.{id}
 module Segmented = struct
   type schedule =
     | All_store
-    | Log_stride
     | Binomial
     | Planned of int list
         (* precomputed snapshot boundaries, strictly increasing from 0 *)
 
   let schedule_to_string = function
     | All_store -> "all-store"
-    | Log_stride -> "log-stride"
     | Binomial -> "binomial"
     | Planned bs -> Printf.sprintf "planned[%d]" (List.length bs)
 
@@ -551,7 +549,6 @@ module Segmented = struct
      over the closed-form schedules only. *)
   let schedule_of_string = function
     | "all-store" -> Some All_store
-    | "log-stride" -> Some Log_stride
     | "binomial" -> Some Binomial
     | _ -> None
 
@@ -597,7 +594,7 @@ module Segmented = struct
     mutable nseg : int;
     mutable snaps : (unit -> unit) option array; (* restore thunks *)
     mutable snap_cnt : int;
-    mutable stride : int; (* log-stride retention stride *)
+    mutable stride : int; (* snapshot retention stride *)
     mutable plan : int list; (* binomial re-capture boundaries *)
     mutable replays : int;
     mutable replayed_nodes : int;
@@ -828,7 +825,7 @@ module Segmented = struct
            no eviction — just take what the planner asked for. *)
         if List.mem s bs && t.snap_cnt < t.snapshot_slots then
           take_snapshot t s
-    | Log_stride | Binomial ->
+    | Binomial ->
         if s mod t.stride = 0 then begin
           if t.snap_cnt >= t.snapshot_slots then begin
             (* Out of slots: double the retention stride and evict the
@@ -939,7 +936,7 @@ module Segmented = struct
                binomial-optimal replay-time re-captures. *)
             binomial_plan ~base ~len:(!s_stop - base)
               ~slots:(t.snapshot_slots - t.snap_cnt)
-        | All_store | Log_stride -> []);
+        | All_store -> []);
       let replay = match t.replay_step with Some r -> r | None -> assert false in
       (try
          let s = ref base in

@@ -61,12 +61,10 @@ module Segmented : sig
 
       - [All_store]: never discard — degenerates to the dense tape
         (zero replays, budget ignored).
-      - [Log_stride]: keep boundary snapshots at a stride that doubles
-        whenever the slots fill; replay from the retained snapshots
-        only.
-      - [Binomial] (default): [Log_stride] retention while recording,
-        plus re-snapshotting at binomial-optimal split points during
-        each backward replay pass.
+      - [Binomial] (default): keep boundary snapshots at a stride that
+        doubles whenever the slots fill, plus re-snapshotting at
+        binomial-optimal split points during each backward replay
+        pass.
       - [Planned bs]: snapshot exactly at the precomputed boundary
         indices [bs] (strictly increasing, starting at 0) — the output
         of a static cost model that knew the per-segment node counts
@@ -76,7 +74,6 @@ module Segmented : sig
         unsorted, or non-zero-based plan. *)
   type schedule =
     | All_store
-    | Log_stride
     | Binomial
     | Planned of int list
 

@@ -72,7 +72,7 @@ module Config : sig
             matching the app (if any) pre-resolves its
             statically-inactive variables without lifting them *)
     discovered : Scvad_discover.Rank.proposals option;
-        (** proposals from the static discovery pass ([bin/discover]):
+        (** proposals from the static discovery pass ([scvad check discover]):
             the analysis scrutinizes the {e discovered} checkpoint set
             — declared float variables whose backing field is ranked
             prunable are pre-resolved like statically-inactive ones

@@ -1,7 +1,7 @@
 (* Snapshot-placement planning from predicted segment costs.
 
    The segmented tape normally decides where to snapshot on the fly
-   (log-stride retention, binomial replay-time re-captures) because it
+   (doubling-stride retention, binomial replay-time re-captures) because it
    cannot know the future: segment node counts only exist once the
    segments have run.  The static cost model removes that ignorance —
    {!Predict} hands us every segment's node count before any recording

@@ -16,16 +16,12 @@ type t = {
   npb_dir : string;
 }
 
+(* A syntax error becomes an interpreter error naming the file, like
+   every other load failure. *)
 let parse_file path =
-  let ic = open_in_bin path in
-  let source =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
+  match Scvad_lint.Source.(parse ~file:path (read_file path)) with
+  | Ok ast -> ast
+  | Error f -> err "%s" (Scvad_lint.Finding.to_text f)
 
 (* load order within each library: dependencies first *)
 let solver_files = [ "dcomplex"; "block5"; "btridiag"; "pentadiag"; "fft" ]
@@ -36,7 +32,7 @@ let load ?npb_dir () =
     match npb_dir with
     | Some d -> d
     | None -> (
-        match Scvad_activity.Driver.locate_npb_dir () with
+        match Scvad_lint.Source.locate "lib/npb" with
         | Some d -> d
         | None -> err "cannot locate lib/npb (no dune-project upwards)")
   in
@@ -49,7 +45,8 @@ let load ?npb_dir () =
     | None -> Hashtbl.find_opt prims.Prims.env n
   in
   let load_file path =
-    try Interp.eval_structure resolve (parse_file path)
+    let ast = parse_file path in
+    try Interp.eval_structure resolve ast
     with Error msg -> err "%s: %s" (Filename.basename path) msg
   in
   let load_library ~dir ~lib_name files =

@@ -33,7 +33,7 @@
 
 module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
-module Source = Scvad_activity.Source
+module Source = Scvad_lint.Source
 module Verdict = Scvad_activity.Verdict
 module Finding = Scvad_lint.Finding
 module Ljson = Scvad_util.Ljson

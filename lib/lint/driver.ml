@@ -79,44 +79,14 @@ let has_prefix ~prefix path =
 
 let in_dirs dirs path = List.exists (fun d -> has_prefix ~prefix:d path) dirs
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* Per-file pipeline: parse -> rules -> allowlists -> pragmas          *)
 (* ------------------------------------------------------------------ *)
 
-let parse ~file source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | ast -> Ok ast
-  | exception Syntaxerr.Error _ ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum;
-          message = "syntax error: the file does not parse";
-          severity = Finding.Error;
-        }
-  | exception Lexer.Error (_, loc) ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = loc.Location.loc_start.Lexing.pos_lnum;
-          message = "lexing error: the file does not parse";
-          severity = Finding.Error;
-        }
-
 let lint_file config counts file =
-  let source = read_file file in
+  let source = Source.read_file file in
   let pragmas, pragma_errors = Pragma.scan ~file source in
-  match parse ~file source with
+  match Source.parse ~file source with
   | Error f -> (pragma_errors @ [ f ], 0)
   | Ok ast ->
       let raw =

@@ -1,9 +1,8 @@
-(* Loading kernel sources for the static passes: read a file, parse it
+(* Loading OCaml sources for the static passes: read a file, parse it
    with compiler-libs (syntax errors become findings), list a
-   directory's [.ml] files in a stable order, and fold a per-file pass
-   over a file list. *)
-
-module Finding = Scvad_lint.Finding
+   directory's [.ml] files in a stable order, fold a per-file pass over
+   a file list, and find a directory of the repo from anywhere inside
+   it. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -48,3 +47,16 @@ let analyze_files analyze_source files =
       let apps = match app with Some a -> apps @ [ a ] | None -> apps in
       (apps, findings @ fs))
     ([], []) files
+
+(* Walk up from [cwd] (or the current directory) to the dune-project
+   root, so the tools work from any build or sandbox directory. *)
+let locate ?cwd rel =
+  let rec up dir =
+    if Sys.file_exists (Filename.concat dir "dune-project") then
+      let d = Filename.concat dir rel in
+      if Sys.file_exists d && Sys.is_directory d then Some d else None
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then None else up parent
+  in
+  up (match cwd with Some d -> d | None -> Sys.getcwd ())

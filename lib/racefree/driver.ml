@@ -27,23 +27,7 @@ type report = {
   r_findings : Finding.t list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Location                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Walk up from [cwd] to the dune-project root and return its lib/
-   directory, so the tool works from any build or sandbox directory
-   (same contract as {!Scvad_activity.Driver.locate_npb_dir}). *)
-let locate_lib_dir ?cwd () =
-  let rec up dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then
-      let lib = Filename.concat dir "lib" in
-      if Sys.file_exists lib && Sys.is_directory lib then Some lib else None
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else up parent
-  in
-  up (match cwd with Some d -> d | None -> Sys.getcwd ())
+let locate_lib_dir ?cwd () = Scvad_lint.Source.locate ?cwd "lib"
 
 (* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
@@ -157,7 +141,7 @@ let certify ~root =
     | Some t -> t
     | None ->
         let t, errs =
-          try Rfpragma.scan ~file (Rmodel.read_file file)
+          try Rfpragma.scan ~file (Scvad_lint.Source.read_file file)
           with Sys_error _ -> Rfpragma.scan ~file ""
         in
         pragma_findings := !pragma_findings @ errs;

@@ -1449,7 +1449,7 @@ type result = {
 let entry_files model =
   Hashtbl.fold
     (fun path (f : Rmodel.file) acc ->
-      let src = try Rmodel.read_file path with Sys_error _ -> "" in
+      let src = try Scvad_lint.Source.read_file path with Sys_error _ -> "" in
       let mentions needle =
         let nl = String.length needle and sl = String.length src in
         let rec go i =

@@ -16,7 +16,7 @@
    ({!Scvad_activity.Model.flatten} etc). *)
 
 module AModel = Scvad_activity.Model
-module Finding = Scvad_lint.Finding
+module Source = Scvad_lint.Source
 
 let flatten = AModel.flatten
 let last_segment = AModel.last_segment
@@ -47,36 +47,6 @@ type t = {
   stems : (string, string list) Hashtbl.t;  (** stem -> paths *)
   libs : (string, string) Hashtbl.t;  (** dune library name -> dir *)
 }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse ~file source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | ast -> Ok ast
-  | exception Syntaxerr.Error _ ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum;
-          message = "syntax error: the file does not parse";
-          severity = Finding.Error;
-        }
-  | exception Lexer.Error (_, loc) ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = loc.Location.loc_start.Lexing.pos_lnum;
-          message = "lexing error: the file does not parse";
-          severity = Finding.Error;
-        }
 
 let capitalize_stem path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
@@ -148,7 +118,7 @@ let library_of_dune dir =
   let dune = Filename.concat dir "dune" in
   if not (Sys.file_exists dune) then None
   else
-    let s = read_file dune in
+    let s = Source.read_file dune in
     (* First "(name <x>)" wins — every lib dir here has one library. *)
     let rec find i =
       match String.index_from_opt s i '(' with
@@ -202,7 +172,7 @@ let load ~root =
   let findings = ref [] in
   List.iter
     (fun path ->
-      match parse ~file:path (read_file path) with
+      match Source.parse ~file:path (Source.read_file path) with
       | Error f -> findings := f :: !findings
       | Ok ast ->
           let dir = Filename.dirname path in

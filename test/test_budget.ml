@@ -103,14 +103,6 @@ let test_ft_quarter () =
 let test_schedules_agree () =
   let d = dense (module Npb.Cg.App) in
   let budget = max 1 (d.Crit.tape_nodes / 4) in
-  let ls =
-    segmented ~schedule:Scvad_ad.Tape.Segmented.Log_stride ~budget
-      (module Npb.Cg.App)
-  in
-  check_identical "cg/log-stride" d ls;
-  Alcotest.(check string)
-    "log-stride reported" "log-stride"
-    (profile "cg/log-stride" ls).Crit.t_schedule;
   let als =
     segmented ~schedule:Scvad_ad.Tape.Segmented.All_store ~budget
       (module Npb.Cg.App)

@@ -3,7 +3,7 @@
    enforces, and the Planned-schedule property against the
    register-machine harness (test_segtape.ml).
 
-   The golden numbers are load-bearing: cost.exe --check proves each
+   The golden numbers are load-bearing: scvad check cost --gate proves each
    equals the dynamically recorded dense tape length exactly, so a
    change here must come with a matching change in the recording (or a
    kernel edit that justifies both). *)
@@ -247,6 +247,47 @@ let test_planned_validation () =
   mk [ 0 ];
   mk [ 0; 1; 2; 7 ]
 
+(* A kernel file that does not parse must fail the load with the
+   interpreter's own error, naming the file, like any other load
+   failure — not with a raw compiler-libs exception. *)
+let test_syntax_error_names_file () =
+  let module Source = Scvad_lint.Source in
+  let lib =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "scvad_cost_%d_%d" (Unix.getpid ()) (Random.int 100000))
+  in
+  let libs = [ "npb"; "solvers"; "nprand" ] in
+  let src = Filename.dirname (npb_dir ()) in
+  let copies =
+    List.concat_map
+      (fun d ->
+        List.map
+          (fun f ->
+            (f, Filename.concat (Filename.concat lib d) (Filename.basename f)))
+          (Source.ml_files (Filename.concat src d)))
+      libs
+  in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (_, f) -> if Sys.file_exists f then Sys.remove f) copies;
+      List.iter (fun d -> Unix.rmdir (Filename.concat lib d)) libs;
+      Unix.rmdir lib)
+    (fun () ->
+      Unix.mkdir lib 0o755;
+      List.iter (fun d -> Unix.mkdir (Filename.concat lib d) 0o755) libs;
+      List.iter (fun (f, dst) -> write dst (Source.read_file f)) copies;
+      let cg = Filename.concat (Filename.concat lib "npb") "cg.ml" in
+      write cg (Source.read_file cg ^ "\nlet let = (\n");
+      match World.load ~npb_dir:(Filename.concat lib "npb") () with
+      | _ -> Alcotest.fail "a corrupt kernel loaded"
+      | exception Scvad_cost.Value.Error msg ->
+          let mentions affix = Astring.String.is_infix ~affix msg in
+          if not (mentions "cg.ml" && mentions "syntax error") then
+            Alcotest.failf "error does not name the file: %s" msg)
+
 let suites =
   [
     ( "cost",
@@ -264,5 +305,7 @@ let suites =
         Alcotest.test_case "planned schedule validation" `Quick
           test_planned_validation;
         QCheck_alcotest.to_alcotest prop_planned_equals_dense;
+        Alcotest.test_case "syntax error names the file" `Quick
+          test_syntax_error_names_file;
       ] );
   ]

@@ -154,9 +154,7 @@ let setup_gen =
   let* prog = prog_gen in
   let* budget = int_range 16 600 in
   let* slots = int_range 1 8 in
-  let* sched =
-    oneofl Tape.Segmented.[ All_store; Log_stride; Binomial ]
-  in
+  let* sched = oneofl Tape.Segmented.[ All_store; Binomial ] in
   return (prog, budget, slots, sched)
 
 let setup_print (p, budget, slots, sched) =
