@@ -22,6 +22,40 @@ let test_crc_incremental () =
   let inc = Crc32.update inc b half (Bytes.length b - half) in
   Alcotest.(check int32) "incremental = whole" whole inc
 
+(* The byte-at-a-time definition of CRC-32, kept here as the reference
+   for the table-driven [Crc32.update]. *)
+let reference_crc crc bytes off len =
+  let c = ref (Int32.to_int (Int32.lognot crc) land 0xFFFF_FFFF) in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get bytes i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.lognot (Int32.of_int !c)
+
+let test_crc_matches_reference () =
+  let rng = Random.State.make [| 32 |] in
+  let buf = Bytes.init 1100 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let lengths = List.init 65 Fun.id @ [ 1000 ] in
+  List.iter
+    (fun len ->
+      for off = 0 to 7 do
+        let expect = reference_crc 0l buf off len in
+        let got = Crc32.update 0l buf off len in
+        if got <> expect then
+          Alcotest.failf "len %d off %d: %08lx, reference %08lx" len off got
+            expect;
+        for split = 0 to len do
+          let inc = Crc32.update 0l buf off split in
+          let inc = Crc32.update inc buf (off + split) (len - split) in
+          if inc <> expect then
+            Alcotest.failf "len %d off %d split %d: %08lx, reference %08lx"
+              len off split inc expect
+        done
+      done)
+    lengths
+
 (* ------------------------------------------------------------------ *)
 (* Regions                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -227,6 +261,83 @@ let test_format_aux_file () =
   Alcotest.(check int) "aux bytes full" 0 (Ckpt_format.aux_bytes full);
   Alcotest.(check int) "payload bytes" 24 (Ckpt_format.payload_bytes s)
 
+(* A small file with every section kind the format has: a full F64
+   section (with signed zero, infinities and NaN), a pruned F64 section
+   of two scalars per element, an F32 section and an I64 section. *)
+let fixed_file () =
+  let regions = Regions.of_mask [| true; false; true; true; false; true |] in
+  {
+    Ckpt_format.app = "fixed";
+    iteration = 77;
+    sections =
+      [ f64_section ~name:"full" ~dims:[| 2; 3 |] ~spe:1
+          [| 1.5; -0.; Float.infinity; Float.neg_infinity; Float.nan; 1e-310 |];
+        f64_section ~regions ~name:"pruned" ~dims:[| 6 |] ~spe:2
+          (Array.init 8 (fun i -> (float i *. 0.25) -. 1.));
+        {
+          Ckpt_format.name = "single";
+          dims = [| 4 |];
+          spe = 1;
+          regions = None;
+          payload = Ckpt_format.F32 [| 0.1; -2.5; 3e38; 1e-40 |];
+        };
+        {
+          Ckpt_format.name = "ints";
+          dims = [| 5 |];
+          spe = 1;
+          regions = None;
+          payload = Ckpt_format.I64 [| 0; -1; 42; max_int; min_int |];
+        } ];
+  }
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Pinned digests of encoded files: the byte layout is the on-disk
+   format, so any change to it must show up here. *)
+let test_format_golden_fixed () =
+  Alcotest.(check string) "fixed file" "8e8cd22d0c51fc9d30e113523ca3155d"
+    (md5 (Ckpt_format.encode (fixed_file ())))
+
+let lu_snapshots () =
+  let (module A : Scvad_core.App.S) = (module Scvad_npb.Lu.App) in
+  let report = Test_npb.report_of (module A) in
+  let module I = A.Make (Scvad_ad.Float_scalar) in
+  let st = I.create () in
+  I.run st ~from:0 ~until:1;
+  let snapshot report =
+    Scvad_core.Pruned.snapshot ?report ~app:A.name ~iteration:1
+      ~float_vars:(I.float_vars st) ~int_vars:(I.int_vars st) ()
+  in
+  (snapshot None, snapshot (Some report))
+
+let test_format_golden_lu () =
+  let full, pruned = lu_snapshots () in
+  Alcotest.(check bool) "the pruned snapshot prunes" true
+    (List.exists
+       (fun s -> s.Ckpt_format.regions <> None)
+       pruned.Ckpt_format.sections);
+  Alcotest.(check string) "lu full" "c5003a5216cc16700f381c4eb24b989a"
+    (md5 (Ckpt_format.encode full));
+  Alcotest.(check string) "lu pruned" "a04c227f60658c486d6b9cb0143416d8"
+    (md5 (Ckpt_format.encode pruned))
+
+(* Every proper prefix of a body, sealed with a valid CRC, must be
+   rejected with the format's own exception: a truncated section never
+   surfaces as an index or argument error. *)
+let test_format_truncated_bodies () =
+  let encoded = Ckpt_format.encode (fixed_file ()) in
+  let body_len = String.length encoded - 8 in
+  for len = 0 to body_len - 1 do
+    let body = Bytes.of_string (String.sub encoded 0 len) in
+    let tail = Bytes.create 8 in
+    Bytes.set_int64_le tail 0 (Int64.of_int32 (Crc32.of_bytes body));
+    match Ckpt_format.decode (Bytes.to_string body ^ Bytes.to_string tail) with
+    | exception Ckpt_format.Corrupt _ -> ()
+    | exception e ->
+        Alcotest.failf "prefix of %d bytes raised %s" len (Printexc.to_string e)
+    | _ -> Alcotest.failf "prefix of %d bytes decoded" len
+  done
+
 let payload_gen =
   QCheck.Gen.(
     let* elements = int_range 1 40 in
@@ -363,7 +474,9 @@ let test_failure_helpers () =
 let suites =
   [ ( "checkpoint.crc32",
       [ Alcotest.test_case "known vectors" `Quick test_crc_known_vectors;
-        Alcotest.test_case "incremental" `Quick test_crc_incremental ] );
+        Alcotest.test_case "incremental" `Quick test_crc_incremental;
+        Alcotest.test_case "matches the byte-wise reference" `Quick
+          test_crc_matches_reference ] );
     ( "checkpoint.regions",
       [ Alcotest.test_case "of_mask basics" `Quick test_regions_of_mask_basic;
         Alcotest.test_case "empty and full" `Quick test_regions_empty_and_full;
@@ -384,6 +497,12 @@ let suites =
         Alcotest.test_case "payload mismatch rejected" `Quick
           test_format_payload_mismatch_rejected;
         Alcotest.test_case "auxiliary file" `Quick test_format_aux_file;
+        Alcotest.test_case "golden bytes (fixed file)" `Quick
+          test_format_golden_fixed;
+        Alcotest.test_case "golden bytes (LU snapshots)" `Quick
+          test_format_golden_lu;
+        Alcotest.test_case "truncated bodies are Corrupt" `Quick
+          test_format_truncated_bodies;
         QCheck_alcotest.to_alcotest prop_format_pruned_roundtrip ] );
     ( "checkpoint.store",
       [ Alcotest.test_case "save/load/latest" `Quick test_store_save_load_latest;
