@@ -1,71 +1,61 @@
-(* Little-endian binary encoding helpers for the checkpoint format. *)
+(* Little-endian reader for the checkpoint format.  Each fixed-width read
+   is one range check against the reader's limit and one load. *)
 
-module Wr = struct
-  type t = Buffer.t
+type t = { data : string; limit : int; mutable pos : int }
 
-  let create () = Buffer.create 4096
-  let u8 b x = Buffer.add_char b (Char.chr (x land 0xFF))
+exception Underrun
 
-  let u32 b x =
-    if x < 0 then invalid_arg "Bytesio.u32: negative";
-    for i = 0 to 3 do
-      u8 b ((x lsr (8 * i)) land 0xFF)
-    done
+let of_prefix data limit =
+  if limit < 0 || limit > String.length data then invalid_arg "Bytesio.of_prefix";
+  { data; limit; pos = 0 }
 
-  let i64 b (x : int64) =
-    for i = 0 to 7 do
-      u8 b (Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xFF)
-    done
+let remaining r = r.limit - r.pos
 
-  let int_as_i64 b x = i64 b (Int64.of_int x)
-  let f64 b x = i64 b (Int64.bits_of_float x)
+(* Claim [n] bytes at the cursor and return their offset. *)
+let take r n =
+  if n < 0 || n > remaining r then raise Underrun;
+  let at = r.pos in
+  r.pos <- at + n;
+  at
 
-  let str b s =
-    u32 b (String.length s);
-    Buffer.add_string b s
+let u8 r = Char.code r.data.[take r 1]
+let u32 r = Int32.to_int (String.get_int32_le r.data (take r 4)) land 0xFFFF_FFFF
+let int_from_i64 r = Int64.to_int (String.get_int64_le r.data (take r 8))
 
-  let contents = Buffer.contents
-end
+(* [len] raw bytes without a length prefix. *)
+let raw r len = String.sub r.data (take r len) len
 
-module Rd = struct
-  type t = { data : string; mutable pos : int }
+let str r =
+  let len = u32 r in
+  raw r len
 
-  exception Underrun
+(* Arrays of [n] fixed-width scalars: one range check for the whole run
+   (which also rejects an [n] whose byte count would overflow), then
+   one load per scalar. *)
+let run r n width =
+  if n < 0 || n > remaining r / width then raise Underrun;
+  take r (n * width)
 
-  let of_string data = { data; pos = 0 }
-  let remaining r = String.length r.data - r.pos
+let f64s r n =
+  let at = run r n 8 in
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.float_of_bits (String.get_int64_le r.data (at + (8 * i)))
+  done;
+  a
 
-  let u8 r =
-    if r.pos >= String.length r.data then raise Underrun;
-    let x = Char.code r.data.[r.pos] in
-    r.pos <- r.pos + 1;
-    x
+let f32s r n =
+  let at = run r n 4 in
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    a.(i) <- Int32.float_of_bits (String.get_int32_le r.data (at + (4 * i)))
+  done;
+  a
 
-  let u32 r =
-    let b0 = u8 r in
-    let b1 = u8 r in
-    let b2 = u8 r in
-    let b3 = u8 r in
-    b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
-
-  let i64 r =
-    let acc = ref 0L in
-    for i = 0 to 7 do
-      acc := Int64.logor !acc (Int64.shift_left (Int64.of_int (u8 r)) (8 * i))
-    done;
-    !acc
-
-  let int_from_i64 r = Int64.to_int (i64 r)
-  let f64 r = Int64.float_of_bits (i64 r)
-
-  (* [len] raw bytes without a length prefix. *)
-  let raw r len =
-    if remaining r < len then raise Underrun;
-    let s = String.sub r.data r.pos len in
-    r.pos <- r.pos + len;
-    s
-
-  let str r =
-    let len = u32 r in
-    raw r len
-end
+let ints_from_i64 r n =
+  let at = run r n 8 in
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.to_int (String.get_int64_le r.data (at + (8 * i)))
+  done;
+  a

@@ -1,55 +1,41 @@
-(** Little-endian binary encoding helpers for the checkpoint format.
+(** Little-endian reader for the checkpoint format.
 
-    [Wr] appends fixed-width little-endian values to a [Buffer.t];
-    [Rd] consumes them from an immutable string with an explicit
-    cursor, raising {!Rd.Underrun} past the end.  Integers are encoded
-    as their 64-bit two's-complement image; floats as IEEE-754 bits. *)
+    A reader consumes fixed-width little-endian values from a prefix of
+    an immutable string with an explicit cursor, raising {!Underrun}
+    past the end.  Integers are encoded as their 64-bit two's-complement
+    image; floats as IEEE-754 bits. *)
 
-module Wr : sig
-  type t = Buffer.t
+type t
 
-  val create : unit -> t
+(** Raised when a read runs past the end of the data. *)
+exception Underrun
 
-  (** Lowest 8 bits of the argument. *)
-  val u8 : t -> int -> unit
+(** [of_prefix data len] reads the first [len] bytes of [data].  Raises
+    [Invalid_argument] when [len] is outside [0, String.length data]. *)
+val of_prefix : string -> int -> t
 
-  (** 4 bytes; raises [Invalid_argument] on a negative argument. *)
-  val u32 : t -> int -> unit
+(** Bytes left before the cursor hits the end. *)
+val remaining : t -> int
 
-  (** 8 bytes. *)
-  val i64 : t -> int64 -> unit
+val u8 : t -> int
 
-  val int_as_i64 : t -> int -> unit
+(** 4 bytes as an unsigned integer. *)
+val u32 : t -> int
 
-  (** IEEE-754 bits of the double, 8 bytes. *)
-  val f64 : t -> float -> unit
+(** 8 bytes as a two's-complement integer. *)
+val int_from_i64 : t -> int
 
-  (** [u32] length prefix followed by the raw bytes. *)
-  val str : t -> string -> unit
+(** [raw r len]: [len] raw bytes without a length prefix. *)
+val raw : t -> int -> string
 
-  val contents : t -> string
-end
+(** [u32] length prefix followed by that many raw bytes. *)
+val str : t -> string
 
-module Rd : sig
-  type t
+(** [f64s r n]: [n] consecutive doubles. *)
+val f64s : t -> int -> float array
 
-  (** Raised when a read runs past the end of the data. *)
-  exception Underrun
+(** [f32s r n]: [n] consecutive singles, widened to doubles. *)
+val f32s : t -> int -> float array
 
-  val of_string : string -> t
-
-  (** Bytes left before the cursor hits the end. *)
-  val remaining : t -> int
-
-  val u8 : t -> int
-  val u32 : t -> int
-  val i64 : t -> int64
-  val int_from_i64 : t -> int
-  val f64 : t -> float
-
-  (** [raw r len]: [len] raw bytes without a length prefix. *)
-  val raw : t -> int -> string
-
-  (** [u32] length prefix followed by that many raw bytes. *)
-  val str : t -> string
-end
+(** [ints_from_i64 r n]: [n] consecutive 64-bit integers. *)
+val ints_from_i64 : t -> int -> int array

@@ -62,56 +62,103 @@ let check_section s =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let encode_section b s =
+let scalar_width = function F32 _ -> 4 | F64 _ | I64 _ -> 8
+
+(* Bytes of one section: name, tag, rank, dims, spe, regions flag,
+   region bounds, count, payload. *)
+let section_size s =
+  let regions =
+    match s.regions with None -> 0 | Some r -> 4 + (16 * Regions.count_regions r)
+  in
+  4 + String.length s.name + 1 + 4 + (4 * Array.length s.dims) + 4 + 1 + regions
+  + 8
+  + (scalar_width s.payload * payload_length s.payload)
+
+let encoded_size file =
+  String.length magic + 4 + String.length file.app + 4 + 4
+  + List.fold_left (fun acc s -> acc + section_size s) 0 file.sections
+  + 8
+
+(* Little-endian writes into the presized output at a moving cursor. *)
+type out = { buf : Bytes.t; mutable pos : int }
+
+let u8 o x =
+  Bytes.set_uint8 o.buf o.pos x;
+  o.pos <- o.pos + 1
+
+let u32 o x =
+  if x < 0 || x > 0xFFFF_FFFF then
+    invalid_arg (Printf.sprintf "Ckpt_format: %d does not fit a u32 field" x);
+  Bytes.set_int32_le o.buf o.pos (Int32.of_int x);
+  o.pos <- o.pos + 4
+
+let i64 o x =
+  Bytes.set_int64_le o.buf o.pos x;
+  o.pos <- o.pos + 8
+
+let str o s =
+  u32 o (String.length s);
+  Bytes.blit_string s 0 o.buf o.pos (String.length s);
+  o.pos <- o.pos + String.length s
+
+let payload o p =
+  let b = o.buf and at = o.pos in
+  (match p with
+  | F64 a ->
+      for i = 0 to Array.length a - 1 do
+        Bytes.set_int64_le b (at + (8 * i)) (Int64.bits_of_float a.(i))
+      done
+  | I64 a ->
+      for i = 0 to Array.length a - 1 do
+        Bytes.set_int64_le b (at + (8 * i)) (Int64.of_int a.(i))
+      done
+  | F32 a ->
+      for i = 0 to Array.length a - 1 do
+        Bytes.set_int32_le b (at + (4 * i)) (Int32.bits_of_float a.(i))
+      done);
+  o.pos <- at + (scalar_width p * payload_length p)
+
+let encode_section o s =
   check_section s;
-  let open Bytesio.Wr in
-  str b s.name;
-  u8 b (match s.payload with F64 _ -> 0 | I64 _ -> 1 | F32 _ -> 2);
-  u32 b (Array.length s.dims);
-  Array.iter (u32 b) s.dims;
-  u32 b s.spe;
+  str o s.name;
+  u8 o (match s.payload with F64 _ -> 0 | I64 _ -> 1 | F32 _ -> 2);
+  u32 o (Array.length s.dims);
+  Array.iter (u32 o) s.dims;
+  u32 o s.spe;
   (match s.regions with
-  | None -> u8 b 0
+  | None -> u8 o 0
   | Some r ->
-      u8 b 1;
-      u32 b (Regions.count_regions r);
+      u8 o 1;
+      u32 o (Regions.count_regions r);
       List.iter
         (fun { Regions.start; stop } ->
-          int_as_i64 b start;
-          int_as_i64 b stop)
+          i64 o (Int64.of_int start);
+          i64 o (Int64.of_int stop))
         (Regions.spans r));
-  int_as_i64 b (payload_length s.payload);
-  match s.payload with
-  | F64 a -> Array.iter (f64 b) a
-  | I64 a -> Array.iter (int_as_i64 b) a
-  | F32 a ->
-      Array.iter
-        (fun x ->
-          let bits = Int32.bits_of_float x in
-          for i = 0 to 3 do
-            u8 b (Int32.to_int (Int32.shift_right_logical bits (8 * i)) land 0xFF)
-          done)
-        a
+  i64 o (Int64.of_int (payload_length s.payload));
+  payload o s.payload
 
+(* One presized buffer: the body is written in place, the CRC is taken
+   over it in place, and the buffer becomes the result without a copy. *)
 let encode file =
-  let b = Bytesio.Wr.create () in
-  Buffer.add_string b magic;
-  Bytesio.Wr.str b file.app;
-  Bytesio.Wr.u32 b file.iteration;
-  Bytesio.Wr.u32 b (List.length file.sections);
-  List.iter (encode_section b) file.sections;
-  let body = Bytesio.Wr.contents b in
-  let crc = Crc32.of_string body in
-  let tail = Bytesio.Wr.create () in
-  Bytesio.Wr.i64 tail (Int64.of_int32 crc);
-  body ^ Bytesio.Wr.contents tail
+  let size = encoded_size file in
+  let o = { buf = Bytes.create size; pos = 0 } in
+  Bytes.blit_string magic 0 o.buf 0 (String.length magic);
+  o.pos <- String.length magic;
+  str o file.app;
+  u32 o file.iteration;
+  u32 o (List.length file.sections);
+  List.iter (encode_section o) file.sections;
+  assert (o.pos = size - 8);
+  i64 o (Int64.of_int32 (Crc32.update 0l o.buf 0 o.pos));
+  Bytes.unsafe_to_string o.buf
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let decode_section r =
-  let open Bytesio.Rd in
+  let open Bytesio in
   let name = str r in
   let tag = u8 r in
   let rank = u32 r in
@@ -140,17 +187,9 @@ let decode_section r =
     raise (Corrupt "bad count");
   let payload =
     match tag with
-    | 0 -> F64 (Array.init count (fun _ -> f64 r))
-    | 1 -> I64 (Array.init count (fun _ -> int_from_i64 r))
-    | 2 ->
-        F32
-          (Array.init count (fun _ ->
-               let bits = ref 0l in
-               for i = 0 to 3 do
-                 bits :=
-                   Int32.logor !bits (Int32.shift_left (Int32.of_int (u8 r)) (8 * i))
-               done;
-               Int32.float_of_bits !bits))
+    | 0 -> F64 (f64s r count)
+    | 1 -> I64 (ints_from_i64 r count)
+    | 2 -> F32 (f32s r count)
     | _ -> raise (Corrupt "bad payload tag")
   in
   let s = { name; dims; spe; regions; payload } in
@@ -162,96 +201,107 @@ let decode data =
   if String.length data < String.length magic + 8 then
     raise (Corrupt "truncated file");
   let body_len = String.length data - 8 in
-  let body = String.sub data 0 body_len in
-  (* Verify the trailing CRC first: all 8 bytes of the field, which
-     [encode] writes as the sign-extended 32-bit checksum. *)
-  let crc_rd = Bytesio.Rd.of_string (String.sub data body_len 8) in
-  let stored_crc = Bytesio.Rd.i64 crc_rd in
-  if Int64.of_int32 (Crc32.of_string body) <> stored_crc then
-    raise (Corrupt "CRC mismatch");
-  let r = Bytesio.Rd.of_string body in
+  (* Verify the trailing CRC first, over the body in place: all 8 bytes
+     of the field, which [encode] writes as the sign-extended 32-bit
+     checksum. *)
+  let stored_crc = String.get_int64_le data body_len in
+  if Int64.of_int32 (Crc32.update 0l (Bytes.unsafe_of_string data) 0 body_len)
+     <> stored_crc
+  then raise (Corrupt "CRC mismatch");
+  let r = Bytesio.of_prefix data body_len in
   (try
-     if Bytesio.Rd.raw r (String.length magic) <> magic then
+     if Bytesio.raw r (String.length magic) <> magic then
        raise (Corrupt "bad magic")
-   with Bytesio.Rd.Underrun -> raise (Corrupt "truncated header"));
+   with Bytesio.Underrun -> raise (Corrupt "truncated header"));
   try
-    let app = Bytesio.Rd.str r in
-    let iteration = Bytesio.Rd.u32 r in
-    let n = Bytesio.Rd.u32 r in
+    let app = Bytesio.str r in
+    let iteration = Bytesio.u32 r in
+    let n = Bytesio.u32 r in
     if n > 1_000_000 then raise (Corrupt "absurd section count");
     let sections = List.init n (fun _ -> decode_section r) in
-    if Bytesio.Rd.remaining r <> 0 then raise (Corrupt "trailing bytes");
+    if Bytesio.remaining r <> 0 then raise (Corrupt "trailing bytes");
     { app; iteration; sections }
-  with Bytesio.Rd.Underrun -> raise (Corrupt "truncated body")
+  with Bytesio.Underrun -> raise (Corrupt "truncated body")
 
 (* ------------------------------------------------------------------ *)
 (* Scatter/gather between full arrays and pruned payloads              *)
 (* ------------------------------------------------------------------ *)
 
-(* Gather the critical elements of a full scalar buffer into a packed
-   payload. *)
-let gather_f64 ~(data : float array) ~spe regions =
-  let packed = Array.make (Regions.cardinal regions * spe) 0. in
+(* Pack [get e k] for every slot [k] of every covered element [e], in
+   element order, into a fresh array of [create]. *)
+let gather ~create ~spe regions get =
+  let packed = create (Regions.cardinal regions * spe) in
   let pos = ref 0 in
-  Regions.iter_elements regions (fun e ->
-      for k = 0 to spe - 1 do
-        packed.(!pos) <- data.((e * spe) + k);
-        incr pos
-      done);
+  List.iter
+    (fun { Regions.start; stop } ->
+      for e = start to stop - 1 do
+        for k = 0 to spe - 1 do
+          packed.(!pos) <- get e k;
+          incr pos
+        done
+      done)
+    (Regions.spans regions);
   packed
+
+let gather_f64 ~(data : float array) ~spe regions =
+  gather ~create:Array.create_float ~spe regions (fun e k -> data.((e * spe) + k))
 
 let gather_i64 ~(data : int array) ~spe regions =
-  let packed = Array.make (Regions.cardinal regions * spe) 0 in
-  let pos = ref 0 in
-  Regions.iter_elements regions (fun e ->
-      for k = 0 to spe - 1 do
-        packed.(!pos) <- data.((e * spe) + k);
-        incr pos
-      done);
-  packed
+  gather ~create:(fun n -> Array.make n 0) ~spe regions (fun e k ->
+      data.((e * spe) + k))
 
-(* Expand a section into a full scalar buffer; uncovered (uncritical)
-   slots receive [poison] — on a real restart they hold whatever garbage
-   survived the failure, and poisoning proves they are never read. *)
+(* Hand every slot of the section's variable to [set] in element order:
+   payload values for covered elements, [poison] for the rest.  On a
+   real restart uncovered slots hold whatever garbage survived the
+   failure; poisoning proves they are never read. *)
+let scatter s (packed : 'a array) ~(poison : 'a) set =
+  let pos = ref 0 in
+  let fill lo hi =
+    for e = lo to hi - 1 do
+      for k = 0 to s.spe - 1 do
+        set e k packed.(!pos);
+        incr pos
+      done
+    done
+  and poison_between lo hi =
+    for e = lo to hi - 1 do
+      for k = 0 to s.spe - 1 do
+        set e k poison
+      done
+    done
+  in
+  match s.regions with
+  | None -> fill 0 (element_count s)
+  | Some r ->
+      let next =
+        List.fold_left
+          (fun next { Regions.start; stop } ->
+            poison_between next start;
+            fill start stop;
+            stop)
+          0 (Regions.spans r)
+      in
+      poison_between next (element_count s)
+
+let scatter_floats s ~poison set =
+  match s.payload with
+  | F64 a | F32 a -> scatter s a ~poison set
+  | I64 _ -> invalid_arg "Ckpt_format.scatter_floats: integer section"
+
+let scatter_ints s ~poison set =
+  match s.payload with
+  | I64 a -> scatter s a ~poison set
+  | F64 _ | F32 _ -> invalid_arg "Ckpt_format.scatter_ints: float section"
+
 let scatter_f64 s ~poison =
-  let total = element_count s * s.spe in
-  match (s.payload, s.regions) with
-  | F64 packed, None -> Array.copy packed
-  | F64 packed, Some regions ->
-      let out = Array.make total poison in
-      let pos = ref 0 in
-      Regions.iter_elements regions (fun e ->
-          for k = 0 to s.spe - 1 do
-            out.((e * s.spe) + k) <- packed.(!pos);
-            incr pos
-          done);
-      out
-  | F32 packed, None -> Array.copy packed
-  | F32 packed, Some regions ->
-      let out = Array.make total poison in
-      let pos = ref 0 in
-      Regions.iter_elements regions (fun e ->
-          for k = 0 to s.spe - 1 do
-            out.((e * s.spe) + k) <- packed.(!pos);
-            incr pos
-          done);
-      out
-  | I64 _, _ -> invalid_arg "scatter_f64: integer section"
+  let out = Array.create_float (element_count s * s.spe) in
+  scatter_floats s ~poison (fun e k x -> out.((e * s.spe) + k) <- x);
+  out
 
 let scatter_i64 s ~poison =
-  let total = element_count s * s.spe in
-  match (s.payload, s.regions) with
-  | I64 packed, None -> Array.copy packed
-  | I64 packed, Some regions ->
-      let out = Array.make total poison in
-      let pos = ref 0 in
-      Regions.iter_elements regions (fun e ->
-          for k = 0 to s.spe - 1 do
-            out.((e * s.spe) + k) <- packed.(!pos);
-            incr pos
-          done);
-      out
-  | (F64 _ | F32 _), _ -> invalid_arg "scatter_i64: float section"
+  let out = Array.make (element_count s * s.spe) 0 in
+  scatter_ints s ~poison (fun e k x -> out.((e * s.spe) + k) <- x);
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Sizes and the sidecar auxiliary file                                *)
@@ -259,9 +309,7 @@ let scatter_i64 s ~poison =
 
 (* Paper-style accounting: payload bytes of one section (8 bytes per
    double/int scalar, 4 per single), excluding headers. *)
-let payload_bytes s =
-  let width = match s.payload with F32 _ -> 4 | F64 _ | I64 _ -> 8 in
-  width * payload_length s.payload
+let payload_bytes s = scalar_width s.payload * payload_length s.payload
 
 (* Auxiliary metadata bytes for a pruned section. *)
 let aux_bytes s =

@@ -30,11 +30,23 @@ type file = { app : string; iteration : int; sections : section list }
 (** Number of logical elements of the variable. *)
 val element_count : section -> int
 
-(** Serialize; raises [Invalid_argument] on malformed sections. *)
+(** Serialize; raises [Invalid_argument] on malformed sections and on
+    a u32 field (iteration, rank, dims, spe, lengths, region count)
+    outside [0, 2{^32}). *)
 val encode : file -> string
+
+(** Exact byte length of [encode file], computed without encoding. *)
+val encoded_size : file -> int
 
 (** Parse and verify CRC; raises {!Corrupt}. *)
 val decode : string -> file
+
+(** [gather ~create ~spe regions get] packs [get e k] for every slot
+    [k < spe] of every element [e] covered by [regions], element-major,
+    into [create (cardinal regions * spe)]: a pruned payload read
+    straight from its source. *)
+val gather :
+  create:(int -> 'a array) -> spe:int -> Regions.t -> (int -> int -> 'a) -> 'a array
 
 (** Pack the critical elements of a full scalar buffer (length
     [elements * spe]) into a pruned payload. *)
@@ -42,8 +54,17 @@ val gather_f64 : data:float array -> spe:int -> Regions.t -> float array
 
 val gather_i64 : data:int array -> spe:int -> Regions.t -> int array
 
-(** Expand a section to a full scalar buffer; slots outside the regions
-    receive [poison] (proving on restart that they are never read). *)
+(** [scatter_floats s ~poison set] calls [set e k x] for every slot of
+    the section's variable in element order: [x] is the stored value
+    for covered elements and [poison] elsewhere (proving on restart that
+    uncritical slots are never read).  Raises [Invalid_argument] on an
+    integer section. *)
+val scatter_floats : section -> poison:float -> (int -> int -> float -> unit) -> unit
+
+(** Integer analogue of {!scatter_floats}; raises on a float section. *)
+val scatter_ints : section -> poison:int -> (int -> int -> int -> unit) -> unit
+
+(** Expand a section to a full scalar buffer with {!scatter_floats}. *)
 val scatter_f64 : section -> poison:float -> float array
 
 val scatter_i64 : section -> poison:int -> int array

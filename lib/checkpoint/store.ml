@@ -4,9 +4,10 @@
    run and a bad restart:
 
    - verified atomic writes: the encoded file lands in a temp file, is
-     read back and CRC-checked, and only then renamed over the final
-     name — a torn or bit-flipped write is caught while the previous
-     checkpoint is still intact (bounded rewrite attempts);
+     read back and compared byte for byte with the encoded string, and
+     only then renamed over the final name — a torn or bit-flipped
+     write is caught while the previous checkpoint is still intact
+     (bounded rewrite attempts);
    - typed loads: [load] never raises on bad data; it returns a
      [load_error] naming the failure so callers can fall back;
    - multi-level retention: [retention] keeps the newest [keep_last]
@@ -131,7 +132,8 @@ let load_exn t iteration =
 let max_write_attempts = 3
 
 (* Verification reads the temp file back without fault injection: the
-   question is what actually landed on the disk. *)
+   question is what actually landed on the disk.  Equal bytes imply
+   everything the CRC and a parse would check, and more. *)
 let landed_ok tmp data =
   match Io_fault.read_file tmp with
   | Error m -> Error m
@@ -140,10 +142,9 @@ let landed_ok tmp data =
         Error
           (Printf.sprintf "short write: %d of %d bytes" (String.length landed)
              (String.length data))
-      else (
-        match Ckpt_format.decode landed with
-        | _ -> Ok ()
-        | exception Ckpt_format.Corrupt m -> Error m)
+      else if not (String.equal landed data) then
+        Error "landed bytes differ from the encoded file"
+      else Ok ()
 
 let save ?(sidecar_aux = false) t (file : Ckpt_format.file) =
   let path = path_of_iteration t file.iteration in

@@ -1,8 +1,8 @@
 (** Resilient versioned checkpoint directory.
 
     Writes are atomic (temp file + rename) and, by default, {e
-    verified}: the temp file is read back and CRC-checked before the
-    rename, so a torn or bit-flipped write can never displace the
+    verified}: the temp file is read back and compared byte for byte
+    with the encoded file before the rename, so a torn or bit-flipped write can never displace the
     previous good checkpoint.  Loads return typed errors instead of
     raising.  Retention is multi-level: dense recent versions plus a
     sparse grid of older ones.  All I/O can be routed through an
@@ -25,7 +25,8 @@ exception Write_failed of { path : string; attempts : int; reason : string }
 
 (** [create ?retention ?verify_writes ?faults dir] opens (creating if
     needed) a checkpoint directory.  [verify_writes] (default [true])
-    re-reads and CRC-checks every write before the atomic rename.
+    re-reads every write and compares it with the encoded bytes before
+    the atomic rename.
     [faults] routes all checkpoint I/O through a fault-injection plan.
     Raises [Invalid_argument] on a non-positive retention level. *)
 val create :

@@ -31,11 +31,6 @@ type tracker = {
 
 let create_tracker () = { floats = Hashtbl.create 8; ints = Hashtbl.create 8 }
 
-let flatten_float (v : Float_scalar.t Variable.t) =
-  let n = Variable.elements v in
-  Array.init (n * v.Variable.spe) (fun i ->
-      v.Variable.get (i / v.Variable.spe) (i mod v.Variable.spe))
-
 (* Per-element change mask vs the last checkpointed values (bitwise
    comparison: what a dirty-tracking mechanism would see). *)
 let changed_mask ~spe ~(last : float array) ~(now : float array) =
@@ -74,7 +69,7 @@ let snapshot tracker ~mode ~app ~iteration
       (fun (v : Float_scalar.t Variable.t) ->
         let name = v.Variable.name in
         let dims = Scvad_nd.Shape.dims v.Variable.shape in
-        let now = flatten_float v in
+        let now = Pruned.flatten_float v in
         let total = Variable.elements v in
         let mask =
           match Hashtbl.find_opt tracker.floats name with

@@ -34,44 +34,38 @@ let flatten_float (v : Float_scalar.t Variable.t) =
   done;
   out
 
-let flatten_int (v : Variable.int_t) =
-  Array.init (Variable.int_elements v) v.Variable.iget
-
 let float_section ?report (v : Float_scalar.t Variable.t) =
-  let data = flatten_float v in
-  let dims = Scvad_nd.Shape.dims v.Variable.shape in
-  match regions_for report v.Variable.name with
-  | None ->
-      {
-        F.name = v.Variable.name;
-        dims;
-        spe = v.Variable.spe;
-        regions = None;
-        payload = F.F64 data;
-      }
-  | Some regions ->
-      {
-        F.name = v.Variable.name;
-        dims;
-        spe = v.Variable.spe;
-        regions = Some regions;
-        payload = F.F64 (F.gather_f64 ~data ~spe:v.Variable.spe regions);
-      }
+  let spe = v.Variable.spe in
+  let regions = regions_for report v.Variable.name in
+  let payload =
+    match regions with
+    | None -> flatten_float v
+    | Some r -> F.gather ~create:Array.create_float ~spe r v.Variable.get
+  in
+  {
+    F.name = v.Variable.name;
+    dims = Scvad_nd.Shape.dims v.Variable.shape;
+    spe;
+    regions;
+    payload = F.F64 payload;
+  }
 
 let int_section ?report (v : Variable.int_t) =
-  let data = flatten_int v in
-  let dims = Scvad_nd.Shape.dims v.Variable.ishape in
-  match regions_for report v.Variable.iname with
-  | None ->
-      { F.name = v.Variable.iname; dims; spe = 1; regions = None; payload = F.I64 data }
-  | Some regions ->
-      {
-        F.name = v.Variable.iname;
-        dims;
-        spe = 1;
-        regions = Some regions;
-        payload = F.I64 (F.gather_i64 ~data ~spe:1 regions);
-      }
+  let regions = regions_for report v.Variable.iname in
+  let payload =
+    match regions with
+    | None -> Array.init (Variable.int_elements v) v.Variable.iget
+    | Some r ->
+        F.gather ~create:(fun n -> Array.make n 0) ~spe:1 r (fun e _ ->
+            v.Variable.iget e)
+  in
+  {
+    F.name = v.Variable.iname;
+    dims = Scvad_nd.Shape.dims v.Variable.ishape;
+    spe = 1;
+    regions;
+    payload = F.I64 payload;
+  }
 
 (* Snapshot the live state of an application instance.  [report = None]
    → full checkpoint; otherwise prune by the report's regions. *)
@@ -102,25 +96,18 @@ let restore ?(poison = Scvad_checkpoint.Failure.Nan) (file : F.file)
       let s = section v.Variable.name in
       if F.element_count s <> Variable.elements v || s.F.spe <> v.Variable.spe
       then invalid_arg "Pruned.restore: shape mismatch";
-      let full =
-        F.scatter_f64 s ~poison:(Scvad_checkpoint.Failure.poison_value poison)
-      in
-      for e = 0 to Variable.elements v - 1 do
-        for k = 0 to v.Variable.spe - 1 do
-          v.Variable.set e k full.((e * v.Variable.spe) + k)
-        done
-      done)
+      F.scatter_floats s
+        ~poison:(Scvad_checkpoint.Failure.poison_value poison)
+        v.Variable.set)
     float_vars;
   List.iter
     (fun (v : Variable.int_t) ->
       let s = section v.Variable.iname in
       if F.element_count s <> Variable.int_elements v then
         invalid_arg "Pruned.restore: shape mismatch";
-      let full =
-        F.scatter_i64 s
-          ~poison:(Scvad_checkpoint.Failure.int_poison_value poison)
-      in
-      Array.iteri (fun e x -> v.Variable.iset e x) full)
+      F.scatter_ints s
+        ~poison:(Scvad_checkpoint.Failure.int_poison_value poison)
+        (fun e _ x -> v.Variable.iset e x))
     int_vars;
   file.F.iteration
 
@@ -138,4 +125,4 @@ let storage_of_file (file : F.file) =
   let aux_bytes =
     List.fold_left (fun acc s -> acc + F.aux_bytes s) 0 file.F.sections
   in
-  { payload_bytes; aux_bytes; file_bytes = String.length (F.encode file) }
+  { payload_bytes; aux_bytes; file_bytes = F.encoded_size file }

@@ -8,6 +8,10 @@
 
 open Scvad_ad
 
+(** Every scalar of a float variable, element-major ([spe] slots per
+    element): the payload of a full section. *)
+val flatten_float : Float_scalar.t Variable.t -> float array
+
 (** Snapshot the live state of an application instance.
     [report = None] ⇒ full checkpoint; all-critical variables are
     stored as full sections either way (same bytes, no metadata). *)

@@ -26,7 +26,8 @@ let default_config =
           "bitset get/set inside loops bounded by the dependence-tape length"
         );
         ( "lib/checkpoint/crc32.ml",
-          "byte-wise CRC inner loop bounded by Bytes.length" );
+          "slicing-by-8 CRC loop: table indices are masked to 8 bits and \
+           every byte read is inside one up-front range check" );
       ];
     float_allow =
       [

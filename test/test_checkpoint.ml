@@ -338,6 +338,51 @@ let test_format_truncated_bodies () =
     | _ -> Alcotest.failf "prefix of %d bytes decoded" len
   done
 
+(* A u32 field past 2^32 - 1 must be rejected, not truncated to its
+   low 32 bits (an iteration of 2^32 used to load back as 0). *)
+let test_format_u32_overflow_rejected () =
+  let big = 1 lsl 32 in
+  let rejects what file =
+    match Ckpt_format.encode file with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s of 2^32 was encoded" what
+  in
+  let file = fixed_file () in
+  rejects "iteration" { file with Ckpt_format.iteration = big };
+  (* empty sections, so only the u32 field itself can be at fault *)
+  let empty ~dims ~spe =
+    {
+      file with
+      Ckpt_format.sections =
+        [ f64_section ~name:"e" ~dims ~spe [||] ];
+    }
+  in
+  rejects "dim" (empty ~dims:[| big; 0 |] ~spe:1);
+  rejects "spe" (empty ~dims:[| 0 |] ~spe:big);
+  let top = { file with Ckpt_format.iteration = (1 lsl 32) - 1 } in
+  Alcotest.(check int) "2^32 - 1 round-trips" ((1 lsl 32) - 1)
+    (Ckpt_format.decode (Ckpt_format.encode top)).Ckpt_format.iteration
+
+let check_encoded_size what file =
+  Alcotest.(check int) what
+    (String.length (Ckpt_format.encode file))
+    (Ckpt_format.encoded_size file)
+
+let test_format_encoded_size () =
+  check_encoded_size "fixed file" (fixed_file ());
+  List.iter
+    (fun (module A : Scvad_core.App.S) ->
+      let report = Test_npb.report_of (module A) in
+      let module I = A.Make (Scvad_ad.Float_scalar) in
+      let st = I.create () in
+      List.iter
+        (fun (kind, report) ->
+          check_encoded_size (A.name ^ " " ^ kind)
+            (Scvad_core.Pruned.snapshot ?report ~app:A.name ~iteration:0
+               ~float_vars:(I.float_vars st) ~int_vars:(I.int_vars st) ()))
+        [ ("full", None); ("pruned", Some report) ])
+    Scvad_npb.Suite.all
+
 let payload_gen =
   QCheck.Gen.(
     let* elements = int_range 1 40 in
@@ -458,6 +503,31 @@ let test_store_sidecar () =
       Store.wipe store;
       Alcotest.(check (list int)) "wiped" [] (Store.list_iterations store))
 
+(* Save verification compares the landed bytes with the encoded file:
+   a flipped bit and a torn write both fail every attempt, each with
+   its own reason. *)
+let test_store_verification_rejects_bad_landings () =
+  let expect_failure what faults reason =
+    with_tmp_dir (fun dir ->
+        let store = Store.create ~faults dir in
+        match Store.save store (trivial_file 1) with
+        | exception Store.Write_failed { attempts; reason = r; _ } ->
+            Alcotest.(check int) (what ^ ": attempts") 3 attempts;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: reason %S" what r)
+              true
+              (Astring.String.is_prefix ~affix:reason r);
+            Alcotest.(check (list int)) (what ^ ": nothing kept") []
+              (Store.list_iterations store)
+        | _ -> Alcotest.failf "%s: save succeeded" what)
+  in
+  expect_failure "bit flip"
+    (Io_fault.plan ~bit_flip_rate:1. ~seed:3 ())
+    "landed bytes differ";
+  expect_failure "torn write"
+    (Io_fault.plan ~torn_write_rate:1. ~seed:3 ())
+    "short write"
+
 let test_failure_helpers () =
   (match Failure.crash_if ~at:3 ~iteration:2 with
   | () -> ()
@@ -503,11 +573,17 @@ let suites =
           test_format_golden_lu;
         Alcotest.test_case "truncated bodies are Corrupt" `Quick
           test_format_truncated_bodies;
+        Alcotest.test_case "u32 overflow rejected" `Quick
+          test_format_u32_overflow_rejected;
+        Alcotest.test_case "encoded_size = length of encode" `Quick
+          test_format_encoded_size;
         QCheck_alcotest.to_alcotest prop_format_pruned_roundtrip ] );
     ( "checkpoint.store",
       [ Alcotest.test_case "save/load/latest" `Quick test_store_save_load_latest;
         Alcotest.test_case "rotation" `Quick test_store_rotation;
         Alcotest.test_case "atomic (no temp left)" `Quick test_store_no_tmp_left;
-        Alcotest.test_case "sidecar + wipe" `Quick test_store_sidecar ] );
+        Alcotest.test_case "sidecar + wipe" `Quick test_store_sidecar;
+        Alcotest.test_case "verification rejects bad landings" `Quick
+          test_store_verification_rejects_bad_landings ] );
     ( "checkpoint.failure",
       [ Alcotest.test_case "helpers" `Quick test_failure_helpers ] ) ]
