@@ -15,7 +15,7 @@ type t = {
 let alloc n : i32 = Bigarray.(Array1.create int32 c_layout n)
 
 let create ?(capacity = 1024) () =
-  let capacity = Stdlib.max capacity 16 in
+  let capacity = Stdlib.min (Stdlib.max capacity 16) Tape_intf.max_nodes in
   { n = 0; lhs = alloc capacity; rhs = alloc capacity; last = None }
 
 let length t = t.n
@@ -25,9 +25,13 @@ let clear t =
   t.n <- 0;
   t.last <- None
 
+(* Doubling clamped at the int32 id limit; a full tape at the limit
+   raises [Tape_intf.Too_many_nodes]. *)
 let grow t =
+  Tape_intf.check_nodes (t.n + 1);
   let old = capacity t in
-  let lhs = alloc (old * 2) and rhs = alloc (old * 2) in
+  let cap = Stdlib.min (old * 2) Tape_intf.max_nodes in
+  let lhs = alloc cap and rhs = alloc cap in
   Bigarray.Array1.(blit t.lhs (sub lhs 0 old));
   Bigarray.Array1.(blit t.rhs (sub rhs 0 old));
   t.lhs <- lhs;

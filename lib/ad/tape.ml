@@ -48,7 +48,7 @@ type t = {
   mutable slabs : slab array; (* allocated slabs, in id order *)
   mutable nslabs : int; (* slabs allocated (>= slabs in use) *)
   mutable cur : slab; (* slab containing node id [n] *)
-  mutable cur_end : int; (* [cur.base + slab_nodes] *)
+  mutable cur_end : int; (* [slab_end cur.base slab_nodes] *)
   mutable fr : frontier option; (* sweep state cached across backwards *)
   mutable last : Tape_intf.sweep_stats option;
 }
@@ -67,6 +67,11 @@ let alloc_slab ~nodes ~base =
 
 let default_capacity_hint = 1 lsl 16
 
+(* First id beyond the slab at [base], clamped at the id limit so the
+   push that would exceed it always lands in a growth step, where the
+   limit is checked. *)
+let slab_end base nodes = Stdlib.min (base + nodes) Tape_intf.max_nodes
+
 let create ?(capacity_hint = default_capacity_hint) () =
   if capacity_hint < 0 then
     invalid_arg
@@ -80,7 +85,7 @@ let create ?(capacity_hint = default_capacity_hint) () =
     slabs = [| first |];
     nslabs = 1;
     cur = first;
-    cur_end = slab_nodes;
+    cur_end = slab_end 0 slab_nodes;
     fr = None;
     last = None;
   }
@@ -97,12 +102,14 @@ let reserved_bytes t = capacity t * 24
 let clear t =
   t.n <- 0;
   t.cur <- t.slabs.(0);
-  t.cur_end <- t.slab_nodes;
+  t.cur_end <- slab_end 0 t.slab_nodes;
   (* The frontier cache is storage, not recording state: keep it. *)
   t.last <- None
 
-(* Make [cur] the slab containing node id [t.n]; never copies node data. *)
+(* Make [cur] the slab containing node id [t.n]; never copies node data.
+   Raises [Tape_intf.Too_many_nodes] past the int32 id limit. *)
 let grow t =
+  Tape_intf.check_nodes (t.n + 1);
   let k = t.n / t.slab_nodes in
   if k >= t.nslabs then begin
     if t.nslabs = Array.length t.slabs then begin
@@ -116,7 +123,7 @@ let grow t =
     t.nslabs <- t.nslabs + 1
   end;
   t.cur <- t.slabs.(k);
-  t.cur_end <- t.cur.base + t.slab_nodes
+  t.cur_end <- slab_end t.cur.base t.slab_nodes
 
 (* Raw node append; returns the new node id. *)
 let push t l dl r dr =
@@ -654,7 +661,7 @@ module Segmented = struct
       live_cnt = 1;
       live_lo = 0;
       cur = first;
-      cur_end = sn;
+      cur_end = slab_end 0 sn;
       skip = false;
       mode = Recording;
       win_lo = 0;
@@ -683,9 +690,12 @@ module Segmented = struct
 
   let reserved_bytes t = capacity t * 24
 
-  (* Materialize slab [k] (idempotent): reuse freelist storage, else
-     allocate; the slab directory doubles like the dense tape's. *)
+  (* Materialize slab [k] for the push of node [t.n] (idempotent): reuse
+     freelist storage, else allocate; the slab directory doubles like
+     the dense tape's.  Raises [Tape_intf.Too_many_nodes] past the int32
+     id limit. *)
   let materialize t k =
+    Tape_intf.check_nodes (t.n + 1);
     if k >= Array.length t.dir then begin
       let cap = ref (2 * Array.length t.dir) in
       while k >= !cap do
@@ -737,7 +747,7 @@ module Segmented = struct
     done;
     let s = materialize t k in
     t.cur <- s;
-    t.cur_end <- s.base + t.sn;
+    t.cur_end <- slab_end s.base t.sn;
     t.skip <- false
 
   let advance_replaying t =
@@ -746,7 +756,7 @@ module Segmented = struct
     else if k >= t.win_lo then begin
       let s = materialize t k in
       t.cur <- s;
-      t.cur_end <- s.base + t.sn;
+      t.cur_end <- slab_end s.base t.sn;
       t.skip <- false
     end
     else begin

@@ -18,6 +18,9 @@
     - {b Node ids are dense}: ids are consecutive ints starting at 0 in
       push order, and a parent id always names a node pushed {e before}
       its child.  This is what makes a single reverse sweep linear.
+      Ids are stored as [int32]: a backend checks {!max_nodes} with
+      {!check_nodes} when it grows storage, so an overflowing push
+      raises {!Too_many_nodes} instead of wrapping an id.
     - {b Unsafe access after one up-front bounds check}: [backward]
       validates [output] once ([0 <= output < length t], descriptive
       [Invalid_argument] otherwise); the sweep itself may then use
@@ -43,6 +46,20 @@
     recorded values alone, so they are identical across sequential and
     parallel sweeps of the same tape. *)
 type sweep_stats = { visited_nodes : int; swept_nodes : int }
+
+(** Node ids are stored as [int32], so a tape holds at most
+    [max_nodes] = 2{^31} nodes (ids [0 .. 2{^31} - 1]). *)
+let max_nodes = 1 lsl 31
+
+(** Raised when a tape would grow past {!max_nodes}; carries the node
+    count the failed push would have reached. *)
+exception Too_many_nodes of int
+
+(** [check_nodes n] raises [Too_many_nodes n] when [n > max_nodes].
+    Backends call it when they grow storage, never per push, and clamp
+    their storage end at [max_nodes] so the push that would reach
+    [max_nodes + 1] nodes always lands in a growth. *)
+let check_nodes n = if n > max_nodes then raise (Too_many_nodes n)
 
 (** Parallel fan-out capability, injected by the caller.
 

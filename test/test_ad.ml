@@ -170,6 +170,20 @@ let test_tape_slab_edges () =
   Alcotest.(check int) "three slabs reserved" 48 (Tape.capacity tape);
   Alcotest.(check int) "length counts every slab" 33 (Tape.length tape)
 
+(* Node ids are int32: 2^31 nodes (ids up to 2^31 - 1) fit, one more
+   raises the typed error every tape's growth step checks.  Checked on
+   the limit itself, without recording a 48 GB tape. *)
+let test_tape_node_limit () =
+  let open Tape_intf in
+  Alcotest.(check int) "limit is 2^31" (1 lsl 31) max_nodes;
+  Alcotest.(check int) "last id fits int32" (max_nodes - 1)
+    (Int32.to_int (Int32.of_int (max_nodes - 1)));
+  Alcotest.(check bool) "next id would wrap" true
+    (Int32.to_int (Int32.of_int max_nodes) < 0);
+  check_nodes max_nodes;
+  Alcotest.check_raises "2^31 + 1 nodes raise" (Too_many_nodes (max_nodes + 1))
+    (fun () -> check_nodes (max_nodes + 1))
+
 let test_tape_multi_slab_backward () =
   (* A gradient with known closed form across many slabs: f = sum of
      x^2 repeated m times, recorded on 16-node slabs.  Parents of the
@@ -651,6 +665,7 @@ let suites =
           test_reverse_branching_on_primal;
         Alcotest.test_case "tape growth + clear" `Quick test_tape_growth;
         Alcotest.test_case "push at slab edges" `Quick test_tape_slab_edges;
+        Alcotest.test_case "node-id limit at 2^31" `Quick test_tape_node_limit;
         Alcotest.test_case "backward over multi-slab tape" `Quick
           test_tape_multi_slab_backward;
         Alcotest.test_case "clear retains and reuses slabs" `Quick
