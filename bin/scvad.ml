@@ -693,12 +693,22 @@ let report_cmd =
     print_newline ();
     print_string (Scvad_core.Report.table2 (List.map snd reports));
     print_newline ();
+    let rows =
+      List.map
+        (fun ((module A : Scvad_core.App.S), r) ->
+          Scvad_core.Report.table3_row (module A) r)
+        reports
+    in
+    print_string (Scvad_core.Report.table3 rows);
+    print_newline ();
     print_string
-      (Scvad_core.Report.table3
-         (List.map
-            (fun ((module A : Scvad_core.App.S), r) ->
-              Scvad_core.Report.table3_row (module A) r)
+      (Scvad_core.Report.policy_table
+         (List.filter
+            (fun ((module A : Scvad_core.App.S), _) ->
+              List.mem A.name [ "bt"; "sp"; "mg"; "cg"; "lu" ])
             reports));
+    print_newline ();
+    print_string (Scvad_core.Report.operational_table rows);
     print_newline ();
     write_figures ~out (List.map snd reports);
     Printf.printf "\nAll artifacts under %s/\n" out;

@@ -2,7 +2,9 @@
 
    Table I  — variables necessary for checkpointing (the registry);
    Table II — uncritical / total / rate per variable;
-   Table III — checkpoint storage, original vs optimized.               *)
+   Table III — checkpoint storage, original vs optimized;
+   then the checkpoint-policy comparison and the Young operational
+   model built on Table III's savings.                                  *)
 
 open Scvad_ad
 
@@ -136,4 +138,62 @@ let table3 rows =
   "TABLE III: Checkpointing storage\n"
   ^ buf_table
       ([ "Benchmark"; "Original"; "Optimized"; "Storage saved"; "Aux file" ]
+      :: body)
+
+(* ------------------------------------------------------------------ *)
+(* Beyond the paper: checkpoint policies and the operational model     *)
+(* ------------------------------------------------------------------ *)
+
+(* Related-work baseline: payload bytes of the second of three
+   checkpoints, the first delta an incremental policy writes. *)
+let policy_table reports =
+  let body =
+    List.map
+      (fun ((module A : App.S), report) ->
+        let c = Incremental.storage_comparison ~checkpoints:3 (module A) report in
+        let second l = string_of_int (List.nth l 1) in
+        [ String.uppercase_ascii A.name;
+          second c.Incremental.full;
+          second c.Incremental.pruned;
+          second c.Incremental.incremental;
+          second c.Incremental.combined ])
+      reports
+  in
+  "CHECKPOINT POLICY COMPARISON: payload bytes of the steady-state \
+   (second) checkpoint\n"
+  ^ buf_table
+      ([ "Benchmark"; "Full"; "Pruned"; "Incremental"; "Combined" ] :: body)
+
+(* A canonical large system: a full checkpoint costs 60 s, the MTBF is
+   24 h and a restart costs 300 s. *)
+let young_params =
+  { Scvad_checkpoint.Interval.checkpoint_cost = 60.; mtbf = 86_400.;
+    restart_cost = 300. }
+
+let operational_table rows =
+  let body =
+    List.map
+      (fun row ->
+        let kept =
+          float_of_int row.optimized_bytes /. float_of_int row.original_bytes
+        in
+        let c =
+          Scvad_checkpoint.Interval.compare_pruning young_params
+            ~kept_fraction:kept
+        in
+        [ String.uppercase_ascii row.app;
+          percent kept;
+          Printf.sprintf "%.0f s" c.Scvad_checkpoint.Interval.full_tau;
+          Printf.sprintf "%.0f s" c.Scvad_checkpoint.Interval.pruned_tau;
+          Printf.sprintf "%.2f%%"
+            (100.
+            *. (1.
+               -. c.Scvad_checkpoint.Interval.pruned_overhead
+                  /. c.Scvad_checkpoint.Interval.full_overhead)) ])
+      rows
+  in
+  "OPERATIONAL MODEL (Young): C_full=60s, MTBF=24h, R=300s\n"
+  ^ buf_table
+      ([ "Benchmark"; "Kept fraction"; "Tau full"; "Tau pruned";
+         "Overhead drop" ]
       :: body)

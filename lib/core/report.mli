@@ -1,4 +1,5 @@
-(** Emitters for the paper's three tables. *)
+(** Emitters for the paper's three tables, the checkpoint-policy
+    comparison and the Young operational model. *)
 
 (** C-like declarations of an application's checkpoint variables. *)
 val declarations : (module App.S) -> string list
@@ -30,3 +31,14 @@ val table3_row :
 
 (** Table III: checkpointing storage. *)
 val table3 : table3_row list -> string
+
+(** Checkpoint-policy comparison (related-work baseline): payload bytes
+    of the second of three checkpoints under full, pruned, incremental
+    and combined policies ({!Incremental.storage_comparison}). *)
+val policy_table : ((module App.S) * Criticality.report) list -> string
+
+(** Young operational model: each row's pruned/full payload ratio scales
+    the checkpoint cost of a system with C = 60 s, MTBF = 24 h and
+    R = 300 s ({!Scvad_checkpoint.Interval.compare_pruning}); prints the
+    optimal intervals and the drop in expected overhead. *)
+val operational_table : table3_row list -> string
