@@ -1,498 +1,24 @@
-(* Benchmark harness.
+(* Micro-benchmarks the end-to-end benchmark in perfbench/ cannot make.
 
-   Phase 1 regenerates the paper's evaluation artifacts — the rows of
-   Table I, Table II and Table III, plus the data series behind the six
-   distribution figures — and prints them exactly as reported.
+   - Tape micro-chains of 1M nodes: push, an all-active backward sweep
+     and a 1/64-sparse backward sweep, each timed on the chunked
+     [Scvad_ad.Tape] and on [Seed_tape], the seed's monolithic
+     grow-by-doubling tape with a dense backward scan.
+   - The 8-benchmark [Analyzer.run_suite] at jobs=1 and at jobs=N
+     (perfbench runs jobs=1 only), with the masks of both compared.
 
-   Phase 2 times the machinery with Bechamel: one Test.make per table
-   and per figure, plus the ablations called out in DESIGN.md (analysis
-   modes, pruned vs full checkpoint writes, region-codec granularity,
-   AD recording overhead).
+   Every time is the best of five runs.  Takes no arguments and prints
+   one JSON object on stdout; ["correct"] is false when the two tapes
+   disagree on an adjoint or the jobs=N masks differ from jobs=1.
 
-   Run with:
-     dune exec bench/main.exe -- [--json] [--verbose] [--jobs N] [--out PATH]
+   Run with:  dune exec --profile release bench/main.exe
+   python3 bench/ledger.py records its output in BENCH_<date>.json.    *)
 
-   Flags:
-     --json       additionally write machine-readable results to
-                  BENCH_<date>.json (per-group name, time, tape nodes,
-                  jobs used) so the perf trajectory is recorded
-     --out PATH   where --json writes its snapshot (default: the repo
-                  root, located by walking up from the executable to
-                  dune-project — NOT the invocation cwd)
-     --verbose    print per-analysis timing lines to stderr
-     --jobs N     domain-pool width for the parallel-suite group
-                  (default: the hardware's recommended domain count)    *)
-
-open Bechamel
 module Crit = Scvad_core.Criticality
+module Tape = Scvad_ad.Tape
 
-let say fmt = Printf.printf fmt
-
-(* ------------------------------------------------------------------ *)
-(* Flags and the JSON results ledger                                   *)
-(* ------------------------------------------------------------------ *)
-
-let json_out = ref false
-let verbose = ref false
-let jobs = ref (Scvad_par.Pool.default_jobs ())
-let out_path : string option ref = ref None
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: rest ->
-        json_out := true;
-        parse rest
-    | "--verbose" :: rest ->
-        verbose := true;
-        parse rest
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 ->
-            jobs := j;
-            parse rest
-        | Some _ | None ->
-            prerr_endline "bench: --jobs expects a positive integer";
-            exit 2)
-    | "--out" :: p :: rest ->
-        out_path := Some p;
-        parse rest
-    | "--out" :: [] ->
-        prerr_endline "bench: --out expects a path";
-        exit 2
-    | arg :: _ ->
-        Printf.eprintf
-          "bench: unknown argument %s (known: --json --verbose --jobs N --out \
-           PATH)\n"
-          arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-(* The default snapshot location is the repo root — located by walking
-   up from the bench executable (which lives in _build/default/bench/)
-   to the directory holding dune-project — so snapshots stop landing in
-   whatever directory the bench happened to be launched from. *)
-let repo_root () =
-  let rec up dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if String.equal parent dir then None else up parent
-  in
-  let exe_dir = Filename.dirname Sys.executable_name in
-  let start =
-    if Filename.is_relative exe_dir then
-      Filename.concat (Sys.getcwd ()) exe_dir
-    else exe_dir
-  in
-  match up start with
-  | Some root -> root
-  | None -> ( match up (Sys.getcwd ()) with Some root -> root | None -> ".")
-
-(* Every measurement lands here; [--json] serializes the ledger. *)
-type entry = {
-  e_group : string;
-  e_name : string;
-  e_metric : string; (* "ns/run" or "s" *)
-  e_value : float;
-  e_tape_nodes : int option;
-  e_jobs : int option;
-  (* segmented-tape extras: the recompute-vs-store trade of a
-     memory-budgeted recording *)
-  e_budget_nodes : int option;
-  e_peak_live_nodes : int option;
-  e_replays : int option;
-  e_replayed_nodes : int option;
-  (* frontier-sweep extras: how much of the tape the backward sweep
-     actually inspected *)
-  e_visited_nodes : int option;
-  e_active_fraction : float option;
-}
-
-let entries : entry list ref = ref []
-
-let record ?tape_nodes ?jobs:ejobs ?budget_nodes ?peak_live_nodes ?replays
-    ?replayed_nodes ?visited_nodes ?active_fraction ~group ~name ~metric value =
-  entries :=
-    { e_group = group; e_name = name; e_metric = metric; e_value = value;
-      e_tape_nodes = tape_nodes; e_jobs = ejobs; e_budget_nodes = budget_nodes;
-      e_peak_live_nodes = peak_live_nodes; e_replays = replays;
-      e_replayed_nodes = replayed_nodes; e_visited_nodes = visited_nodes;
-      e_active_fraction = active_fraction }
-    :: !entries
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_json () =
-  let tm = Unix.localtime (Unix.time ()) in
-  let date =
-    Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-  in
-  let path =
-    match !out_path with
-    | Some p -> p
-    | None ->
-        Filename.concat (repo_root ()) (Printf.sprintf "BENCH_%s.json" date)
-  in
-  let oc = open_out path in
-  let field_opt name = function
-    | None -> ""
-    | Some v -> Printf.sprintf ", \"%s\": %d" name v
-  in
-  let field_opt_f name = function
-    | None -> ""
-    | Some v -> Printf.sprintf ", \"%s\": %.6g" name v
-  in
-  Printf.fprintf oc
-    "{\n  \"date\": \"%s\",\n  \"jobs\": %d,\n  \"hw_threads\": %d,\n\
-    \  \"results\": [\n"
-    date !jobs
-    (Scvad_par.Pool.hardware_threads ());
-  let rows =
-    List.rev_map
-      (fun e ->
-        Printf.sprintf
-          "    {\"group\": \"%s\", \"name\": \"%s\", \"metric\": \"%s\", \
-           \"value\": %.6g%s%s}"
-          (json_escape e.e_group) (json_escape e.e_name)
-          (json_escape e.e_metric) e.e_value
-          (field_opt "tape_nodes" e.e_tape_nodes)
-          (String.concat ""
-             [ field_opt "jobs" e.e_jobs;
-               field_opt "budget_nodes" e.e_budget_nodes;
-               field_opt "peak_live_nodes" e.e_peak_live_nodes;
-               field_opt "replays" e.e_replays;
-               field_opt "replayed_nodes" e.e_replayed_nodes;
-               field_opt "visited_nodes" e.e_visited_nodes;
-               field_opt_f "active_fraction" e.e_active_fraction ]))
-      !entries
-  in
-  output_string oc (String.concat ",\n" rows);
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  say "wrote %s (%d results)\n" path (List.length !entries)
-
-(* ------------------------------------------------------------------ *)
-(* Phase 1: regenerate the paper's rows and series                     *)
-(* ------------------------------------------------------------------ *)
-
-let reports = Hashtbl.create 8
-
-let report_of (module A : Scvad_core.App.S) =
-  match Hashtbl.find_opt reports A.name with
-  | Some r -> r
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let r = Scvad_core.Analyzer.run (module A) in
-      let dt = Unix.gettimeofday () -. t0 in
-      if !verbose then
-        Printf.eprintf "[bench] analysis %s: %.2fs (%d tape nodes)\n%!" A.name
-          dt r.Crit.tape_nodes;
-      let visited_nodes, active_fraction =
-        match r.Crit.sweep_profile with
-        | None -> (None, None)
-        | Some w ->
-            (Some w.Crit.w_visited_nodes, Some w.Crit.w_active_fraction)
-      in
-      record ~tape_nodes:r.Crit.tape_nodes ~jobs:1 ?visited_nodes
-        ?active_fraction ~group:"analysis" ~name:A.name ~metric:"s" dt;
-      Hashtbl.add reports A.name r;
-      r
-
-let phase1 () =
-  let apps = Scvad_npb.Suite.all in
-  say "%s\n" (Scvad_core.Report.table1 apps);
-  let rs = List.map (fun a -> report_of a) apps in
-  say "%s\n" (Scvad_core.Report.table2 rs);
-  let rows =
-    List.map
-      (fun (module A : Scvad_core.App.S) ->
-        Scvad_core.Report.table3_row (module A) (report_of (module A)))
-      apps
-  in
-  say "%s\n" (Scvad_core.Report.table3 rows);
-  (* Figure series: the numeric content of Figs. 3-8. *)
-  let v name var = Crit.find (report_of (Option.get (Scvad_npb.Suite.find name))) var in
-  let bt_u = v "bt" "u" and mg_u = v "mg" "u" and mg_r = v "mg" "r" in
-  let cg_x = v "cg" "x" and lu_u = v "lu" "u" and ft_y = v "ft" "y" in
-  let cube4 vr m =
-    Scvad_viz.Cube.component ~dims4:(Scvad_nd.Shape.dims vr.Crit.shape)
-      vr.Crit.mask ~m
-  in
-  say "FIGURE SERIES\n";
-  say "Fig 3 (BT u, component 0): uncritical planes = %s\n"
-    (String.concat ", " (Scvad_viz.Cube.uncritical_planes (cube4 bt_u 0)));
-  say "Fig 4 (MG u): critical spans = %s\n"
-    (Scvad_checkpoint.Regions.to_string mg_u.Crit.regions);
-  say "Fig 5 (MG r): %d critical (= 33^3, the restriction read set); \
-       pattern period 34: |%s|\n"
-    (Crit.critical mg_r)
-    (Scvad_viz.Strip.window ~width:68
-       (Scvad_viz.Strip.of_report mg_r)
-       ~lo:(34 * 34) ~hi:((34 * 34) + (2 * 34)));
-  say "Fig 6 (CG x): critical spans = %s\n"
-    (Scvad_checkpoint.Regions.to_string cg_x.Crit.regions);
-  let u4 = cube4 lu_u 4 in
-  let c4, un4 = Scvad_viz.Cube.counts u4 in
-  say "Fig 7 (LU u[.][4]): %d critical / %d uncritical (union of sweeps)\n" c4
-    un4;
-  say "Fig 8 (FT y): uncritical planes = %s (%d cells)\n"
-    (String.concat ", "
-       (Scvad_viz.Cube.uncritical_planes
-          (Scvad_viz.Cube.of_mask ~dims:(Scvad_nd.Shape.dims ft_y.Crit.shape)
-             ft_y.Crit.mask)))
-    (Crit.uncritical ft_y);
-  say "\n";
-  (* Operational reading of Table III: Young-model overhead at the
-     optimal interval, full vs pruned, for a canonical large system
-     (checkpoint cost 60 s at full size, MTBF 24 h, restart 300 s). *)
-  let base =
-    { Scvad_checkpoint.Interval.checkpoint_cost = 60.; mtbf = 86_400.;
-      restart_cost = 300. }
-  in
-  (* Related-work baseline: per-checkpoint bytes under four policies. *)
-  say "CHECKPOINT POLICY COMPARISON (payload bytes: base ckpt, then deltas)\n";
-  say "%-10s %12s %12s %14s %12s\n" "Benchmark" "full" "pruned" "incremental"
-    "combined";
-  List.iter
-    (fun name ->
-      let (module A : Scvad_core.App.S) =
-        Option.get (Scvad_npb.Suite.find name)
-      in
-      let c =
-        Scvad_core.Incremental.storage_comparison ~checkpoints:3 (module A)
-          (report_of (module A))
-      in
-      let second l = List.nth l 1 in
-      say "%-10s %12d %12d %14d %12d   (steady-state delta)\n"
-        (String.uppercase_ascii name)
-        (second c.Scvad_core.Incremental.full)
-        (second c.Scvad_core.Incremental.pruned)
-        (second c.Scvad_core.Incremental.incremental)
-        (second c.Scvad_core.Incremental.combined))
-    [ "bt"; "sp"; "mg"; "cg"; "lu" ];
-  say "\n";
-  say "OPERATIONAL MODEL (Young): C_full=60s, MTBF=24h, R=300s\n";
-  say "%-10s %14s %12s %12s %14s\n" "Benchmark" "kept fraction" "tau full"
-    "tau pruned" "overhead drop";
-  List.iter
-    (fun (module A : Scvad_core.App.S) ->
-      let row = Scvad_core.Report.table3_row (module A) (report_of (module A)) in
-      let kept =
-        float_of_int row.Scvad_core.Report.optimized_bytes
-        /. float_of_int row.Scvad_core.Report.original_bytes
-      in
-      let c = Scvad_checkpoint.Interval.compare_pruning base ~kept_fraction:kept in
-      say "%-10s %13.1f%% %10.0f s %10.0f s %13.2f%%\n"
-        (String.uppercase_ascii A.name)
-        (100. *. kept) c.Scvad_checkpoint.Interval.full_tau
-        c.Scvad_checkpoint.Interval.pruned_tau
-        (100.
-         *. (1.
-             -. (c.Scvad_checkpoint.Interval.pruned_overhead
-                 /. c.Scvad_checkpoint.Interval.full_overhead))))
-    apps;
-  say "\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Phase 2: Bechamel timings                                           *)
-(* ------------------------------------------------------------------ *)
-
-let app name = Option.get (Scvad_npb.Suite.find name)
-
-(* Table I: building the variable registry of all eight benchmarks. *)
-let bench_table1 =
-  Test.make ~name:"table1/registry"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Scvad_core.Report.table1 Scvad_npb.Suite.all)))
-
-(* Table II: one reverse-gradient analysis per benchmark (FT is the
-   heavyweight: a taped 64^3 inverse FFT). *)
-let bench_table2 name =
-  let (module A : Scvad_core.App.S) = app name in
-  Test.make
-    ~name:(Printf.sprintf "table2/analyze_%s" name)
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Scvad_core.Analyzer.run (module A))))
-
-(* Table III: full vs pruned checkpoint encoding. *)
-let snapshot_fn name pruned =
-  let (module A : Scvad_core.App.S) = app name in
-  let report = report_of (module A) in
-  let module I = A.Make (Scvad_ad.Float_scalar) in
-  let st = I.create () in
-  I.run st ~from:0 ~until:1;
-  fun () ->
-    let file =
-      Scvad_core.Pruned.snapshot
-        ?report:(if pruned then Some report else None)
-        ~app:name ~iteration:1 ~float_vars:(I.float_vars st)
-        ~int_vars:(I.int_vars st) ()
-    in
-    Sys.opaque_identity (Scvad_checkpoint.Ckpt_format.encode file)
-
-let bench_table3 name =
-  [ Test.make
-      ~name:(Printf.sprintf "table3/%s_full" name)
-      (Staged.stage (snapshot_fn name false));
-    Test.make
-      ~name:(Printf.sprintf "table3/%s_pruned" name)
-      (Staged.stage (snapshot_fn name true)) ]
-
-(* Figures: rendering cost. *)
-let bench_figures =
-  let bt = report_of (app "bt") in
-  let mg = report_of (app "mg") in
-  let cg = report_of (app "cg") in
-  let lu = report_of (app "lu") in
-  let ft = report_of (app "ft") in
-  [ Test.make ~name:"fig3/bt_cube"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Scvad_viz.Figures.fig3 (Crit.find bt "u"))));
-    Test.make ~name:"fig4/mg_u_strip"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Scvad_viz.Figures.fig4 (Crit.find mg "u"))));
-    Test.make ~name:"fig5/mg_r_strip"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Scvad_viz.Figures.fig5 (Crit.find mg "r"))));
-    Test.make ~name:"fig6/cg_x_strip"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Scvad_viz.Figures.fig6 (Crit.find cg "x"))));
-    Test.make ~name:"fig7/lu_u4_cube"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Scvad_viz.Figures.fig7 (Crit.find lu "u"))));
-    Test.make ~name:"fig8/ft_y_plane"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Scvad_viz.Figures.fig8 (Crit.find ft "y")))) ]
-
-(* Ablation: the three analysis modes on the reduced CG (forward probe
-   is O(elements) full runs — the cost the one-sweep reverse mode
-   saves). *)
-let bench_modes =
-  List.map
-    (fun (label, mode) ->
-      Test.make
-        ~name:(Printf.sprintf "ablation/mode_%s_cg_tiny" label)
-        (Staged.stage (fun () ->
-             Sys.opaque_identity
-               (Scvad_core.Analyzer.run
-                  ~config:Scvad_core.Analyzer.Config.(default |> with_mode mode)
-                  (module Scvad_npb.Cg.Tiny_app)))))
-    [ ("reverse", Crit.Reverse_gradient);
-      ("forward", Crit.Forward_probe);
-      ("activity", Crit.Activity_dependence) ]
-
-(* Ablation: AD recording overhead — one BT time step in float mode vs
-   recording on the reverse tape. *)
-let bench_ad_overhead =
-  let float_step =
-    let module I = Scvad_npb.Bt.Make_generic (Scvad_ad.Float_scalar) in
-    let st = I.create () in
-    fun () -> Sys.opaque_identity (I.run st ~from:0 ~until:1)
-  in
-  let taped_step () =
-    let tape = Scvad_ad.Tape.create ~capacity_hint:(1 lsl 20) () in
-    let module RS = Scvad_ad.Reverse.Scalar_of (struct
-      let tape = tape
-    end) in
-    let module I = Scvad_npb.Bt.Make_generic (RS) in
-    let st = I.create () in
-    (* lift u so the step actually records *)
-    List.iter
-      (fun v ->
-        ignore
-          (Scvad_core.Variable.lift_capture v (Scvad_ad.Reverse.lift tape)))
-      (I.float_vars st);
-    Sys.opaque_identity (I.run st ~from:0 ~until:1)
-  in
-  [ Test.make ~name:"ablation/bt_step_float" (Staged.stage float_step);
-    Test.make ~name:"ablation/bt_step_reverse_tape" (Staged.stage taped_step) ]
-
-(* Baseline: incremental (dirty-tracking) snapshot cost vs pruned. *)
-let bench_incremental =
-  let (module A : Scvad_core.App.S) = app "bt" in
-  let report = report_of (module A) in
-  let module I = A.Make (Scvad_ad.Float_scalar) in
-  let st = I.create () in
-  I.run st ~from:0 ~until:2;
-  let tracker = Scvad_core.Incremental.create_tracker () in
-  (* Prime the tracker so the measured call produces a delta. *)
-  ignore
-    (Scvad_core.Incremental.snapshot tracker
-       ~mode:(Scvad_core.Incremental.Combined_with report) ~app:"bt"
-       ~iteration:1 ~float_vars:(I.float_vars st) ~int_vars:(I.int_vars st) ());
-  [ Test.make ~name:"baseline/incremental_delta_bt"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Scvad_core.Incremental.snapshot tracker
-                ~mode:(Scvad_core.Incremental.Combined_with report) ~app:"bt"
-                ~iteration:2 ~float_vars:(I.float_vars st)
-                ~int_vars:(I.int_vars st) ()))) ]
-
-(* Extension: impact analysis + mixed-precision snapshot cost. *)
-let bench_mixed =
-  let impact =
-    Scvad_core.Analyzer.analyze_impact ~at_iter:1 ~niter:2
-      (module Scvad_npb.Cg.App)
-  in
-  let plans = Scvad_core.Mixed.plans_of_report ~threshold:1e-6 impact in
-  let module I = Scvad_npb.Cg.App.Make (Scvad_ad.Float_scalar) in
-  let st = I.create () in
-  I.run st ~from:0 ~until:1;
-  [ Test.make ~name:"extension/impact_analysis_cg"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Scvad_core.Analyzer.analyze_impact ~at_iter:1 ~niter:2
-                (module Scvad_npb.Cg.App))));
-    Test.make ~name:"extension/mixed_snapshot_cg"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Scvad_checkpoint.Ckpt_format.encode
-                (Scvad_core.Mixed.snapshot ~plans ~app:"cg" ~iteration:1
-                   ~float_vars:(I.float_vars st) ~int_vars:(I.int_vars st) ())))) ]
-
-(* Resilience: end-to-end checkpoint-write throughput, with and without
-   the read-back CRC verification that guards the atomic rename. *)
-let bench_store_writes =
-  let (module A : Scvad_core.App.S) = app "bt" in
-  let report = report_of (module A) in
-  let module I = A.Make (Scvad_ad.Float_scalar) in
-  let st = I.create () in
-  I.run st ~from:0 ~until:1;
-  let file =
-    Scvad_core.Pruned.snapshot ~report ~app:"bt" ~iteration:1
-      ~float_vars:(I.float_vars st) ~int_vars:(I.int_vars st) ()
-  in
-  let store verify_writes tag =
-    Scvad_checkpoint.Store.create ~verify_writes
-      ~retention:{ Scvad_checkpoint.Store.keep_last = Some 2; keep_every = None }
-      (Filename.concat (Filename.get_temp_dir_name ())
-         (Printf.sprintf "scvad_bench_store_%s_%d" tag (Unix.getpid ())))
-  in
-  let verified = store true "v" and unverified = store false "nv" in
-  [ Test.make ~name:"resilience/bt_save_verified"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Scvad_checkpoint.Store.save verified file)));
-    Test.make ~name:"resilience/bt_save_unverified"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Scvad_checkpoint.Store.save unverified file))) ]
-
-(* Tape hot path: the seed's monolithic grow-by-doubling tape, kept
-   here as the baseline the chunked tape replaced.  Push/backward
-   throughput of the two layouts is compared head to head. *)
+(* The seed's tape: one set of Bigarrays, doubled and copied on growth,
+   swept by a dense descending scan.  The baseline of every tape pair. *)
 module Seed_tape = struct
   type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
   type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -508,10 +34,9 @@ module Seed_tape = struct
   let alloc_i32 n : i32 = Bigarray.(Array1.create int32 c_layout n)
   let alloc_f64 n : f64 = Bigarray.(Array1.create float64 c_layout n)
 
-  let create ?(capacity = 1024) () =
-    let capacity = Stdlib.max capacity 16 in
-    { n = 0; lhs = alloc_i32 capacity; rhs = alloc_i32 capacity;
-      dlhs = alloc_f64 capacity; drhs = alloc_f64 capacity }
+  let create () =
+    { n = 0; lhs = alloc_i32 16; rhs = alloc_i32 16; dlhs = alloc_f64 16;
+      drhs = alloc_f64 16 }
 
   let capacity t = Bigarray.Array1.dim t.lhs
 
@@ -546,7 +71,7 @@ module Seed_tape = struct
     for i = output downto 0 do
       let a = adj.{i} in
       (* lint: allow float-equality — exact-zero adjoint skip, replicated
-         from the seed tape so the layout ablation stays faithful *)
+         from the seed tape so the layout comparison stays faithful *)
       if a <> 0. then begin
         let l = Int32.to_int t.lhs.{i} in
         if l >= 0 then adj.{l} <- adj.{l} +. (a *. t.dlhs.{i});
@@ -557,573 +82,114 @@ module Seed_tape = struct
     adj
 end
 
-let tape_bench_nodes = 1 lsl 20
+let nodes = 1 lsl 20
 
-(* A fan-in chain: node i depends on i-1 and a var, every adjoint
-   nonzero, so backward touches the whole tape. *)
-let bench_tape =
-  let fill_seed t =
-    let v = Seed_tape.push t (-1) 0. (-1) 0. in
-    let last = ref v in
-    for _ = 2 to tape_bench_nodes do
-      last := Seed_tape.push t !last 1. v 1.
-    done;
-    !last
-  in
-  let fill_chunked t =
-    let v = Scvad_ad.Tape.fresh_var t in
-    let last = ref v in
-    for _ = 2 to tape_bench_nodes do
-      last := Scvad_ad.Tape.push2 t !last 1. v 1.
-    done;
-    !last
-  in
-  let seed_full = Seed_tape.create ~capacity:16 () in
-  let seed_out = fill_seed seed_full in
-  let chunked_full = Scvad_ad.Tape.create ~capacity_hint:(1 lsl 14) () in
-  let chunked_out = fill_chunked chunked_full in
-  [ Test.make ~name:"tape/push_1M_seed_doubling"
-      (Staged.stage (fun () ->
-           let t = Seed_tape.create ~capacity:16 () in
-           Sys.opaque_identity (fill_seed t)));
-    Test.make ~name:"tape/push_1M_chunked_grow"
-      (Staged.stage (fun () ->
-           let t = Scvad_ad.Tape.create ~capacity_hint:(1 lsl 14) () in
-           Sys.opaque_identity (fill_chunked t)));
-    Test.make ~name:"tape/push_1M_chunked_hinted"
-      (Staged.stage (fun () ->
-           let t = Scvad_ad.Tape.create ~capacity_hint:tape_bench_nodes () in
-           Sys.opaque_identity (fill_chunked t)));
-    Test.make ~name:"tape/backward_1M_seed"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Seed_tape.backward seed_full ~output:seed_out)));
-    Test.make ~name:"tape/backward_1M_chunked"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Scvad_ad.Tape.backward chunked_full ~output:chunked_out))) ]
-
-(* Ablation: region-codec cost vs mask fragmentation. *)
-let bench_regions =
-  List.map
-    (fun period ->
-      let mask = Array.init 46480 (fun i -> i mod period <> period - 1) in
-      Test.make
-        ~name:(Printf.sprintf "ablation/regions_period_%d" period)
-        (Staged.stage (fun () ->
-             Sys.opaque_identity (Scvad_checkpoint.Regions.of_mask mask))))
-    [ 2; 34; 4096 ]
-
-(* ------------------------------------------------------------------ *)
-(* Static pre-filtering: the scvad_activity pass plus the analyzer
-   fast path it unlocks.  Wall clock (like the suite group): the
-   quantities of interest are the one-shot cost of the static pass and
-   the end-to-end reverse-analysis saving — tape nodes and seconds —
-   when statically-inactive variables are never lifted. *)
-let bench_static_prefilter () =
-  say "-- Static pre-filtering (scvad_activity fast path)\n";
-  match Scvad_activity.Driver.locate_npb_dir () with
-  | None -> say "  (lib/npb sources not found; group skipped)\n"
-  | Some dir ->
-      let t0 = Unix.gettimeofday () in
-      let verdicts, _findings = Scvad_activity.Driver.analyze_dir dir in
-      let t_static = Unix.gettimeofday () -. t0 in
-      let claims = Scvad_activity.Verdict.total_inactive_claims verdicts in
-      record ~group:"static" ~name:"static_pass/lib_npb" ~metric:"s" t_static;
-      record ~group:"static" ~name:"static_pass/inactive_elements"
-        ~metric:"elements" (float_of_int claims);
-      say "  %-40s %10.2f ms  (%d inactive elements proven)\n"
-        "static pass (all kernel sources)" (t_static *. 1e3) claims;
-      List.iter
-        (fun (module A : Scvad_core.App.S) ->
-          match Scvad_activity.Verdict.find_app verdicts ~app:A.name with
-          | Some av
-            when Scvad_activity.Verdict.skippable_float_vars av <> [] ->
-              let wall static =
-                let t0 = Unix.gettimeofday () in
-                let r =
-                  Scvad_core.Analyzer.run
-                    ~config:
-                      { Scvad_core.Analyzer.Config.default with
-                        Scvad_core.Analyzer.Config.static }
-                    (module A)
-                in
-                (Unix.gettimeofday () -. t0, r.Crit.tape_nodes)
-              in
-              let t_full, nodes_full = wall None in
-              let t_fast, nodes_fast = wall (Some verdicts) in
-              record ~tape_nodes:nodes_full ~group:"static"
-                ~name:(A.name ^ "/reverse_analysis/full")
-                ~metric:"s" t_full;
-              record ~tape_nodes:nodes_fast ~group:"static"
-                ~name:(A.name ^ "/reverse_analysis/prefiltered")
-                ~metric:"s" t_fast;
-              say
-                "  %-40s %10.2f ms, %d tape nodes\n"
-                (A.name ^ " reverse analysis, full") (t_full *. 1e3)
-                nodes_full;
-              say
-                "  %-40s %10.2f ms, %d tape nodes  (-%d nodes, %.2fx)\n"
-                (A.name ^ " reverse analysis, prefiltered") (t_fast *. 1e3)
-                nodes_fast (nodes_full - nodes_fast)
-                (t_full /. Float.max 1e-9 t_fast)
-          | Some _ | None -> ())
-        Scvad_npb.Suite.all;
-      say "%!"
-
-(* ------------------------------------------------------------------ *)
-(* Race certification: wall time of the static pass over lib/, and the
-   write-set sanitizer's overhead on a pool fan-out — the two costs a
-   user pays for the DESIGN.md §17 certificate. *)
-let bench_race () =
-  say "-- Race certification (scvad_racefree + write-set sanitizer)\n";
-  match Scvad_racefree.Driver.locate_lib_dir () with
-  | None -> say "  (lib/ sources not found; group skipped)\n"
-  | Some lib ->
-      let module Rdriver = Scvad_racefree.Driver in
-      let module Sanitize = Scvad_sanitize.Sanitize in
-      let t0 = Unix.gettimeofday () in
-      let report = Rdriver.certify ~root:lib in
-      let t_pass = Unix.gettimeofday () -. t0 in
-      let free = Rdriver.count report "race-free" in
-      record ~group:"race" ~name:"certify/lib" ~metric:"s" t_pass;
-      record ~group:"race" ~name:"certify/race_free_sites" ~metric:"sites"
-        (float_of_int free);
-      say "  %-40s %10.2f ms  (%d/%d sites race-free)\n"
-        "static certification (all lib sources)" (t_pass *. 1e3) free
-        (List.length report.Rdriver.r_sites);
-      (* Sanitizer overhead: the identical fan-out, plain vs armed and
-         sanitized.  Shards record disjoint lanes, so a witness here
-         would itself be a bug.  jobs=1 batches degrade to sequential
-         unsanitized maps, so measure with at least two workers. *)
-      let sjobs = max 2 !jobs in
-      Scvad_par.Pool.with_pool ~jobs:sjobs (fun pool ->
-          let shards = 64 and per = 4096 in
-          let xs = List.init shards (fun i -> i * per) in
-          let obj = Sanitize.fresh_id () in
-          let work lo =
-            let acc = ref 0.0 in
-            for k = lo to lo + per - 1 do
-              acc := !acc +. float_of_int k
-            done;
-            Sanitize.record ~obj ~lo ~hi:(lo + per) ~tag:"bench";
-            !acc
-          in
-          let wall sanitize =
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to 20 do
-              ignore (Scvad_par.Pool.map ~sanitize pool work xs)
-            done;
-            Unix.gettimeofday () -. t0
-          in
-          ignore (wall false) (* warm the pool *);
-          let t_plain = wall false in
-          Sanitize.arm ();
-          let t_san = wall true in
-          let stats = Sanitize.disarm () in
-          record ~jobs:sjobs ~group:"race" ~name:"pool_map/plain" ~metric:"s"
-            t_plain;
-          record ~jobs:sjobs ~group:"race" ~name:"pool_map/sanitized"
-            ~metric:"s" t_san;
-          say "  %-40s %10.2f ms\n" "pool map x20, plain" (t_plain *. 1e3);
-          say "  %-40s %10.2f ms  (%.2fx, %d spans, %d witnesses)\n"
-            "pool map x20, sanitized" (t_san *. 1e3)
-            (t_san /. Float.max 1e-9 t_plain)
-            stats.Sanitize.spans
-            (List.length stats.Sanitize.witnesses));
-      say "%!"
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint-set discovery: wall time of the static ranking pass and
-   the size of the proposal it emits — the quantities a user weighing
-   "trust the declarations" against "discover the set" cares about. *)
-let bench_discover () =
-  say "-- Checkpoint-set discovery (scvad_discover ranking pass)\n";
-  match Scvad_discover.Driver.locate_npb_dir () with
-  | None -> say "  (lib/npb sources not found; group skipped)\n"
-  | Some dir ->
-      let t0 = Unix.gettimeofday () in
-      let proposals, _findings = Scvad_discover.Driver.analyze_dir dir in
-      let t_pass = Unix.gettimeofday () -. t0 in
-      let module Rank = Scvad_discover.Rank in
-      record ~group:"discover" ~name:"static_pass/lib_npb" ~metric:"s" t_pass;
-      record ~group:"discover" ~name:"static_pass/required_fields"
-        ~metric:"fields"
-        (float_of_int (Rank.count_verdict proposals Rank.Required));
-      record ~group:"discover" ~name:"static_pass/pruned_fields"
-        ~metric:"fields"
-        (float_of_int
-           (Rank.count_verdict proposals Rank.Prunable_recomputable
-           + Rank.count_verdict proposals Rank.Prunable_dead));
-      say "  %-40s %10.2f ms\n" "discovery pass (all kernel sources)"
-        (t_pass *. 1e3);
-      List.iter
-        (fun (a : Rank.app_ranks) ->
-          let proposed = List.length (Rank.discovered_fields a) in
-          let pruned = List.length (Rank.pruned_vars a) in
-          let added = List.length (Rank.added_fields a) in
-          record ~group:"discover"
-            ~name:(a.Rank.r_app ^ "/proposed_fields")
-            ~metric:"fields" (float_of_int proposed);
-          say "  %-40s %10d proposed  (%d pruned, %d added)\n"
-            (a.Rank.r_app ^ " proposed checkpoint set")
-            proposed pruned added)
-        proposals;
-      say "%!"
-
-(* ------------------------------------------------------------------ *)
-(* Static cost model: wall time of the counting-interpreter prediction,
-   its agreement with the dynamic tape, and the planner's own price —
-   what it costs to know the tape size before recording a node. *)
-let bench_cost () =
-  say "-- Static cost model (scvad_cost prediction + planner)\n";
-  match Scvad_activity.Driver.locate_npb_dir () with
-  | None -> say "  (lib/npb sources not found; group skipped)\n"
-  | Some dir ->
-      let module World = Scvad_cost.World in
-      let module Predict = Scvad_cost.Predict in
-      let module Plan = Scvad_cost.Plan in
-      let t0 = Unix.gettimeofday () in
-      let world = World.load ~npb_dir:dir () in
-      let t_load = Unix.gettimeofday () -. t0 in
-      record ~group:"cost" ~name:"world_load/lib_npb" ~metric:"s" t_load;
-      say "  %-40s %10.2f ms\n" "world load (parse + eval all sources)"
-        (t_load *. 1e3);
-      List.iter
-        (fun name ->
-          match World.find_app world name with
-          | None -> ()
-          | Some app ->
-              let t0 = Unix.gettimeofday () in
-              let p = Predict.predict world app in
-              let t_pred = Unix.gettimeofday () -. t0 in
-              record ~tape_nodes:p.Predict.p_total ~group:"cost"
-                ~name:(name ^ "/predict") ~metric:"s" t_pred;
-              let measured =
-                match Scvad_npb.Suite.find name with
-                | Some (module A : Scvad_core.App.S) ->
-                    (Scvad_core.Analyzer.run (module A)).Crit.tape_nodes
-                | None -> -1
-              in
-              say "  %-40s %10.2f ms, %d nodes predicted (measured %d)\n"
-                (name ^ " prediction") (t_pred *. 1e3) p.Predict.p_total
-                measured;
-              let budget_nodes = Stdlib.max 1 (p.Predict.p_total / 3) in
-              let t0 = Unix.gettimeofday () in
-              let plan = Plan.of_prediction p ~budget_nodes in
-              let t_plan = Unix.gettimeofday () -. t0 in
-              record ~budget_nodes
-                ~peak_live_nodes:plan.Plan.peak_live_nodes
-                ~replays:plan.Plan.replays
-                ~replayed_nodes:plan.Plan.replayed_nodes ~group:"cost"
-                ~name:(name ^ "/plan") ~metric:"s" t_plan;
-              say
-                "  %-40s %10.2f ms, %d boundaries, peak %d, %d replays\n"
-                (name ^ " plan (budget = dense/3)")
-                (t_plan *. 1e3)
-                (List.length plan.Plan.boundaries)
-                plan.Plan.peak_live_nodes plan.Plan.replays)
-        [ "cg-tiny"; "lu"; "sp" ];
-      say "%!"
-
-(* ------------------------------------------------------------------ *)
-(* Guarded scrutiny: the static certification pass plus the dynamic
-   falsifier it schedules.  Wall clock: the quantities of interest are
-   the one-shot certification cost, the per-trial falsifier price on
-   the cheapest kernel (IS, whose continuation is dominated by the
-   verification sweep), and how many mask elements the witnesses
-   promote over the plain AD verdict. *)
-let bench_guard () =
-  say "-- Guarded scrutiny (certificates + perturbation falsifier)\n";
-  match Scvad_guard.Driver.locate_npb_dir () with
-  | None -> say "  (lib/npb sources not found; group skipped)\n"
-  | Some dir ->
-      let t0 = Unix.gettimeofday () in
-      let certs, _findings = Scvad_guard.Driver.analyze_dir dir in
-      let t_certs = Unix.gettimeofday () -. t0 in
-      let tainted =
-        Scvad_guard.Cert.count_class certs Scvad_guard.Cert.Control_tainted
-      in
-      record ~group:"guard" ~name:"certify/lib_npb" ~metric:"s" t_certs;
-      record ~group:"guard" ~name:"certify/control_tainted_vars"
-        ~metric:"vars" (float_of_int tainted);
-      say "  %-40s %10.2f ms  (%d control-tainted variables)\n"
-        "certification pass (all kernel sources)" (t_certs *. 1e3) tainted;
-      let app =
-        match Scvad_npb.Suite.find "is" with
-        | Some a -> a
-        | None -> failwith "no is app"
-      in
-      let wall guard =
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Scvad_core.Analyzer.run
-            ~config:
-              { Scvad_core.Analyzer.Config.default with
-                Scvad_core.Analyzer.Config.guard }
-            app
-        in
-        (Unix.gettimeofday () -. t0, r)
-      in
-      let t_plain, plain = wall None in
-      let trials = 200 in
-      let t_guarded, guarded =
-        wall
-          (Some
-             { Scvad_core.Analyzer.g_certs = certs; g_trials = trials;
-               g_seed = 0 })
-      in
-      let critical (r : Crit.report) =
-        List.fold_left
-          (fun acc v -> acc + Crit.critical v)
-          0 r.Crit.vars
-      in
-      let promoted = critical guarded - critical plain in
-      record ~group:"guard" ~name:"is/analyze/plain" ~metric:"s" t_plain;
-      record ~group:"guard"
-        ~name:(Printf.sprintf "is/analyze/guarded_%d_trials" trials)
-        ~metric:"s" t_guarded;
-      record ~group:"guard" ~name:"is/promoted_elements" ~metric:"elements"
-        (float_of_int promoted);
-      say "  %-40s %10.2f ms\n" "is analyze, plain" (t_plain *. 1e3);
-      say "  %-40s %10.2f ms  (%.3f ms/trial, %d elements promoted)\n"
-        (Printf.sprintf "is analyze, guarded (%d trials)" trials)
-        (t_guarded *. 1e3)
-        ((t_guarded -. t_plain) *. 1e3 /. float_of_int trials)
-        promoted;
-      say "%!"
-
-(* ------------------------------------------------------------------ *)
-(* Segmented tape: reverse analysis under a node budget.  Wall clock
-   (one analysis is seconds long); the quantities of interest are the
-   replay overhead the budget buys and the peak live node count, which
-   must stay at or under the budget rounded to whole slabs.  The dense
-   report is the cached one from phase 1, so the masks can be compared
-   bitwise on the spot. *)
-let bench_segmented_tape () =
-  say "-- Segmented tape (memory-budgeted reverse analysis)\n";
-  List.iter
-    (fun name ->
-      let (module A : Scvad_core.App.S) = app name in
-      let dense = report_of (module A) in
-      let budget = max 1 (dense.Crit.tape_nodes / 4) in
-      let config =
-        Scvad_core.Analyzer.Config.(default |> with_memory_budget budget)
-      in
-      let t0 = Unix.gettimeofday () in
-      let seg = Scvad_core.Analyzer.run ~config (module A) in
-      let t_seg = Unix.gettimeofday () -. t0 in
-      let masks_equal =
-        List.for_all
-          (fun (v : Crit.var_report) ->
-            (Crit.find seg v.Crit.name).Crit.mask = v.Crit.mask)
-          dense.Crit.vars
-      in
-      match seg.Crit.tape_profile with
-      | None -> say "  %-40s (no tape profile?)\n" name
-      | Some p ->
-          let visited_nodes, active_fraction =
-            match seg.Crit.sweep_profile with
-            | None -> (None, None)
-            | Some w ->
-                (Some w.Crit.w_visited_nodes, Some w.Crit.w_active_fraction)
-          in
-          record ~tape_nodes:seg.Crit.tape_nodes
-            ~budget_nodes:p.Crit.t_budget_nodes
-            ~peak_live_nodes:p.Crit.t_peak_live_nodes
-            ~replays:p.Crit.t_replays ~replayed_nodes:p.Crit.t_replayed_nodes
-            ?visited_nodes ?active_fraction ~group:"tape"
-            ~name:(name ^ "/reverse_analysis/segmented_quarter_budget")
-            ~metric:"s" t_seg;
-          say
-            "  %-40s %10.2f s, %d nodes, peak live %d (budget %d), %d \
-             replays, overhead %.2fx, masks %s\n"
-            (name ^ " segmented, budget = nodes/4")
-            t_seg seg.Crit.tape_nodes p.Crit.t_peak_live_nodes
-            p.Crit.t_budget_nodes p.Crit.t_replays
-            (1.
-            +. float_of_int p.Crit.t_replayed_nodes
-               /. float_of_int (max 1 seg.Crit.tape_nodes))
-            (if masks_equal then "bitwise-equal" else "DIVERGED"))
-    [ "cg"; "ft" ];
-  say "%!"
-
-(* ------------------------------------------------------------------ *)
-(* Sparse backward: the frontier sweep against the seed's full dense
-   scan on a tape where most adjoints stay exactly zero.  1M nodes, one
-   in 64 on the spine that feeds the output, the rest dead fan-out the
-   adjoint never reaches.  The dense baseline scans (and re-allocates
-   and re-zeroes) all 1M slots every sweep; the frontier sweep word-
-   skips the dead runs and clears only what it touched. *)
-let bench_sparse_backward () =
-  say "-- Sparse backward (frontier sweep vs dense scan, 1/64 active)\n";
-  let fill_sparse_seed t =
-    let v = Seed_tape.push t (-1) 0. (-1) 0. in
-    let last = ref v in
-    for i = 2 to tape_bench_nodes do
-      if i mod 64 = 0 then last := Seed_tape.push t !last 1. v 1.
-      else ignore (Seed_tape.push t v 1. v 1.)
-    done;
-    !last
-  in
-  let fill_sparse_chunked t =
-    let v = Scvad_ad.Tape.fresh_var t in
-    let last = ref v in
-    for i = 2 to tape_bench_nodes do
-      if i mod 64 = 0 then last := Scvad_ad.Tape.push2 t !last 1. v 1.
-      else ignore (Scvad_ad.Tape.push2 t v 1. v 1.)
-    done;
-    !last
-  in
-  let seed = Seed_tape.create ~capacity:16 () in
-  let seed_out = fill_sparse_seed seed in
-  let chunked = Scvad_ad.Tape.create ~capacity_hint:tape_bench_nodes () in
-  let chunked_out = fill_sparse_chunked chunked in
-  let time_min f =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let t_dense =
-    time_min (fun () ->
-        Sys.opaque_identity (ignore (Seed_tape.backward seed ~output:seed_out)))
-  in
-  let t_sparse =
-    time_min (fun () ->
-        Sys.opaque_identity
-          (ignore (Scvad_ad.Tape.backward chunked ~output:chunked_out)))
-  in
-  let st =
-    match Scvad_ad.Tape.last_sweep chunked with
-    | Some st -> st
-    | None -> failwith "sparse backward recorded no sweep stats"
-  in
-  let visited = st.Scvad_ad.Tape_intf.visited_nodes in
-  let swept = st.Scvad_ad.Tape_intf.swept_nodes in
-  let active_fraction = float_of_int visited /. float_of_int (max 1 swept) in
-  record ~tape_nodes:tape_bench_nodes ~group:"tape"
-    ~name:"backward_1M_sparse/dense_scan" ~metric:"s" t_dense;
-  record ~tape_nodes:tape_bench_nodes ~visited_nodes:visited ~active_fraction
-    ~group:"tape" ~name:"backward_1M_sparse/frontier" ~metric:"s" t_sparse;
-  say "  %-40s %10.2f ms  (%d nodes scanned)\n" "dense scan (seed layout)"
-    (t_dense *. 1e3) tape_bench_nodes;
-  say "  %-40s %10.2f ms  (%d of %d nodes visited, %.3f active, %.2fx)\n"
-    "frontier sweep (chunked layout)" (t_sparse *. 1e3) visited swept
-    active_fraction
-    (t_dense /. Float.max 1e-9 t_sparse);
-  say "%!"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel driver                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let run_group ~quota name tests =
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second quota) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  say "-- %s\n" name;
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun tname raw ->
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ ns ] ->
-              let unit, v =
-                if ns > 1e9 then ("s ", ns /. 1e9)
-                else if ns > 1e6 then ("ms", ns /. 1e6)
-                else if ns > 1e3 then ("us", ns /. 1e3)
-                else ("ns", ns)
-              in
-              record ~group:name ~name:tname ~metric:"ns/run" ns;
-              say "  %-40s %10.2f %s/run\n" tname v unit
-          | Some _ | None -> say "  %-40s (no estimate)\n" tname)
-        results)
-    tests;
-  say "%!"
-
-(* Suite-level parallelism: wall time of the whole 8-benchmark analysis
-   pass, sequential vs on the domain pool.  Wall clock (not Bechamel):
-   one analysis pass is seconds long and the quantity of interest is
-   end-to-end latency. *)
-let bench_suite_parallel () =
-  let wall j =
+let time_min f =
+  let best = ref infinity in
+  for _ = 1 to 5 do
     let t0 = Unix.gettimeofday () in
-    let rs =
-      Scvad_core.Analyzer.run_suite
-        ~config:Scvad_core.Analyzer.Config.(default |> with_jobs j)
-        Scvad_npb.Suite.all
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    let nodes =
-      List.fold_left (fun acc (r : Crit.report) -> acc + r.Crit.tape_nodes) 0 rs
-    in
-    (dt, nodes)
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
+let correct = ref true
+
+(* A chain from one input [v]: node i depends on i-1 and [v] when
+   [on_spine i], else only on [v] (dead fan-out no adjoint reaches).
+   Both tapes receive the same pushes, so node ids coincide. *)
+let fill_seed ~on_spine t =
+  let v = Seed_tape.push t (-1) 0. (-1) 0. in
+  let last = ref v in
+  for i = 2 to nodes do
+    if on_spine i then last := Seed_tape.push t !last 1. v 1.
+    else ignore (Seed_tape.push t v 1. v 1.)
+  done;
+  !last
+
+let fill_chunked ~on_spine t =
+  let v = Tape.fresh_var t in
+  let last = ref v in
+  for i = 2 to nodes do
+    if on_spine i then last := Tape.push2 t !last 1. v 1.
+    else ignore (Tape.push2 t v 1. v 1.)
+  done;
+  !last
+
+let all_active _ = true
+
+(* Push throughput: the seed doubles and copies, the chunked tape adds
+   64 slabs of 2^14 nodes without copying. *)
+let push_pair () =
+  let seed =
+    time_min (fun () -> fill_seed ~on_spine:all_active (Seed_tape.create ()))
   in
-  say "-- Parallel scrutiny (8-benchmark suite wall time)\n";
-  let t1, nodes = wall 1 in
-  record ~tape_nodes:nodes ~jobs:1 ~group:"suite" ~name:"analyze_suite/jobs=1"
-    ~metric:"s" t1;
-  say "  %-40s %10.2f s\n" "analyze_suite jobs=1" t1;
-  if !jobs > 1 then begin
-    let tn, nodes_n = wall !jobs in
-    record ~tape_nodes:nodes_n ~jobs:!jobs ~group:"suite"
-      ~name:(Printf.sprintf "analyze_suite/jobs=%d" !jobs)
-      ~metric:"s" tn;
-    say "  %-40s %10.2f s   (%.2fx)\n"
-      (Printf.sprintf "analyze_suite jobs=%d" !jobs)
-      tn (t1 /. tn);
-    let hw = Scvad_par.Pool.hardware_threads () in
-    if !jobs > hw then
-      say
-        "  (note: --jobs %d oversubscribes %d hardware thread%s; expect \
-         speedup only when jobs <= hardware threads)\n"
-        !jobs hw
-        (if hw = 1 then "" else "s")
-  end;
-  say "%!"
+  let chunked =
+    time_min (fun () ->
+        fill_chunked ~on_spine:all_active (Tape.create ~capacity_hint:(1 lsl 14) ()))
+  in
+  Printf.sprintf "{\"seed_s\": %.6g, \"chunked_s\": %.6g}" seed chunked
+
+(* Backward over a recorded chain: the seed's dense scan against the
+   frontier sweep; the input's adjoint must agree bitwise. *)
+let backward_pair ~on_spine =
+  let seed = Seed_tape.create () in
+  let seed_out = fill_seed ~on_spine seed in
+  let chunked = Tape.create ~capacity_hint:nodes () in
+  let chunked_out = fill_chunked ~on_spine chunked in
+  let seed_s = time_min (fun () -> Seed_tape.backward seed ~output:seed_out) in
+  let chunked_s = time_min (fun () -> Tape.backward chunked ~output:chunked_out) in
+  let seed_adj = (Seed_tape.backward seed ~output:seed_out).{0} in
+  let chunked_adj = Tape.adjoint (Tape.backward chunked ~output:chunked_out) 0 in
+  if not (Float.equal seed_adj chunked_adj) then correct := false;
+  let visited =
+    match Tape.last_sweep chunked with
+    | Some st -> st.Scvad_ad.Tape_intf.visited_nodes
+    | None -> -1
+  in
+  Printf.sprintf
+    "{\"seed_s\": %.6g, \"chunked_s\": %.6g, \"nodes\": %d, \"visited_nodes\": %d}"
+    seed_s chunked_s nodes visited
+
+(* The whole suite at jobs=1 and jobs=N; N is at least 2 so the pool's
+   fan-out always runs, even on a one-thread host. *)
+let suite_pair jobs =
+  let last = ref [] in
+  let wall j =
+    time_min (fun () ->
+        last :=
+          Scvad_core.Analyzer.run_suite
+            ~config:Scvad_core.Analyzer.Config.(default |> with_jobs j)
+            Scvad_npb.Suite.all)
+  in
+  let masks () =
+    List.concat_map
+      (fun (r : Crit.report) ->
+        List.map (fun (v : Crit.var_report) -> v.Crit.mask) r.Crit.vars)
+      !last
+  in
+  let t1 = wall 1 in
+  let m1 = masks () in
+  let tape_nodes =
+    List.fold_left (fun acc (r : Crit.report) -> acc + r.Crit.tape_nodes) 0 !last
+  in
+  let tn = wall jobs in
+  if masks () <> m1 then correct := false;
+  Printf.sprintf
+    "{\"jobs1_s\": %.6g, \"jobsN_s\": %.6g, \"jobs\": %d, \"tape_nodes\": %d}"
+    t1 tn jobs tape_nodes
 
 let () =
-  say "============================================================\n";
-  say " scvad benchmark harness — paper tables, figures, timings\n";
-  say "============================================================\n\n";
-  phase1 ();
-  bench_suite_parallel ();
-  bench_static_prefilter ();
-  bench_discover ();
-  bench_cost ();
-  bench_guard ();
-  bench_race ();
-  bench_segmented_tape ();
-  bench_sparse_backward ();
-  say "TIMINGS (Bechamel, ns per run via OLS)\n";
-  run_group ~quota:0.25 "Table I" [ bench_table1 ];
-  run_group ~quota:0.5 "Table II (criticality analysis per benchmark)"
-    (List.map bench_table2 [ "bt"; "sp"; "mg"; "cg"; "lu"; "ep"; "is" ]);
-  run_group ~quota:0.1 "Table II (FT: taped 64^3 inverse FFT)"
-    [ bench_table2 "ft" ];
-  run_group ~quota:0.1 "Scaling: class-W analyses (MG 64^3, CG NA=7000, SP 36^3, LU 33^3)"
-    [ bench_table2 "mg-w"; bench_table2 "cg-w"; bench_table2 "sp-w";
-      bench_table2 "lu-w" ];
-  run_group ~quota:0.25 "Table III (checkpoint encoding, full vs pruned)"
-    (List.concat_map bench_table3 [ "bt"; "mg"; "cg"; "lu"; "ft" ]);
-  run_group ~quota:0.25 "Figures 3-8 (rendering)" bench_figures;
-  run_group ~quota:0.5 "Ablation: analysis modes (reduced CG)" bench_modes;
-  run_group ~quota:0.5 "Ablation: AD recording overhead (BT step)"
-    bench_ad_overhead;
-  run_group ~quota:0.5 "Tape layout: seed (doubling) vs chunked slabs"
-    bench_tape;
-  run_group ~quota:0.25 "Ablation: region codec granularity" bench_regions;
-  run_group ~quota:0.5 "Extension: impact + mixed precision (CG)" bench_mixed;
-  run_group ~quota:0.25 "Baseline: incremental checkpointing (BT)"
-    bench_incremental;
-  run_group ~quota:0.25 "Resilience: checkpoint write throughput (BT, pruned)"
-    bench_store_writes;
-  if !json_out then write_json ();
-  say "\ndone.\n"
+  let jobs = Stdlib.max 2 (Scvad_par.Pool.default_jobs ()) in
+  let push = push_pair () in
+  let dense = backward_pair ~on_spine:all_active in
+  let sparse = backward_pair ~on_spine:(fun i -> i mod 64 = 0) in
+  let suite = suite_pair jobs in
+  Printf.printf
+    "{\"hw_threads\": %d, \"correct\": %b,\n\
+    \ \"tape_push_1M\": %s,\n\
+    \ \"tape_backward_1M\": %s,\n\
+    \ \"tape_backward_1M_sparse\": %s,\n\
+    \ \"analyze_suite\": %s}\n"
+    (Scvad_par.Pool.hardware_threads ())
+    !correct push dense sparse suite
