@@ -69,7 +69,7 @@ let run_gate verdicts =
         if not (check_fast_path (module A) verdicts report) then ok := false)
     checked;
   if !ok then
-    Printf.printf
+    Printf.eprintf
       "activity: gate passed: %d inactive element claim(s) across %d app(s), \
        none dynamically critical; fast-path masks identical.\n"
       claims (List.length checked);

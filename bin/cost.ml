@@ -1,5 +1,6 @@
-(* `scvad check cost`: static tape-size predictions over the NPB kernel
-   sources, with an optional dynamic exactness gate.
+(* `scvad check cost`: tape-size predictions from running the compiled
+   NPB kernels on a counting tape, with an optional dynamic exactness
+   gate.
 
    --gate runs the real dynamic reverse analysis for every predicted
    app and fails unless every prediction matches the measured tape
@@ -72,9 +73,9 @@ let check_is_zero costs =
    not exceed the planner's dense-sweep replay upper bounds. *)
 let check_planned world =
   let name = "cg-tiny" and niter = 4 in
-  match (World.find_app world name, Scvad_npb.Suite.find name) with
-  | Some app, Some (module A : Scvad_core.App.S) -> (
-      let p = Predict.predict ~niter world app in
+  match World.find_app world name with
+  | Some (module A : Scvad_core.App.S) -> (
+      let p = Predict.predict ~niter (module A) in
       let budget_nodes = Stdlib.max 1 (p.Predict.p_total / 3) in
       let plan = Plan.of_prediction p ~budget_nodes in
       let dense =
@@ -112,7 +113,7 @@ let check_planned world =
           if prof.Criticality.t_replays > plan.Plan.replays then
             fail "%s: %d replays exceeds the planned bound %d" name
               prof.Criticality.t_replays plan.Plan.replays)
-  | _ -> fail "planned-schedule check: %s is not available" name
+  | None -> fail "planned-schedule check: %s is not available" name
 
 let run_gate world costs =
   List.iter
@@ -123,25 +124,18 @@ let run_gate world costs =
   check_is_zero costs;
   check_planned world;
   if not !violation then
-    Printf.printf
+    Printf.eprintf
       "cost: gate passed: %d prediction(s) exact against the dynamic tape, \
        all hints within 10%%, IS proven zero-node, planned schedule \
        bitwise-identical within its replay bounds.\n"
       (List.length costs);
   not !violation
 
-(* A kernel the interpreter cannot load is reported without a table:
-   no prediction can be trusted then. *)
-let check ~json ~gate root =
-  match
-    let world = World.load ~npb_dir:root () in
-    let costs = Driver.analyze world in
-    let fits = Driver.fit_families world in
-    (world, costs, fits)
-  with
-  | exception Scvad_cost.Value.Error msg ->
-      prerr_endline ("cost: interpreter error: " ^ msg);
-      exit 1
-  | world, costs, fits ->
-      let render = if json then Driver.render_json else Driver.render_text in
-      (render costs fits, [], fun () -> (not gate) || run_gate world costs)
+(* The predictions run the compiled kernels, so the source ROOT the
+   other passes read is not consulted. *)
+let check ~json ~gate _root =
+  let world = World.load () in
+  let costs = Driver.analyze world in
+  let fits = Driver.fit_families world in
+  let render = if json then Driver.render_json else Driver.render_text in
+  (render costs fits, [], fun () -> (not gate) || run_gate world costs)

@@ -82,7 +82,7 @@ let report_dead_weight (a : Rank.app_ranks) =
     (fun (f : Rank.field_rank) ->
       match f.Rank.f_var with
       | Some v ->
-          Printf.printf
+          Printf.eprintf
             "discover: %s: declared variable %s is candidate dead weight: \
              field %s ranked %s — %s\n"
             a.Rank.r_app v f.Rank.f_field
@@ -141,7 +141,7 @@ let run_gate (ps : Rank.proposals) =
         if not (check_fast_path ps (module A)) then ok := false)
     checked;
   if !ok then
-    Printf.printf
+    Printf.eprintf
       "discover: gate passed: %d app(s) ranked, %d field(s) required, %d \
        prunable, %d unknown; no pruned field dynamically critical; \
        discovered-mode masks identical.\n"

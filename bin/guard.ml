@@ -198,7 +198,7 @@ let run_gate ~trials (certs : Cert.certificates) =
         let (module A : Scvad_core.App.S) = ctx.x_app in
         List.iter
           (fun w ->
-            Printf.printf "guard: witness: %s\n" (describe_witness A.name w))
+            Printf.eprintf "guard: witness: %s\n" (describe_witness A.name w))
           (match ws with [] -> [] | w :: _ -> [ w ]);
         List.map (fun w -> (ctx, w)) ws)
       hunters
@@ -238,7 +238,7 @@ let run_gate ~trials (certs : Cert.certificates) =
       if not (check_restart ctx ws) then ok := false)
     ctxs;
   if !ok then
-    Printf.printf
+    Printf.eprintf
       "guard: gate passed: %d app(s); %d witness(es) on control-tainted \
        variables; %d Smooth-validation trial(s), none falsified; hardened \
        masks verified on restart.\n"

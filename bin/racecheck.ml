@@ -99,7 +99,7 @@ let check_dynamic () =
          certificate: %s\n"
         (Sanitize.witness_to_text w))
     stats.Sanitize.witnesses;
-  Printf.printf
+  Printf.eprintf
     "racecheck: sanitizer: %d batch(es), %d span(s) recorded, %d dropped \
      under budget, %d witness(es).\n"
     stats.Sanitize.batches stats.Sanitize.spans stats.Sanitize.dropped
@@ -112,7 +112,7 @@ let run_gate report =
      witness tells the developer which failure is a real race. *)
   let dynamic_ok = check_dynamic () in
   if static_ok && dynamic_ok then
-    Printf.printf
+    Printf.eprintf
       "racecheck: gate passed: %d site(s) classified (%d race-free, %d \
        assumed), no sanitizer witness at jobs=4.\n"
       (List.length report.Driver.r_sites)

@@ -274,20 +274,13 @@ let print_report (r : Crit.report) =
         (Scvad_checkpoint.Regions.count_regions v.Crit.regions))
     r.Crit.vars
 
-(* Static cost model hooks: interpret the benchmark's kernel source and
-   predict its tape node counts for the requested analysis window. *)
-let predict_cost ~name ~at_iter ~niter =
-  match
-    let world = Scvad_cost.World.load () in
-    Option.map
-      (fun app -> Scvad_cost.Predict.predict ~at_iter ?niter world app)
-      (Scvad_cost.World.find_app world name)
-  with
-  | Some p -> Ok p
-  | None ->
-      Error (Printf.sprintf "no kernel source found for benchmark %S" name)
-  | exception Scvad_cost.Value.Error msg ->
-      Error (Printf.sprintf "static cost model failed: %s" msg)
+(* Static cost model hook: run the benchmark on a counting tape and
+   predict its tape node counts for the requested analysis window.  A
+   window the analyzer would reject is an error, not a plan. *)
+let predict_cost app ~at_iter ~niter =
+  match Scvad_cost.Predict.predict ~at_iter ?niter app with
+  | p -> Ok p
+  | exception Invalid_argument msg -> Error msg
 
 let plan_arg =
   let doc =
@@ -356,7 +349,7 @@ let analyze_cmd =
         | _ -> Ok ())
         >>= fun () ->
         (if wants_cost then
-           Result.map Option.some (predict_cost ~name ~at_iter ~niter)
+           Result.map Option.some (predict_cost (module A) ~at_iter ~niter)
          else Ok None)
         >>= fun prediction ->
         let planned =
@@ -755,7 +748,8 @@ let baseline_arg =
 
 (* The one output/exit step of every pass: print the report, run the
    requested checks, exit 0 when clean, 1 on an error finding or a
-   violation, 2 when ROOT is missing or not a directory. *)
+   violation, 2 when ROOT is missing or not a directory.  Gates write
+   to stderr only, so stdout is the report alone, in either format. *)
 let check_pass ~prefix ~default_root pass json gate root =
   let usage fmt =
     Printf.ksprintf

@@ -100,12 +100,13 @@ end) : Scalar.S with type t = t = struct
   let ( >= ) a b = a.v >= b.v
 end
 
-(* Generic front end over any TAPE backend.  The dense path above stays
-   direct (no functor indirection on the 7.6 ns/node hot path); backends
-   that already pay replay bookkeeping per push — Tape.Segmented — go
+(* Generic front end over any recording backend.  The dense path above
+   stays direct (no functor indirection on the 7.6 ns/node hot path);
+   backends that already pay replay bookkeeping per push —
+   Tape.Segmented — or store nothing at all — Tape.Counting — go
    through here.  The node type is shared, so Variable plumbing and
    capture snapshots work identically for every backend. *)
-module Make (T : Tape_intf.TAPE) = struct
+module Record (T : Tape_intf.RECORD) = struct
   let var tape v = { id = T.fresh_var tape; v }
   let lift tape x = if is_const x then var tape x.v else x
 
@@ -191,6 +192,10 @@ module Make (T : Tape_intf.TAPE) = struct
     let ( > ) a b = a.v > b.v
     let ( >= ) a b = a.v >= b.v
   end
+end
+
+module Make (T : Tape_intf.TAPE) = struct
+  include Record (T)
 
   type gradients = T.adjoints option
 

@@ -54,13 +54,14 @@ val backward : ?fan:Tape_intf.fan -> Tape.t -> t -> gradients
     after the output. *)
 val grad : gradients -> t -> float
 
-(** The same front end over any {!Tape_intf.TAPE} backend.  The node
-    type is shared with the dense path, so values, captures, and
-    Variable plumbing are backend-agnostic; only recording and the
-    backward sweep go through [T].  (The dense path above is kept
-    direct rather than [Make (Tape)] to avoid functor indirection on
-    the push hot path.) *)
-module Make (T : Tape_intf.TAPE) : sig
+(** The recording front end over any {!Tape_intf.RECORD} backend.  The
+    node type is shared with the dense path, so values, captures, and
+    Variable plumbing are backend-agnostic; only the pushes go through
+    [T].  (The dense path above is kept direct rather than
+    [Record (Tape)] to avoid functor indirection on the push hot
+    path.)  [Record (Tape.Counting)] runs a kernel under exactly the
+    push rules {!Make} records with, and counts the nodes. *)
+module Record (T : Tape_intf.RECORD) : sig
   (** [var tape v] introduces an independent variable on [tape]. *)
   val var : T.t -> float -> t
 
@@ -70,6 +71,11 @@ module Make (T : Tape_intf.TAPE) : sig
   module Scalar_of (_ : sig
     val tape : T.t
   end) : Scalar.S with type t = t
+end
+
+(** {!Record} plus the backward sweep of a full {!Tape_intf.TAPE}. *)
+module Make (T : Tape_intf.TAPE) : sig
+  include module type of Record (T)
 
   type gradients
 

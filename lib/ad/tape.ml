@@ -1085,3 +1085,22 @@ module Segmented = struct
       s_peak_live_nodes = t.peak_live * t.sn;
     }
 end
+
+(* A recording that keeps only its length: every push returns the next
+   dense id, exactly as the dense tape would number the node. *)
+module Counting = struct
+  type t = { mutable n : int }
+
+  let create () = { n = 0 }
+  let length t = t.n
+  let capacity _ = 0
+  let clear t = t.n <- 0
+
+  let fresh_var t =
+    let id = t.n in
+    t.n <- id + 1;
+    id
+
+  let push1 t _ _ = fresh_var t
+  let push2 t _ _ _ _ = fresh_var t
+end

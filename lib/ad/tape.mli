@@ -133,3 +133,17 @@ module Segmented : sig
 
   val stats : t -> stats
 end
+
+(** Counting tape: the recording half of a tape ({!Tape_intf.RECORD})
+    with no storage.  Each push returns the id the dense tape would
+    assign, so [length] after a run through [Reverse.Record (Counting)]
+    is that run's tape size.  It has no sweep and no {!Tape_intf.max_nodes}
+    limit: it can size recordings no real tape could hold.  [capacity]
+    is always 0. *)
+module Counting : sig
+  type t
+
+  val create : unit -> t
+
+  include Tape_intf.RECORD with type t := t
+end

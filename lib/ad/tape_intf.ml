@@ -7,6 +7,8 @@
       retained) and {!Tape.Segmented} (bounded live storage, discarded
       segments replayed on demand) both satisfy it, so {!Reverse} and
       the analyzer can swap backends without touching the kernels.
+      Its recording half, {!RECORD}, is also met by {!Tape.Counting},
+      which stores nothing but the next node id.
     - {!DEP}: edges-only dependence tapes (8 bytes per node, no
       partials) — the substrate of {!Activity} and {!Itaint}.
 
@@ -87,9 +89,11 @@ module type STORE = sig
   val fresh_var : t -> int
 end
 
-(** Full reverse-mode tape: nodes carry local partial derivatives and a
-    backward sweep yields adjoints. *)
-module type TAPE = sig
+(** Recording half of a reverse-mode tape: everything {!Reverse.Record}
+    ([var], [lift], [Scalar_of]) needs, and no sweep.  {!Tape.Counting}
+    satisfies only this half, so a counter can predict a recording's
+    node ids but can never be swept. *)
+module type RECORD = sig
   include STORE
 
   (** [push1 t p dp] appends a unary node with parent [p] and local
@@ -98,6 +102,12 @@ module type TAPE = sig
 
   (** [push2 t l dl r dr] appends a binary node. *)
   val push2 : t -> int -> float -> int -> float -> int
+end
+
+(** Full reverse-mode tape: nodes carry local partial derivatives and a
+    backward sweep yields adjoints. *)
+module type TAPE = sig
+  include RECORD
 
   (** Result of a backward sweep. *)
   type adjoints

@@ -342,11 +342,14 @@ let forward_analysis ?pool ~skips (module A : App.S)
     sweep_profile = None;
   }
 
+let check_window who ~at_iter ~niter =
+  if at_iter < 0 || at_iter >= niter then
+    invalid_arg (who ^ ": need 0 <= at_iter < niter")
+
 let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
     ?memory_budget ~schedule ?capacity_hint (module A : App.S) =
   let niter = Option.value niter ~default:A.analysis_niter in
-  if at_iter < 0 || at_iter >= niter then
-    invalid_arg "Analyzer.run: need 0 <= at_iter < niter";
+  check_window "Analyzer.run" ~at_iter ~niter;
   (* The skip set: float variables pre-resolved before any AD runs —
      never lifted onto the tape (or probed), with all-false masks and
      all-zero magnitudes by construction.  Two sources feed it: the
@@ -635,8 +638,7 @@ let run_boundaries ?(config = Config.default) ~boundaries (module A : App.S) =
    mixed-precision checkpoint planner. *)
 let analyze_impact ?(at_iter = 0) ?niter (module A : App.S) =
   let niter = Option.value niter ~default:A.analysis_niter in
-  if at_iter < 0 || at_iter >= niter then
-    invalid_arg "Analyzer.analyze_impact: need 0 <= at_iter < niter";
+  check_window "Analyzer.analyze_impact" ~at_iter ~niter;
   let a = reverse_analysis ~skips:[] (module A) ~at_iter ~niter in
   { Impact.app = A.name; at_iteration = at_iter; analyzed_until = niter;
     vars = a.impact_reports }

@@ -116,6 +116,12 @@ module Config : sig
   val with_capacity_hint : int -> t -> t
 end
 
+(** [check_window who ~at_iter ~niter] raises
+    [Invalid_argument (who ^ ": need 0 <= at_iter < niter")] for an
+    analysis window {!run} rejects.  Shared by every caller that
+    replays the analyzer's protocol, such as the static cost model. *)
+val check_window : string -> at_iter:int -> niter:int -> unit
+
 (** [run ?config app] analyzes one benchmark under [config] (default
     {!Config.default}). *)
 val run : ?config:Config.t -> (module App.S) -> Criticality.report

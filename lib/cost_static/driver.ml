@@ -3,18 +3,13 @@
    static-pass drivers).
 
    The dynamic gate — predictions vs a real `Analyzer.reverse_analysis`
-   tape — lives in `bin/cost.ml`: this library reads kernel *sources*
-   and must not link the compiled kernels it scrutinizes. *)
+   tape — lives in `bin/cost.ml`. *)
 
 (* Paper order; cg-tiny rides along because its hand-written hint once
    drifted 51% from the truth — exactly the rot this pass exists to
    catch. *)
 let s_apps = [ "bt"; "sp"; "mg"; "cg"; "lu"; "ft"; "ep"; "is" ]
 let default_apps = s_apps @ [ "cg-tiny" ]
-
-(* The class-W configurations, for hint cross-checks at scaling-study
-   size.  Interpreting one costs several seconds, so they are opt-in. *)
-let w_apps = [ "bt-w"; "sp-w"; "mg-w"; "cg-w"; "lu-w" ]
 
 type app_cost = {
   c_app : string;
@@ -35,7 +30,7 @@ type family_fit = {
   y_points : class_point list;
 }
 
-(* Interpreter samples for the fit: small enough to stay fast, one more
+(* Counted samples for the fit: small enough to stay fast, one more
    point than the highest plausible degree so overfitting shows up as a
    degree bump (the ADI nests are affine => exact cubics in practice). *)
 let sample_grids = [ 5; 6; 7; 8; 9; 10; 11; 13 ]
@@ -56,9 +51,9 @@ let analyze ?(apps = default_apps) world =
   List.map
     (fun name ->
       match World.find_app world name with
-      | None -> Value.err "no app named %s in the loaded kernels" name
+      | None -> invalid_arg ("Driver.analyze: no app named " ^ name)
       | Some app ->
-          let p = Predict.predict world app in
+          let p = Predict.predict app in
           { c_app = name; c_hint = p.Predict.p_hint; c_p = p })
     apps
 

@@ -2,7 +2,7 @@
 
    The ADI kernels' loop nests are affine in [grid], so their node
    counts are exact integer-valued polynomials of small degree; Newton
-   divided differences over a handful of interpreter samples recover
+   divided differences over a handful of counted samples recover
    the coefficients, and evaluation at class-W/A sizes extrapolates to
    tapes the repository has never been able to record.  All arithmetic
    stays well inside the 2^53 exact-integer range of doubles. *)

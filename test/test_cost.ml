@@ -1,7 +1,8 @@
 (* Static cost model: the golden per-app node-count table at class S,
    the IS zero-node theorem, the hint-drift bound the @cost-check gate
-   enforces, and the Planned-schedule property against the
-   register-machine harness (test_segtape.ml).
+   enforces, predictions at non-zero boundaries and outside a source
+   tree, the analyzer's window check, and the Planned-schedule property
+   against the register-machine harness (test_segtape.ml).
 
    The golden numbers are load-bearing: scvad check cost --gate proves each
    equals the dynamically recorded dense tape length exactly, so a
@@ -14,23 +15,22 @@ module Predict = Scvad_cost.Predict
 module Plan = Scvad_cost.Plan
 module Cost_driver = Scvad_cost.Driver
 
-let npb_dir () =
-  match Scvad_activity.Driver.locate_npb_dir () with
-  | Some d -> d
-  | None -> Alcotest.fail "lib/npb not found above the test cwd"
-
-(* One interpreter pass for the whole suite: the shadow walk over FT
-   dominates the cost, and every test below only reads the results. *)
+(* One counting pass for the whole suite: FT dominates the cost, and
+   every test below only reads the results. *)
 let costs_cache = ref None
 
 let costs () =
   match !costs_cache with
   | Some c -> c
   | None ->
-      let world = World.load ~npb_dir:(npb_dir ()) () in
-      let c = Cost_driver.analyze world in
+      let c = Cost_driver.analyze (World.load ()) in
       costs_cache := Some c;
       c
+
+let find_app name =
+  match World.find_app (World.load ()) name with
+  | Some app -> app
+  | None -> Alcotest.failf "no app named %s" name
 
 let find_cost app =
   match
@@ -111,6 +111,58 @@ let test_hints_within_10pct () =
           Alcotest.failf "%s: hint %d drifts %.0f%% from predicted %d"
             c.Cost_driver.c_app c.Cost_driver.c_hint (100. *. drift) predicted)
     (costs ())
+
+(* Prediction equals the dense recording at non-zero boundaries too:
+   the prefix runs as constants and pushes nothing, in both. *)
+let test_nonzero_boundaries () =
+  List.iter
+    (fun (name, niter, at_iter) ->
+      let app = find_app name in
+      let p = Predict.predict ~at_iter ?niter app in
+      let config =
+        let c = Scvad_core.Analyzer.Config.(default |> with_at_iter at_iter) in
+        match niter with
+        | Some n -> Scvad_core.Analyzer.Config.with_niter n c
+        | None -> c
+      in
+      let r = Scvad_core.Analyzer.run ~config app in
+      Alcotest.(check int)
+        (Printf.sprintf "%s at boundary %d" name at_iter)
+        r.Scvad_core.Criticality.tape_nodes p.Predict.p_total)
+    [ ("lu", None, 1); ("is", None, 3); ("cg-tiny", Some 4, 2) ]
+
+(* Predictions run the compiled kernels, so they need no source tree:
+   from a directory outside the checkout, cg-tiny still predicts its
+   golden total. *)
+let test_no_source_tree () =
+  let cwd = Sys.getcwd () in
+  let dir = Filename.temp_dir "scvad_cost" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Sys.rmdir dir)
+    (fun () ->
+      Sys.chdir dir;
+      match World.find_app (World.load ()) "cg-tiny" with
+      | None -> Alcotest.fail "cg-tiny is not loaded"
+      | Some app ->
+          Alcotest.(check int)
+            "cg-tiny predicted nodes" 21_648
+            (Predict.predict app).Predict.p_total)
+
+(* A window [Analyzer.run] rejects is rejected with the analyzer's
+   message, not predicted as an empty plan or a crash. *)
+let test_window_checked () =
+  List.iter
+    (fun (name, niter, at_iter) ->
+      match Predict.predict ~at_iter ?niter (find_app name) with
+      | _ -> Alcotest.failf "%s: window [%d, niter) was predicted" name at_iter
+      | exception Invalid_argument msg ->
+          if
+            not
+              (Astring.String.is_infix ~affix:"need 0 <= at_iter < niter" msg)
+          then Alcotest.failf "%s: unexpected message %s" name msg)
+    [ ("bt", None, 3); ("cg-tiny", Some 1, 1); ("lu", None, -1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Planner vs. the register machine                                    *)
@@ -247,47 +299,6 @@ let test_planned_validation () =
   mk [ 0 ];
   mk [ 0; 1; 2; 7 ]
 
-(* A kernel file that does not parse must fail the load with the
-   interpreter's own error, naming the file, like any other load
-   failure — not with a raw compiler-libs exception. *)
-let test_syntax_error_names_file () =
-  let module Source = Scvad_lint.Source in
-  let lib =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "scvad_cost_%d_%d" (Unix.getpid ()) (Random.int 100000))
-  in
-  let libs = [ "npb"; "solvers"; "nprand" ] in
-  let src = Filename.dirname (npb_dir ()) in
-  let copies =
-    List.concat_map
-      (fun d ->
-        List.map
-          (fun f ->
-            (f, Filename.concat (Filename.concat lib d) (Filename.basename f)))
-          (Source.ml_files (Filename.concat src d)))
-      libs
-  in
-  let write path text =
-    Out_channel.with_open_bin path (fun oc -> output_string oc text)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (_, f) -> if Sys.file_exists f then Sys.remove f) copies;
-      List.iter (fun d -> Unix.rmdir (Filename.concat lib d)) libs;
-      Unix.rmdir lib)
-    (fun () ->
-      Unix.mkdir lib 0o755;
-      List.iter (fun d -> Unix.mkdir (Filename.concat lib d) 0o755) libs;
-      List.iter (fun (f, dst) -> write dst (Source.read_file f)) copies;
-      let cg = Filename.concat (Filename.concat lib "npb") "cg.ml" in
-      write cg (Source.read_file cg ^ "\nlet let = (\n");
-      match World.load ~npb_dir:(Filename.concat lib "npb") () with
-      | _ -> Alcotest.fail "a corrupt kernel loaded"
-      | exception Scvad_cost.Value.Error msg ->
-          let mentions affix = Astring.String.is_infix ~affix msg in
-          if not (mentions "cg.ml" && mentions "syntax error") then
-            Alcotest.failf "error does not name the file: %s" msg)
-
 let suites =
   [
     ( "cost",
@@ -305,7 +316,11 @@ let suites =
         Alcotest.test_case "planned schedule validation" `Quick
           test_planned_validation;
         QCheck_alcotest.to_alcotest prop_planned_equals_dense;
-        Alcotest.test_case "syntax error names the file" `Quick
-          test_syntax_error_names_file;
+        Alcotest.test_case "predictions equal the tape at non-zero boundaries"
+          `Slow test_nonzero_boundaries;
+        Alcotest.test_case "predictions need no source tree" `Quick
+          test_no_source_tree;
+        Alcotest.test_case "predict rejects an invalid window" `Quick
+          test_window_checked;
       ] );
   ]
