@@ -1,8 +1,9 @@
 (* Micro-benchmarks the end-to-end benchmark in perfbench/ cannot make.
 
    - Tape micro-chains of 1M nodes: push, an all-active backward sweep
-     and a 1/64-sparse backward sweep, each timed on the chunked
-     [Scvad_ad.Tape] and on [Seed_tape], the seed's monolithic
+     and a 1/64-sparse backward sweep, each timed on the unbudgeted
+     [Scvad_ad.Tape] (the one tape engine: chunked slabs, frontier
+     sweep) and on [Seed_tape] (test/seed), the seed's monolithic
      grow-by-doubling tape with a dense backward scan.
    - The 8-benchmark [Analyzer.run_suite] at jobs=1 and at jobs=N
      (perfbench runs jobs=1 only), with the masks of both compared.
@@ -16,71 +17,6 @@
 
 module Crit = Scvad_core.Criticality
 module Tape = Scvad_ad.Tape
-
-(* The seed's tape: one set of Bigarrays, doubled and copied on growth,
-   swept by a dense descending scan.  The baseline of every tape pair. *)
-module Seed_tape = struct
-  type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-  type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type t = {
-    mutable n : int;
-    mutable lhs : i32;
-    mutable rhs : i32;
-    mutable dlhs : f64;
-    mutable drhs : f64;
-  }
-
-  let alloc_i32 n : i32 = Bigarray.(Array1.create int32 c_layout n)
-  let alloc_f64 n : f64 = Bigarray.(Array1.create float64 c_layout n)
-
-  let create () =
-    { n = 0; lhs = alloc_i32 16; rhs = alloc_i32 16; dlhs = alloc_f64 16;
-      drhs = alloc_f64 16 }
-
-  let capacity t = Bigarray.Array1.dim t.lhs
-
-  let grow t =
-    let old = capacity t in
-    let cap = old * 2 in
-    let lhs = alloc_i32 cap and rhs = alloc_i32 cap in
-    let dlhs = alloc_f64 cap and drhs = alloc_f64 cap in
-    Bigarray.Array1.(blit t.lhs (sub lhs 0 old));
-    Bigarray.Array1.(blit t.rhs (sub rhs 0 old));
-    Bigarray.Array1.(blit t.dlhs (sub dlhs 0 old));
-    Bigarray.Array1.(blit t.drhs (sub drhs 0 old));
-    t.lhs <- lhs;
-    t.rhs <- rhs;
-    t.dlhs <- dlhs;
-    t.drhs <- drhs
-
-  let push t l dl r dr =
-    if t.n = capacity t then grow t;
-    let i = t.n in
-    t.lhs.{i} <- Int32.of_int l;
-    t.rhs.{i} <- Int32.of_int r;
-    t.dlhs.{i} <- dl;
-    t.drhs.{i} <- dr;
-    t.n <- i + 1;
-    i
-
-  let backward t ~output =
-    let adj = alloc_f64 (output + 1) in
-    Bigarray.Array1.fill adj 0.;
-    adj.{output} <- 1.;
-    for i = output downto 0 do
-      let a = adj.{i} in
-      (* lint: allow float-equality — exact-zero adjoint skip, replicated
-         from the seed tape so the layout comparison stays faithful *)
-      if a <> 0. then begin
-        let l = Int32.to_int t.lhs.{i} in
-        if l >= 0 then adj.{l} <- adj.{l} +. (a *. t.dlhs.{i});
-        let r = Int32.to_int t.rhs.{i} in
-        if r >= 0 then adj.{r} <- adj.{r} +. (a *. t.drhs.{i})
-      end
-    done;
-    adj
-end
 
 let nodes = 1 lsl 20
 

@@ -122,16 +122,14 @@ let memory_budget_arg =
 let schedule_arg =
   let doc =
     "Recompute-vs-store schedule under --memory-budget: $(b,binomial)
-     (optimal re-snapshotting during replay), $(b,all-store) (never
-     discard; the budget is ignored), or $(b,planned) (snapshot
+     (optimal re-snapshotting during replay) or $(b,planned) (snapshot
      boundaries computed offline by the static cost model before any
      recording)."
   in
   Arg.(
     value
     & opt (enum
-             [ ("binomial", `Binomial); ("all-store", `All_store);
-               ("planned", `Planned) ])
+             [ ("binomial", `Binomial); ("planned", `Planned) ])
         `Binomial
     & info [ "tape-schedule" ] ~doc)
 
@@ -337,8 +335,15 @@ let analyze_cmd =
     let ( >>= ) = Result.bind in
     handle
       ( find_app name >>= fun (module A : Scvad_core.App.S) ->
+        (match
+           Scvad_core.Analyzer.check_window "analyze" ~at_iter
+             ~niter:(Option.value niter ~default:A.analysis_niter)
+         with
+        | () -> Ok ()
+        | exception Invalid_argument msg -> Error msg)
+        >>= fun () ->
         (* The planned schedule and the dry run both consult the static
-           cost model; the closed-form schedules never do. *)
+           cost model; the binomial schedule never does. *)
         let wants_cost =
           dry_run || auto_capacity
           || (schedule = `Planned && memory_budget <> None)
@@ -367,7 +372,6 @@ let analyze_cmd =
           let schedule =
             match schedule with
             | `Binomial -> Scvad_ad.Tape.Segmented.Binomial
-            | `All_store -> Scvad_ad.Tape.Segmented.All_store
             | `Planned ->
                 let _, pl = Option.get planned in
                 Scvad_ad.Tape.Segmented.Planned pl.Scvad_cost.Plan.boundaries

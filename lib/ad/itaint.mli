@@ -14,37 +14,38 @@ val node_id : t -> int
 val is_const : t -> bool
 
 (** Introduce one traced element. *)
-val var : Dep_tape.t -> int -> t
+val var : Tape.t -> int -> t
 
-val lift : Dep_tape.t -> t -> t
+val lift : Tape.t -> t -> t
 
-val add : Dep_tape.t -> t -> t -> t
-val sub : Dep_tape.t -> t -> t -> t
-val mul : Dep_tape.t -> t -> t -> t
-val div : Dep_tape.t -> t -> t -> t
-val rem : Dep_tape.t -> t -> t -> t
-val shift_right : Dep_tape.t -> t -> int -> t
-val shift_left : Dep_tape.t -> t -> int -> t
-val logand : Dep_tape.t -> t -> t -> t
+val add : Tape.t -> t -> t -> t
+val sub : Tape.t -> t -> t -> t
+val mul : Tape.t -> t -> t -> t
+val div : Tape.t -> t -> t -> t
+val rem : Tape.t -> t -> t -> t
+val shift_right : Tape.t -> t -> int -> t
+val shift_left : Tape.t -> t -> int -> t
+val logand : Tape.t -> t -> t -> t
 
 (** Traced comparisons: result value is 0/1 and depends on both sides, so
     branch-controlled counters inherit the dependence. *)
-val lt : Dep_tape.t -> t -> t -> t
+val lt : Tape.t -> t -> t -> t
 
-val le : Dep_tape.t -> t -> t -> t
-val eq : Dep_tape.t -> t -> t -> t
+val le : Tape.t -> t -> t -> t
+val eq : Tape.t -> t -> t -> t
 
 (** [get tape arr idx] reads [arr] at a traced subscript; the result
     depends on both the cell and the subscript. *)
-val get : Dep_tape.t -> t array -> t -> t
+val get : Tape.t -> t array -> t -> t
 
 (** [set tape arr idx x] writes through a traced subscript; the stored
     value additionally depends on the subscript. *)
-val set : Dep_tape.t -> t array -> t -> t -> unit
+val set : Tape.t -> t array -> t -> t -> unit
 
 type result
 
-val backward : Dep_tape.t -> t -> result
+(** Dependence sweep ({!Tape.reach}) from the output. *)
+val backward : Tape.t -> t -> result
 
 (** Does the output depend on this traced int? *)
 val critical : result -> t -> bool

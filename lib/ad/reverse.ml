@@ -11,101 +11,11 @@ let const v = { id = -1; v }
 let value x = x.v
 let node_id x = x.id
 let is_const x = x.id < 0
-let var tape v = { id = Tape.fresh_var tape; v }
 
-let lift tape x = if is_const x then var tape x.v else x
-
-module Scalar_of (T : sig
-  val tape : Tape.t
-end) : Scalar.S with type t = t = struct
-  type nonrec t = t
-
-  let tape = T.tape
-  let zero = const 0.
-  let one = const 1.
-  let of_float v = const v
-  let of_int i = const (float_of_int i)
-  let to_float x = x.v
-
-  let[@inline] node1 v p dp = { id = Tape.push1 tape p.id dp; v }
-
-  let[@inline] node2 v a da b db =
-    { id = Tape.push2 tape a.id da b.id db; v }
-
-  let[@inline] ( +. ) a b =
-    let v = a.v +. b.v in
-    if a.id < 0 && b.id < 0 then const v else node2 v a 1. b 1.
-
-  let[@inline] ( -. ) a b =
-    let v = a.v -. b.v in
-    if a.id < 0 && b.id < 0 then const v else node2 v a 1. b (-1.)
-
-  let[@inline] ( *. ) a b =
-    let v = a.v *. b.v in
-    if a.id < 0 && b.id < 0 then const v else node2 v a b.v b a.v
-
-  let[@inline] ( /. ) a b =
-    let v = a.v /. b.v in
-    if a.id < 0 && b.id < 0 then const v
-    else node2 v a Stdlib.(1. /. b.v) b Stdlib.(-.a.v /. (b.v *. b.v))
-
-  let[@inline] ( ~-. ) a =
-    let v = -.a.v in
-    if a.id < 0 then const v else node1 v a (-1.)
-
-  let sqrt a =
-    let v = Stdlib.sqrt a.v in
-    if a.id < 0 then const v else node1 v a Stdlib.(0.5 /. v)
-
-  let exp a =
-    let v = Stdlib.exp a.v in
-    if a.id < 0 then const v else node1 v a v
-
-  let log a =
-    let v = Stdlib.log a.v in
-    if a.id < 0 then const v else node1 v a Stdlib.(1. /. a.v)
-
-  let sin a =
-    let v = Stdlib.sin a.v in
-    if a.id < 0 then const v else node1 v a (Stdlib.cos a.v)
-
-  let cos a =
-    let v = Stdlib.cos a.v in
-    if a.id < 0 then const v else node1 v a Stdlib.(-.sin a.v)
-
-  (* d|x|/dx = sign x; at 0 we keep the dependence with subgradient 1 so
-     that an element read through [abs] at exactly 0 is not misclassified
-     as uncritical. *)
-  let abs a =
-    let v = Stdlib.abs_float a.v in
-    if a.id < 0 then const v
-    else node1 v a (if a.v >= 0. then 1. else -1.)
-
-  (* max/min select by primal; the derivative follows the winner. *)
-  let max a b =
-    if a.id < 0 && b.id < 0 then const (Stdlib.Float.max a.v b.v)
-    else if a.v >= b.v then node2 a.v a 1. b 0.
-    else node2 b.v a 0. b 1.
-
-  let min a b =
-    if a.id < 0 && b.id < 0 then const (Stdlib.Float.min a.v b.v)
-    else if a.v <= b.v then node2 a.v a 1. b 0.
-    else node2 b.v a 0. b 1.
-
-  let compare a b = Stdlib.compare a.v b.v
-  let equal a b = a.v = b.v
-  let ( < ) a b = a.v < b.v
-  let ( <= ) a b = a.v <= b.v
-  let ( > ) a b = a.v > b.v
-  let ( >= ) a b = a.v >= b.v
-end
-
-(* Generic front end over any recording backend.  The dense path above
-   stays direct (no functor indirection on the 7.6 ns/node hot path);
-   backends that already pay replay bookkeeping per push —
-   Tape.Segmented — or store nothing at all — Tape.Counting — go
-   through here.  The node type is shared, so Variable plumbing and
-   capture snapshots work identically for every backend. *)
+(* The push rules, written once over the recording half of a tape: the
+   engine ({!Tape}) records and sweeps through them, and the counting
+   tape ({!Tape.Counting}) predicts node ids with exactly the same
+   pushes. *)
 module Record (T : Tape_intf.RECORD) = struct
   let var tape v = { id = T.fresh_var tape; v }
   let lift tape x = if is_const x then var tape x.v else x
@@ -168,13 +78,15 @@ module Record (T : Tape_intf.RECORD) = struct
       let v = Stdlib.cos a.v in
       if a.id < 0 then const v else node1 v a Stdlib.(-.sin a.v)
 
-    (* Same subgradient convention as the dense scalar: keep the
-       dependence at 0 so reads through [abs] are never misclassified. *)
+    (* d|x|/dx = sign x; at 0 we keep the dependence with subgradient 1
+       so that an element read through [abs] at exactly 0 is not
+       misclassified as uncritical. *)
     let abs a =
       let v = Stdlib.abs_float a.v in
       if a.id < 0 then const v
       else node1 v a (if a.v >= 0. then 1. else -1.)
 
+    (* max/min select by primal; the derivative follows the winner. *)
     let max a b =
       if a.id < 0 && b.id < 0 then const (Stdlib.Float.max a.v b.v)
       else if a.v >= b.v then node2 a.v a 1. b 0.
@@ -194,20 +106,12 @@ module Record (T : Tape_intf.RECORD) = struct
   end
 end
 
-module Make (T : Tape_intf.TAPE) = struct
-  include Record (T)
+module On_tape = Record (Tape)
 
-  type gradients = T.adjoints option
+let var = On_tape.var
+let lift = On_tape.lift
 
-  let backward ?fan tape (output : t) =
-    if is_const output then None
-    else Some (T.backward ?fan tape ~output:output.id)
-
-  let grad g x =
-    match g with None -> 0. | Some adj -> T.adjoint adj x.id
-end
-
-module Segmented = Make (Tape.Segmented)
+module Scalar_of = On_tape.Scalar_of
 
 (* Gradients of a backward sweep; [None] when the output never touched a
    lifted variable (all derivatives are then 0). *)

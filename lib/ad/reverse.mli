@@ -28,6 +28,22 @@ val node_id : t -> int
 
 val is_const : t -> bool
 
+(** The push rules over any {!Tape_intf.RECORD}: the one definition of
+    which node each [Scalar.S] operation records.  {!var}, {!lift} and
+    {!Scalar_of} below are [Record (Tape)]; [Record (Tape.Counting)]
+    runs a kernel under the same rules and only counts the nodes. *)
+module Record (T : Tape_intf.RECORD) : sig
+  (** [var tape v] introduces an independent variable on [tape]. *)
+  val var : T.t -> float -> t
+
+  val lift : T.t -> t -> t
+
+  (** Scalar structure recording onto the given tape. *)
+  module Scalar_of (_ : sig
+    val tape : T.t
+  end) : Scalar.S with type t = t
+end
+
 (** [var tape v] introduces an independent variable — one element under
     scrutiny. *)
 val var : Tape.t -> float -> t
@@ -45,43 +61,10 @@ type gradients
 
 (** One reverse sweep from [output]; cost is proportional to the
     touched (active) subgraph, not the tape length — see
-    {!Tape_intf.TAPE.backward}.  [?fan] lets independent tape segments
-    be swept in parallel; the result is bitwise identical at any
-    parallelism. *)
+    {!Tape.backward}.  [?fan] lets independent tape slabs be swept in
+    parallel; the result is bitwise identical at any parallelism. *)
 val backward : ?fan:Tape_intf.fan -> Tape.t -> t -> gradients
 
 (** [grad g x] is [d output / d x]; 0 if [x] is a constant or was recorded
     after the output. *)
 val grad : gradients -> t -> float
-
-(** The recording front end over any {!Tape_intf.RECORD} backend.  The
-    node type is shared with the dense path, so values, captures, and
-    Variable plumbing are backend-agnostic; only the pushes go through
-    [T].  (The dense path above is kept direct rather than
-    [Record (Tape)] to avoid functor indirection on the push hot
-    path.)  [Record (Tape.Counting)] runs a kernel under exactly the
-    push rules {!Make} records with, and counts the nodes. *)
-module Record (T : Tape_intf.RECORD) : sig
-  (** [var tape v] introduces an independent variable on [tape]. *)
-  val var : T.t -> float -> t
-
-  val lift : T.t -> t -> t
-
-  (** Scalar structure recording onto the given tape. *)
-  module Scalar_of (_ : sig
-    val tape : T.t
-  end) : Scalar.S with type t = t
-end
-
-(** {!Record} plus the backward sweep of a full {!Tape_intf.TAPE}. *)
-module Make (T : Tape_intf.TAPE) : sig
-  include module type of Record (T)
-
-  type gradients
-
-  val backward : ?fan:Tape_intf.fan -> T.t -> t -> gradients
-  val grad : gradients -> t -> float
-end
-
-(** Front end over {!Tape.Segmented} (memory-budgeted recording). *)
-module Segmented : module type of Make (Tape.Segmented)

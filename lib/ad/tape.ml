@@ -7,19 +7,23 @@
 
    Storage is chunked: a tape is a sequence of equally sized Bigarray
    slabs.  Growing appends one slab (a few Bigarray allocations) instead
-   of reallocating and copying the whole tape — with tens of millions of
-   nodes the doubling-and-blitting scheme this replaces copied hundreds
-   of megabytes per analysis.  A [capacity_hint] sized from the
-   application (App.S.tape_nodes_hint) makes the common case a single
-   slab allocated exactly once.
+   of reallocating and copying the whole tape.  A [capacity_hint] sized
+   from the application (App.S.tape_nodes_hint) makes the common case a
+   single slab allocated exactly once.
 
-   Node ids are global indices; because every slab holds [slab_nodes]
-   nodes, id [i] lives in slab [i / slab_nodes] at offset
-   [i mod slab_nodes].  The hot paths (push, backward) use
-   [Array1.unsafe_get]/[unsafe_set]: push stays inside the current slab
-   by construction, and backward's indices are bounded by the one
-   up-front check on [output] plus the tape invariant that parents are
-   recorded before their children. *)
+   Node ids are global indices; because every slab holds [sn] nodes, id
+   [i] lives in slab [i / sn] at offset [i mod sn].  The hot paths
+   (push, the sweeps) use [Array1.unsafe_get]/[unsafe_set]: push writes
+   only below [cur_end], which never passes the end of [cur], and the
+   sweeps' indices are bounded by the one up-front check on [output]
+   plus the tape invariant that parents are recorded before their
+   children.
+
+   Without a memory budget every node stays stored.  Under a budget,
+   recording keeps only a trailing window of slabs and the backward
+   sweep replays the program to rebuild the discarded ones (see
+   [backward]); the node layout, the ids and the sweep engine are the
+   same either way. *)
 
 type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -42,17 +46,6 @@ type slab = {
    set in [f_bits]. *)
 type frontier = { f_adj : f64; f_bits : Bytes.t }
 
-type t = {
-  slab_nodes : int; (* nodes per slab; identical for every slab *)
-  mutable n : int; (* total nodes recorded *)
-  mutable slabs : slab array; (* allocated slabs, in id order *)
-  mutable nslabs : int; (* slabs allocated (>= slabs in use) *)
-  mutable cur : slab; (* slab containing node id [n] *)
-  mutable cur_end : int; (* [slab_end cur.base slab_nodes] *)
-  mutable fr : frontier option; (* sweep state cached across backwards *)
-  mutable last : Tape_intf.sweep_stats option;
-}
-
 let alloc_i32 n : i32 = Bigarray.(Array1.create int32 c_layout n)
 let alloc_f64 n : f64 = Bigarray.(Array1.create float64 c_layout n)
 
@@ -72,84 +65,11 @@ let default_capacity_hint = 1 lsl 16
    limit is checked. *)
 let slab_end base nodes = Stdlib.min (base + nodes) Tape_intf.max_nodes
 
-let create ?(capacity_hint = default_capacity_hint) () =
-  if capacity_hint < 0 then
-    invalid_arg
-      (Printf.sprintf "Tape.create: capacity_hint must be >= 0 (got %d)"
-         capacity_hint);
-  let slab_nodes = Stdlib.max capacity_hint 16 in
-  let first = alloc_slab ~nodes:slab_nodes ~base:0 in
-  {
-    slab_nodes;
-    n = 0;
-    slabs = [| first |];
-    nslabs = 1;
-    cur = first;
-    cur_end = slab_end 0 slab_nodes;
-    fr = None;
-    last = None;
-  }
-
-let length t = t.n
-let slab_nodes t = t.slab_nodes
-let capacity t = t.nslabs * t.slab_nodes
-
-(* Bytes of tape storage currently reserved (diagnostic). *)
-let reserved_bytes t = capacity t * 24
-
-(* Storage is retained for reuse: subsequent pushes walk the already
-   allocated slabs again. *)
-let clear t =
-  t.n <- 0;
-  t.cur <- t.slabs.(0);
-  t.cur_end <- slab_end 0 t.slab_nodes;
-  (* The frontier cache is storage, not recording state: keep it. *)
-  t.last <- None
-
-(* Make [cur] the slab containing node id [t.n]; never copies node data.
-   Raises [Tape_intf.Too_many_nodes] past the int32 id limit. *)
-let grow t =
-  Tape_intf.check_nodes (t.n + 1);
-  let k = t.n / t.slab_nodes in
-  if k >= t.nslabs then begin
-    if t.nslabs = Array.length t.slabs then begin
-      (* Amortize: double the slab *directory* (cheap, shallow). *)
-      let bigger = Array.make (2 * t.nslabs) t.slabs.(0) in
-      Array.blit t.slabs 0 bigger 0 t.nslabs;
-      t.slabs <- bigger
-    end;
-    t.slabs.(t.nslabs) <-
-      alloc_slab ~nodes:t.slab_nodes ~base:(t.nslabs * t.slab_nodes);
-    t.nslabs <- t.nslabs + 1
-  end;
-  t.cur <- t.slabs.(k);
-  t.cur_end <- slab_end t.cur.base t.slab_nodes
-
-(* Raw node append; returns the new node id. *)
-let push t l dl r dr =
-  let i = t.n in
-  if i = t.cur_end then grow t;
-  let s = t.cur in
-  let j = i - s.base in
-  Bigarray.Array1.unsafe_set s.lhs j (Int32.of_int l);
-  Bigarray.Array1.unsafe_set s.rhs j (Int32.of_int r);
-  Bigarray.Array1.unsafe_set s.dlhs j dl;
-  Bigarray.Array1.unsafe_set s.drhs j dr;
-  t.n <- i + 1;
-  i
-
-(* An input (independent) variable: a parentless node. *)
-let fresh_var t = push t (-1) 0. (-1) 0.
-
-let push1 t parent partial = push t parent partial (-1) 0.
-let push2 t l dl r dr = push t l dl r dr
-
 (* ------------------------------------------------------------------ *)
-(* Sparsity-aware frontier sweep engine, shared by the dense tape and
-   Segmented windows.
+(* Sparsity-aware frontier sweep engine.
 
-   The dense sweep's only skip was the per-node [a <> 0.] test — it
-   still read every adjoint of a 24.5M-node FT tape even though the
+   A dense descending scan's only skip is the per-node [a <> 0.] test:
+   it still reads every adjoint of a 24.5M-node FT tape even though the
    zeroness of most of them IS the paper's uncriticality signal.  Here
    a bitmap tracks which nodes have received any adjoint contribution;
    the descending scan skips untouched nodes 8 or 64 at a time without
@@ -477,17 +397,531 @@ let sweep_range ?fan ~get_slab ~sn ~(adj : f64) ~bits ~hi ~lo () =
 (* Adjoint accumulator produced by a backward sweep. *)
 type adjoints = { adj : f64; upto : int }
 
+(* Adjoint of a node; nodes above the output (or constants, id = -1)
+   cannot influence it, so their adjoint is 0. *)
+let adjoint g id = if id < 0 || id > g.upto then 0. else g.adj.{id}
+
+(* Recompute-vs-store schedule of a budgeted tape.  It lives in
+   [Segmented] because the benchmark names [Tape.Segmented.Binomial]. *)
+module Segmented = struct
+  type schedule =
+    | Binomial
+    | Planned of int list
+        (* precomputed snapshot boundaries, strictly increasing from 0 *)
+
+  let schedule_to_string = function
+    | Binomial -> "binomial"
+    | Planned bs -> Printf.sprintf "planned[%d]" (List.length bs)
+end
+
+let validate_plan bs =
+  let ok =
+    match bs with
+    | [] -> false
+    | b0 :: _ ->
+        b0 = 0
+        && fst
+             (List.fold_left
+                (fun (ok, prev) b -> (ok && b > prev, b))
+                (true, -1) bs)
+  in
+  if not ok then
+    invalid_arg
+      "Tape.create: a Planned schedule must list strictly increasing \
+       boundary indices starting at 0"
+
+(* Recording under a budget keeps only a trailing window of at most
+   [budget_slabs] materialized slabs; older slabs are released to a
+   freelist as soon as replay can rebuild them (a primal snapshot at or
+   below them exists).  [start_segment] marks program-step boundaries;
+   the registered [capture] hook snapshots restart state there — the
+   paper's premise that checkpoint variables are a complete restart
+   state is exactly what makes those snapshots sufficient.  [backward]
+   sweeps slab windows top-down, replaying the program from the nearest
+   snapshot to rematerialize each discarded window.  Replay is
+   deterministic, so re-pushed nodes get the ids they had during
+   recording; watermark checks at every boundary turn any divergence
+   into an error instead of a silent wrong adjoint.
+
+   Nodes pushed before the first [start_segment] of a registered
+   program (the prelude — input lifting) are never replayed and must be
+   parentless: the budgeted sweep skips them (a leaf receives adjoint
+   but propagates nothing), which is enforced at push time.
+
+   The adjoint accumulator itself stays dense (8 bytes per node up to
+   the output): adjoint edges cross segment boundaries, so it cannot be
+   windowed without a second level of checkpointing.  The memory budget
+   bounds tape *node storage* (24 bytes per slot); callers size budgets
+   accordingly.
+
+   Push keeps the dense cost — one compare against [cur_end], four
+   stores, one increment — because every exceptional case takes the
+   [cur_end] slow path: a registered prelude holds [cur_end = n], so
+   each prelude push is checked there, and a replay below its target
+   window writes into [scratch] instead of testing a flag per push. *)
+
+type mode = Recording | Replaying
+
+type t = {
+  sn : int; (* nodes per slab *)
+  budget_slabs : int; (* max materialized slabs; [max_int]: no budget *)
+  schedule : Segmented.schedule;
+  snapshot_slots : int;
+  mutable n : int; (* nodes recorded (or replayed) so far *)
+  mutable total : int; (* frozen recording length at backward *)
+  mutable dir : slab option array; (* slab index -> live storage *)
+  mutable free : slab list; (* detached storage for reuse *)
+  mutable scratch : slab option; (* target of pushes below a replay window *)
+  mutable live_cnt : int; (* materialized slabs *)
+  mutable live_lo : int; (* oldest materialized slab (recording) *)
+  mutable cur : slab; (* storage the next push writes into *)
+  mutable cur_end : int; (* the push of this id takes the slow path *)
+  mutable mode : mode;
+  mutable win_lo : int; (* replay target window, in slabs *)
+  mutable win_hi : int;
+  mutable capture : (unit -> unit -> unit) option;
+  mutable replay_step : (int -> unit) option;
+  mutable marks : int array; (* marks.(s) = n at boundary s *)
+  mutable nseg : int;
+  mutable snaps : (unit -> unit) option array; (* restore thunks *)
+  mutable snap_cnt : int;
+  mutable stride : int; (* snapshot retention stride *)
+  mutable plan : int list; (* binomial re-capture boundaries *)
+  mutable replays : int;
+  mutable replayed_nodes : int;
+  mutable peak_live : int; (* in slabs *)
+  mutable snapshots_taken : int;
+  mutable fr : frontier option; (* sweep state cached across backwards *)
+  mutable last : Tape_intf.sweep_stats option;
+}
+
+(* Raised by a replay push that crosses above the target window: the
+   window is fully rematerialized, so the rest of the program step need
+   not run.  The aborted step leaves kernel state mid-update, which is
+   fine — the next replay restores a snapshot first, and the sweep
+   touches only tape storage. *)
+exception Window_filled
+
+let create ?capacity_hint ?budget_nodes ?(snapshot_slots = 32)
+    ?(schedule = Segmented.Binomial) () =
+  (match capacity_hint with
+  | Some h when h < 0 ->
+      invalid_arg
+        (Printf.sprintf "Tape.create: capacity_hint must be >= 0 (got %d)" h)
+  | _ -> ());
+  (match budget_nodes with
+  | Some b when b < 1 ->
+      invalid_arg
+        (Printf.sprintf "Tape.create: budget_nodes must be >= 1 (got %d)" b)
+  | _ -> ());
+  if snapshot_slots < 1 then
+    invalid_arg
+      (Printf.sprintf "Tape.create: snapshot_slots must be >= 1 (got %d)"
+         snapshot_slots);
+  (match schedule with
+  | Segmented.Planned bs -> validate_plan bs
+  | Segmented.Binomial -> ());
+  let sn =
+    match (capacity_hint, budget_nodes) with
+    | Some h, _ -> Stdlib.max h 16
+    | None, None -> default_capacity_hint
+    | None, Some b ->
+        (* Eight-or-more slabs per budget keeps replay windows coarse
+           enough to amortize a replay pass over many swept nodes. *)
+        Stdlib.max 16 (Stdlib.min default_capacity_hint (b / 8))
+  in
+  let budget_slabs =
+    match budget_nodes with None -> max_int | Some b -> Stdlib.max 1 (b / sn)
+  in
+  let first = alloc_slab ~nodes:sn ~base:0 in
+  let dir = Array.make 8 None in
+  dir.(0) <- Some first;
+  {
+    sn;
+    budget_slabs;
+    schedule;
+    snapshot_slots;
+    n = 0;
+    total = 0;
+    dir;
+    free = [];
+    scratch = None;
+    live_cnt = 1;
+    live_lo = 0;
+    cur = first;
+    cur_end = slab_end 0 sn;
+    mode = Recording;
+    win_lo = 0;
+    win_hi = max_int;
+    capture = None;
+    replay_step = None;
+    marks = Array.make 8 0;
+    nseg = 0;
+    snaps = Array.make 8 None;
+    snap_cnt = 0;
+    stride = 1;
+    plan = [];
+    replays = 0;
+    replayed_nodes = 0;
+    peak_live = 1;
+    snapshots_taken = 0;
+    fr = None;
+    last = None;
+  }
+
+let length t = t.n
+let slab_nodes t = t.sn
+let capacity t = (t.live_cnt + List.length t.free) * t.sn
+
+(* Materialize slab [k] for the push of node [t.n] (idempotent): reuse
+   freelist storage, else allocate; the slab directory doubles.  Raises
+   [Tape_intf.Too_many_nodes] past the int32 id limit. *)
+let materialize t k =
+  Tape_intf.check_nodes (t.n + 1);
+  if k >= Array.length t.dir then begin
+    let cap = ref (2 * Array.length t.dir) in
+    while k >= !cap do
+      cap := 2 * !cap
+    done;
+    let d = Array.make !cap None in
+    Array.blit t.dir 0 d 0 (Array.length t.dir);
+    t.dir <- d
+  end;
+  match t.dir.(k) with
+  | Some s -> s
+  | None ->
+      let base = k * t.sn in
+      let s =
+        match t.free with
+        | s :: rest ->
+            t.free <- rest;
+            { s with base }
+        | [] -> alloc_slab ~nodes:t.sn ~base
+      in
+      t.dir.(k) <- Some s;
+      t.live_cnt <- t.live_cnt + 1;
+      if t.live_cnt > t.peak_live then t.peak_live <- t.live_cnt;
+      s
+
+let release t k =
+  if k < Array.length t.dir then
+    match t.dir.(k) with
+    | None -> ()
+    | Some s ->
+        t.dir.(k) <- None;
+        t.free <- s :: t.free;
+        t.live_cnt <- t.live_cnt - 1
+
+(* Discarding recorded slabs is only sound once replay can rebuild
+   them: a program is registered and the boundary-0 snapshot exists.
+   An unbudgeted tape never reaches this test. *)
+let can_discard t = t.replay_step <> None && t.nseg > 0 && t.snap_cnt > 0
+
+let advance_recording t =
+  let k = t.n / t.sn in
+  let s =
+    match if k < Array.length t.dir then t.dir.(k) else None with
+    | Some s -> s (* re-entry inside a live slab: nothing to grow *)
+    | None ->
+        (* Make room first so the materialized count never exceeds the
+           budget, even transiently. *)
+        while t.live_cnt >= t.budget_slabs && can_discard t && t.live_lo < k do
+          release t t.live_lo;
+          t.live_lo <- t.live_lo + 1
+        done;
+        materialize t k
+  in
+  t.cur <- s;
+  t.cur_end <- slab_end s.base t.sn
+
+let advance_replaying t =
+  let k = t.n / t.sn in
+  if k > t.win_hi then raise Window_filled
+  else if k >= t.win_lo then begin
+    let s = materialize t k in
+    t.cur <- s;
+    t.cur_end <- slab_end s.base t.sn
+  end
+  else begin
+    (* Below the window: the replayed nodes are not needed, so they land
+       in scratch storage that is never swept. *)
+    let scratch =
+      match t.scratch with
+      | Some s -> s
+      | None ->
+          let s = alloc_slab ~nodes:t.sn ~base:0 in
+          t.scratch <- Some s;
+          s
+    in
+    t.cur <- { scratch with base = k * t.sn };
+    t.cur_end <- (k + 1) * t.sn
+  end
+
+(* The push slow path: node [t.n] is at [cur_end]. *)
+let advance t l r =
+  match t.mode with
+  | Replaying -> advance_replaying t
+  | Recording ->
+      let prelude = t.nseg = 0 && t.replay_step <> None in
+      if prelude && (l >= 0 || r >= 0) then
+        invalid_arg
+          "Tape.push: non-constant node before the first start_segment (the \
+           prelude is never replayed, so it may only hold inputs and \
+           constants)";
+      advance_recording t;
+      (* Still in the prelude: check the next push too. *)
+      if prelude then t.cur_end <- t.n + 1
+
+let push t l dl r dr =
+  let i = t.n in
+  if i = t.cur_end then advance t l r;
+  let s = t.cur in
+  let j = i - s.base in
+  Bigarray.Array1.unsafe_set s.lhs j (Int32.of_int l);
+  Bigarray.Array1.unsafe_set s.rhs j (Int32.of_int r);
+  Bigarray.Array1.unsafe_set s.dlhs j dl;
+  Bigarray.Array1.unsafe_set s.drhs j dr;
+  t.n <- i + 1;
+  i
+
+(* An input (independent) variable: a parentless node. *)
+let fresh_var t = push t (-1) 0. (-1) 0.
+
+let push1 t parent partial = push t parent partial (-1) 0.
+let push2 t l dl r dr = push t l dl r dr
+
+let set_program t ~capture ~replay_step =
+  if t.n > 0 then invalid_arg "Tape.set_program: tape already holds nodes";
+  t.capture <- Some capture;
+  t.replay_step <- Some replay_step;
+  (* The prelude starts: every push takes the checked slow path. *)
+  t.cur_end <- t.n
+
+let ensure_boundary_capacity t s =
+  if s >= Array.length t.marks then begin
+    let cap = 2 * Array.length t.marks in
+    let m = Array.make cap 0 in
+    Array.blit t.marks 0 m 0 (Array.length t.marks);
+    t.marks <- m;
+    let sn = Array.make cap None in
+    Array.blit t.snaps 0 sn 0 (Array.length t.snaps);
+    t.snaps <- sn
+  end
+
+let take_snapshot t s =
+  match t.capture with
+  | None -> ()
+  | Some cap ->
+      if t.snaps.(s) = None then begin
+        t.snaps.(s) <- Some (cap ());
+        t.snap_cnt <- t.snap_cnt + 1;
+        t.snapshots_taken <- t.snapshots_taken + 1
+      end
+
+let start_segment t =
+  if t.mode <> Recording then
+    invalid_arg "Tape.start_segment: tape is replaying";
+  let s = t.nseg in
+  ensure_boundary_capacity t s;
+  t.marks.(s) <- t.n;
+  t.nseg <- s + 1;
+  (* Leave the prelude's checked pushes (the slow path re-derives
+     [cur_end] from [cur]'s slab). *)
+  t.cur_end <- t.n;
+  match t.schedule with
+  | Segmented.Planned bs ->
+      (* The plan was sized to the slots up front: no stride doubling,
+         no eviction — just take what the planner asked for. *)
+      if List.mem s bs && t.snap_cnt < t.snapshot_slots then take_snapshot t s
+  | Segmented.Binomial ->
+      if s mod t.stride = 0 then begin
+        if t.snap_cnt >= t.snapshot_slots then begin
+          (* Out of slots: double the retention stride and evict the
+             retained snapshots that fall off it (boundary 0 stays). *)
+          t.stride <- 2 * t.stride;
+          for b = 1 to s - 1 do
+            if b mod t.stride <> 0 then
+              match t.snaps.(b) with
+              | None -> ()
+              | Some _ ->
+                  t.snaps.(b) <- None;
+                  t.snap_cnt <- t.snap_cnt - 1
+          done
+        end;
+        if s mod t.stride = 0 && t.snap_cnt < t.snapshot_slots then
+          take_snapshot t s
+      end
+
+(* Binomial forward plan: absolute boundary indices at which one replay
+   pass from [base] over [len] segments should drop snapshots, with
+   [slots] free.  Splits follow the classic recompute-vs-store
+   recurrence cost(l,c) = min_d d + cost(l-d, c-1) + cost(d, c); with no
+   slots the pass restarts from [base] every time, cost l(l-1)/2.  The
+   memo is local to the call — boundary counts are tiny. *)
+let binomial_plan ~base ~len ~slots =
+  if len <= 1 || slots <= 0 then []
+  else begin
+    let memo = Hashtbl.create 64 in
+    let rec cost l c =
+      if l <= 1 then 0
+      else if c <= 0 then l * (l - 1) / 2
+      else
+        match Hashtbl.find_opt memo (l, c) with
+        | Some (v, _) -> v
+        | None ->
+            let best = ref max_int and best_d = ref 1 in
+            for d = 1 to l - 1 do
+              let v = d + cost (l - d) (c - 1) + cost d c in
+              if v < !best then begin
+                best := v;
+                best_d := d
+              end
+            done;
+            Hashtbl.add memo (l, c) (!best, !best_d);
+            !best
+    in
+    let split l c =
+      ignore (cost l c);
+      match Hashtbl.find_opt memo (l, c) with Some (_, d) -> d | None -> 1
+    in
+    let rec go pos l c acc =
+      if l <= 1 || c <= 0 then List.rev acc
+      else
+        let d = split l c in
+        go (pos + d) (l - d) (c - 1) ((pos + d) :: acc)
+    in
+    go base len slots []
+  end
+
+let diverged () =
+  failwith
+    "Tape.backward: replay diverged from the recording (the program is not \
+     deterministic, or restart state is incomplete)"
+
+(* Rematerialize every slab in [win_lo, win_hi]: restore the nearest
+   snapshot at or below the window, then re-run program steps with
+   pushes landing back on their recorded ids; pushes below the window
+   land in scratch storage, pushes above it abort the pass. *)
+let ensure_window t ~lo_node ~stop_node =
+  let all_live = ref true in
+  for k = t.win_lo to t.win_hi do
+    if k >= Array.length t.dir || t.dir.(k) = None then all_live := false
+  done;
+  if not !all_live then begin
+    let start_node = Stdlib.max (t.win_lo * t.sn) lo_node in
+    let b = ref (-1) in
+    for s = t.nseg - 1 downto 0 do
+      if !b < 0 && t.snaps.(s) <> None && t.marks.(s) <= start_node then
+        b := s
+    done;
+    if !b < 0 then
+      failwith
+        "Tape.backward: no snapshot covers a discarded segment (set_program \
+         was not called before recording)";
+    let base = !b in
+    let restore =
+      match t.snaps.(base) with Some r -> r | None -> assert false
+    in
+    restore ();
+    t.replays <- t.replays + 1;
+    t.mode <- Replaying;
+    t.n <- t.marks.(base);
+    t.cur_end <- t.n;
+    let n_start = t.n in
+    (* Segment index of the window top, for the capture plan.  Planned
+       keeps every recording-time snapshot (no stride eviction), so any
+       still-free slots go to the same binomial-optimal replay-time
+       re-captures. *)
+    let s_stop = ref base in
+    for s = base + 1 to t.nseg - 1 do
+      if t.marks.(s) <= stop_node then s_stop := s
+    done;
+    t.plan <-
+      binomial_plan ~base ~len:(!s_stop - base)
+        ~slots:(t.snapshot_slots - t.snap_cnt);
+    let replay = match t.replay_step with Some r -> r | None -> assert false in
+    (try
+       let s = ref base in
+       while t.n <= stop_node && !s < t.nseg do
+         if t.n <> t.marks.(!s) then diverged ();
+         (match t.plan with
+         | p :: rest when p = !s ->
+             t.plan <- rest;
+             if t.snap_cnt < t.snapshot_slots then take_snapshot t !s
+         | _ -> ());
+         replay !s;
+         if !s + 1 < t.nseg && t.n <> t.marks.(!s + 1) then diverged ();
+         incr s
+       done
+     with Window_filled -> ());
+    t.replayed_nodes <- t.replayed_nodes + (t.n - n_start);
+    for k = t.win_lo to t.win_hi do
+      if k >= Array.length t.dir || t.dir.(k) = None then
+        failwith
+          "Tape.backward: replay did not rematerialize the window (replay \
+           produced fewer nodes than the recording)"
+    done
+  end
+
+(* Budgeted sweep: slab windows of at most [budget_slabs], top-down,
+   each rematerialized by replay if it was discarded and released once
+   swept.  Returns the visited count. *)
+let windowed_sweep ?fan t ~get_slab ~adj ~bits ~output =
+  (* Nodes below the first boundary are the parentless prelude: they
+     receive adjoints but propagate nothing, so the sweep stops at the
+     first watermark and their storage is never consulted. *)
+  let lo_node = if t.nseg > 0 then t.marks.(0) else 0 in
+  let total = t.n in
+  t.total <- total;
+  let visited = ref 0 in
+  if output >= lo_node then begin
+    let k_hi = output / t.sn and k_lo = lo_node / t.sn in
+    let pos = ref k_hi in
+    while !pos >= k_lo do
+      t.win_hi <- !pos;
+      t.win_lo <- Stdlib.max k_lo (!pos - t.budget_slabs + 1);
+      let w_hi_node = Stdlib.min output (((t.win_hi + 1) * t.sn) - 1) in
+      let w_lo_node = Stdlib.max lo_node (t.win_lo * t.sn) in
+      (* Frontier window skip: if no node in the window has received
+         any adjoint contribution, the dense sweep would visit nothing
+         here — skip the replay AND the sweep.  This is where sparsity
+         pays the most: discarded windows of uncritical segments are
+         never rematerialized at all.  Liveness is final because all
+         windows above were already swept and contributions only ever
+         land at lower ids. *)
+      if range_live bits ~lo:w_lo_node ~hi:w_hi_node then begin
+        ensure_window t ~lo_node ~stop_node:w_hi_node;
+        visited :=
+          !visited
+          + sweep_range ?fan ~get_slab ~sn:t.sn ~adj ~bits ~hi:w_hi_node
+              ~lo:w_lo_node ()
+      end;
+      for k = t.win_lo to t.win_hi do
+        release t k
+      done;
+      pos := t.win_lo - 1
+    done
+  end;
+  (* Leave the tape recordable again: length restored, next push
+     rematerializes its slab. *)
+  t.n <- total;
+  t.mode <- Recording;
+  t.cur_end <- total;
+  t.live_lo <- total / t.sn;
+  t.win_lo <- 0;
+  t.win_hi <- max_int;
+  !visited
+
 (* Reverse sweep from [output].  One pass computes d output / d node for
    every node at or below [output] — this is what lets the analysis
    scrutinize every element of every checkpoint variable at once.  The
    sweep is frontier-driven (see the engine above): cost is
    proportional to the touched subgraph, not the tape, and the result
-   is bitwise identical to the dense descending scan it replaced.
+   is bitwise identical to the dense descending scan.
 
    The accumulator and bitmap are cached on the tape across sweeps, so
    a later [backward] on the same tape invalidates previously returned
-   [adjoints] — consistent with the documented one-backward-per-
-   recording contract.
+   [adjoints].
 
    Safety of the unsafe accesses: [output < t.n] is checked once, node
    offsets stay inside their slab by the uniform-slab-size layout, and a
@@ -501,593 +935,125 @@ let backward ?fan t ~output =
   let adj = fr.f_adj and bits = fr.f_bits in
   Bigarray.Array1.unsafe_set adj output 1.;
   set_bit bits output;
-  let get_slab k = Array.unsafe_get t.slabs k in
+  let get_slab k = match t.dir.(k) with Some s -> s | None -> assert false in
   let visited =
-    sweep_range ?fan ~get_slab ~sn:t.slab_nodes ~adj ~bits ~hi:output ~lo:0 ()
+    if t.budget_slabs = max_int then
+      sweep_range ?fan ~get_slab ~sn:t.sn ~adj ~bits ~hi:output ~lo:0 ()
+    else windowed_sweep ?fan t ~get_slab ~adj ~bits ~output
   in
   t.last <-
     Some { Tape_intf.visited_nodes = visited; swept_nodes = output + 1 };
   { adj; upto = output }
 
-let last_sweep t = t.last
+(* Set of nodes the output depends on, as a bitset. *)
+type reach = { reached : Bytes.t; reach_upto : int }
 
-(* Adjoint of a node; nodes above the output (or constants, id = -1)
-   cannot influence it, so their adjoint is 0. *)
-let adjoint g id = if id < 0 || id > g.upto then 0. else g.adj.{id}
-
-(* Segmented tape: same node layout, bounded live storage.
-
-   Recording keeps only a trailing window of at most [budget_slabs]
-   materialized slabs; older slabs are released to a freelist as soon as
-   replay can rebuild them (a primal snapshot at or below them exists).
-   [start_segment] marks program-step boundaries; the registered
-   [capture] hook snapshots restart state there — the paper's premise
-   that checkpoint variables are a complete restart state is exactly
-   what makes those snapshots sufficient.  [backward] sweeps slab
-   windows top-down, replaying the program from the nearest snapshot to
-   rematerialize each discarded window.  Replay is deterministic, so
-   re-pushed nodes get the ids they had during recording; watermark
-   checks at every boundary turn any divergence into an error instead
-   of a silent wrong adjoint.
-
-   Nodes pushed before the first [start_segment] (the prelude — input
-   lifting) are never replayed and must be parentless: the sweep skips
-   them (a leaf receives adjoint but propagates nothing), which is
-   enforced at push time.
-
-   The adjoint accumulator itself stays dense (8 bytes per node up to
-   the output): adjoint edges cross segment boundaries, so it cannot be
-   windowed without a second level of checkpointing.  The memory budget
-   bounds tape *node storage* (24 bytes per slot); callers size budgets
-   accordingly. *)
-module Segmented = struct
-  type schedule =
-    | All_store
-    | Binomial
-    | Planned of int list
-        (* precomputed snapshot boundaries, strictly increasing from 0 *)
-
-  let schedule_to_string = function
-    | All_store -> "all-store"
-    | Binomial -> "binomial"
-    | Planned bs -> Printf.sprintf "planned[%d]" (List.length bs)
-
-  (* [Planned] carries a payload a string cannot supply; parsing stays
-     over the closed-form schedules only. *)
-  let schedule_of_string = function
-    | "all-store" -> Some All_store
-    | "binomial" -> Some Binomial
-    | _ -> None
-
-  let validate_plan bs =
-    let ok =
-      match bs with
-      | [] -> false
-      | b0 :: _ ->
-          b0 = 0
-          && fst
-               (List.fold_left
-                  (fun (ok, prev) b -> (ok && b > prev, b))
-                  (true, -1) bs)
-    in
-    if not ok then
-      invalid_arg
-        "Tape.Segmented: a Planned schedule must list strictly increasing \
-         boundary indices starting at 0"
-
-  type mode = Recording | Replaying
-
-  type t = {
-    sn : int; (* nodes per slab *)
-    budget_slabs : int; (* max materialized slabs *)
-    budget_nodes : int; (* as requested by the caller *)
-    schedule : schedule;
-    snapshot_slots : int;
-    mutable n : int; (* nodes recorded (or replayed) so far *)
-    mutable total : int; (* frozen recording length at backward *)
-    mutable dir : slab option array; (* slab index -> live storage *)
-    mutable free : slab list; (* detached storage for reuse *)
-    mutable live_cnt : int; (* materialized slabs *)
-    mutable live_lo : int; (* oldest materialized slab (recording) *)
-    mutable cur : slab; (* slab for node [n] when materialized *)
-    mutable cur_end : int; (* first id beyond [cur] (or a seek mark) *)
-    mutable skip : bool; (* replay outside the target window *)
-    mutable mode : mode;
-    mutable win_lo : int; (* replay target window, in slabs *)
-    mutable win_hi : int;
-    mutable capture : (unit -> unit -> unit) option;
-    mutable replay_step : (int -> unit) option;
-    mutable marks : int array; (* marks.(s) = n at boundary s *)
-    mutable nseg : int;
-    mutable snaps : (unit -> unit) option array; (* restore thunks *)
-    mutable snap_cnt : int;
-    mutable stride : int; (* snapshot retention stride *)
-    mutable plan : int list; (* binomial re-capture boundaries *)
-    mutable replays : int;
-    mutable replayed_nodes : int;
-    mutable peak_live : int; (* in slabs *)
-    mutable snapshots_taken : int;
-    mutable fr : frontier option; (* sweep state cached across backwards *)
-    mutable last : Tape_intf.sweep_stats option;
-  }
-
-  (* Raised by a replay push that crosses above the target window: the
-     window is fully rematerialized, so the rest of the program step
-     need not run.  The aborted step leaves kernel state mid-update,
-     which is fine — the next replay restores a snapshot first, and the
-     sweep touches only tape storage. *)
-  exception Window_filled
-
-  let create ?slab_nodes ?(snapshot_slots = 32) ?(schedule = Binomial)
-      ~budget_nodes () =
-    if budget_nodes < 1 then
-      invalid_arg
-        (Printf.sprintf
-           "Tape.Segmented.create: budget_nodes must be >= 1 (got %d)"
-           budget_nodes);
-    if snapshot_slots < 1 then
-      invalid_arg
-        (Printf.sprintf
-           "Tape.Segmented.create: snapshot_slots must be >= 1 (got %d)"
-           snapshot_slots);
-    (match schedule with Planned bs -> validate_plan bs | _ -> ());
-    let sn =
-      match slab_nodes with
-      | Some s ->
-          if s < 16 then
-            invalid_arg
-              (Printf.sprintf
-                 "Tape.Segmented.create: slab_nodes must be >= 16 (got %d)" s)
-          else s
-      | None ->
-          (* Eight-or-more slabs per budget keeps replay windows coarse
-             enough to amortize a replay pass over many swept nodes. *)
-          Stdlib.max 16 (Stdlib.min default_capacity_hint (budget_nodes / 8))
-    in
-    let budget_slabs = Stdlib.max 1 (budget_nodes / sn) in
-    let first = alloc_slab ~nodes:sn ~base:0 in
-    let dir = Array.make 8 None in
-    dir.(0) <- Some first;
-    {
-      sn;
-      budget_slabs;
-      budget_nodes;
-      schedule;
-      snapshot_slots;
-      n = 0;
-      total = 0;
-      dir;
-      free = [];
-      live_cnt = 1;
-      live_lo = 0;
-      cur = first;
-      cur_end = slab_end 0 sn;
-      skip = false;
-      mode = Recording;
-      win_lo = 0;
-      win_hi = max_int;
-      capture = None;
-      replay_step = None;
-      marks = Array.make 8 0;
-      nseg = 0;
-      snaps = Array.make 8 None;
-      snap_cnt = 0;
-      stride = 1;
-      plan = [];
-      replays = 0;
-      replayed_nodes = 0;
-      peak_live = 1;
-      snapshots_taken = 0;
-      fr = None;
-      last = None;
-    }
-
-  let length t = t.n
-  let slab_nodes t = t.sn
-
-  let capacity t =
-    (t.live_cnt + List.length t.free) * t.sn
-
-  let reserved_bytes t = capacity t * 24
-
-  (* Materialize slab [k] for the push of node [t.n] (idempotent): reuse
-     freelist storage, else allocate; the slab directory doubles like
-     the dense tape's.  Raises [Tape_intf.Too_many_nodes] past the int32
-     id limit. *)
-  let materialize t k =
-    Tape_intf.check_nodes (t.n + 1);
-    if k >= Array.length t.dir then begin
-      let cap = ref (2 * Array.length t.dir) in
-      while k >= !cap do
-        cap := 2 * !cap
-      done;
-      let d = Array.make !cap None in
-      Array.blit t.dir 0 d 0 (Array.length t.dir);
-      t.dir <- d
-    end;
-    match t.dir.(k) with
+(* Dependence sweep: the frontier scan of [backward] over the same
+   slabs, but on bits alone — a marked node propagates its mark to both
+   parents whatever its partials, so a zero-valued partial still counts
+   as a dependence.  Skipping unmarked runs 8 or 64 at a time is sound
+   for the same reason as in the adjoint sweep: marks only land below
+   the node being processed. *)
+let reach t ~output =
+  if output < 0 || output >= t.n then
+    invalid_arg
+      (Printf.sprintf
+         "Tape.reach: output node %d is not on the tape (%d node%s recorded)"
+         output t.n
+         (if t.n = 1 then "" else "s"));
+  let get_slab k =
+    match if k < Array.length t.dir then t.dir.(k) else None with
     | Some s -> s
     | None ->
-        let base = k * t.sn in
-        let s =
-          match t.free with
-          | s :: rest ->
-              t.free <- rest;
-              { s with base }
-          | [] -> alloc_slab ~nodes:t.sn ~base
-        in
-        t.dir.(k) <- Some s;
-        t.live_cnt <- t.live_cnt + 1;
-        if t.live_cnt > t.peak_live then t.peak_live <- t.live_cnt;
-        s
-
-  let release t k =
-    if k < Array.length t.dir then
-      match t.dir.(k) with
-      | None -> ()
-      | Some s ->
-          t.dir.(k) <- None;
-          t.free <- s :: t.free;
-          t.live_cnt <- t.live_cnt - 1
-
-  (* Discarding recorded slabs is only sound once replay can rebuild
-     them: a program is registered, the schedule allows recompute, and
-     the boundary-0 snapshot exists. *)
-  let can_discard t =
-    t.schedule <> All_store && t.replay_step <> None && t.nseg > 0
-    && t.snap_cnt > 0
-
-  let advance_recording t =
-    let k = t.n / t.sn in
-    (* Make room first so the materialized count never exceeds the
-       budget, even transiently. *)
-    while t.live_cnt >= t.budget_slabs && can_discard t && t.live_lo < k do
-      release t t.live_lo;
-      t.live_lo <- t.live_lo + 1
-    done;
-    let s = materialize t k in
-    t.cur <- s;
-    t.cur_end <- slab_end s.base t.sn;
-    t.skip <- false
-
-  let advance_replaying t =
-    let k = t.n / t.sn in
-    if k > t.win_hi then raise Window_filled
-    else if k >= t.win_lo then begin
-      let s = materialize t k in
-      t.cur <- s;
-      t.cur_end <- slab_end s.base t.sn;
-      t.skip <- false
-    end
+        invalid_arg
+          "Tape.reach: the tape discarded nodes below the output (record \
+           without a memory budget)"
+  in
+  let bits = Bytes.make ((output / 8) + 1) '\000' in
+  set_bit bits output;
+  let visited = ref 0 in
+  let k = ref (output / t.sn) in
+  let s = ref (get_slab !k) in
+  let i = ref output in
+  while !i >= 0 do
+    let ip = !i in
+    let byte = ip lsr 3 in
+    if ip land 7 = 7 && Bytes.unsafe_get bits byte = '\000' then
+      if ip land 63 = 63 && byte >= 7 && Bytes.get_int64_ne bits (byte - 7) = 0L
+      then i := ip - 64
+      else i := ip - 8
     else begin
-      t.skip <- true;
-      t.cur_end <- (k + 1) * t.sn
-    end
-
-  let push t l dl r dr =
-    let i = t.n in
-    if
-      t.mode = Recording && t.nseg = 0 && t.replay_step <> None
-      && (l >= 0 || r >= 0)
-    then
-      invalid_arg
-        "Tape.Segmented.push: non-constant node before the first \
-         start_segment (the prelude is never replayed, so it may only \
-         hold inputs and constants)";
-    if i = t.cur_end then begin
-      match t.mode with
-      | Recording -> advance_recording t
-      | Replaying -> advance_replaying t
-    end;
-    if not t.skip then begin
-      let s = t.cur in
-      let j = i - s.base in
-      Bigarray.Array1.unsafe_set s.lhs j (Int32.of_int l);
-      Bigarray.Array1.unsafe_set s.rhs j (Int32.of_int r);
-      Bigarray.Array1.unsafe_set s.dlhs j dl;
-      Bigarray.Array1.unsafe_set s.drhs j dr
-    end;
-    t.n <- i + 1;
-    i
-
-  let fresh_var t = push t (-1) 0. (-1) 0.
-  let push1 t parent partial = push t parent partial (-1) 0.
-  let push2 t l dl r dr = push t l dl r dr
-
-  let set_program t ~capture ~replay_step =
-    if t.n > 0 then
-      invalid_arg "Tape.Segmented.set_program: tape already holds nodes";
-    t.capture <- Some capture;
-    t.replay_step <- Some replay_step
-
-  let ensure_boundary_capacity t s =
-    if s >= Array.length t.marks then begin
-      let cap = 2 * Array.length t.marks in
-      let m = Array.make cap 0 in
-      Array.blit t.marks 0 m 0 (Array.length t.marks);
-      t.marks <- m;
-      let sn = Array.make cap None in
-      Array.blit t.snaps 0 sn 0 (Array.length t.snaps);
-      t.snaps <- sn
-    end
-
-  let take_snapshot t s =
-    match t.capture with
-    | None -> ()
-    | Some cap ->
-        if t.snaps.(s) = None then begin
-          t.snaps.(s) <- Some (cap ());
-          t.snap_cnt <- t.snap_cnt + 1;
-          t.snapshots_taken <- t.snapshots_taken + 1
-        end
-
-  let start_segment t =
-    if t.mode <> Recording then
-      invalid_arg "Tape.Segmented.start_segment: tape is replaying";
-    let s = t.nseg in
-    ensure_boundary_capacity t s;
-    t.marks.(s) <- t.n;
-    t.nseg <- s + 1;
-    match t.schedule with
-    | All_store -> ()
-    | Planned bs ->
-        (* The plan was sized to the slots up front: no stride doubling,
-           no eviction — just take what the planner asked for. *)
-        if List.mem s bs && t.snap_cnt < t.snapshot_slots then
-          take_snapshot t s
-    | Binomial ->
-        if s mod t.stride = 0 then begin
-          if t.snap_cnt >= t.snapshot_slots then begin
-            (* Out of slots: double the retention stride and evict the
-               retained snapshots that fall off it (boundary 0 stays). *)
-            t.stride <- 2 * t.stride;
-            for b = 1 to s - 1 do
-              if b mod t.stride <> 0 then
-                match t.snaps.(b) with
-                | None -> ()
-                | Some _ ->
-                    t.snaps.(b) <- None;
-                    t.snap_cnt <- t.snap_cnt - 1
-            done
-          end;
-          if s mod t.stride = 0 && t.snap_cnt < t.snapshot_slots then
-            take_snapshot t s
-        end
-
-  (* Binomial forward plan: absolute boundary indices at which one
-     replay pass from [base] over [len] segments should drop snapshots,
-     with [slots] free.  Splits follow the classic recompute-vs-store
-     recurrence cost(l,c) = min_d d + cost(l-d, c-1) + cost(d, c); with
-     no slots the pass restarts from [base] every time, cost l(l-1)/2.
-     The memo is local to the call — boundary counts are tiny. *)
-  let binomial_plan ~base ~len ~slots =
-    if len <= 1 || slots <= 0 then []
-    else begin
-      let memo = Hashtbl.create 64 in
-      let rec cost l c =
-        if l <= 1 then 0
-        else if c <= 0 then l * (l - 1) / 2
-        else
-          match Hashtbl.find_opt memo (l, c) with
-          | Some (v, _) -> v
-          | None ->
-              let best = ref max_int and best_d = ref 1 in
-              for d = 1 to l - 1 do
-                let v = d + cost (l - d) (c - 1) + cost d c in
-                if v < !best then begin
-                  best := v;
-                  best_d := d
-                end
-              done;
-              Hashtbl.add memo (l, c) (!best, !best_d);
-              !best
-      in
-      let split l c =
-        ignore (cost l c);
-        match Hashtbl.find_opt memo (l, c) with
-        | Some (_, d) -> d
-        | None -> 1
-      in
-      let rec go pos l c acc =
-        if l <= 1 || c <= 0 then List.rev acc
-        else
-          let d = split l c in
-          go (pos + d) (l - d) (c - 1) ((pos + d) :: acc)
-      in
-      go base len slots []
-    end
-
-  let diverged () =
-    failwith
-      "Tape.Segmented: replay diverged from the recording (the program \
-       is not deterministic, or restart state is incomplete)"
-
-  (* Rematerialize every slab in [win_lo, win_hi]: restore the nearest
-     snapshot at or below the window, then re-run program steps with
-     pushes landing back on their recorded ids; pushes below the window
-     skip storage, pushes above it abort the pass. *)
-  let ensure_window t ~lo_node ~stop_node =
-    let all_live = ref true in
-    for k = t.win_lo to t.win_hi do
-      if k >= Array.length t.dir || t.dir.(k) = None then all_live := false
-    done;
-    if not !all_live then begin
-      let start_node = Stdlib.max (t.win_lo * t.sn) lo_node in
-      let b = ref (-1) in
-      for s = t.nseg - 1 downto 0 do
-        if !b < 0 && t.snaps.(s) <> None && t.marks.(s) <= start_node then
-          b := s
-      done;
-      if !b < 0 then
-        failwith
-          "Tape.Segmented.backward: no snapshot covers a discarded \
-           segment (set_program was not called before recording)";
-      let base = !b in
-      let restore =
-        match t.snaps.(base) with Some r -> r | None -> assert false
-      in
-      restore ();
-      t.replays <- t.replays + 1;
-      t.mode <- Replaying;
-      t.n <- t.marks.(base);
-      t.skip <- true;
-      t.cur_end <- t.n;
-      let n_start = t.n in
-      (* Segment index of the window top, for the capture plan. *)
-      let s_stop = ref base in
-      for s = base + 1 to t.nseg - 1 do
-        if t.marks.(s) <= stop_node then s_stop := s
-      done;
-      t.plan <-
-        (match t.schedule with
-        | Binomial | Planned _ ->
-            (* Planned keeps every recording-time snapshot (no stride
-               eviction), so any still-free slots go to the same
-               binomial-optimal replay-time re-captures. *)
-            binomial_plan ~base ~len:(!s_stop - base)
-              ~slots:(t.snapshot_slots - t.snap_cnt)
-        | All_store -> []);
-      let replay = match t.replay_step with Some r -> r | None -> assert false in
-      (try
-         let s = ref base in
-         while t.n <= stop_node && !s < t.nseg do
-           if t.n <> t.marks.(!s) then diverged ();
-           (match t.plan with
-           | p :: rest when p = !s ->
-               t.plan <- rest;
-               if t.snap_cnt < t.snapshot_slots then take_snapshot t !s
-           | _ -> ());
-           replay !s;
-           if !s + 1 < t.nseg && t.n <> t.marks.(!s + 1) then diverged ();
-           incr s
-         done
-       with Window_filled -> ());
-      t.replayed_nodes <- t.replayed_nodes + (t.n - n_start);
-      for k = t.win_lo to t.win_hi do
-        if k >= Array.length t.dir || t.dir.(k) = None then
-          failwith
-            "Tape.Segmented.backward: replay did not rematerialize the \
-             window (replay produced fewer nodes than the recording)"
-      done
-    end
-
-  type nonrec adjoints = adjoints
-
-  let adjoint = adjoint
-
-  let backward ?fan t ~output =
-    if output < 0 || output >= t.n then
-      invalid_arg "Tape.Segmented.backward: output is not a tape node";
-    let total = t.n in
-    t.total <- total;
-    (* Nodes below the first boundary are the parentless prelude: they
-       receive adjoints but propagate nothing, so the sweep stops at the
-       first watermark and their storage is never consulted. *)
-    let lo_node = if t.nseg > 0 then t.marks.(0) else 0 in
-    let fr = obtain_frontier t.fr ~dim:(output + 1) in
-    t.fr <- Some fr;
-    let adj = fr.f_adj and bits = fr.f_bits in
-    Bigarray.Array1.unsafe_set adj output 1.;
-    set_bit bits output;
-    let visited = ref 0 in
-    if output >= lo_node then begin
-      let k_hi = output / t.sn and k_lo = lo_node / t.sn in
-      let get_slab k =
-        match t.dir.(k) with Some s -> s | None -> assert false
-      in
-      let pos = ref k_hi in
-      while !pos >= k_lo do
-        t.win_hi <- !pos;
-        t.win_lo <- Stdlib.max k_lo (!pos - t.budget_slabs + 1);
-        let w_hi_node = Stdlib.min output (((t.win_hi + 1) * t.sn) - 1) in
-        let w_lo_node = Stdlib.max lo_node (t.win_lo * t.sn) in
-        (* Frontier window skip: if no node in the window has received
-           any adjoint contribution, the dense sweep would visit
-           nothing here — skip the replay AND the sweep.  This is where
-           sparsity pays the most: discarded windows of uncritical
-           segments are never rematerialized at all.  Liveness is final
-           because all windows above were already swept and
-           contributions only ever land at lower ids. *)
-        if range_live bits ~lo:w_lo_node ~hi:w_hi_node then begin
-          ensure_window t ~lo_node ~stop_node:w_hi_node;
-          visited :=
-            !visited
-            + sweep_range ?fan ~get_slab ~sn:t.sn ~adj ~bits ~hi:w_hi_node
-                ~lo:w_lo_node ()
-        end;
-        for k = t.win_lo to t.win_hi do
-          release t k
+      if bit_set bits ip then begin
+        incr visited;
+        while ip < (!s).base do
+          decr k;
+          s := get_slab !k
         done;
-        pos := t.win_lo - 1
-      done
-    end;
-    (* Leave the tape recordable again: length restored, next push
-       rematerializes its slab. *)
-    t.n <- total;
-    t.mode <- Recording;
-    t.skip <- true;
-    t.cur_end <- total;
-    t.live_lo <- total / t.sn;
-    t.win_lo <- 0;
-    t.win_hi <- max_int;
-    t.last <-
-      Some { Tape_intf.visited_nodes = !visited; swept_nodes = output + 1 };
-    { adj; upto = output }
+        let sl = !s in
+        let j = ip - sl.base in
+        let l = Int32.to_int (Bigarray.Array1.unsafe_get sl.lhs j) in
+        if l >= 0 then set_bit bits l;
+        let r = Int32.to_int (Bigarray.Array1.unsafe_get sl.rhs j) in
+        if r >= 0 then set_bit bits r
+      end;
+      i := ip - 1
+    end
+  done;
+  t.last <-
+    Some { Tape_intf.visited_nodes = !visited; swept_nodes = output + 1 };
+  { reached = bits; reach_upto = output }
 
-  let last_sweep t = t.last
+let reachable g id = id >= 0 && id <= g.reach_upto && bit_set g.reached id
+let last_sweep t = t.last
 
-  let clear t =
-    for k = 0 to Array.length t.dir - 1 do
-      release t k
-    done;
-    Array.fill t.snaps 0 (Array.length t.snaps) None;
-    t.n <- 0;
-    t.total <- 0;
-    t.nseg <- 0;
-    t.snap_cnt <- 0;
-    t.stride <- 1;
-    t.plan <- [];
-    t.mode <- Recording;
-    t.skip <- true;
-    t.cur_end <- 0;
-    t.live_lo <- 0;
-    t.win_lo <- 0;
-    t.win_hi <- max_int;
-    t.replays <- 0;
-    t.replayed_nodes <- 0;
-    t.snapshots_taken <- 0;
-    t.peak_live <- t.live_cnt;
-    (* The frontier cache is storage, not recording state: keep it. *)
-    t.last <- None
+(* Storage is retained for reuse: every slab goes back to the freelist
+   and the next pushes take it again. *)
+let clear t =
+  for k = 0 to Array.length t.dir - 1 do
+    release t k
+  done;
+  Array.fill t.snaps 0 (Array.length t.snaps) None;
+  t.n <- 0;
+  t.total <- 0;
+  t.nseg <- 0;
+  t.snap_cnt <- 0;
+  t.stride <- 1;
+  t.plan <- [];
+  t.mode <- Recording;
+  t.cur_end <- 0;
+  t.live_lo <- 0;
+  t.win_lo <- 0;
+  t.win_hi <- max_int;
+  t.replays <- 0;
+  t.replayed_nodes <- 0;
+  t.snapshots_taken <- 0;
+  t.peak_live <- t.live_cnt;
+  (* The frontier cache is storage, not recording state: keep it. *)
+  t.last <- None
 
-  type stats = {
-    s_schedule : schedule;
-    s_budget_nodes : int;
-    s_slab_nodes : int;
-    s_total_nodes : int;
-    s_segments : int;
-    s_snapshots : int;
-    s_replays : int;
-    s_replayed_nodes : int;
-    s_peak_live_nodes : int;
+type stats = {
+  s_slab_nodes : int;
+  s_total_nodes : int;
+  s_segments : int;
+  s_snapshots : int;
+  s_replays : int;
+  s_replayed_nodes : int;
+  s_peak_live_nodes : int;
+}
+
+let stats t =
+  {
+    s_slab_nodes = t.sn;
+    s_total_nodes = Stdlib.max t.total t.n;
+    s_segments = t.nseg;
+    s_snapshots = t.snapshots_taken;
+    s_replays = t.replays;
+    s_replayed_nodes = t.replayed_nodes;
+    s_peak_live_nodes = t.peak_live * t.sn;
   }
 
-  let stats t =
-    {
-      s_schedule = t.schedule;
-      s_budget_nodes = t.budget_nodes;
-      s_slab_nodes = t.sn;
-      s_total_nodes = Stdlib.max t.total t.n;
-      s_segments = t.nseg;
-      s_snapshots = t.snapshots_taken;
-      s_replays = t.replays;
-      s_replayed_nodes = t.replayed_nodes;
-      s_peak_live_nodes = t.peak_live * t.sn;
-    }
-end
-
 (* A recording that keeps only its length: every push returns the next
-   dense id, exactly as the dense tape would number the node. *)
+   dense id, exactly as the tape would number the node. *)
 module Counting = struct
   type t = { mutable n : int }
 

@@ -14,8 +14,9 @@
    - [Forward_probe]: one dual-number run per element — the naive
      reading of "inspect every single element", kept as an oracle and an
      ablation;
-   - [Activity_dependence]: edges-only dependence reachability, cheaper
-     but ignoring zero-valued partials.
+   - [Activity_dependence]: the reverse-mode recording swept for
+     dependence reachability instead of adjoints, ignoring zero-valued
+     partials.
 
    Parallelism: every analysis accepts an optional {!Scvad_par.Pool} and
    fans its independent parts across it — per-variable mask/region
@@ -35,10 +36,10 @@ let fan pool f xs =
 let fan_init pool n f =
   match pool with None -> Array.init n f | Some p -> Pool.init p n f
 
-(* The same pool, as the backend-agnostic fan-out capability the tape
-   layer accepts: with it, the backward sweep runs independent tape
-   segments in parallel (bitwise identical to the sequential sweep at
-   any [jobs] — see {!Scvad_ad.Tape_intf.TAPE.backward}). *)
+(* The same pool, as the pool-agnostic fan-out capability the tape
+   accepts: with it, the backward sweep runs independent tape slabs in
+   parallel (bitwise identical to the sequential sweep at any [jobs] —
+   see {!Scvad_ad.Tape.backward}). *)
 let fan_of pool =
   Option.map
     (fun p -> { Tape_intf.fan_run = (fun f xs -> Pool.map p f xs) })
@@ -98,78 +99,42 @@ let int_reports (module A : App.S) (int_vars : Variable.int_t list) =
         ~spe:1 ~kind:Criticality.Int_var mask)
     int_vars
 
-(* One reverse pass yields both products: criticality masks (derivative
-   is zero / nonzero) and impact magnitudes (|derivative| per element),
-   which power the mixed-precision extension.  Extraction — one scan of
-   every snapshot plus the region encoding — fans out per variable. *)
-let reverse_analysis ?pool ~skips ?capacity_hint
-    (module A : App.S) ~at_iter ~niter =
-  let capacity_hint =
-    (* A caller-supplied hint (e.g. the static cost model's exact
-       prediction) overrides the app's hand-maintained ballpark. *)
-    Option.value capacity_hint ~default:A.tape_nodes_hint
-  in
-  let tape = Tape.create ~capacity_hint () in
-  let module RS = Reverse.Scalar_of (struct
-    let tape = tape
-  end) in
-  let module I = A.Make (RS) in
-  let state = I.create () in
-  I.run state ~from:0 ~until:at_iter;
-  let fvars = I.float_vars state in
-  (* Capture the lifted nodes: they are the checkpointed values, even if
-     the run overwrites the variable afterwards.  Statically-inactive
-     variables are pre-resolved: no lifting, no tape nodes. *)
-  let snapshots =
-    List.map
-      (fun (v : RS.t Variable.t) ->
-        if List.mem v.Variable.name skips then (v, None)
-        else (v, Some (Variable.lift_capture v (Reverse.lift tape))))
-      fvars
-  in
-  I.run state ~from:at_iter ~until:niter;
-  let g = Reverse.backward ?fan:(fan_of pool) tape (I.output state) in
-  let per_var =
-    fan pool
-      (fun ((v : RS.t Variable.t), snapshot) ->
-        match snapshot with
-        | None ->
-            all_false_reports ~name:v.Variable.name ~shape:v.Variable.shape
-              ~spe:v.Variable.spe
-        | Some snapshot ->
-            let mask, magnitudes =
-              Variable.mask_and_magnitudes_of_snapshot v snapshot
-                (Reverse.grad g)
-            in
-            ( Criticality.of_mask ~name:v.Variable.name ~shape:v.Variable.shape
-                ~spe:v.Variable.spe ~kind:Criticality.Float_var mask,
-              Impact.of_magnitudes ~name:v.Variable.name ~shape:v.Variable.shape
-                ~spe:v.Variable.spe magnitudes ))
-      snapshots
-  in
-  {
-    float_reports = List.map fst per_var;
-    impact_reports = List.map snd per_var;
-    int_reports = int_reports (module A) (I.int_vars state);
-    tape_nodes = Tape.length tape;
-    tape_profile = None;
-    sweep_profile = sweep_profile_of (Tape.last_sweep tape);
-  }
+(* The sweep that reads criticality off the recording: [Gradient] runs
+   the backward sweep (masks from zero / nonzero derivatives, plus
+   |derivative| magnitudes for the mixed-precision extension);
+   [Reach] runs the dependence sweep (an element is active when the
+   output is reachable from it, whatever the partials' values). *)
+type sweep = Gradient | Reach
 
-(* Reverse analysis under a node budget: the same lift / run / backward
-   protocol, recorded on {!Tape.Segmented}.  Each main-loop iteration of
-   the analyzed window is one tape segment; the registered capture hook
-   snapshots the checkpoint variables (floats and ints) at every
-   boundary, and the replay hook re-runs one iteration from a restored
-   boundary — the checkpointing premise ("restore + run reproduces the
+(* The one recording protocol of reverse and activity mode.  The prefix
+   runs as constants, every checkpoint variable not in [skips] is
+   lifted, then each main-loop iteration of the window runs as one
+   program step; the last step also computes the output reduction.
+
+   Under a [budget] (node slots and schedule) the tape keeps only a
+   window of slabs: each step is a tape segment, the capture hook
+   snapshots the checkpoint variables (floats and ints) at its
+   boundary, and the replay hook re-runs it from a restored boundary —
+   the checkpointing premise ("restore + run reproduces the
    continuation", verified bitwise by the falsifier's stability check)
-   is exactly what makes the replay deterministic.  The final segment
-   also recomputes the output reduction, so its nodes replay too. *)
-let segmented_reverse_analysis ?pool ~skips ~budget_nodes
-    ~schedule (module A : App.S) ~at_iter ~niter =
-  let module T = Tape.Segmented in
-  let tape = T.create ~schedule ~budget_nodes () in
-  let module RS = Reverse.Segmented.Scalar_of (struct
+   is exactly what makes the replay deterministic.  Without a budget
+   the tape stores every node and nothing replays.
+
+   Extraction — one scan of every snapshot plus the region encoding —
+   fans out per variable. *)
+let tape_analysis ?pool ~skips ?capacity_hint ?budget ~sweep
+    (module A : App.S) ~at_iter ~niter =
+  let tape =
+    match budget with
+    | Some (budget_nodes, schedule) -> Tape.create ~budget_nodes ~schedule ()
+    | None ->
+        (* A caller-supplied hint (e.g. the static cost model's exact
+           prediction) overrides the app's hand-maintained ballpark. *)
+        Tape.create
+          ~capacity_hint:(Option.value capacity_hint ~default:A.tape_nodes_hint)
+          ()
+  in
+  let module RS = Reverse.Scalar_of (struct
     let tape = tape
   end) in
   let module I = A.Make (RS) in
@@ -180,38 +145,51 @@ let segmented_reverse_analysis ?pool ~skips ~budget_nodes
     I.run state ~from:(at_iter + s) ~until:(at_iter + s + 1);
     if s = nsteps - 1 then out := I.output state
   in
-  let capture () =
-    let fs =
-      List.map (fun v -> (v, Variable.snapshot v)) (I.float_vars state)
+  if budget <> None then begin
+    let capture () =
+      let fs =
+        List.map (fun v -> (v, Variable.snapshot v)) (I.float_vars state)
+      in
+      let is =
+        List.map (fun v -> (v, Variable.int_snapshot v)) (I.int_vars state)
+      in
+      fun () ->
+        List.iter (fun (v, s) -> Variable.restore v s) fs;
+        List.iter (fun (v, s) -> Variable.int_restore v s) is
     in
-    let is =
-      List.map (fun v -> (v, Variable.int_snapshot v)) (I.int_vars state)
-    in
-    fun () ->
-      List.iter (fun (v, s) -> Variable.restore v s) fs;
-      List.iter (fun (v, s) -> Variable.int_restore v s) is
-  in
-  T.set_program tape ~capture ~replay_step:step;
+    Tape.set_program tape ~capture ~replay_step:step
+  end;
   (* Prelude: constants fold, lifts are parentless — nothing here is
      ever replayed. *)
   I.run state ~from:0 ~until:at_iter;
-  let fvars = I.float_vars state in
+  (* Capture the lifted nodes: they are the checkpointed values, even if
+     the run overwrites the variable afterwards.  Statically-inactive
+     variables are pre-resolved: no lifting, no tape nodes. *)
   let snapshots =
     List.map
       (fun (v : RS.t Variable.t) ->
         if List.mem v.Variable.name skips then (v, None)
-        else (v, Some (Variable.lift_capture v (Reverse.Segmented.lift tape))))
-      fvars
+        else (v, Some (Variable.lift_capture v (Reverse.lift tape))))
+      (I.float_vars state)
   in
   for s = 0 to nsteps - 1 do
-    T.start_segment tape;
+    if budget <> None then Tape.start_segment tape;
     step s
   done;
-  (* [backward] replays segments, which rewinds live state to interior
-     boundaries; resolve integer criticality now, from the completed
-     run, before any replay can disturb it. *)
+  (* A budgeted [backward] replays segments, which rewinds live state to
+     interior boundaries; resolve integer criticality now, from the
+     completed run, before any replay can disturb it. *)
   let ints = int_reports (module A) (I.int_vars state) in
-  let g = Reverse.Segmented.backward ?fan:(fan_of pool) tape !out in
+  (* Per-node magnitude: |d output / d node|, or 1 / 0 for reached /
+     unreached under the dependence sweep. *)
+  let magnitude =
+    match sweep with
+    | Gradient -> Reverse.grad (Reverse.backward ?fan:(fan_of pool) tape !out)
+    | Reach when Reverse.is_const !out -> fun _ -> 0.
+    | Reach ->
+        let r = Tape.reach tape ~output:(Reverse.node_id !out) in
+        fun x -> if Tape.reachable r (Reverse.node_id x) then 1. else 0.
+  in
   let per_var =
     fan pool
       (fun ((v : RS.t Variable.t), snapshot) ->
@@ -221,8 +199,7 @@ let segmented_reverse_analysis ?pool ~skips ~budget_nodes
               ~spe:v.Variable.spe
         | Some snapshot ->
             let mask, magnitudes =
-              Variable.mask_and_magnitudes_of_snapshot v snapshot
-                (Reverse.Segmented.grad g)
+              Variable.mask_and_magnitudes_of_snapshot v snapshot magnitude
             in
             ( Criticality.of_mask ~name:v.Variable.name ~shape:v.Variable.shape
                 ~spe:v.Variable.spe ~kind:Criticality.Float_var mask,
@@ -230,68 +207,27 @@ let segmented_reverse_analysis ?pool ~skips ~budget_nodes
                 ~spe:v.Variable.spe magnitudes ))
       snapshots
   in
-  let st = T.stats tape in
+  let st = Tape.stats tape in
   {
     float_reports = List.map fst per_var;
-    impact_reports = List.map snd per_var;
+    impact_reports =
+      (match sweep with Gradient -> List.map snd per_var | Reach -> []);
     int_reports = ints;
-    tape_nodes = st.T.s_total_nodes;
+    tape_nodes = st.Tape.s_total_nodes;
     tape_profile =
-      Some
-        {
-          Criticality.t_schedule = T.schedule_to_string st.T.s_schedule;
-          t_budget_nodes = st.T.s_budget_nodes;
-          t_segments = st.T.s_segments;
-          t_snapshots = st.T.s_snapshots;
-          t_replays = st.T.s_replays;
-          t_replayed_nodes = st.T.s_replayed_nodes;
-          t_peak_live_nodes = st.T.s_peak_live_nodes;
-        };
-    sweep_profile = sweep_profile_of (T.last_sweep tape);
-  }
-
-let activity_analysis ?pool ~skips (module A : App.S)
-    ~at_iter ~niter =
-  let tape = Dep_tape.create ~capacity:(1 lsl 16) () in
-  let module AS = Activity.Scalar_of (struct
-    let tape = tape
-  end) in
-  let module I = A.Make (AS) in
-  let state = I.create () in
-  I.run state ~from:0 ~until:at_iter;
-  let fvars = I.float_vars state in
-  let snapshots =
-    List.map
-      (fun (v : AS.t Variable.t) ->
-        if List.mem v.Variable.name skips then (v, None)
-        else (v, Some (Variable.lift_capture v (Activity.lift tape))))
-      fvars
-  in
-  I.run state ~from:at_iter ~until:niter;
-  let r = Activity.backward tape (I.output state) in
-  let vars =
-    fan pool
-      (fun ((v : AS.t Variable.t), snapshot) ->
-        match snapshot with
-        | None ->
-            fst
-              (all_false_reports ~name:v.Variable.name ~shape:v.Variable.shape
-                 ~spe:v.Variable.spe)
-        | Some snapshot ->
-            let mask =
-              Variable.element_mask_of_snapshot v snapshot (Activity.active r)
-            in
-            Criticality.of_mask ~name:v.Variable.name ~shape:v.Variable.shape
-              ~spe:v.Variable.spe ~kind:Criticality.Float_var mask)
-      snapshots
-  in
-  {
-    float_reports = vars;
-    impact_reports = [];
-    int_reports = int_reports (module A) (I.int_vars state);
-    tape_nodes = Dep_tape.length tape;
-    tape_profile = None;
-    sweep_profile = sweep_profile_of (Dep_tape.last_sweep tape);
+      Option.map
+        (fun (budget_nodes, schedule) ->
+          {
+            Criticality.t_schedule = Tape.Segmented.schedule_to_string schedule;
+            t_budget_nodes = budget_nodes;
+            t_segments = st.Tape.s_segments;
+            t_snapshots = st.Tape.s_snapshots;
+            t_replays = st.Tape.s_replays;
+            t_replayed_nodes = st.Tape.s_replayed_nodes;
+            t_peak_live_nodes = st.Tape.s_peak_live_nodes;
+          })
+        budget;
+    sweep_profile = sweep_profile_of (Tape.last_sweep tape);
   }
 
 let forward_analysis ?pool ~skips (module A : App.S)
@@ -375,24 +311,23 @@ let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
     | Some ranks -> Scvad_discover.Rank.pruned_float_vars ranks
     | None -> []
   in
-  (* A memory budget routes reverse mode through the segmented tape.
-     The other modes ignore it: forward probing records no tape at all,
-     and the activity tape stores edges only — orders of magnitude
-     below the reverse tape that motivates the budget. *)
+  (* A memory budget bounds the reverse tape.  The other modes ignore
+     it: forward probing records no tape at all, and the dependence
+     sweep reads every node below the output, so its tape must keep
+     them all. *)
   let a =
-    match (mode, memory_budget) with
-    | Criticality.Reverse_gradient, Some budget_nodes ->
-        segmented_reverse_analysis ?pool ~skips ~budget_nodes
-          ~schedule
+    match mode with
+    | Criticality.Reverse_gradient ->
+        tape_analysis ?pool ~skips ?capacity_hint
+          ?budget:(Option.map (fun b -> (b, schedule)) memory_budget)
+          ~sweep:Gradient
           (module A)
           ~at_iter ~niter
-    | Criticality.Reverse_gradient, None ->
-        reverse_analysis ?pool ~skips ?capacity_hint
+    | Criticality.Activity_dependence ->
+        tape_analysis ?pool ~skips ?capacity_hint ~sweep:Reach
           (module A)
           ~at_iter ~niter
-    | Criticality.Activity_dependence, _ ->
-        activity_analysis ?pool ~skips (module A) ~at_iter ~niter
-    | Criticality.Forward_probe, _ ->
+    | Criticality.Forward_probe ->
         forward_analysis ?pool ~skips (module A) ~at_iter ~niter
   in
   {
@@ -466,8 +401,9 @@ let maybe_guard guard (module A : App.S) report =
 (* Configuration record                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Every knob the entry points accreted over time, in one value.  The
-   optional-argument spellings survive as deprecated wrappers below. *)
+(* Every knob of {!run}, {!run_suite} and {!run_boundaries}, in one
+   value: start from [default] and set fields with the [with_*]
+   helpers. *)
 module Config = struct
   type t = {
     mode : Criticality.mode;
@@ -479,10 +415,10 @@ module Config = struct
         (* scrutinize the discovered checkpoint set: prunable-ranked
            float fields are pre-resolved like statically-inactive ones *)
     guard : guard_spec option;
-    memory_budget : int option; (* tape node slots; None: dense tape *)
+    memory_budget : int option; (* tape node slots; None: keep every node *)
     schedule : Tape.Segmented.schedule;
     capacity_hint : int option;
-        (* dense-tape preallocation, overriding the app's
+        (* slab size of the unbudgeted tape, overriding the app's
            [tape_nodes_hint] — e.g. the cost model's exact prediction *)
   }
 
@@ -639,6 +575,8 @@ let run_boundaries ?(config = Config.default) ~boundaries (module A : App.S) =
 let analyze_impact ?(at_iter = 0) ?niter (module A : App.S) =
   let niter = Option.value niter ~default:A.analysis_niter in
   check_window "Analyzer.analyze_impact" ~at_iter ~niter;
-  let a = reverse_analysis ~skips:[] (module A) ~at_iter ~niter in
+  let a =
+    tape_analysis ~skips:[] ~sweep:Gradient (module A) ~at_iter ~niter
+  in
   { Impact.app = A.name; at_iteration = at_iter; analyzed_until = niter;
     vars = a.impact_reports }

@@ -84,23 +84,25 @@ module Config : sig
         (** harden the produced report — see {!guard_spec} *)
     memory_budget : int option;
         (** cap on materialized tape node slots (24 bytes each).  Set:
-            reverse-mode analyses record on {!Scvad_ad.Tape.Segmented}
-            — discarded tape windows are rebuilt by replaying
-            iterations during the backward sweep — and the report
-            carries a [tape_profile].  Unset (default): the dense tape
-            stores every node.  Ignored by the forward and activity
-            modes, whose memory use does not motivate a budget. *)
+            reverse mode records on a budgeted {!Scvad_ad.Tape} —
+            discarded tape windows are rebuilt by replaying iterations
+            during the backward sweep — and the report carries a
+            [tape_profile].  Unset (default): the tape stores every
+            node.  Ignored by forward mode, which records no tape, and
+            by activity mode, whose dependence sweep reads every stored
+            node. *)
     schedule : Scvad_ad.Tape.Segmented.schedule;
         (** recompute-vs-store schedule under [memory_budget]
             (default [Binomial]).  [Planned] boundaries typically come
             from the static cost model ([Scvad_cost.Plan]), computed
             before any recording. *)
     capacity_hint : int option;
-        (** dense-tape preallocation in nodes, overriding the app's
-            hand-maintained [tape_nodes_hint] — pass the static cost
-            model's exact prediction to allocate the tape right-sized
-            up front.  Ignored under [memory_budget] (the budget sizes
-            the segmented tape) and by the forward / activity modes. *)
+        (** slab size in nodes of the unbudgeted tape (reverse and
+            activity mode), overriding the app's hand-maintained
+            [tape_nodes_hint] — pass the static cost model's exact
+            prediction to allocate the whole tape as one slab up front.
+            Ignored under [memory_budget] (the budget sizes the slabs)
+            and by forward mode. *)
   }
 
   val default : t

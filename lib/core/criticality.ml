@@ -34,7 +34,7 @@ let mode_name = function
    node budget and [p] accounts for the recompute-vs-store trade the
    schedule made. *)
 type tape_profile = {
-  t_schedule : string; (* "binomial" | "all-store" | "planned[n]" *)
+  t_schedule : string; (* "binomial" | "planned[n]" *)
   t_budget_nodes : int;
   t_segments : int;
   t_snapshots : int;

@@ -32,13 +32,13 @@ type mode = Reverse_gradient | Forward_probe | Activity_dependence
 val mode_name : mode -> string
 
 (** How the recording was held in memory.  [None] on {!report} means
-    the dense tape stored every node; [Some p] means the segmented tape
-    ran under [p.t_budget_nodes] and the fields account for the
+    the tape stored every node; [Some p] means the tape ran under
+    [p.t_budget_nodes] and the fields account for the
     recompute-vs-store trade: [t_peak_live_nodes] never exceeds the
     budget (rounded to whole slabs) and [t_replayed_nodes] is the extra
     recomputation the backward sweep paid for it. *)
 type tape_profile = {
-  t_schedule : string;  (** ["binomial"] | ["all-store"] | ["planned[n]"] *)
+  t_schedule : string;  (** ["binomial"] | ["planned[n]"] *)
   t_budget_nodes : int;
   t_segments : int;
   t_snapshots : int;

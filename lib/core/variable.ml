@@ -97,13 +97,6 @@ let restore v snap =
     invalid_arg "Variable.restore: snapshot length does not match variable";
   Array.iteri (fun k x -> v.set (k / v.spe) (k mod v.spe) x) snap
 
-(* Criticality mask over a {!lift_capture} snapshot: an element is
-   critical as soon as any of its scalar slots matters. *)
-let element_mask_of_snapshot v snapshot judge =
-  Array.init (elements v) (fun e ->
-      let rec any k = k < v.spe && (judge snapshot.((e * v.spe) + k) || any (k + 1)) in
-      any 0)
-
 (* Mask and per-element |derivative| magnitude in one scan of the
    snapshot (reverse mode reads both from the same adjoints; scanning
    once halves the gradient lookups).  An element's magnitude is the max

@@ -56,16 +56,12 @@ val snapshot : 'a t -> 'a array
     mismatch. *)
 val restore : 'a t -> 'a array -> unit
 
-(** Per-element criticality over a {!lift_capture} snapshot: an element
-    is critical as soon as any of its scalar slots satisfies [judge]. *)
-val element_mask_of_snapshot : 'a t -> 'a array -> ('a -> bool) -> bool array
-
 (** [mask_and_magnitudes_of_snapshot v snapshot magnitude_of] computes,
     in one scan, the per-element criticality mask and the per-element
     derivative magnitude (max of [abs (magnitude_of slot)] over the
     element's scalar slots).  An element is critical iff its magnitude
-    is nonzero (NaN counts as critical), which agrees with
-    {!element_mask_of_snapshot} over [fun s -> magnitude_of s <> 0.]. *)
+    is nonzero (NaN counts as critical): an element is critical as soon
+    as any of its scalar slots has a nonzero magnitude. *)
 val mask_and_magnitudes_of_snapshot :
   'a t -> 'a array -> ('a -> float) -> bool array * float array
 

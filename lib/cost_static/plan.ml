@@ -14,7 +14,7 @@
      average half the chunk away).  Minimizing the sum over at most
      [snapshot_slots] chunks is a classic 1-D partition DP.
 
-   - [simulate] then predicts what `Tape.Segmented` will actually do
+   - [simulate] then predicts what a budgeted `Tape` will actually do
      with those boundaries: it mirrors the recording-time slab
      retention, the top-down window sweep, nearest-snapshot replay,
      mid-segment window-filled aborts, and binomial replay-time
@@ -35,13 +35,13 @@ type t = {
   replayed_nodes : int;  (** predicted re-pushed nodes (dense sweep) *)
 }
 
-(* Mirrors Tape.Segmented.create's slab sizing (tape.mli documents the
+(* Mirrors Tape.create's budgeted slab sizing (tape.mli documents the
    formula); the planner must agree with the tape it plans for, which
    the segmented-tape property tests assert. *)
 let default_slab_nodes ~budget_nodes =
   Stdlib.max 16 (Stdlib.min 65536 (budget_nodes / 8))
 
-(* Same recurrence as Tape.Segmented.binomial_plan: absolute boundary
+(* Same recurrence as Tape.binomial_plan: absolute boundary
    indices where a replay pass from [base] over [len] segments should
    drop snapshots, with [slots] free. *)
 let binomial_plan ~base ~len ~slots =
@@ -132,7 +132,7 @@ let place ~segments ~window_nodes ~chunks =
   end
 
 (* Predict the stats of a dense backward sweep over a Planned recording:
-   a slab-granular re-enactment of Tape.Segmented's recording retention
+   a slab-granular re-enactment of the budgeted Tape's recording retention
    and window replay logic. *)
 let simulate ~prelude ~segments ~boundaries ~slab_nodes ~budget_slabs
     ~snapshot_slots =
@@ -169,7 +169,7 @@ let simulate ~prelude ~segments ~boundaries ~slab_nodes ~budget_slabs
   materialize 0;
   let k_max = if total = 0 then 0 else (total - 1) / sn in
   (* discarding needs a boundary and the boundary-0 snapshot, exactly
-     like Tape.Segmented.can_discard; both exist once the first segment
+     like Tape.can_discard; both exist once the first segment
      with a planned 0-snapshot has started, i.e. for any node at or
      beyond marks.(0) *)
   for k = 1 to k_max do
@@ -261,7 +261,7 @@ let simulate ~prelude ~segments ~boundaries ~slab_nodes ~budget_slabs
 (* [make ~prelude ~segments ~budget_nodes ()] plans snapshot placement
    for a recording of [prelude] parentless lift nodes followed by the
    given per-segment node counts, under the same budget and slot
-   parameters `Tape.Segmented.create` would receive. *)
+   parameters `Tape.create` would receive. *)
 let make ?slab_nodes ?(snapshot_slots = 32) ~prelude ~segments ~budget_nodes
     () =
   if budget_nodes < 1 then invalid_arg "Plan.make: budget_nodes must be >= 1";

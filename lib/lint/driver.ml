@@ -20,11 +20,8 @@ let default_config =
     unsafe_allow =
       [
         ( "lib/ad/tape.ml",
-          "hot push/backward loops; one up-front bounds check per slab \
-           covers every access (DESIGN.md \xc2\xa79)" );
-        ( "lib/ad/dep_tape.ml",
-          "bitset get/set inside loops bounded by the dependence-tape length"
-        );
+          "hot push/backward/reach loops; one up-front bounds check per \
+           slab covers every access (DESIGN.md \xc2\xa79)" );
         ( "lib/checkpoint/crc32.ml",
           "slicing-by-8 CRC loop: table indices are masked to 8 bits and \
            every byte read is inside one up-front range check" );

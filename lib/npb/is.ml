@@ -65,7 +65,7 @@ module Plain_ops : INT_OPS with type t = int = struct
 end
 
 module Traced_ops (T : sig
-  val tape : Scvad_ad.Dep_tape.t
+  val tape : Scvad_ad.Tape.t
 end) : INT_OPS with type t = Scvad_ad.Itaint.t = struct
   open Scvad_ad
 
@@ -188,9 +188,16 @@ module Plain = Kernel (Plain_ops)
 (* Criticality masks from the integer dependence tracer: union of the
    mid-run boundary (before the last rank) and the pre-verification
    boundary (after it). *)
+(* Slab size of the taint tapes: the boundary-0 recording, the largest of
+   the three, holds 6,428,328 nodes, so each recording fits one slab.
+   Few large slabs also keep the GC calm: every Bigarray allocation
+   paces the major collector, and one IS analysis on default-size
+   (65,536-node) slabs ran 87 major collections against 28 here. *)
+let taint_nodes_hint = 6_500_000
+
 let taint_masks () =
   let analyze_at boundary =
-    let tape = Scvad_ad.Dep_tape.create ~capacity:(1 lsl 16) () in
+    let tape = Scvad_ad.Tape.create ~capacity_hint:taint_nodes_hint () in
     let module O = Traced_ops (struct
       let tape = tape
     end) in

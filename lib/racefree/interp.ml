@@ -371,8 +371,8 @@ let rec resolve_path ctx (file : Rmodel.file) env segs =
       | Some v -> T_local v
       | None -> (
           (* Inside a nested module's binding, bare names resolve to
-             siblings first: [take_snapshot] inside [Segmented] means
-             [Segmented.take_snapshot]. *)
+             siblings first: [fresh_var] inside [Counting] means
+             [Counting.fresh_var]. *)
           let prefixed =
             match env_find env "#prefix" with
             | Some (Prim (p, _)) when Rmodel.lookup_binding file (p ^ s) <> None
@@ -428,7 +428,7 @@ and resolve_in_tree ctx file env ?hint_lib segs =
                 | Some _ -> T_binding (path, name)
                 | None -> (
                     (* A re-exported alias inside that file, e.g.
-                       [Tape.Segmented] as [module Segmented = …]. *)
+                       [Reverse.Scalar_of] as [module Scalar_of = …]. *)
                     match (Hashtbl.find_opt f.f_aliases (List.hd rest), rest)
                     with
                     | Some p, _ :: more ->

@@ -53,8 +53,8 @@ let capitalize_stem path =
 
 (* Collect a structure's bindings into [f], prefixing names bound
    inside [module M = struct … end] with ["M."] so cross-file paths
-   like [Tape.Segmented.backward] resolve to ["Segmented.backward"]
-   within tape.ml. *)
+   like [Tape.Counting.push1] resolve to ["Counting.push1"] within
+   tape.ml. *)
 let rec collect_structure f ~prefix (items : Parsetree.structure) =
   List.iter
     (fun (it : Parsetree.structure_item) ->
@@ -107,59 +107,12 @@ let rec collect_structure f ~prefix (items : Parsetree.structure) =
           | Pmod_ident lid ->
               f.f_opens <- f.f_opens @ [ flatten lid.Location.txt ]
           | _ -> ())
-      | Pstr_include incl -> include_functor f ~prefix incl.pincl_mod
-      | Pstr_recmodule _ | Pstr_modtype _ | Pstr_type _ | Pstr_typext _
-      | Pstr_exception _ | Pstr_primitive _ | Pstr_class _
+      | Pstr_include _ | Pstr_recmodule _ | Pstr_modtype _ | Pstr_type _
+      | Pstr_typext _ | Pstr_exception _ | Pstr_primitive _ | Pstr_class _
       | Pstr_class_type _ | Pstr_attribute _ | Pstr_extension _
       | Pstr_eval _ ->
           ())
     items
-
-(* [include F (P)] of a functor collected earlier in the same file,
-   where [P] is [F]'s own parameter name (as in [Reverse.Make]'s
-   [include Record (T)]): [F]'s bindings then read the same [P] at the
-   include site, so every name collected under ["F."] is copied under
-   [prefix].  Any other include adds nothing, and calls into it stay
-   unresolved obligations. *)
-and include_functor f ~prefix (me : Parsetree.module_expr) =
-  match me.pmod_desc with
-  | Pmod_apply
-      ({ pmod_desc = Pmod_ident flid; _ }, { pmod_desc = Pmod_ident alid; _ })
-    -> (
-      let fname = String.concat "." (flatten flid.Location.txt) in
-      match (Hashtbl.find_opt f.f_functors fname, flatten alid.Location.txt) with
-      | Some p, [ a ] when String.equal p a ->
-          let from = fname ^ "." in
-          let moved k =
-            if String.starts_with ~prefix:from k then
-              let n = String.length from in
-              let k' = prefix ^ String.sub k n (String.length k - n) in
-              Some k'
-            else None
-          in
-          let copy tbl =
-            Hashtbl.fold
-              (fun k v acc ->
-                match moved k with
-                | Some k' when not (Hashtbl.mem tbl k') -> (k', v) :: acc
-                | _ -> acc)
-              tbl []
-            |> List.iter (fun (k, v) -> Hashtbl.replace tbl k v)
-          in
-          copy f.f_aliases;
-          copy f.f_functors;
-          copy f.f_instances;
-          List.iter
-            (fun name ->
-              match moved name with
-              | Some name' when not (Hashtbl.mem f.f_bindings name') ->
-                  Hashtbl.replace f.f_bindings name'
-                    (Hashtbl.find f.f_bindings name);
-                  f.f_order <- name' :: f.f_order
-              | _ -> ())
-            (List.rev f.f_order)
-      | _ -> ())
-  | _ -> ()
 
 let library_of_dune dir =
   let dune = Filename.concat dir "dune" in
@@ -254,9 +207,9 @@ let load ~root =
 let file t path = Hashtbl.find_opt t.files path
 
 (* A binding looked up by (possibly dotted) name.  [Instanced] routes
-   [Segmented.backward] through [module Segmented = Make (Tape.Segmented)]:
-   the body is [Make.backward] with the functor parameter standing for
-   the instance's argument module. *)
+   [On_tape.var] through [module On_tape = Record (Tape)]: the body is
+   [Record.var] with the functor parameter standing for the instance's
+   argument module. *)
 type binding =
   | Direct of Parsetree.expression
   | Instanced of Parsetree.expression * string * string list

@@ -1,5 +1,6 @@
-(* Tests for the AD substrate: reverse tape, forward duals, activity,
-   integer taint, finite differences, and cross-engine agreement. *)
+(* Tests for the AD substrate: reverse tape, forward duals, the
+   dependence sweep, integer taint, finite differences, and cross-engine
+   agreement. *)
 
 open Scvad_ad
 
@@ -278,53 +279,53 @@ let test_dual_division () =
   close "d(1/x)/dx" (-0.25) (Dual.tangent f)
 
 (* ------------------------------------------------------------------ *)
-(* Activity (dependence-only) mode                                     *)
+(* Activity (dependence-only) mode: Reverse's recording, Tape.reach     *)
 (* ------------------------------------------------------------------ *)
+
+(* Dependence reach of [out] on [tape], read per value. *)
+let active tape out =
+  let r = Tape.reach tape ~output:(Reverse.node_id out) in
+  fun x -> Tape.reachable r (Reverse.node_id x)
 
 let test_activity_vs_gradient_on_zero_mul () =
   (* The documented over-approximation: x*0 is active but has zero
      gradient. *)
-  let dtape = Dep_tape.create () in
-  let module A = Activity.Scalar_of (struct
-    let tape = dtape
-  end) in
-  let x = Activity.var dtape 7. in
-  let y = Activity.var dtape 8. in
-  let f = A.((x *. zero) +. y) in
-  let r = Activity.backward dtape f in
-  Alcotest.(check bool) "x active through *0" true (Activity.active r x);
-  Alcotest.(check bool) "y active" true (Activity.active r y)
+  with_reverse (fun tape (module A) ->
+      let x = Reverse.var tape 7. in
+      let y = Reverse.var tape 8. in
+      let f = A.((x *. zero) +. y) in
+      let active = active tape f in
+      Alcotest.(check bool) "x active through *0" true (active x);
+      Alcotest.(check bool) "y active" true (active y))
 
 let test_activity_unused () =
-  let dtape = Dep_tape.create () in
-  let module A = Activity.Scalar_of (struct
-    let tape = dtape
-  end) in
-  let x = Activity.var dtape 7. in
-  let y = Activity.var dtape 8. in
-  let f = A.(y *. y) in
-  let r = Activity.backward dtape f in
-  Alcotest.(check bool) "x inactive" false (Activity.active r x);
-  Alcotest.(check bool) "y active" true (Activity.active r y)
+  with_reverse (fun tape (module A) ->
+      let x = Reverse.var tape 7. in
+      let y = Reverse.var tape 8. in
+      let f = A.(y *. y) in
+      let active = active tape f in
+      Alcotest.(check bool) "x inactive" false (active x);
+      Alcotest.(check bool) "y active" true (active y))
 
 let test_dep_tape_bitset_edges () =
-  (* Chains long enough to cross byte boundaries in the bitset. *)
-  let t = Dep_tape.create ~capacity:4 () in
-  let v0 = Dep_tape.fresh_var t in
+  (* Chains long enough to cross byte and slab boundaries in the
+     bitset. *)
+  let t = Tape.create ~capacity_hint:4 () in
+  let v0 = Tape.fresh_var t in
   let last = ref v0 in
   for _ = 1 to 100 do
-    last := Dep_tape.push1 t !last
+    last := Tape.push1 t !last 1.
   done;
-  let r = Dep_tape.backward t ~output:!last in
-  Alcotest.(check bool) "root reachable" true (Dep_tape.reachable r v0);
+  let r = Tape.reach t ~output:!last in
+  Alcotest.(check bool) "root reachable" true (Tape.reachable r v0);
   for _ = 1 to 3 do
-    ignore (Dep_tape.fresh_var t)
+    ignore (Tape.fresh_var t)
   done;
-  let r2 = Dep_tape.backward t ~output:!last in
+  let r2 = Tape.reach t ~output:!last in
   Alcotest.(check bool) "fresh var not reachable" false
-    (Dep_tape.reachable r2 (Dep_tape.length t - 1))
+    (Tape.reachable r2 (Tape.length t - 1))
 
-(* Backward on an empty tape must refuse with a diagnostic naming the
+(* Reach on an empty tape must refuse with a diagnostic naming the
    offending node and the tape length, not crash or mis-index. *)
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -332,10 +333,10 @@ let contains_sub s sub =
   go 0
 
 let test_dep_tape_empty_backward () =
-  let t = Dep_tape.create () in
+  let t = Tape.create () in
   let expect_invalid output =
-    match Dep_tape.backward t ~output with
-    | _ -> Alcotest.failf "backward %d on empty tape did not raise" output
+    match Tape.reach t ~output with
+    | _ -> Alcotest.failf "reach %d on empty tape did not raise" output
     | exception Invalid_argument msg ->
         Alcotest.(check bool)
           (Printf.sprintf "message %S names node %d" msg output)
@@ -349,43 +350,62 @@ let test_dep_tape_empty_backward () =
 (* An output that is a fresh variable with no pushed dependencies
    reaches exactly itself. *)
 let test_dep_tape_fresh_output () =
-  let t = Dep_tape.create () in
-  let a = Dep_tape.fresh_var t in
-  let b = Dep_tape.fresh_var t in
-  let r = Dep_tape.backward t ~output:a in
-  Alcotest.(check bool) "output reaches itself" true (Dep_tape.reachable r a);
-  Alcotest.(check bool) "sibling var unreachable" false
-    (Dep_tape.reachable r b);
+  let t = Tape.create () in
+  let a = Tape.fresh_var t in
+  let b = Tape.fresh_var t in
+  let r = Tape.reach t ~output:a in
+  Alcotest.(check bool) "output reaches itself" true (Tape.reachable r a);
+  Alcotest.(check bool) "sibling var unreachable" false (Tape.reachable r b);
   Alcotest.(check bool) "id past the sweep unreachable" false
-    (Dep_tape.reachable r (b + 1))
+    (Tape.reachable r (b + 1))
 
 (* A reach outlives [clear]: it is a snapshot, so reusing the tape for
    a second recording must not corrupt answers about the first. *)
 let test_dep_tape_clear_then_reuse () =
-  let t = Dep_tape.create ~capacity:4 () in
-  let v0 = Dep_tape.fresh_var t in
-  let n1 = Dep_tape.push1 t v0 in
-  let r1 = Dep_tape.backward t ~output:n1 in
-  Dep_tape.clear t;
-  Alcotest.(check int) "cleared tape is empty" 0 (Dep_tape.length t);
+  let t = Tape.create ~capacity_hint:4 () in
+  let v0 = Tape.fresh_var t in
+  let n1 = Tape.push1 t v0 0. in
+  let r1 = Tape.reach t ~output:n1 in
+  Tape.clear t;
+  Alcotest.(check int) "cleared tape is empty" 0 (Tape.length t);
   (* Second, disjoint recording on the reused storage. *)
-  let w0 = Dep_tape.fresh_var t in
-  let w1 = Dep_tape.fresh_var t in
-  let m = Dep_tape.push2 t w0 w1 in
-  let r2 = Dep_tape.backward t ~output:m in
-  Alcotest.(check bool) "old reach still answers" true
-    (Dep_tape.reachable r1 v0);
+  let w0 = Tape.fresh_var t in
+  let w1 = Tape.fresh_var t in
+  let m = Tape.push2 t w0 0. w1 0. in
+  let r2 = Tape.reach t ~output:m in
+  Alcotest.(check bool) "old reach still answers" true (Tape.reachable r1 v0);
   Alcotest.(check bool) "new reach covers both vars" true
-    (Dep_tape.reachable r2 w0 && Dep_tape.reachable r2 w1);
+    (Tape.reachable r2 w0 && Tape.reachable r2 w1);
   Alcotest.(check bool) "old reach rejects ids beyond its sweep" false
-    (Dep_tape.reachable r1 m)
+    (Tape.reachable r1 m)
+
+(* A budgeted tape discards slabs while sweeping backward: reach must
+   refuse it rather than read released storage. *)
+let test_reach_refuses_discarded () =
+  let t = Tape.create ~capacity_hint:16 ~budget_nodes:16 () in
+  let out = ref (-1) in
+  let step _ =
+    let last = ref 0 in
+    for _ = 1 to 40 do
+      last := Tape.push1 t !last 1.
+    done;
+    out := !last
+  in
+  Tape.set_program t ~capture:(fun () -> fun () -> ()) ~replay_step:step;
+  ignore (Tape.fresh_var t);
+  Tape.start_segment t;
+  step 0;
+  ignore (Tape.backward t ~output:!out);
+  match Tape.reach t ~output:!out with
+  | _ -> Alcotest.fail "reach over discarded slabs did not raise"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Integer taint                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_itaint_arith () =
-  let t = Dep_tape.create () in
+  let t = Tape.create () in
   let a = Itaint.var t 3 in
   let b = Itaint.var t 4 in
   let c = Itaint.var t 10 in
@@ -399,7 +419,7 @@ let test_itaint_arith () =
 let test_itaint_index_dependence () =
   (* Bucket-sort shape: a counter incremented at a key-derived index must
      depend on the key. *)
-  let t = Dep_tape.create () in
+  let t = Tape.create () in
   let key = Itaint.var t 13 in
   let counts = Array.init 4 (fun _ -> Itaint.const 0) in
   let bucket = Itaint.shift_right t key 2 (* 13 asr 2 = 3 *) in
@@ -411,7 +431,7 @@ let test_itaint_index_dependence () =
 
 let test_itaint_comparison_control_dep () =
   (* passed_verification-style counter under a data-dependent branch. *)
-  let t = Dep_tape.create () in
+  let t = Tape.create () in
   let a = Itaint.var t 3 in
   let b = Itaint.var t 7 in
   let passed = Itaint.add t (Itaint.const 0) (Itaint.le t a b) in
@@ -421,7 +441,7 @@ let test_itaint_comparison_control_dep () =
   Alcotest.(check bool) "depends on b" true (Itaint.critical r b)
 
 let test_itaint_untraced_subscript () =
-  let t = Dep_tape.create () in
+  let t = Tape.create () in
   let arr = Array.init 4 (fun i -> Itaint.var t (i * i)) in
   let x = Itaint.get t arr (Itaint.const 2) in
   Alcotest.(check int) "plain subscript read" 4 (Itaint.value x);
@@ -625,17 +645,17 @@ let prop_activity_superset_of_nonzero_grad =
       if not (finite_case e) then true
       else
       let _, gr = reverse_gradient e in
-      let dtape = Dep_tape.create () in
-      let module A = Activity.Scalar_of (struct
-        let tape = dtape
+      let tape = Tape.create () in
+      let module A = Reverse.Scalar_of (struct
+        let tape = tape
       end) in
-      let env = Array.map (Activity.var dtape) inputs in
+      let env = Array.map (Reverse.var tape) inputs in
       let module E = Eval (A) in
       let out = E.eval env e in
-      let r = Activity.backward dtape out in
-      Array.for_all2
-        (fun g v -> (not (g <> 0.)) || Activity.active r v)
-        gr env)
+      let active =
+        if Reverse.is_const out then fun _ -> false else active tape out
+      in
+      Array.for_all2 (fun g v -> (not (g <> 0.)) || active v) gr env)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -686,7 +706,9 @@ let suites =
         Alcotest.test_case "fresh output reaches itself" `Quick
           test_dep_tape_fresh_output;
         Alcotest.test_case "clear then reuse" `Quick
-          test_dep_tape_clear_then_reuse ] );
+          test_dep_tape_clear_then_reuse;
+        Alcotest.test_case "reach refuses a discarded tape" `Quick
+          test_reach_refuses_discarded ] );
     ( "ad.itaint",
       [ Alcotest.test_case "arithmetic joins" `Quick test_itaint_arith;
         Alcotest.test_case "index dependence" `Quick

@@ -98,19 +98,24 @@ let test_ft_quarter () =
   quarter_budget_matches "ft" (module Npb.Ft.App) ();
   Gc.full_major ()
 
-(* Every schedule reproduces the dense report; all-store ignores the
-   budget and never replays. *)
+(* Every schedule reproduces the dense report: the default binomial
+   one and a planned one whose boundaries come from the static cost
+   model. *)
 let test_schedules_agree () =
   let d = dense (module Npb.Cg.App) in
   let budget = max 1 (d.Crit.tape_nodes / 4) in
-  let als =
-    segmented ~schedule:Scvad_ad.Tape.Segmented.All_store ~budget
-      (module Npb.Cg.App)
+  check_identical "cg/binomial" d (segmented ~budget (module Npb.Cg.App));
+  let prediction = Scvad_cost.Predict.predict (module Npb.Cg.App) in
+  let plan = Scvad_cost.Plan.of_prediction prediction ~budget_nodes:budget in
+  let planned =
+    segmented
+      ~schedule:(Scvad_ad.Tape.Segmented.Planned plan.Scvad_cost.Plan.boundaries)
+      ~budget (module Npb.Cg.App)
   in
-  check_identical "cg/all-store" d als;
-  Alcotest.(check int)
-    "all-store never replays" 0
-    (profile "cg/all-store" als).Crit.t_replays
+  check_identical "cg/planned" d planned;
+  Alcotest.(check string)
+    "planned schedule echoed" "planned[1]"
+    (profile "cg/planned" planned).Crit.t_schedule
 
 (* A budget at or above the dense size needs no replays at all. *)
 let test_ample_budget_no_replay () =

@@ -174,44 +174,35 @@ let test_window_checked () =
 let test_default_slab_nodes_matches_tape () =
   List.iter
     (fun budget_nodes ->
-      let t = Tape.Segmented.create ~budget_nodes () in
+      let t = Tape.create ~budget_nodes () in
       Alcotest.(check int)
         (Printf.sprintf "budget %d" budget_nodes)
         (Plan.default_slab_nodes ~budget_nodes)
-        (Tape.Segmented.slab_nodes t))
+        (Tape.slab_nodes t))
     [ 1; 100; 128; 5_000; 65_536; 524_288; 10_000_000 ]
 
 (* Per-segment node costs of a register-machine program, measured on an
-   All_store segmented recording (which never discards, so the running
-   length at each boundary is exact). *)
+   unbudgeted recording (which never discards, so the running length at
+   each boundary is exact). *)
 let measure_segments (prog : Test_segtape.prog) =
-  let module T = Tape.Segmented in
-  let tape =
-    T.create ~slab_nodes:16 ~schedule:T.All_store ~budget_nodes:1_000_000 ()
-  in
-  let module R = Reverse.Segmented in
-  let module S = R.Scalar_of (struct
+  let tape = Tape.create ~capacity_hint:16 () in
+  let module S = Reverse.Scalar_of (struct
     let tape = tape
   end) in
   let nseg = Array.length prog.Test_segtape.segs in
   let regs = Array.make prog.Test_segtape.nregs (Reverse.const 0.) in
-  T.set_program tape
-    ~capture:(fun () -> fun () -> ())
-    ~replay_step:(fun _ -> ());
   Array.blit
-    (Test_segtape.init_regs (R.var tape) prog)
+    (Test_segtape.init_regs (Reverse.var tape) prog)
     0 regs 0 prog.Test_segtape.nregs;
   let input_nodes = Array.sub regs 0 prog.Test_segtape.ninputs in
-  let len () = (T.stats tape).T.s_total_nodes in
-  let prelude = len () in
+  let prelude = Tape.length tape in
   let segments =
     Array.init nseg (fun s ->
-        let before = len () in
-        T.start_segment tape;
+        let before = Tape.length tape in
         Test_segtape.exec (module S) regs prog.Test_segtape.segs.(s);
         if s = nseg - 1 then
           ignore (Test_segtape.sum_regs (module S) regs input_nodes);
-        len () - before)
+        Tape.length tape - before)
   in
   (prelude, segments)
 
@@ -246,7 +237,7 @@ let prop_planned_equals_dense =
           ~budget_nodes:budget ()
       in
       let sv, sg, stats, _, _ =
-        Test_segtape.run_segmented ~slab_nodes:16 ~snapshot_slots:slots
+        Test_segtape.run_segmented ~capacity_hint:16 ~snapshot_slots:slots
           ~schedule:(Tape.Segmented.Planned plan.Plan.boundaries)
           ~budget_nodes:budget prog
       in
@@ -258,33 +249,35 @@ let prop_planned_equals_dense =
             QCheck.Test.fail_reportf
               "adjoint of input %d: dense %.17g <> planned %.17g" i d sg.(i))
         dg;
-      if stats.Tape.Segmented.s_total_nodes <> plan.Plan.total_nodes then
+      if stats.Tape.s_total_nodes <> plan.Plan.total_nodes then
         QCheck.Test.fail_reportf "total nodes: recorded %d <> planned %d"
-          stats.Tape.Segmented.s_total_nodes plan.Plan.total_nodes;
+          stats.Tape.s_total_nodes plan.Plan.total_nodes;
       let cap =
-        Stdlib.max stats.Tape.Segmented.s_slab_nodes
-          (budget / stats.Tape.Segmented.s_slab_nodes
-          * stats.Tape.Segmented.s_slab_nodes)
+        Stdlib.max stats.Tape.s_slab_nodes
+          (budget / stats.Tape.s_slab_nodes
+          * stats.Tape.s_slab_nodes)
       in
-      if stats.Tape.Segmented.s_peak_live_nodes > cap then
+      if stats.Tape.s_peak_live_nodes > cap then
         QCheck.Test.fail_reportf "peak live %d > budget cap %d"
-          stats.Tape.Segmented.s_peak_live_nodes cap;
-      if stats.Tape.Segmented.s_peak_live_nodes > plan.Plan.peak_live_nodes
+          stats.Tape.s_peak_live_nodes cap;
+      if stats.Tape.s_peak_live_nodes > plan.Plan.peak_live_nodes
       then
         QCheck.Test.fail_reportf "peak live %d > planned peak %d"
-          stats.Tape.Segmented.s_peak_live_nodes plan.Plan.peak_live_nodes;
-      if stats.Tape.Segmented.s_replays > plan.Plan.replays then
+          stats.Tape.s_peak_live_nodes plan.Plan.peak_live_nodes;
+      if stats.Tape.s_replays > plan.Plan.replays then
         QCheck.Test.fail_reportf "%d replays > planned bound %d"
-          stats.Tape.Segmented.s_replays plan.Plan.replays;
-      if stats.Tape.Segmented.s_replayed_nodes > plan.Plan.replayed_nodes then
+          stats.Tape.s_replays plan.Plan.replays;
+      if stats.Tape.s_replayed_nodes > plan.Plan.replayed_nodes then
         QCheck.Test.fail_reportf "%d replayed nodes > planned bound %d"
-          stats.Tape.Segmented.s_replayed_nodes plan.Plan.replayed_nodes;
+          stats.Tape.s_replayed_nodes plan.Plan.replayed_nodes;
       true)
 
 (* Planned-schedule validation at create time. *)
 let test_planned_validation () =
-  let module T = Tape.Segmented in
-  let mk bs = ignore (T.create ~schedule:(T.Planned bs) ~budget_nodes:64 ()) in
+  let mk bs =
+    ignore
+      (Tape.create ~schedule:(Tape.Segmented.Planned bs) ~budget_nodes:64 ())
+  in
   let rejects bs =
     match mk bs with
     | () -> Alcotest.failf "schedule accepted"

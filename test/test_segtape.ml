@@ -1,5 +1,6 @@
-(* Segmented tape: bitwise equivalence with the dense tape under random
-   programs, budgets, and schedules, plus the budget/replay edge cases.
+(* Budgeted tape: bitwise equivalence with the seed's dense tape
+   ([Seed_tape], the independent reference) under random programs,
+   budgets, and schedules, plus the budget/replay edge cases.
 
    The harness is a tiny register machine whose step replays are
    deterministic by construction — exactly the property the analyzer
@@ -55,27 +56,32 @@ let init_regs var_of prog =
       if i < prog.ninputs then var_of prog.inputs.(i)
       else Reverse.const (0.125 *. float_of_int (i + 1)))
 
-(* Dense reference run: output value and the adjoint of every input. *)
+(* Reference run on the seed tape, through the engine's push rules:
+   output value, the adjoint of every input, the tape length, and the
+   adjoint of any node. *)
 let run_dense prog =
-  let tape = Tape.create ~capacity_hint:64 () in
-  let module S = Reverse.Scalar_of (struct
+  let tape = Seed_tape.create () in
+  let module R = Reverse.Record (Seed_tape) in
+  let module S = R.Scalar_of (struct
     let tape = tape
   end) in
-  let regs = init_regs (Reverse.var tape) prog in
+  let regs = init_regs (R.var tape) prog in
   let input_nodes = Array.sub regs 0 prog.ninputs in
   Array.iter (exec (module S) regs) prog.segs;
   let out = sum_regs (module S) regs input_nodes in
-  let adj = Tape.backward tape ~output:(Reverse.node_id out) in
+  let adj = Seed_tape.backward tape ~output:(Reverse.node_id out) in
   ( Reverse.value out,
-    Array.init prog.ninputs (Tape.adjoint adj),
-    Tape.length tape,
-    Tape.adjoint adj )
+    Array.init prog.ninputs (Seed_tape.adjoint adj),
+    Seed_tape.length tape,
+    Seed_tape.adjoint adj )
 
-let run_segmented ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes prog =
-  let module T = Tape.Segmented in
-  let tape = T.create ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes () in
-  let module R = Reverse.Segmented in
-  let module S = R.Scalar_of (struct
+(* The engine under a budget; [capacity_hint] sets the slab size. *)
+let run_segmented ?fan ?capacity_hint ?snapshot_slots ?schedule ~budget_nodes
+    prog =
+  let tape =
+    Tape.create ?capacity_hint ?snapshot_slots ?schedule ~budget_nodes ()
+  in
+  let module S = Reverse.Scalar_of (struct
     let tape = tape
   end) in
   let nseg = Array.length prog.segs in
@@ -86,23 +92,23 @@ let run_segmented ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes prog =
     exec (module S) regs prog.segs.(s);
     if s = nseg - 1 then out := sum_regs (module S) regs !input_nodes
   in
-  T.set_program tape
+  Tape.set_program tape
     ~capture:(fun () ->
       let snap = Array.copy regs in
       fun () -> Array.blit snap 0 regs 0 (Array.length snap))
     ~replay_step:step;
-  Array.blit (init_regs (R.var tape) prog) 0 regs 0 prog.nregs;
+  Array.blit (init_regs (Reverse.var tape) prog) 0 regs 0 prog.nregs;
   input_nodes := Array.sub regs 0 prog.ninputs;
   for s = 0 to nseg - 1 do
-    T.start_segment tape;
+    Tape.start_segment tape;
     step s
   done;
-  let adj = T.backward tape ~output:(Reverse.node_id !out) in
+  let adj = Tape.backward ?fan tape ~output:(Reverse.node_id !out) in
   ( Reverse.value !out,
-    Array.init prog.ninputs (T.adjoint adj),
-    T.stats tape,
+    Array.init prog.ninputs (Tape.adjoint adj),
+    Tape.stats tape,
     tape,
-    T.adjoint adj )
+    Tape.adjoint adj )
 
 let bits = Int64.bits_of_float
 
@@ -154,21 +160,19 @@ let setup_gen =
   let* prog = prog_gen in
   let* budget = int_range 16 600 in
   let* slots = int_range 1 8 in
-  let* sched = oneofl Tape.Segmented.[ All_store; Binomial ] in
-  return (prog, budget, slots, sched)
+  return (prog, budget, slots)
 
-let setup_print (p, budget, slots, sched) =
-  Printf.sprintf "%s budget=%d slots=%d sched=%s" (prog_print p) budget slots
-    (Tape.Segmented.schedule_to_string sched)
+let setup_print (p, budget, slots) =
+  Printf.sprintf "%s budget=%d slots=%d" (prog_print p) budget slots
 
 let prop_seg_equals_dense =
   QCheck.Test.make ~count:300
     ~name:"segmented backward bitwise equals dense (random programs)"
     (QCheck.make ~print:setup_print setup_gen)
-    (fun (prog, budget, slots, sched) ->
+    (fun (prog, budget, slots) ->
       let dv, dg, total, dadj = run_dense prog in
       let sv, sg, stats, _, sadj =
-        run_segmented ~slab_nodes:16 ~snapshot_slots:slots ~schedule:sched
+        run_segmented ~capacity_hint:16 ~snapshot_slots:slots
           ~budget_nodes:budget prog
       in
       if not (same_float dv sv) then
@@ -181,22 +185,18 @@ let prop_seg_equals_dense =
             id (dadj id) (sadj id)
       done;
       check_bitwise ~what:"adjoints" dg sg;
-      if stats.Tape.Segmented.s_total_nodes <> total then
+      if stats.Tape.s_total_nodes <> total then
         QCheck.Test.fail_reportf "total nodes: dense %d <> segmented %d" total
-          stats.Tape.Segmented.s_total_nodes;
+          stats.Tape.s_total_nodes;
       (* The budget is enforced at slab granularity (at least one
-         slab), except under All_store which deliberately ignores it. *)
-      (match sched with
-      | Tape.Segmented.All_store -> ()
-      | _ ->
-          let cap =
-            Stdlib.max stats.Tape.Segmented.s_slab_nodes
-              (budget / stats.Tape.Segmented.s_slab_nodes
-              * stats.Tape.Segmented.s_slab_nodes)
-          in
-          if stats.Tape.Segmented.s_peak_live_nodes > cap then
-            QCheck.Test.fail_reportf "peak live %d > budget cap %d"
-              stats.Tape.Segmented.s_peak_live_nodes cap);
+         slab). *)
+      let cap =
+        Stdlib.max stats.Tape.s_slab_nodes
+          (budget / stats.Tape.s_slab_nodes * stats.Tape.s_slab_nodes)
+      in
+      if stats.Tape.s_peak_live_nodes > cap then
+        QCheck.Test.fail_reportf "peak live %d > budget cap %d"
+          stats.Tape.s_peak_live_nodes cap;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -222,11 +222,11 @@ let fixed_prog =
 let test_budget_ge_total_degenerates () =
   let dv, dg, total, _ = run_dense fixed_prog in
   let sv, sg, stats, _, _ =
-    run_segmented ~slab_nodes:16 ~budget_nodes:(2 * total) fixed_prog
+    run_segmented ~capacity_hint:16 ~budget_nodes:(2 * total) fixed_prog
   in
-  Alcotest.(check int) "no replays" 0 stats.Tape.Segmented.s_replays;
+  Alcotest.(check int) "no replays" 0 stats.Tape.s_replays;
   Alcotest.(check int) "no replayed nodes" 0
-    stats.Tape.Segmented.s_replayed_nodes;
+    stats.Tape.s_replayed_nodes;
   Alcotest.(check bool) "output bitwise" true (same_float dv sv);
   check_bitwise ~what:"adjoints" dg sg
 
@@ -236,85 +236,79 @@ let test_budget_below_one_segment () =
      segment. *)
   let dv, dg, _, _ = run_dense fixed_prog in
   let sv, sg, stats, _, _ =
-    run_segmented ~slab_nodes:16 ~budget_nodes:16 fixed_prog
+    run_segmented ~capacity_hint:16 ~budget_nodes:16 fixed_prog
   in
   Alcotest.(check bool) "replays happened" true
-    (stats.Tape.Segmented.s_replays > 0);
+    (stats.Tape.s_replays > 0);
   Alcotest.(check bool) "output bitwise" true (same_float dv sv);
   check_bitwise ~what:"adjoints" dg sg;
   Alcotest.(check int) "peak live = one slab" 16
-    stats.Tape.Segmented.s_peak_live_nodes
+    stats.Tape.s_peak_live_nodes
 
 let test_replay_after_clear () =
   let dv, dg, _, _ = run_dense fixed_prog in
   let _, _, _, tape, _ =
-    run_segmented ~slab_nodes:16 ~budget_nodes:64 fixed_prog
+    run_segmented ~capacity_hint:16 ~budget_nodes:64 fixed_prog
   in
   (* Re-record on the same tape after a clear; storage is reused and
      the second backward must still match dense bitwise. *)
-  Tape.Segmented.clear tape;
-  let module T = Tape.Segmented in
-  let module R = Reverse.Segmented in
-  let module S = R.Scalar_of (struct
+  Tape.clear tape;
+  let module S = Reverse.Scalar_of (struct
     let tape = tape
   end) in
   let prog = fixed_prog in
   let nseg = Array.length prog.segs in
   let regs = Array.make prog.nregs (Reverse.const 0.) in
-  Array.blit (init_regs (R.var tape) prog) 0 regs 0 prog.nregs;
+  Array.blit (init_regs (Reverse.var tape) prog) 0 regs 0 prog.nregs;
   let input_nodes = Array.sub regs 0 prog.ninputs in
   let out = ref (Reverse.const 0.) in
   for s = 0 to nseg - 1 do
-    T.start_segment tape;
+    Tape.start_segment tape;
     exec (module S) regs prog.segs.(s);
     if s = nseg - 1 then out := sum_regs (module S) regs input_nodes
   done;
-  let adj = T.backward tape ~output:(Reverse.node_id !out) in
+  let adj = Tape.backward tape ~output:(Reverse.node_id !out) in
   Alcotest.(check bool) "output bitwise" true (same_float dv (Reverse.value !out));
   check_bitwise ~what:"adjoints" dg
-    (Array.init prog.ninputs (T.adjoint adj))
-
-let test_all_store_never_replays () =
-  let dv, dg, _, _ = run_dense fixed_prog in
-  let sv, sg, stats, _, _ =
-    run_segmented ~slab_nodes:16 ~schedule:Tape.Segmented.All_store
-      ~budget_nodes:16 fixed_prog
-  in
-  Alcotest.(check int) "no replays" 0 stats.Tape.Segmented.s_replays;
-  Alcotest.(check int) "no snapshots" 0 stats.Tape.Segmented.s_snapshots;
-  Alcotest.(check bool) "output bitwise" true (same_float dv sv);
-  check_bitwise ~what:"adjoints" dg sg
+    (Array.init prog.ninputs (Tape.adjoint adj))
 
 let test_create_validation () =
   Alcotest.check_raises "negative capacity_hint"
     (Invalid_argument "Tape.create: capacity_hint must be >= 0 (got -1)")
     (fun () -> ignore (Tape.create ~capacity_hint:(-1) ()));
   Alcotest.check_raises "non-positive budget"
-    (Invalid_argument
-       "Tape.Segmented.create: budget_nodes must be >= 1 (got 0)") (fun () ->
-      ignore (Tape.Segmented.create ~budget_nodes:0 ()));
-  Alcotest.check_raises "tiny slab_nodes"
-    (Invalid_argument
-       "Tape.Segmented.create: slab_nodes must be >= 16 (got 8)") (fun () ->
-      ignore (Tape.Segmented.create ~slab_nodes:8 ~budget_nodes:64 ()));
-  (* Small hints clamp up to one 16-node slab rather than failing. *)
+    (Invalid_argument "Tape.create: budget_nodes must be >= 1 (got 0)")
+    (fun () -> ignore (Tape.create ~budget_nodes:0 ()));
+  Alcotest.check_raises "non-positive snapshot_slots"
+    (Invalid_argument "Tape.create: snapshot_slots must be >= 1 (got 0)")
+    (fun () -> ignore (Tape.create ~snapshot_slots:0 ~budget_nodes:64 ()));
+  (* Small hints clamp up to one 16-node slab rather than failing, with
+     or without a budget. *)
   let t = Tape.create ~capacity_hint:3 () in
-  Alcotest.(check int) "clamped slab" 16 (Tape.slab_nodes t)
+  Alcotest.(check int) "clamped slab" 16 (Tape.slab_nodes t);
+  let t = Tape.create ~capacity_hint:8 ~budget_nodes:64 () in
+  Alcotest.(check int) "clamped budgeted slab" 16 (Tape.slab_nodes t)
 
 let test_prelude_must_be_parentless () =
-  let module T = Tape.Segmented in
-  let tape = T.create ~budget_nodes:64 () in
-  T.set_program tape
+  let tape = Tape.create ~budget_nodes:64 () in
+  Tape.set_program tape
     ~capture:(fun () -> fun () -> ())
     ~replay_step:(fun _ -> ());
-  let x = T.fresh_var tape in
+  let x = Tape.fresh_var tape in
   Alcotest.(check bool) "raises before first boundary" true
     (try
-       ignore (T.push1 tape x 1.);
+       ignore (Tape.push1 tape x 1.);
        false
      with Invalid_argument _ -> true);
-  T.start_segment tape;
-  ignore (T.push1 tape x 1.)
+  (* The refused push left the prelude checked. *)
+  Alcotest.(check bool) "raises again" true
+    (try
+       ignore (Tape.push2 tape (-1) 0. x 1.);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "refused pushes record nothing" 1 (Tape.length tape);
+  Tape.start_segment tape;
+  ignore (Tape.push1 tape x 1.)
 
 let suites =
   [
@@ -325,8 +319,6 @@ let suites =
         Alcotest.test_case "budget below one segment" `Quick
           test_budget_below_one_segment;
         Alcotest.test_case "replay after clear" `Quick test_replay_after_clear;
-        Alcotest.test_case "all-store never replays" `Quick
-          test_all_store_never_replays;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "prelude must be parentless" `Quick
           test_prelude_must_be_parentless;

@@ -1,7 +1,7 @@
-(* Frontier (sparse) backward sweep: the worklist sweep — dense,
-   segmented, and segment-parallel — must be bitwise identical to the
-   plain sequential dense sweep, for any schedule, budget, and job
-   count.
+(* Frontier (sparse) backward sweep: the engine's sweep — unbudgeted,
+   budgeted, and segment-parallel — must be bitwise identical to the
+   seed's dense descending scan ([Seed_tape], which shares no code with
+   the engine), for any budget and job count.
 
    The "sparse" suite pins the engine down on random register-machine
    programs (harness shared with Test_segtape) plus the IS degenerate
@@ -9,10 +9,10 @@
    float nodes: the frontier is empty, every float mask all-false).
 
    The "sparse-gate" suite is the CI gate: across the full NPB suite,
-   masks from the frontier sweep at jobs=4 — and from the
-   segment-parallel budgeted sweep — are bitwise identical to the
-   dense jobs=1 baseline, and the visited-node counts are
-   jobs-invariant. *)
+   the unbudgeted jobs=1 masks equal the masks of a [Seed_tape]
+   recording of the same window, and masks from the frontier sweep at
+   jobs=4 — and from the segment-parallel budgeted sweep — are bitwise
+   identical to them, with jobs-invariant visited-node counts. *)
 
 open Scvad_ad
 module Crit = Scvad_core.Criticality
@@ -34,8 +34,8 @@ let pool_of jobs =
 let pool1 = pool_of 1
 let pool4 = pool_of 4
 
-(* Dense run with an optional fan; returns the output value, the tape
-   length, the per-node adjoint, and the sweep stats. *)
+(* Unbudgeted engine run with an optional fan; returns the output
+   value, the per-node adjoint, and the sweep stats. *)
 let run_dense ?fan prog =
   let tape = Tape.create ~capacity_hint:64 () in
   let module S = Reverse.Scalar_of (struct
@@ -46,41 +46,15 @@ let run_dense ?fan prog =
   Array.iter (Test_segtape.exec (module S) regs) prog.Test_segtape.segs;
   let out = Test_segtape.sum_regs (module S) regs input_nodes in
   let adj = Tape.backward ?fan tape ~output:(Reverse.node_id out) in
-  (Reverse.value out, Tape.length tape, Tape.adjoint adj, Tape.last_sweep tape)
+  (Reverse.value out, Tape.adjoint adj, Tape.last_sweep tape)
 
-(* Segmented run with an optional fan (Test_segtape.run_segmented with
-   the pool threaded through to the window sweeps). *)
-let run_seg ?fan ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes prog =
-  let module T = Tape.Segmented in
-  let tape = T.create ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes () in
-  let module R = Reverse.Segmented in
-  let module S = R.Scalar_of (struct
-    let tape = tape
-  end) in
-  let nseg = Array.length prog.Test_segtape.segs in
-  let regs = Array.make prog.Test_segtape.nregs (Reverse.const 0.) in
-  let input_nodes = ref [||] in
-  let out = ref (Reverse.const 0.) in
-  let step s =
-    Test_segtape.exec (module S) regs prog.Test_segtape.segs.(s);
-    if s = nseg - 1 then
-      out := Test_segtape.sum_regs (module S) regs !input_nodes
+(* Budgeted engine run with an optional fan. *)
+let run_seg ?fan ?capacity_hint ?snapshot_slots ~budget_nodes prog =
+  let v, _, _, tape, adj =
+    Test_segtape.run_segmented ?fan ?capacity_hint ?snapshot_slots
+      ~budget_nodes prog
   in
-  T.set_program tape
-    ~capture:(fun () ->
-      let snap = Array.copy regs in
-      fun () -> Array.blit snap 0 regs 0 (Array.length snap))
-    ~replay_step:step;
-  Array.blit
-    (Test_segtape.init_regs (R.var tape) prog)
-    0 regs 0 prog.Test_segtape.nregs;
-  input_nodes := Array.sub regs 0 prog.Test_segtape.ninputs;
-  for s = 0 to nseg - 1 do
-    T.start_segment tape;
-    step s
-  done;
-  let adj = T.backward ?fan tape ~output:(Reverse.node_id !out) in
-  (Reverse.value !out, T.adjoint adj, T.last_sweep tape)
+  (v, adj, Tape.last_sweep tape)
 
 (* ------------------------------------------------------------------ *)
 (* Random programs: every frontier variant equals the dense sweep      *)
@@ -91,8 +65,8 @@ let prop_sparse_equals_dense =
     ~name:
       "frontier backward bitwise equals dense (any jobs, schedule, budget)"
     (QCheck.make ~print:Test_segtape.setup_print Test_segtape.setup_gen)
-    (fun (prog, budget, slots, sched) ->
-      let dv, total, dadj, dstats = run_dense prog in
+    (fun (prog, budget, slots) ->
+      let dv, _, total, dadj = Test_segtape.run_dense prog in
       let check what v adj =
         if not (Test_segtape.same_float dv v) then
           QCheck.Test.fail_reportf "%s output: %.17g <> dense %.17g" what v
@@ -104,12 +78,14 @@ let prop_sparse_equals_dense =
               (dadj id)
         done
       in
-      let v1, _, a1, s1 = run_dense ~fan:(fan_of (Lazy.force pool1)) prog in
-      check "dense fan jobs=1" v1 a1;
-      let v4, _, a4, s4 = run_dense ~fan:(fan_of (Lazy.force pool4)) prog in
-      check "dense fan jobs=4" v4 a4;
-      (* Visited-node counts are jobs-invariant on the dense tape. *)
-      (match (dstats, s1, s4) with
+      let v0, a0, s0 = run_dense prog in
+      check "unbudgeted" v0 a0;
+      let v1, a1, s1 = run_dense ~fan:(fan_of (Lazy.force pool1)) prog in
+      check "unbudgeted fan jobs=1" v1 a1;
+      let v4, a4, s4 = run_dense ~fan:(fan_of (Lazy.force pool4)) prog in
+      check "unbudgeted fan jobs=4" v4 a4;
+      (* Visited-node counts are jobs-invariant on the unbudgeted tape. *)
+      (match (s0, s1, s4) with
       | Some d, Some x1, Some x4 ->
           if not (d = x1 && d = x4) then
             QCheck.Test.fail_reportf
@@ -117,17 +93,16 @@ let prop_sparse_equals_dense =
               d.Tape_intf.visited_nodes d.Tape_intf.swept_nodes
               x1.Tape_intf.visited_nodes x1.Tape_intf.swept_nodes
               x4.Tape_intf.visited_nodes x4.Tape_intf.swept_nodes
-      | _ -> QCheck.Test.fail_reportf "a dense sweep recorded no stats");
+      | _ -> QCheck.Test.fail_reportf "an unbudgeted sweep recorded no stats");
       let sv, sadj, _ =
-        run_seg ~slab_nodes:16 ~snapshot_slots:slots ~schedule:sched
-          ~budget_nodes:budget prog
+        run_seg ~capacity_hint:16 ~snapshot_slots:slots ~budget_nodes:budget
+          prog
       in
       check "segmented" sv sadj;
       let pv, padj, pstats =
         run_seg
           ~fan:(fan_of (Lazy.force pool4))
-          ~slab_nodes:16 ~snapshot_slots:slots ~schedule:sched
-          ~budget_nodes:budget prog
+          ~capacity_hint:16 ~snapshot_slots:slots ~budget_nodes:budget prog
       in
       check "segment-parallel jobs=4" pv padj;
       (match pstats with
@@ -202,11 +177,59 @@ let test_is_degenerate () =
 (* CI gate: full NPB suite, sparse and segment-parallel vs dense       *)
 (* ------------------------------------------------------------------ *)
 
-(* Per app (one tape live at a time): the report with the backward
-   sweep fanned over a 4-wide pool must match the jobs=1 report
-   bitwise, including the visited-node count. *)
+(* The seed-tape oracle for one app over the analyzer's default window
+   (boundary 0 to [analysis_niter]): the kernel recorded with the
+   engine's push rules on [Seed_tape], swept by its dense scan.
+   Returns the node count and every float variable's mask. *)
+let seed_masks (module A : Scvad_core.App.S) =
+  (* Presized past the hint (within 10% of the true count) so the
+     reference never doubles a large recording. *)
+  let tape = Seed_tape.create ~capacity:(A.tape_nodes_hint / 10 * 11) () in
+  let module R = Reverse.Record (Seed_tape) in
+  let module S = R.Scalar_of (struct
+    let tape = tape
+  end) in
+  let module I = A.Make (S) in
+  let st = I.create () in
+  let lifted =
+    List.map
+      (fun v -> (v, Scvad_core.Variable.lift_capture v (R.lift tape)))
+      (I.float_vars st)
+  in
+  I.run st ~from:0 ~until:A.analysis_niter;
+  let out = I.output st in
+  let grad =
+    if Reverse.is_const out then fun _ -> 0.
+    else
+      let adj = Seed_tape.backward tape ~output:(Reverse.node_id out) in
+      fun x -> Seed_tape.adjoint adj (Reverse.node_id x)
+  in
+  ( Seed_tape.length tape,
+    List.map
+      (fun ((v : S.t Scvad_core.Variable.t), snapshot) ->
+        ( v.Scvad_core.Variable.name,
+          fst
+            (Scvad_core.Variable.mask_and_magnitudes_of_snapshot v snapshot
+               grad) ))
+      lifted )
+
+(* Per app (one tape live at a time): the jobs=1 report must match the
+   seed-tape oracle, and the report with the backward sweep fanned over
+   a 4-wide pool must match the jobs=1 report bitwise, including the
+   visited-node count. *)
 let gate_dense (module A : Scvad_core.App.S) () =
+  let nodes, masks = seed_masks (module A) in
+  Gc.full_major ();
   let d = Analyzer.run (module A) in
+  Alcotest.(check int) (A.name ^ ": tape nodes = seed tape") nodes
+    d.Crit.tape_nodes;
+  List.iter
+    (fun (name, mask) ->
+      Alcotest.(check bool)
+        (A.name ^ "." ^ name ^ ": mask = seed tape")
+        true
+        ((Crit.find d name).Crit.mask = mask))
+    masks;
   let p =
     Analyzer.run ~config:Analyzer.Config.(default |> with_jobs 4) (module A)
   in
