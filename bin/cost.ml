@@ -5,16 +5,12 @@
    --gate runs the real dynamic reverse analysis for every predicted
    app and fails unless every prediction matches the measured tape
    node count EXACTLY, every committed tape_nodes_hint sits within 10%
-   of its prediction, IS is proven to record zero float nodes, and a
-   planned segmented analysis reproduces the dense masks bitwise within
-   its predicted replay budget. *)
+   of its prediction, and IS is proven to record zero float nodes. *)
 
 module World = Scvad_cost.World
 module Driver = Scvad_cost.Driver
 module Predict = Scvad_cost.Predict
-module Plan = Scvad_cost.Plan
 module Criticality = Scvad_core.Criticality
-module Config = Scvad_core.Analyzer.Config
 
 let violation = ref false
 
@@ -68,66 +64,17 @@ let check_is_zero costs =
         fail "IS predicted %d float nodes; the model must prove exactly 0"
           c.Driver.c_p.Predict.p_total
 
-(* The gate, part 4: a multi-segment analysis under a Planned schedule
-   must reproduce the dense masks bitwise, stay within the budget, and
-   not exceed the planner's dense-sweep replay upper bounds. *)
-let check_planned world =
-  let name = "cg-tiny" and niter = 4 in
-  match World.find_app world name with
-  | Some (module A : Scvad_core.App.S) -> (
-      let p = Predict.predict ~niter (module A) in
-      let budget_nodes = Stdlib.max 1 (p.Predict.p_total / 3) in
-      let plan = Plan.of_prediction p ~budget_nodes in
-      let dense =
-        Scvad_core.Analyzer.run
-          ~config:Config.(default |> with_niter niter)
-          (module A)
-      in
-      let planned =
-        Scvad_core.Analyzer.run
-          ~config:
-            Config.(
-              default |> with_niter niter
-              |> with_memory_budget budget_nodes
-              |> with_schedule
-                   (Scvad_ad.Tape.Segmented.Planned plan.Plan.boundaries))
-          (module A)
-      in
-      List.iter
-        (fun (v : Criticality.var_report) ->
-          let d = Criticality.find dense v.Criticality.name in
-          if d.Criticality.mask <> v.Criticality.mask then
-            fail "%s.%s: planned-schedule mask differs from the dense analysis"
-              name v.Criticality.name)
-        planned.Criticality.vars;
-      match planned.Criticality.tape_profile with
-      | None -> fail "%s: planned analysis carries no tape profile" name
-      | Some prof ->
-          if prof.Criticality.t_peak_live_nodes > plan.Plan.peak_live_nodes
-          then
-            fail "%s: peak live %d nodes exceeds the planned %d" name
-              prof.Criticality.t_peak_live_nodes plan.Plan.peak_live_nodes;
-          if prof.Criticality.t_replayed_nodes > plan.Plan.replayed_nodes then
-            fail "%s: %d replayed nodes exceeds the planned bound %d" name
-              prof.Criticality.t_replayed_nodes plan.Plan.replayed_nodes;
-          if prof.Criticality.t_replays > plan.Plan.replays then
-            fail "%s: %d replays exceeds the planned bound %d" name
-              prof.Criticality.t_replays plan.Plan.replays)
-  | None -> fail "planned-schedule check: %s is not available" name
-
-let run_gate world costs =
+let run_gate costs =
   List.iter
     (fun c ->
       check_exactness c;
       check_hint c)
     costs;
   check_is_zero costs;
-  check_planned world;
   if not !violation then
     Printf.eprintf
       "cost: gate passed: %d prediction(s) exact against the dynamic tape, \
-       all hints within 10%%, IS proven zero-node, planned schedule \
-       bitwise-identical within its replay bounds.\n"
+       all hints within 10%%, IS proven zero-node.\n"
       (List.length costs);
   not !violation
 
@@ -138,4 +85,4 @@ let check ~json ~gate _root =
   let costs = Driver.analyze world in
   let fits = Driver.fit_families world in
   let render = if json then Driver.render_json else Driver.render_text in
-  (render costs fits, [], fun () -> (not gate) || run_gate world costs)
+  (render costs fits, [], fun () -> (not gate) || run_gate costs)

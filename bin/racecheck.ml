@@ -12,8 +12,8 @@
    - no shared writes: a [Shared_write] verdict (two shards provably
      reaching the same captured state) fails outright unless assumed;
    - falsification: a jobs=4 sanitizer session over the full NPB suite
-     plus dedicated reverse (per-variable + fan commit) and forward
-     (per-element) analyses must produce no witness — a witness against
+     plus dedicated reverse (per-variable, unbudgeted and budgeted) and
+     forward (per-element) analyses must produce no witness — a witness against
      a [Race_free] certificate means the static pass is wrong, not just
      incomplete. *)
 
@@ -61,9 +61,9 @@ let check_static (report : Driver.report) =
    certificates with the dynamic sanitizer at jobs=4.  The suite run
    exercises the whole-analysis fan and its nested per-variable maps;
    the dedicated runs drive each certified fan-out shape as the
-   {e outer} (sanitized) batch: per-variable mask extraction and the
-   segmented backward sweep's fan commit on cg, per-element forward
-   probes on cg-tiny. *)
+   {e outer} (sanitized) batch: per-variable mask extraction on cg, from
+   a dense and from a budgeted tape, and per-element forward probes on
+   cg-tiny. *)
 let check_dynamic () =
   Sanitize.arm ();
   let jobs4 c = Analyzer.Config.(c |> with_jobs 4) in

@@ -116,23 +116,6 @@ let memory_budget_arg =
     & opt (some budget_conv) None
     & info [ "memory-budget" ] ~docv:"NODES" ~doc)
 
-(* The schedule is parsed as a string because [Planned] carries a
-   payload no flag can spell: its boundaries come out of the static
-   cost model at run time. *)
-let schedule_arg =
-  let doc =
-    "Recompute-vs-store schedule under --memory-budget: $(b,binomial)
-     (optimal re-snapshotting during replay) or $(b,planned) (snapshot
-     boundaries computed offline by the static cost model before any
-     recording)."
-  in
-  Arg.(
-    value
-    & opt (enum
-             [ ("binomial", `Binomial); ("planned", `Planned) ])
-        `Binomial
-    & info [ "tape-schedule" ] ~doc)
-
 let dir_arg =
   let doc = "Checkpoint directory." in
   Arg.(value & opt string "_checkpoints" & info [ "dir"; "d" ] ~docv:"DIR" ~doc)
@@ -253,9 +236,9 @@ let print_report (r : Crit.report) =
   | None -> ()
   | Some p ->
       Printf.printf
-        "  tape: %s schedule, budget %d nodes, %d segments, %d snapshots, \
-         %d replays (%d nodes re-pushed), peak live %d nodes\n"
-        p.Crit.t_schedule p.Crit.t_budget_nodes p.Crit.t_segments
+        "  tape: binomial schedule, budget %d nodes, %d segments, %d \
+         snapshots, %d replays (%d nodes re-pushed), peak live %d nodes\n"
+        p.Crit.t_budget_nodes p.Crit.t_segments
         p.Crit.t_snapshots p.Crit.t_replays p.Crit.t_replayed_nodes
         p.Crit.t_peak_live_nodes);
   (match r.Crit.sweep_profile with
@@ -282,10 +265,8 @@ let predict_cost app ~at_iter ~niter =
 
 let plan_arg =
   let doc =
-    "Dry run: print the static cost model's predicted tape nodes and —
-     under --memory-budget — the planned snapshot schedule, predicted
-     peak live storage and predicted replay traffic, without executing
-     any analysis."
+    "Dry run: print the static cost model's predicted tape nodes,
+     without executing any analysis."
   in
   Arg.(value & flag & info [ "plan" ] ~doc)
 
@@ -297,7 +278,7 @@ let auto_capacity_arg =
   in
   Arg.(value & flag & info [ "auto-capacity" ] ~doc)
 
-let print_plan name (p : Scvad_cost.Predict.t) plan =
+let print_plan name (p : Scvad_cost.Predict.t) =
   Printf.printf
     "benchmark %s: static cost plan (boundary t=%d, window until %d)\n" name
     p.Scvad_cost.Predict.p_at_iter p.Scvad_cost.Predict.p_analysis_niter;
@@ -312,26 +293,12 @@ let print_plan name (p : Scvad_cost.Predict.t) plan =
     Printf.printf "  segments: %d (min %d, max %d nodes)\n" (Array.length segs)
       mn mx
   end;
-  match plan with
-  | None ->
-      Printf.printf
-        "  dense tape: capacity_hint %d would be derived (committed hint %d)\n"
-        p.Scvad_cost.Predict.p_total p.Scvad_cost.Predict.p_hint
-  | Some (budget, pl) ->
-      Printf.printf
-        "  budget %d nodes -> %d slabs of %d; snapshots at [%s]\n" budget
-        pl.Scvad_cost.Plan.budget_slabs pl.Scvad_cost.Plan.slab_nodes
-        (String.concat "; "
-           (List.map string_of_int pl.Scvad_cost.Plan.boundaries));
-      Printf.printf
-        "  predicted peak live %d nodes, %d replays (%d nodes re-pushed, \
-         dense-sweep upper bound)\n"
-        pl.Scvad_cost.Plan.peak_live_nodes pl.Scvad_cost.Plan.replays
-        pl.Scvad_cost.Plan.replayed_nodes
+  Printf.printf
+    "  dense tape: capacity_hint %d would be derived (committed hint %d)\n"
+    p.Scvad_cost.Predict.p_total p.Scvad_cost.Predict.p_hint
 
 let analyze_cmd =
-  let run name mode at_iter niter jobs memory_budget schedule dry_run
-      auto_capacity =
+  let run name mode at_iter niter jobs memory_budget dry_run auto_capacity =
     let ( >>= ) = Result.bind in
     handle
       ( find_app name >>= fun (module A : Scvad_core.App.S) ->
@@ -342,40 +309,12 @@ let analyze_cmd =
         | () -> Ok ()
         | exception Invalid_argument msg -> Error msg)
         >>= fun () ->
-        (* The planned schedule and the dry run both consult the static
-           cost model; the binomial schedule never does. *)
-        let wants_cost =
-          dry_run || auto_capacity
-          || (schedule = `Planned && memory_budget <> None)
-        in
-        (match schedule with
-        | `Planned when memory_budget = None ->
-            Error "--tape-schedule planned requires --memory-budget"
-        | _ -> Ok ())
-        >>= fun () ->
-        (if wants_cost then
+        (if dry_run || auto_capacity then
            Result.map Option.some (predict_cost (module A) ~at_iter ~niter)
          else Ok None)
         >>= fun prediction ->
-        let planned =
-          match (prediction, memory_budget) with
-          | Some p, Some budget when dry_run || schedule = `Planned ->
-              Some (budget, Scvad_cost.Plan.of_prediction p ~budget_nodes:budget)
-          | _ -> None
-        in
-        if dry_run then begin
-          let p = Option.get prediction in
-          print_plan A.name p planned;
-          Ok ()
-        end
+        if dry_run then Ok (print_plan A.name (Option.get prediction))
         else
-          let schedule =
-            match schedule with
-            | `Binomial -> Scvad_ad.Tape.Segmented.Binomial
-            | `Planned ->
-                let _, pl = Option.get planned in
-                Scvad_ad.Tape.Segmented.Planned pl.Scvad_cost.Plan.boundaries
-          in
           let capacity_hint =
             if auto_capacity && memory_budget = None then
               Option.map (fun p -> p.Scvad_cost.Predict.p_total) prediction
@@ -389,19 +328,30 @@ let analyze_cmd =
               niter;
               jobs = Some jobs;
               memory_budget;
-              schedule;
               capacity_hint;
             }
           in
-          let r = Scvad_core.Analyzer.run ~config (module A) in
-          Ok (print_report r) )
+          match Scvad_core.Analyzer.run ~config (module A) with
+          | r -> Ok (print_report r)
+          | exception
+              Scvad_ad.Tape_intf.Budget_too_small { budget_nodes; needed_nodes }
+            ->
+              (* The lifted state cannot be discarded before the first
+                 boundary snapshot, so it must fit the budget. *)
+              Error
+                (Printf.sprintf
+                   "--memory-budget leaves room for %d tape nodes, but at \
+                    least %d must stay stored before the first replay \
+                    boundary (the lifted checkpoint state; --plan reports \
+                    its size as 'lift')"
+                   budget_nodes needed_nodes) )
   in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Scrutinize every element of the checkpoint variables with AD")
     Term.(
       const run $ app_arg $ mode_arg $ at_iter_arg $ niter_arg $ jobs_arg
-      $ memory_budget_arg $ schedule_arg $ plan_arg $ auto_capacity_arg)
+      $ memory_budget_arg $ plan_arg $ auto_capacity_arg)
 
 (* ------------------------------------------------------------------ *)
 (* visualize                                                           *)

@@ -117,9 +117,8 @@ module Scalar_of = On_tape.Scalar_of
    lifted variable (all derivatives are then 0). *)
 type gradients = Tape.adjoints option
 
-let backward ?fan tape (output : t) =
-  if is_const output then None
-  else Some (Tape.backward ?fan tape ~output:output.id)
+let backward tape (output : t) =
+  if is_const output then None else Some (Tape.backward tape ~output:output.id)
 
 let grad g x =
   match g with None -> 0. | Some adj -> Tape.adjoint adj x.id

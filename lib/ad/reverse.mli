@@ -61,9 +61,8 @@ type gradients
 
 (** One reverse sweep from [output]; cost is proportional to the
     touched (active) subgraph, not the tape length — see
-    {!Tape.backward}.  [?fan] lets independent tape slabs be swept in
-    parallel; the result is bitwise identical at any parallelism. *)
-val backward : ?fan:Tape_intf.fan -> Tape.t -> t -> gradients
+    {!Tape.backward}. *)
+val backward : Tape.t -> t -> gradients
 
 (** [grad g x] is [d output / d x]; 0 if [x] is a constant or was recorded
     after the output. *)

@@ -200,199 +200,13 @@ let frontier_scan ~get_slab ~sn ~(adj : f64) ~bits ~hi ~lo =
   end;
   !visited
 
-(* --- Segment-parallel sweep: speculative waves over slabs ---------- *)
-
-(* One slab's local sweep, run speculatively against a frozen global
-   accumulator.  Within-slab contributions land in a private scratch
-   copy; contributions crossing below the slab are queued in scan
-   order.  The speculation is valid iff no slab above it in the same
-   wave emits into its range — checked at commit time. *)
-type spec = {
-  sp_k : int;
-  sp_base : int; (* global id of scratch.{0} *)
-  sp_len : int;
-  sp_scratch : f64;
-  sp_emits : (int * float) list; (* cross-slab contributions, scan order *)
-  sp_touched : int list; (* within-slab ids that received contributions *)
-  sp_visited : int;
-}
-
-let speculate ~get_slab ~sn ~(adj : f64) ~adj_id ~hi ~lo k =
-  let sl = get_slab k in
-  let base = sl.base in
-  let lo_j = Stdlib.max 0 (lo - base) in
-  let hi_j = Stdlib.min (sn - 1) (hi - base) in
-  let len = hi_j + 1 in
-  let scratch = alloc_f64 len in
-  Bigarray.Array1.blit (Bigarray.Array1.sub adj base len) scratch;
-  (* The write-set sanitizer sees each speculation as one span of the
-     adjoint space, [base, base + len): the scratch mirrors exactly that
-     slice, and cross-slab contributions are queued, not written.  Two
-     concurrent speculations overlapping here would mean slab ranges
-     overlap — the invariant the scratch-then-commit protocol rests on. *)
-  Scvad_sanitize.Sanitize.record ~obj:adj_id ~lo:base ~hi:(base + len)
-    ~tag:"tape.speculate";
-  let emits = ref [] and touched = ref [] and visited = ref 0 in
-  for j = hi_j downto lo_j do
-    let a = Bigarray.Array1.unsafe_get scratch j in
-    (* lint: allow float-equality — exact-zero adjoint skip, as in the
-       sequential sweep *)
-    if a <> 0. then begin
-      incr visited;
-      let l = Int32.to_int (Bigarray.Array1.unsafe_get sl.lhs j) in
-      if l >= 0 then begin
-        let c = a *. Bigarray.Array1.unsafe_get sl.dlhs j in
-        if l >= base then begin
-          let x = l - base in
-          Bigarray.Array1.unsafe_set scratch x
-            (Bigarray.Array1.unsafe_get scratch x +. c);
-          touched := l :: !touched
-        end
-        else emits := (l, c) :: !emits
-      end;
-      let r = Int32.to_int (Bigarray.Array1.unsafe_get sl.rhs j) in
-      if r >= 0 then begin
-        let c = a *. Bigarray.Array1.unsafe_get sl.drhs j in
-        if r >= base then begin
-          let x = r - base in
-          Bigarray.Array1.unsafe_set scratch x
-            (Bigarray.Array1.unsafe_get scratch x +. c);
-          touched := r :: !touched
-        end
-        else emits := (r, c) :: !emits
-      end
-    end
-  done;
-  {
-    sp_k = k;
-    sp_base = base;
-    sp_len = len;
-    sp_scratch = scratch;
-    sp_emits = List.rev !emits;
-    sp_touched = !touched;
-    sp_visited = !visited;
-  }
-
-(* Sequential fallback for a slab whose speculation was invalidated:
-   sweep it directly against the global accumulator (which by commit
-   order now holds its final seeds), dirtying lower wave slabs its
-   contributions land in. *)
-let commit_sweep_slab ~sn ~(adj : f64) ~bits ~hi ~lo ~w_lo ~dirty sl visited =
-  let base = sl.base in
-  let lo_j = Stdlib.max 0 (lo - base) in
-  let hi_j = Stdlib.min (sn - 1) (hi - base) in
-  for j = hi_j downto lo_j do
-    let i = base + j in
-    let a = Bigarray.Array1.unsafe_get adj i in
-    (* lint: allow float-equality — exact-zero adjoint skip, as in the
-       sequential sweep *)
-    if a <> 0. then begin
-      incr visited;
-      let l = Int32.to_int (Bigarray.Array1.unsafe_get sl.lhs j) in
-      if l >= 0 then begin
-        Bigarray.Array1.unsafe_set adj l
-          (Bigarray.Array1.unsafe_get adj l
-          +. (a *. Bigarray.Array1.unsafe_get sl.dlhs j));
-        set_bit bits l;
-        if l < base then begin
-          let tk = l / sn in
-          if tk >= w_lo then dirty.(tk - w_lo) <- true
-        end
-      end;
-      let r = Int32.to_int (Bigarray.Array1.unsafe_get sl.rhs j) in
-      if r >= 0 then begin
-        Bigarray.Array1.unsafe_set adj r
-          (Bigarray.Array1.unsafe_get adj r
-          +. (a *. Bigarray.Array1.unsafe_get sl.drhs j));
-        set_bit bits r;
-        if r < base then begin
-          let tk = r / sn in
-          if tk >= w_lo then dirty.(tk - w_lo) <- true
-        end
-      end
-    end
-  done
-
-(* Slabs speculated per wave.  With one domain this only bounds scratch
-   memory; with many it bounds how much speculation a conflict can
-   discard. *)
-let wave_cap = 16
-
-(* Sweep ids [hi] downto [lo].  Without [fan]: the sequential frontier
-   scan.  With [fan]: waves of slabs are swept speculatively in
-   parallel and committed sequentially in descending slab order —
-   scratch blit + queued contributions for valid speculations, a
-   sequential re-sweep for invalidated ones — so every addition lands
-   in the same order as the sequential scan and the result is bitwise
-   identical at any parallelism.  Visited counts are taken only from
-   final-seed sweeps, hence also identical. *)
-let sweep_range ?fan ~get_slab ~sn ~(adj : f64) ~bits ~hi ~lo () =
-  if hi < lo then 0
-  else
-    match fan with
-    | None -> frontier_scan ~get_slab ~sn ~adj ~bits ~hi ~lo
-    | Some f ->
-        let visited = ref 0 in
-        (* One sanitizer identity per sweep stands for the adjoint
-           space: every speculation of every wave records against it. *)
-        let adj_id = Scvad_sanitize.Sanitize.fresh_id () in
-        let k_lo = lo / sn in
-        let slab_live k =
-          range_live bits
-            ~lo:(Stdlib.max lo (k * sn))
-            ~hi:(Stdlib.min hi (((k + 1) * sn) - 1))
-        in
-        let pos = ref (hi / sn) in
-        while !pos >= k_lo do
-          (* Everything above [pos] is committed, so liveness here is
-             final: untouched head slabs can never gain a bit. *)
-          while !pos >= k_lo && not (slab_live !pos) do
-            decr pos
-          done;
-          if !pos >= k_lo then begin
-            let w_hi = !pos in
-            let w_lo = Stdlib.max k_lo (w_hi - wave_cap + 1) in
-            let dirty = Array.make (w_hi - w_lo + 1) false in
-            let live = ref [] in
-            for k = w_lo to w_hi do
-              if slab_live k then live := k :: !live
-            done;
-            let specs =
-              f.Tape_intf.fan_run
-                (fun k -> speculate ~get_slab ~sn ~adj ~adj_id ~hi ~lo k)
-                !live
-            in
-            let by_k = Hashtbl.create 16 in
-            List.iter (fun sp -> Hashtbl.replace by_k sp.sp_k sp) specs;
-            for k0 = w_lo to w_hi do
-              let k = w_hi - (k0 - w_lo) in
-              let was_dirty = dirty.(k - w_lo) in
-              match Hashtbl.find_opt by_k k with
-              | Some sp when not was_dirty ->
-                  Bigarray.Array1.blit sp.sp_scratch
-                    (Bigarray.Array1.sub adj sp.sp_base sp.sp_len);
-                  List.iter (fun id -> set_bit bits id) sp.sp_touched;
-                  visited := !visited + sp.sp_visited;
-                  List.iter
-                    (fun (id, c) ->
-                      Bigarray.Array1.unsafe_set adj id
-                        (Bigarray.Array1.unsafe_get adj id +. c);
-                      set_bit bits id;
-                      let tk = id / sn in
-                      if tk >= w_lo then dirty.(tk - w_lo) <- true)
-                    sp.sp_emits
-              | Some _ ->
-                  commit_sweep_slab ~sn ~adj ~bits ~hi ~lo ~w_lo ~dirty
-                    (get_slab k) visited
-              | None ->
-                  if was_dirty then
-                    commit_sweep_slab ~sn ~adj ~bits ~hi ~lo ~w_lo ~dirty
-                      (get_slab k) visited
-            done;
-            pos := w_lo - 1
-          end
-        done;
-        !visited
+(* The budgeted tape has one recompute-vs-store schedule, binomial
+   checkpointing (see [start_segment] and [ensure_window]).  The type
+   exists only because the benchmark passes [Tape.Segmented.Binomial]
+   through [Analyzer.Config.with_schedule]. *)
+module Segmented = struct
+  type schedule = Binomial
+end
 
 (* Adjoint accumulator produced by a backward sweep. *)
 type adjoints = { adj : f64; upto : int }
@@ -400,35 +214,6 @@ type adjoints = { adj : f64; upto : int }
 (* Adjoint of a node; nodes above the output (or constants, id = -1)
    cannot influence it, so their adjoint is 0. *)
 let adjoint g id = if id < 0 || id > g.upto then 0. else g.adj.{id}
-
-(* Recompute-vs-store schedule of a budgeted tape.  It lives in
-   [Segmented] because the benchmark names [Tape.Segmented.Binomial]. *)
-module Segmented = struct
-  type schedule =
-    | Binomial
-    | Planned of int list
-        (* precomputed snapshot boundaries, strictly increasing from 0 *)
-
-  let schedule_to_string = function
-    | Binomial -> "binomial"
-    | Planned bs -> Printf.sprintf "planned[%d]" (List.length bs)
-end
-
-let validate_plan bs =
-  let ok =
-    match bs with
-    | [] -> false
-    | b0 :: _ ->
-        b0 = 0
-        && fst
-             (List.fold_left
-                (fun (ok, prev) b -> (ok && b > prev, b))
-                (true, -1) bs)
-  in
-  if not ok then
-    invalid_arg
-      "Tape.create: a Planned schedule must list strictly increasing \
-       boundary indices starting at 0"
 
 (* Recording under a budget keeps only a trailing window of at most
    [budget_slabs] materialized slabs; older slabs are released to a
@@ -465,7 +250,6 @@ type mode = Recording | Replaying
 type t = {
   sn : int; (* nodes per slab *)
   budget_slabs : int; (* max materialized slabs; [max_int]: no budget *)
-  schedule : Segmented.schedule;
   snapshot_slots : int;
   mutable n : int; (* nodes recorded (or replayed) so far *)
   mutable total : int; (* frozen recording length at backward *)
@@ -502,8 +286,7 @@ type t = {
    touches only tape storage. *)
 exception Window_filled
 
-let create ?capacity_hint ?budget_nodes ?(snapshot_slots = 32)
-    ?(schedule = Segmented.Binomial) () =
+let create ?capacity_hint ?budget_nodes ?(snapshot_slots = 32) () =
   (match capacity_hint with
   | Some h when h < 0 ->
       invalid_arg
@@ -518,9 +301,6 @@ let create ?capacity_hint ?budget_nodes ?(snapshot_slots = 32)
     invalid_arg
       (Printf.sprintf "Tape.create: snapshot_slots must be >= 1 (got %d)"
          snapshot_slots);
-  (match schedule with
-  | Segmented.Planned bs -> validate_plan bs
-  | Segmented.Binomial -> ());
   let sn =
     match (capacity_hint, budget_nodes) with
     | Some h, _ -> Stdlib.max h 16
@@ -539,7 +319,6 @@ let create ?capacity_hint ?budget_nodes ?(snapshot_slots = 32)
   {
     sn;
     budget_slabs;
-    schedule;
     snapshot_slots;
     n = 0;
     total = 0;
@@ -624,11 +403,16 @@ let advance_recording t =
     | Some s -> s (* re-entry inside a live slab: nothing to grow *)
     | None ->
         (* Make room first so the materialized count never exceeds the
-           budget, even transiently. *)
+           budget, even transiently; refuse the push when nothing can
+           go. *)
         while t.live_cnt >= t.budget_slabs && can_discard t && t.live_lo < k do
           release t t.live_lo;
           t.live_lo <- t.live_lo + 1
         done;
+        if t.live_cnt >= t.budget_slabs then
+          raise
+            (Tape_intf.Budget_too_small
+               { budget_nodes = t.budget_slabs * t.sn; needed_nodes = t.n + 1 });
         materialize t k
   in
   t.cur <- s;
@@ -728,29 +512,23 @@ let start_segment t =
   (* Leave the prelude's checked pushes (the slow path re-derives
      [cur_end] from [cur]'s slab). *)
   t.cur_end <- t.n;
-  match t.schedule with
-  | Segmented.Planned bs ->
-      (* The plan was sized to the slots up front: no stride doubling,
-         no eviction — just take what the planner asked for. *)
-      if List.mem s bs && t.snap_cnt < t.snapshot_slots then take_snapshot t s
-  | Segmented.Binomial ->
-      if s mod t.stride = 0 then begin
-        if t.snap_cnt >= t.snapshot_slots then begin
-          (* Out of slots: double the retention stride and evict the
-             retained snapshots that fall off it (boundary 0 stays). *)
-          t.stride <- 2 * t.stride;
-          for b = 1 to s - 1 do
-            if b mod t.stride <> 0 then
-              match t.snaps.(b) with
-              | None -> ()
-              | Some _ ->
-                  t.snaps.(b) <- None;
-                  t.snap_cnt <- t.snap_cnt - 1
-          done
-        end;
-        if s mod t.stride = 0 && t.snap_cnt < t.snapshot_slots then
-          take_snapshot t s
-      end
+  if s mod t.stride = 0 then begin
+    if t.snap_cnt >= t.snapshot_slots then begin
+      (* Out of slots: double the retention stride and evict the
+         retained snapshots that fall off it (boundary 0 stays). *)
+      t.stride <- 2 * t.stride;
+      for b = 1 to s - 1 do
+        if b mod t.stride <> 0 then
+          match t.snaps.(b) with
+          | None -> ()
+          | Some _ ->
+              t.snaps.(b) <- None;
+              t.snap_cnt <- t.snap_cnt - 1
+      done
+    end;
+    if s mod t.stride = 0 && t.snap_cnt < t.snapshot_slots then
+      take_snapshot t s
+  end
 
 (* Binomial forward plan: absolute boundary indices at which one replay
    pass from [base] over [len] segments should drop snapshots, with
@@ -828,10 +606,8 @@ let ensure_window t ~lo_node ~stop_node =
     t.n <- t.marks.(base);
     t.cur_end <- t.n;
     let n_start = t.n in
-    (* Segment index of the window top, for the capture plan.  Planned
-       keeps every recording-time snapshot (no stride eviction), so any
-       still-free slots go to the same binomial-optimal replay-time
-       re-captures. *)
+    (* Segment index of the window top, for the capture plan: free
+       slots go to binomial-optimal replay-time re-captures. *)
     let s_stop = ref base in
     for s = base + 1 to t.nseg - 1 do
       if t.marks.(s) <= stop_node then s_stop := s
@@ -866,7 +642,7 @@ let ensure_window t ~lo_node ~stop_node =
 (* Budgeted sweep: slab windows of at most [budget_slabs], top-down,
    each rematerialized by replay if it was discarded and released once
    swept.  Returns the visited count. *)
-let windowed_sweep ?fan t ~get_slab ~adj ~bits ~output =
+let windowed_sweep t ~get_slab ~adj ~bits ~output =
   (* Nodes below the first boundary are the parentless prelude: they
      receive adjoints but propagate nothing, so the sweep stops at the
      first watermark and their storage is never consulted. *)
@@ -893,8 +669,8 @@ let windowed_sweep ?fan t ~get_slab ~adj ~bits ~output =
         ensure_window t ~lo_node ~stop_node:w_hi_node;
         visited :=
           !visited
-          + sweep_range ?fan ~get_slab ~sn:t.sn ~adj ~bits ~hi:w_hi_node
-              ~lo:w_lo_node ()
+          + frontier_scan ~get_slab ~sn:t.sn ~adj ~bits ~hi:w_hi_node
+              ~lo:w_lo_node
       end;
       for k = t.win_lo to t.win_hi do
         release t k
@@ -927,7 +703,7 @@ let windowed_sweep ?fan t ~get_slab ~adj ~bits ~output =
    offsets stay inside their slab by the uniform-slab-size layout, and a
    parent id is always a node id recorded before its child, so
    [l, r < i <= output < dim adj]. *)
-let backward ?fan t ~output =
+let backward t ~output =
   if output < 0 || output >= t.n then
     invalid_arg "Tape.backward: output is not a tape node";
   let fr = obtain_frontier t.fr ~dim:(output + 1) in
@@ -938,8 +714,8 @@ let backward ?fan t ~output =
   let get_slab k = match t.dir.(k) with Some s -> s | None -> assert false in
   let visited =
     if t.budget_slabs = max_int then
-      sweep_range ?fan ~get_slab ~sn:t.sn ~adj ~bits ~hi:output ~lo:0 ()
-    else windowed_sweep ?fan t ~get_slab ~adj ~bits ~output
+      frontier_scan ~get_slab ~sn:t.sn ~adj ~bits ~hi:output ~lo:0
+    else windowed_sweep t ~get_slab ~adj ~bits ~output
   in
   t.last <-
     Some { Tape_intf.visited_nodes = visited; swept_nodes = output + 1 };

@@ -34,29 +34,19 @@
     {!Reverse} provides the operator-overloading front end; most users
     never call [push1]/[push2] directly. *)
 
-(** Recompute-vs-store schedule of a budgeted tape.
-
-    - [Binomial] (default): keep boundary snapshots at a stride that
-      doubles whenever the slots fill, plus re-snapshotting at
-      binomial-optimal split points during each backward replay pass.
-    - [Planned bs]: snapshot exactly at the precomputed boundary indices
-      [bs] (strictly increasing, starting at 0) — the output of a static
-      cost model that knew the per-segment node counts before recording
-      began.  Recording-time snapshots are never evicted; replay passes
-      still re-capture binomially into any free slots.  {!create} raises
-      [Invalid_argument] on an empty, unsorted, or non-zero-based plan.
-
-    An unbudgeted tape never discards, so it needs no schedule. *)
+(** The recompute-vs-store schedule of a budgeted tape.  There is one:
+    keep boundary snapshots at a stride that doubles whenever the slots
+    fill, and re-snapshot at binomial-optimal split points during each
+    backward replay pass.  The type is kept only for the benchmark,
+    which passes [Binomial] to [Analyzer.Config.with_schedule]. *)
 module Segmented : sig
-  type schedule = Binomial | Planned of int list
-
-  val schedule_to_string : schedule -> string
+  type schedule = Binomial
 end
 
 type t
 
-(** [create ?capacity_hint ?budget_nodes ?snapshot_slots ?schedule ()]
-    makes an empty tape.
+(** [create ?capacity_hint ?budget_nodes ?snapshot_slots ()] makes an
+    empty tape.
 
     [capacity_hint] sets the nodes per slab, clamped up to 16; a
     negative hint raises [Invalid_argument].  A hint covering the whole
@@ -66,18 +56,16 @@ type t
     [max 16 (min 65536 (budget_nodes / 8))].
 
     [budget_nodes] caps materialized node slots (rounded down to whole
-    slabs, at least one slab); it must be >= 1.  The adjoint accumulator
-    of a backward sweep is dense regardless — adjoint edges cross
-    segment boundaries — and costs 8 bytes per node up to the output.
+    slabs, at least one slab); it must be >= 1.  The cap is never
+    exceeded: a push that finds it full with nothing discardable (the
+    prelude, or a tape without {!set_program}) raises
+    {!Tape_intf.Budget_too_small}.  The adjoint accumulator of a
+    backward sweep is dense regardless — adjoint edges cross segment
+    boundaries — and costs 8 bytes per node up to the output.
     [snapshot_slots] (default 32, >= 1) bounds the boundary snapshots a
-    budgeted tape keeps; [schedule] defaults to [Binomial]. *)
+    budgeted tape keeps. *)
 val create :
-  ?capacity_hint:int ->
-  ?budget_nodes:int ->
-  ?snapshot_slots:int ->
-  ?schedule:Segmented.schedule ->
-  unit ->
-  t
+  ?capacity_hint:int -> ?budget_nodes:int -> ?snapshot_slots:int -> unit -> t
 
 include Tape_intf.RECORD with type t := t
 
@@ -110,15 +98,13 @@ type adjoints
     The sweep is sparsity-aware: only nodes whose adjoint became nonzero
     are visited, and the result is bitwise identical to a dense
     descending scan (same nodes inspected in the same order, so the same
-    floating-point additions in the same order).  With [?fan],
-    independent slabs are swept through it; results remain bitwise
-    identical to the sequential sweep at any parallelism.
+    floating-point additions in the same order).
 
     The accumulator is cached on the tape across sweeps, so a later
     [backward] invalidates previously returned [adjoints]: read
     gradients before sweeping again.  A budgeted tape discards its
     slabs while sweeping and can be swept again only by replay. *)
-val backward : ?fan:Tape_intf.fan -> t -> output:int -> adjoints
+val backward : t -> output:int -> adjoints
 
 (** [adjoint g id] is [d output / d node]; 0 for constants ([id < 0])
     and for nodes recorded after the output. *)

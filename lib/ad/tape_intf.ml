@@ -2,9 +2,9 @@
 
     {!Tape} is the one storage and sweep engine; this module holds what
     its callers and the recording-only {!Tape.Counting} share: the sweep
-    statistics, the int32 node-id limit, the fan-out capability of a
-    parallel sweep, and {!RECORD}, the recording half of a tape that
-    {!Reverse.Record} writes its push rules against.
+    statistics, the int32 node-id limit, the budget error, and
+    {!RECORD}, the recording half of a tape that {!Reverse.Record}
+    writes its push rules against.
 
     A {!RECORD} implementation keeps the tape's id discipline: ids are
     consecutive ints starting at 0 in push order, a parent id always
@@ -18,9 +18,7 @@
     was nonzero when the sweep inspected them — the nodes that actually
     propagated.  [swept_nodes] is the size of the sweep range
     ([output + 1]); the gap between the two is the work a
-    sparsity-aware sweep avoids.  Both counts are determined by the
-    recorded values alone, so they are identical across sequential and
-    parallel sweeps of the same tape. *)
+    sparsity-aware sweep avoids. *)
 type sweep_stats = { visited_nodes : int; swept_nodes : int }
 
 (** Node ids are stored as [int32], so a tape holds at most
@@ -37,13 +35,15 @@ exception Too_many_nodes of int
     [max_nodes + 1] nodes always lands in a growth. *)
 let check_nodes n = if n > max_nodes then raise (Too_many_nodes n)
 
-(** Parallel fan-out capability, injected by the caller.
-
-    [fan_run f xs] maps [f] over [xs], possibly concurrently, and
-    returns the results in input order.  A record with a polymorphic
-    field rather than a functor argument so that the tape needs no
-    compile-time dependency on any particular pool implementation. *)
-type fan = { fan_run : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
+(** Raised by a budgeted tape's push when the budget is full and no
+    stored node can be discarded yet: only nodes at or after the first
+    boundary snapshot can be rebuilt by replay, so everything recorded
+    before it — typically the lifted checkpoint state — must fit.
+    [budget_nodes] is the budget rounded down to whole slabs;
+    [needed_nodes] is the node count the refused push would have
+    reached, a lower bound on what the recording needs.  The tape is
+    left as it was before the push. *)
+exception Budget_too_small of { budget_nodes : int; needed_nodes : int }
 
 (** Recording half of a reverse-mode tape: everything {!Reverse.Record}
     ([var], [lift], [Scalar_of]) needs, and no sweep.  {!Tape} and

@@ -36,15 +36,6 @@ let fan pool f xs =
 let fan_init pool n f =
   match pool with None -> Array.init n f | Some p -> Pool.init p n f
 
-(* The same pool, as the pool-agnostic fan-out capability the tape
-   accepts: with it, the backward sweep runs independent tape slabs in
-   parallel (bitwise identical to the sequential sweep at any [jobs] —
-   see {!Scvad_ad.Tape.backward}). *)
-let fan_of pool =
-  Option.map
-    (fun p -> { Tape_intf.fan_run = (fun f xs -> Pool.map p f xs) })
-    pool
-
 (* Lower tape sweep stats into the report's sweep profile. *)
 let sweep_profile_of (last : Tape_intf.sweep_stats option) =
   Option.map
@@ -111,7 +102,7 @@ type sweep = Gradient | Reach
    lifted, then each main-loop iteration of the window runs as one
    program step; the last step also computes the output reduction.
 
-   Under a [budget] (node slots and schedule) the tape keeps only a
+   Under a [budget] (node slots) the tape keeps only a
    window of slabs: each step is a tape segment, the capture hook
    snapshots the checkpoint variables (floats and ints) at its
    boundary, and the replay hook re-runs it from a restored boundary —
@@ -126,7 +117,7 @@ let tape_analysis ?pool ~skips ?capacity_hint ?budget ~sweep
     (module A : App.S) ~at_iter ~niter =
   let tape =
     match budget with
-    | Some (budget_nodes, schedule) -> Tape.create ~budget_nodes ~schedule ()
+    | Some budget_nodes -> Tape.create ~budget_nodes ()
     | None ->
         (* A caller-supplied hint (e.g. the static cost model's exact
            prediction) overrides the app's hand-maintained ballpark. *)
@@ -184,7 +175,7 @@ let tape_analysis ?pool ~skips ?capacity_hint ?budget ~sweep
      unreached under the dependence sweep. *)
   let magnitude =
     match sweep with
-    | Gradient -> Reverse.grad (Reverse.backward ?fan:(fan_of pool) tape !out)
+    | Gradient -> Reverse.grad (Reverse.backward tape !out)
     | Reach when Reverse.is_const !out -> fun _ -> 0.
     | Reach ->
         let r = Tape.reach tape ~output:(Reverse.node_id !out) in
@@ -216,10 +207,9 @@ let tape_analysis ?pool ~skips ?capacity_hint ?budget ~sweep
     tape_nodes = st.Tape.s_total_nodes;
     tape_profile =
       Option.map
-        (fun (budget_nodes, schedule) ->
+        (fun budget_nodes ->
           {
-            Criticality.t_schedule = Tape.Segmented.schedule_to_string schedule;
-            t_budget_nodes = budget_nodes;
+            Criticality.t_budget_nodes = budget_nodes;
             t_segments = st.Tape.s_segments;
             t_snapshots = st.Tape.s_snapshots;
             t_replays = st.Tape.s_replays;
@@ -283,7 +273,7 @@ let check_window who ~at_iter ~niter =
     invalid_arg (who ^ ": need 0 <= at_iter < niter")
 
 let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
-    ?memory_budget ~schedule ?capacity_hint (module A : App.S) =
+    ?memory_budget ?capacity_hint (module A : App.S) =
   let niter = Option.value niter ~default:A.analysis_niter in
   check_window "Analyzer.run" ~at_iter ~niter;
   (* The skip set: float variables pre-resolved before any AD runs —
@@ -318,8 +308,7 @@ let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
   let a =
     match mode with
     | Criticality.Reverse_gradient ->
-        tape_analysis ?pool ~skips ?capacity_hint
-          ?budget:(Option.map (fun b -> (b, schedule)) memory_budget)
+        tape_analysis ?pool ~skips ?capacity_hint ?budget:memory_budget
           ~sweep:Gradient
           (module A)
           ~at_iter ~niter
@@ -416,7 +405,6 @@ module Config = struct
            float fields are pre-resolved like statically-inactive ones *)
     guard : guard_spec option;
     memory_budget : int option; (* tape node slots; None: keep every node *)
-    schedule : Tape.Segmented.schedule;
     capacity_hint : int option;
         (* slab size of the unbudgeted tape, overriding the app's
            [tape_nodes_hint] — e.g. the cost model's exact prediction *)
@@ -432,7 +420,6 @@ module Config = struct
       discovered = None;
       guard = None;
       memory_budget = None;
-      schedule = Tape.Segmented.Binomial;
       capacity_hint = None;
     }
 
@@ -444,7 +431,8 @@ module Config = struct
   let with_discovered ps c = { c with discovered = Some ps }
   let with_guard g c = { c with guard = Some g }
   let with_memory_budget b c = { c with memory_budget = Some b }
-  let with_schedule schedule c = { c with schedule }
+  (* Kept only for the benchmark's call: there is one schedule. *)
+  let with_schedule Tape.Segmented.Binomial c = c
   let with_capacity_hint h c = { c with capacity_hint = Some h }
 end
 
@@ -458,7 +446,6 @@ let run ?(config = Config.default) (module A : App.S) =
     discovered;
     guard;
     memory_budget;
-    schedule;
     capacity_hint;
   } =
     config
@@ -470,11 +457,11 @@ let run ?(config = Config.default) (module A : App.S) =
   let report =
     if jobs = 1 then
       analyze_with ~mode ~at_iter ?niter ?static ?discovered ?memory_budget
-        ~schedule ?capacity_hint (module A)
+        ?capacity_hint (module A)
     else
       Pool.with_pool ~jobs (fun pool ->
           analyze_with ~mode ~at_iter ?niter ~pool ?static ?discovered
-            ?memory_budget ~schedule ?capacity_hint (module A))
+            ?memory_budget ?capacity_hint (module A))
   in
   maybe_guard guard (module A) report
 
@@ -493,7 +480,6 @@ let run_suite ?(config = Config.default) apps =
     discovered;
     guard;
     memory_budget;
-    schedule;
     capacity_hint;
   } =
     config
@@ -505,7 +491,7 @@ let run_suite ?(config = Config.default) apps =
   let one pool app =
     maybe_guard guard app
       (analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
-         ?memory_budget ~schedule ?capacity_hint app)
+         ?memory_budget ?capacity_hint app)
   in
   if jobs = 1 then List.map (one None) apps
   else

@@ -90,12 +90,8 @@ module Config : sig
             [tape_profile].  Unset (default): the tape stores every
             node.  Ignored by forward mode, which records no tape, and
             by activity mode, whose dependence sweep reads every stored
-            node. *)
-    schedule : Scvad_ad.Tape.Segmented.schedule;
-        (** recompute-vs-store schedule under [memory_budget]
-            (default [Binomial]).  [Planned] boundaries typically come
-            from the static cost model ([Scvad_cost.Plan]), computed
-            before any recording. *)
+            node.  A budget too small for the lifted checkpoint state
+            raises {!Scvad_ad.Tape_intf.Budget_too_small}. *)
     capacity_hint : int option;
         (** slab size in nodes of the unbudgeted tape (reverse and
             activity mode), overriding the app's hand-maintained
@@ -114,7 +110,11 @@ module Config : sig
   val with_discovered : Scvad_discover.Rank.proposals -> t -> t
   val with_guard : guard_spec -> t -> t
   val with_memory_budget : int -> t -> t
+
+  (** [with_schedule Binomial c] is [c]: the budgeted tape has one
+      schedule.  Kept only because the benchmark calls it. *)
   val with_schedule : Scvad_ad.Tape.Segmented.schedule -> t -> t
+
   val with_capacity_hint : int -> t -> t
 end
 

@@ -32,9 +32,8 @@ let mode_name = function
 (* How the recording was held in memory.  [None] means the dense tape
    (everything stored); [Some p] means the segmented tape ran under a
    node budget and [p] accounts for the recompute-vs-store trade the
-   schedule made. *)
+   binomial schedule made. *)
 type tape_profile = {
-  t_schedule : string; (* "binomial" | "planned[n]" *)
   t_budget_nodes : int;
   t_segments : int;
   t_snapshots : int;

@@ -38,7 +38,6 @@ val mode_name : mode -> string
     budget (rounded to whole slabs) and [t_replayed_nodes] is the extra
     recomputation the backward sweep paid for it. *)
 type tape_profile = {
-  t_schedule : string;  (** ["binomial"] | ["planned[n]"] *)
   t_budget_nodes : int;
   t_segments : int;
   t_snapshots : int;

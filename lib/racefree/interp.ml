@@ -139,7 +139,7 @@ and force' = function VRef _ -> unknown | v -> force v
 
 (* Structural join.  Mismatched shapes degrade to an opaque value that
    keeps every root; matched shapes join pointwise so record fields
-   (e.g. a [fan_run] closure) survive a branch merge. *)
+   (e.g. a closure stored in a record) survive a branch merge. *)
 let rec join a b =
   match (force a, force b) with
   | Pure, v | v, Pure -> v
@@ -1457,7 +1457,7 @@ let entry_files model =
         in
         go 0
       in
-      if mentions "Pool." || mentions "fan_run" then f :: acc else acc)
+      if mentions "Pool." then f :: acc else acc)
     model.Rmodel.files []
   |> List.sort (fun (a : Rmodel.file) b -> compare a.f_path b.f_path)
 

@@ -16,12 +16,10 @@ module Npb = Scvad_npb
 
 let dense (module A : Scvad_core.App.S) = Analyzer.run (module A)
 
-let segmented ?(schedule = Scvad_ad.Tape.Segmented.Binomial) ~budget
-    (module A : Scvad_core.App.S) =
+let segmented ?niter ~budget (module A : Scvad_core.App.S) =
+  let config = Analyzer.Config.(default |> with_memory_budget budget) in
   Analyzer.run
-    ~config:
-      Analyzer.Config.(
-        default |> with_memory_budget budget |> with_schedule schedule)
+    ~config:{ config with Analyzer.Config.niter }
     (module A)
 
 (* Bitwise-identical analysis: every var report (name, shape, kind,
@@ -58,8 +56,7 @@ let test_profile_presence () =
   let d = dense (module Npb.Cg.App) in
   Alcotest.(check bool) "dense has no profile" true (d.Crit.tape_profile = None);
   let s = segmented ~budget:(max 1 (d.Crit.tape_nodes / 4)) (module Npb.Cg.App) in
-  let p = profile "cg" s in
-  Alcotest.(check string) "binomial by default" "binomial" p.Crit.t_schedule
+  ignore (profile "cg" s)
 
 let quarter_budget_matches name (module A : Scvad_core.App.S) () =
   let d = dense (module A) in
@@ -98,24 +95,34 @@ let test_ft_quarter () =
   quarter_budget_matches "ft" (module Npb.Ft.App) ();
   Gc.full_major ()
 
-(* Every schedule reproduces the dense report: the default binomial
-   one and a planned one whose boundaries come from the static cost
-   model. *)
+(* The binomial schedule reproduces the dense report. *)
 let test_schedules_agree () =
   let d = dense (module Npb.Cg.App) in
   let budget = max 1 (d.Crit.tape_nodes / 4) in
-  check_identical "cg/binomial" d (segmented ~budget (module Npb.Cg.App));
-  let prediction = Scvad_cost.Predict.predict (module Npb.Cg.App) in
-  let plan = Scvad_cost.Plan.of_prediction prediction ~budget_nodes:budget in
-  let planned =
-    segmented
-      ~schedule:(Scvad_ad.Tape.Segmented.Planned plan.Scvad_cost.Plan.boundaries)
-      ~budget (module Npb.Cg.App)
+  check_identical "cg/binomial" d (segmented ~budget (module Npb.Cg.App))
+
+(* Nodes recorded before the first boundary snapshot — the lifted
+   checkpoint state — cannot be discarded, so a budget below them is
+   refused at the push that would exceed it, never silently overrun.
+   cg-tiny lifts 62 nodes: a 40-node budget (two 16-node slabs) is
+   refused, a 64-node one (four slabs) holds them and still matches the
+   dense report within budget. *)
+let test_budget_below_lift () =
+  let app = (module Npb.Cg.Tiny_app : Scvad_core.App.S) in
+  (match segmented ~niter:4 ~budget:40 app with
+  | _ -> Alcotest.fail "a 40-node budget ran below the 62 lifted nodes"
+  | exception
+      Scvad_ad.Tape_intf.Budget_too_small { budget_nodes; needed_nodes } ->
+      Alcotest.(check int) "slab-rounded budget" 32 budget_nodes;
+      Alcotest.(check int) "push that found no room" 33 needed_nodes);
+  let d =
+    Analyzer.run ~config:Analyzer.Config.(default |> with_niter 4) app
   in
-  check_identical "cg/planned" d planned;
-  Alcotest.(check string)
-    "planned schedule echoed" "planned[1]"
-    (profile "cg/planned" planned).Crit.t_schedule
+  let s = segmented ~niter:4 ~budget:64 app in
+  check_identical "cg-tiny/64" d s;
+  Alcotest.(check bool)
+    "peak live within budget" true
+    ((profile "cg-tiny/64" s).Crit.t_peak_live_nodes <= 64)
 
 (* A budget at or above the dense size needs no replays at all. *)
 let test_ample_budget_no_replay () =
@@ -144,5 +151,7 @@ let suites =
           test_schedules_agree;
         Alcotest.test_case "ample budget never replays" `Quick
           test_ample_budget_no_replay;
+        Alcotest.test_case "budget below the lifted state is refused" `Quick
+          test_budget_below_lift;
       ] );
   ]

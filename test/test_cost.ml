@@ -1,18 +1,15 @@
 (* Static cost model: the golden per-app node-count table at class S,
    the IS zero-node theorem, the hint-drift bound the @cost-check gate
    enforces, predictions at non-zero boundaries and outside a source
-   tree, the analyzer's window check, and the Planned-schedule property
-   against the register-machine harness (test_segtape.ml).
+   tree, and the analyzer's window check.
 
    The golden numbers are load-bearing: scvad check cost --gate proves each
    equals the dynamically recorded dense tape length exactly, so a
    change here must come with a matching change in the recording (or a
    kernel edit that justifies both). *)
 
-open Scvad_ad
 module World = Scvad_cost.World
 module Predict = Scvad_cost.Predict
-module Plan = Scvad_cost.Plan
 module Cost_driver = Scvad_cost.Driver
 
 (* One counting pass for the whole suite: FT dominates the cost, and
@@ -164,134 +161,6 @@ let test_window_checked () =
           then Alcotest.failf "%s: unexpected message %s" name msg)
     [ ("bt", None, 3); ("cg-tiny", Some 1, 1); ("lu", None, -1) ]
 
-(* ------------------------------------------------------------------ *)
-(* Planner vs. the register machine                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The plan's slab sizing must mirror the tape's own default — the
-   planner simulates slab-granular retention, so a disagreement here
-   would skew every predicted bound. *)
-let test_default_slab_nodes_matches_tape () =
-  List.iter
-    (fun budget_nodes ->
-      let t = Tape.create ~budget_nodes () in
-      Alcotest.(check int)
-        (Printf.sprintf "budget %d" budget_nodes)
-        (Plan.default_slab_nodes ~budget_nodes)
-        (Tape.slab_nodes t))
-    [ 1; 100; 128; 5_000; 65_536; 524_288; 10_000_000 ]
-
-(* Per-segment node costs of a register-machine program, measured on an
-   unbudgeted recording (which never discards, so the running length at
-   each boundary is exact). *)
-let measure_segments (prog : Test_segtape.prog) =
-  let tape = Tape.create ~capacity_hint:16 () in
-  let module S = Reverse.Scalar_of (struct
-    let tape = tape
-  end) in
-  let nseg = Array.length prog.Test_segtape.segs in
-  let regs = Array.make prog.Test_segtape.nregs (Reverse.const 0.) in
-  Array.blit
-    (Test_segtape.init_regs (Reverse.var tape) prog)
-    0 regs 0 prog.Test_segtape.nregs;
-  let input_nodes = Array.sub regs 0 prog.Test_segtape.ninputs in
-  let prelude = Tape.length tape in
-  let segments =
-    Array.init nseg (fun s ->
-        let before = Tape.length tape in
-        Test_segtape.exec (module S) regs prog.Test_segtape.segs.(s);
-        if s = nseg - 1 then
-          ignore (Test_segtape.sum_regs (module S) regs input_nodes);
-        Tape.length tape - before)
-  in
-  (prelude, segments)
-
-let planned_gen =
-  let open QCheck.Gen in
-  let* prog = Test_segtape.prog_gen in
-  let* budget = int_range 16 600 in
-  let* slots = int_range 1 8 in
-  return (prog, budget, slots)
-
-let planned_print (p, budget, slots) =
-  Printf.sprintf "%s budget=%d slots=%d" (Test_segtape.prog_print p) budget
-    slots
-
-(* The PR's planning contract on random programs: a plan computed from
-   the measured per-segment costs alone must (a) validate as a Planned
-   schedule, (b) reproduce the dense adjoints bitwise, (c) keep peak
-   live storage within the slab-granular budget cap AND within the
-   plan's own predicted peak, and (d) never exceed the simulator's
-   dense-sweep replay bounds — the simulator re-enacts the exact
-   retention discipline, so its counts are upper bounds by
-   construction. *)
-let prop_planned_equals_dense =
-  QCheck.Test.make ~count:200
-    ~name:"planned schedule bitwise equals dense within the plan's bounds"
-    (QCheck.make ~print:planned_print planned_gen)
-    (fun (prog, budget, slots) ->
-      let dv, dg, _total, _ = Test_segtape.run_dense prog in
-      let prelude, segments = measure_segments prog in
-      let plan =
-        Plan.make ~slab_nodes:16 ~snapshot_slots:slots ~prelude ~segments
-          ~budget_nodes:budget ()
-      in
-      let sv, sg, stats, _, _ =
-        Test_segtape.run_segmented ~capacity_hint:16 ~snapshot_slots:slots
-          ~schedule:(Tape.Segmented.Planned plan.Plan.boundaries)
-          ~budget_nodes:budget prog
-      in
-      if not (Test_segtape.same_float dv sv) then
-        QCheck.Test.fail_reportf "output: dense %.17g <> planned %.17g" dv sv;
-      Array.iteri
-        (fun i d ->
-          if not (Test_segtape.same_float d sg.(i)) then
-            QCheck.Test.fail_reportf
-              "adjoint of input %d: dense %.17g <> planned %.17g" i d sg.(i))
-        dg;
-      if stats.Tape.s_total_nodes <> plan.Plan.total_nodes then
-        QCheck.Test.fail_reportf "total nodes: recorded %d <> planned %d"
-          stats.Tape.s_total_nodes plan.Plan.total_nodes;
-      let cap =
-        Stdlib.max stats.Tape.s_slab_nodes
-          (budget / stats.Tape.s_slab_nodes
-          * stats.Tape.s_slab_nodes)
-      in
-      if stats.Tape.s_peak_live_nodes > cap then
-        QCheck.Test.fail_reportf "peak live %d > budget cap %d"
-          stats.Tape.s_peak_live_nodes cap;
-      if stats.Tape.s_peak_live_nodes > plan.Plan.peak_live_nodes
-      then
-        QCheck.Test.fail_reportf "peak live %d > planned peak %d"
-          stats.Tape.s_peak_live_nodes plan.Plan.peak_live_nodes;
-      if stats.Tape.s_replays > plan.Plan.replays then
-        QCheck.Test.fail_reportf "%d replays > planned bound %d"
-          stats.Tape.s_replays plan.Plan.replays;
-      if stats.Tape.s_replayed_nodes > plan.Plan.replayed_nodes then
-        QCheck.Test.fail_reportf "%d replayed nodes > planned bound %d"
-          stats.Tape.s_replayed_nodes plan.Plan.replayed_nodes;
-      true)
-
-(* Planned-schedule validation at create time. *)
-let test_planned_validation () =
-  let mk bs =
-    ignore
-      (Tape.create ~schedule:(Tape.Segmented.Planned bs) ~budget_nodes:64 ())
-  in
-  let rejects bs =
-    match mk bs with
-    | () -> Alcotest.failf "schedule accepted"
-    | exception Invalid_argument _ -> ()
-  in
-  rejects [];
-  rejects [ 1; 2 ];
-  (* must start at 0 *)
-  rejects [ 0; 3; 3 ];
-  (* strictly increasing *)
-  rejects [ 0; 5; 2 ];
-  mk [ 0 ];
-  mk [ 0; 1; 2; 7 ]
-
 let suites =
   [
     ( "cost",
@@ -304,11 +173,6 @@ let suites =
           test_is_zero;
         Alcotest.test_case "every hint within 10% of prediction" `Slow
           test_hints_within_10pct;
-        Alcotest.test_case "plan slab sizing matches the tape" `Quick
-          test_default_slab_nodes_matches_tape;
-        Alcotest.test_case "planned schedule validation" `Quick
-          test_planned_validation;
-        QCheck_alcotest.to_alcotest prop_planned_equals_dense;
         Alcotest.test_case "predictions equal the tape at non-zero boundaries"
           `Slow test_nonzero_boundaries;
         Alcotest.test_case "predictions need no source tree" `Quick

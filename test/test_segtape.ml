@@ -1,6 +1,6 @@
 (* Budgeted tape: bitwise equivalence with the seed's dense tape
    ([Seed_tape], the independent reference) under random programs,
-   budgets, and schedules, plus the budget/replay edge cases.
+   budgets, and snapshot slots, plus the budget/replay edge cases.
 
    The harness is a tiny register machine whose step replays are
    deterministic by construction — exactly the property the analyzer
@@ -76,11 +76,8 @@ let run_dense prog =
     Seed_tape.adjoint adj )
 
 (* The engine under a budget; [capacity_hint] sets the slab size. *)
-let run_segmented ?fan ?capacity_hint ?snapshot_slots ?schedule ~budget_nodes
-    prog =
-  let tape =
-    Tape.create ?capacity_hint ?snapshot_slots ?schedule ~budget_nodes ()
-  in
+let run_segmented ?capacity_hint ?snapshot_slots ~budget_nodes prog =
+  let tape = Tape.create ?capacity_hint ?snapshot_slots ~budget_nodes () in
   let module S = Reverse.Scalar_of (struct
     let tape = tape
   end) in
@@ -103,7 +100,7 @@ let run_segmented ?fan ?capacity_hint ?snapshot_slots ?schedule ~budget_nodes
     Tape.start_segment tape;
     step s
   done;
-  let adj = Tape.backward ?fan tape ~output:(Reverse.node_id !out) in
+  let adj = Tape.backward tape ~output:(Reverse.node_id !out) in
   ( Reverse.value !out,
     Array.init prog.ninputs (Tape.adjoint adj),
     Tape.stats tape,

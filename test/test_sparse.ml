@@ -1,7 +1,7 @@
-(* Frontier (sparse) backward sweep: the engine's sweep — unbudgeted,
-   budgeted, and segment-parallel — must be bitwise identical to the
-   seed's dense descending scan ([Seed_tape], which shares no code with
-   the engine), for any budget and job count.
+(* Frontier (sparse) backward sweep: the engine's sweep — unbudgeted
+   and budgeted — must be bitwise identical to the seed's dense
+   descending scan ([Seed_tape], which shares no code with the engine),
+   for any budget and job count.
 
    The "sparse" suite pins the engine down on random register-machine
    programs (harness shared with Test_segtape) plus the IS degenerate
@@ -10,33 +10,19 @@
 
    The "sparse-gate" suite is the CI gate: across the full NPB suite,
    the unbudgeted jobs=1 masks equal the masks of a [Seed_tape]
-   recording of the same window, and masks from the frontier sweep at
-   jobs=4 — and from the segment-parallel budgeted sweep — are bitwise
-   identical to them, with jobs-invariant visited-node counts. *)
+   recording of the same window, and masks at jobs=4 (whose
+   per-variable extraction runs on a pool) — unbudgeted and budgeted —
+   are bitwise identical to them, with jobs-invariant visited-node
+   counts. *)
 
 open Scvad_ad
 module Crit = Scvad_core.Criticality
 module Analyzer = Scvad_core.Analyzer
 module Npb = Scvad_npb
-module Pool = Scvad_par.Pool
 
-let fan_of pool =
-  { Tape_intf.fan_run = (fun f xs -> Pool.map pool f xs) }
-
-(* Long-lived pools shared by all property cases (spawning domains per
-   qcheck case would dominate the suite's runtime); joined at exit. *)
-let pool_of jobs =
-  lazy
-    (let p = Pool.create ~jobs in
-     at_exit (fun () -> Pool.shutdown p);
-     p)
-
-let pool1 = pool_of 1
-let pool4 = pool_of 4
-
-(* Unbudgeted engine run with an optional fan; returns the output
-   value, the per-node adjoint, and the sweep stats. *)
-let run_dense ?fan prog =
+(* Unbudgeted engine run; returns the output value, the per-node
+   adjoint, and the sweep stats. *)
+let run_dense prog =
   let tape = Tape.create ~capacity_hint:64 () in
   let module S = Reverse.Scalar_of (struct
     let tape = tape
@@ -45,14 +31,14 @@ let run_dense ?fan prog =
   let input_nodes = Array.sub regs 0 prog.Test_segtape.ninputs in
   Array.iter (Test_segtape.exec (module S) regs) prog.Test_segtape.segs;
   let out = Test_segtape.sum_regs (module S) regs input_nodes in
-  let adj = Tape.backward ?fan tape ~output:(Reverse.node_id out) in
+  let adj = Tape.backward tape ~output:(Reverse.node_id out) in
   (Reverse.value out, Tape.adjoint adj, Tape.last_sweep tape)
 
-(* Budgeted engine run with an optional fan. *)
-let run_seg ?fan ?capacity_hint ?snapshot_slots ~budget_nodes prog =
+(* Budgeted engine run. *)
+let run_seg ?capacity_hint ?snapshot_slots ~budget_nodes prog =
   let v, _, _, tape, adj =
-    Test_segtape.run_segmented ?fan ?capacity_hint ?snapshot_slots
-      ~budget_nodes prog
+    Test_segtape.run_segmented ?capacity_hint ?snapshot_slots ~budget_nodes
+      prog
   in
   (v, adj, Tape.last_sweep tape)
 
@@ -63,7 +49,7 @@ let run_seg ?fan ?capacity_hint ?snapshot_slots ~budget_nodes prog =
 let prop_sparse_equals_dense =
   QCheck.Test.make ~count:150
     ~name:
-      "frontier backward bitwise equals dense (any jobs, schedule, budget)"
+      "frontier backward bitwise equals dense (any budget, snapshot slots)"
     (QCheck.make ~print:Test_segtape.setup_print Test_segtape.setup_gen)
     (fun (prog, budget, slots) ->
       let dv, _, total, dadj = Test_segtape.run_dense prog in
@@ -80,38 +66,20 @@ let prop_sparse_equals_dense =
       in
       let v0, a0, s0 = run_dense prog in
       check "unbudgeted" v0 a0;
-      let v1, a1, s1 = run_dense ~fan:(fan_of (Lazy.force pool1)) prog in
-      check "unbudgeted fan jobs=1" v1 a1;
-      let v4, a4, s4 = run_dense ~fan:(fan_of (Lazy.force pool4)) prog in
-      check "unbudgeted fan jobs=4" v4 a4;
-      (* Visited-node counts are jobs-invariant on the unbudgeted tape. *)
-      (match (s0, s1, s4) with
-      | Some d, Some x1, Some x4 ->
-          if not (d = x1 && d = x4) then
-            QCheck.Test.fail_reportf
-              "sweep stats differ across jobs: (%d,%d) (%d,%d) (%d,%d)"
-              d.Tape_intf.visited_nodes d.Tape_intf.swept_nodes
-              x1.Tape_intf.visited_nodes x1.Tape_intf.swept_nodes
-              x4.Tape_intf.visited_nodes x4.Tape_intf.swept_nodes
-      | _ -> QCheck.Test.fail_reportf "an unbudgeted sweep recorded no stats");
-      let sv, sadj, _ =
+      let sv, sadj, sstats =
         run_seg ~capacity_hint:16 ~snapshot_slots:slots ~budget_nodes:budget
           prog
       in
       check "segmented" sv sadj;
-      let pv, padj, pstats =
-        run_seg
-          ~fan:(fan_of (Lazy.force pool4))
-          ~capacity_hint:16 ~snapshot_slots:slots ~budget_nodes:budget prog
-      in
-      check "segment-parallel jobs=4" pv padj;
-      (match pstats with
-      | Some st ->
-          if st.Tape_intf.visited_nodes > st.Tape_intf.swept_nodes then
-            QCheck.Test.fail_reportf "visited %d > swept %d"
-              st.Tape_intf.visited_nodes st.Tape_intf.swept_nodes
-      | None ->
-          QCheck.Test.fail_reportf "segment-parallel sweep recorded no stats");
+      List.iter
+        (fun (what, stats) ->
+          match stats with
+          | Some st ->
+              if st.Tape_intf.visited_nodes > st.Tape_intf.swept_nodes then
+                QCheck.Test.fail_reportf "%s: visited %d > swept %d" what
+                  st.Tape_intf.visited_nodes st.Tape_intf.swept_nodes
+          | None -> QCheck.Test.fail_reportf "%s sweep recorded no stats" what)
+        [ ("unbudgeted", s0); ("segmented", sstats) ];
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -140,8 +108,7 @@ let test_sweep_profile () =
 (* IS is integer sorting: its reverse tape records zero float nodes, so
    no backward sweep ever runs and the frontier machinery must cope
    with the empty case — all-false float masks, no sweep profile, no
-   crash — through the sequential, pooled, and segment-parallel
-   paths alike. *)
+   crash — unbudgeted and budgeted, sequential and pooled alike. *)
 let test_is_degenerate () =
   let d = Analyzer.run (module Npb.Is.App) in
   Alcotest.(check int) "is records no float nodes" 0 d.Crit.tape_nodes;
@@ -174,7 +141,7 @@ let test_is_degenerate () =
     (s4.Crit.sweep_profile = None)
 
 (* ------------------------------------------------------------------ *)
-(* CI gate: full NPB suite, sparse and segment-parallel vs dense       *)
+(* CI gate: full NPB suite, sparse and segmented vs dense, any jobs    *)
 (* ------------------------------------------------------------------ *)
 
 (* The seed-tape oracle for one app over the analyzer's default window
@@ -214,9 +181,9 @@ let seed_masks (module A : Scvad_core.App.S) =
       lifted )
 
 (* Per app (one tape live at a time): the jobs=1 report must match the
-   seed-tape oracle, and the report with the backward sweep fanned over
-   a 4-wide pool must match the jobs=1 report bitwise, including the
-   visited-node count. *)
+   seed-tape oracle, and the report with per-variable extraction fanned
+   over a 4-wide pool must match the jobs=1 report bitwise, including
+   the visited-node count. *)
 let gate_dense (module A : Scvad_core.App.S) () =
   let nodes, masks = seed_masks (module A) in
   Gc.full_major ();
@@ -239,6 +206,9 @@ let gate_dense (module A : Scvad_core.App.S) () =
     true
     (d.Crit.sweep_profile = p.Crit.sweep_profile)
 
+(* The segmented (budgeted) tape at jobs=1 and at jobs=4, where
+   per-variable extraction runs in parallel: both must match the dense
+   report. *)
 let gate_segmented name (module A : Scvad_core.App.S) () =
   let d = Analyzer.run (module A) in
   let budget = max 1 (d.Crit.tape_nodes / 4) in
