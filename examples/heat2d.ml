@@ -99,6 +99,8 @@ module Heat : App.S = struct
           idoc = "main loop index";
         } ]
   end
+
+  module Float = Make (Float_scalar)
 end
 
 let () =

@@ -84,6 +84,8 @@ module Demo : App.S = struct
           idoc = "main loop index";
         } ]
   end
+
+  module Float = Make (Float_scalar)
 end
 
 (* ------------------------------------------------------------------ *)

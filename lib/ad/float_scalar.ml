@@ -1,4 +1,4 @@
-(* Plain-float instantiation of {!Scalar.S}: zero-overhead production mode. *)
+(* Plain-float instantiation of {!Scalar.S}. *)
 
 type t = float
 

@@ -3,7 +3,9 @@
     Every numerical kernel in this repository is a functor over [Scalar.S],
     so the same kernel source runs in three modes:
 
-    - plain floats ({!Float_scalar}) for production execution,
+    - plain floats ({!Float_scalar}) for production execution, through
+      copies generated at build time with it bound statically
+      ([scvad_float]); the functor instance is their test oracle,
     - reverse-mode AD values ({!Reverse}) for one-pass criticality analysis,
     - forward-mode duals ({!Dual}) for per-element probing.
 

@@ -1,10 +1,11 @@
 (** Application interface.
 
     Every benchmark is packaged as an {!S}: a functor over the scalar
-    type plus metadata.  The same kernel source therefore runs in float
-    mode (execution, checkpointing) and in AD mode (criticality
-    analysis), which is the linchpin of the reproduction: the analysis
-    sees exactly the data flow the real run performs. *)
+    type, its plain-float production instance, plus metadata.  The same
+    kernel source therefore runs in float mode (execution,
+    checkpointing) and in AD mode (criticality analysis), which is the
+    linchpin of the reproduction: the analysis sees exactly the data
+    flow the real run performs. *)
 
 (** One instantiation of a benchmark at a concrete scalar type. *)
 module type INSTANCE = sig
@@ -52,7 +53,17 @@ module type S = sig
       extra slab allocations, never a copy. *)
   val tape_nodes_hint : int
 
+  (** The scalar-generic kernel.  [Make (Float_scalar)] is the test
+      oracle for {!Float}; the AD modes instantiate it at their scalars. *)
   module Make (S : Scvad_ad.Scalar.S) : INSTANCE with type scalar = S.t
+
+  (** The production instance: golden runs, checkpointed runs, restarts
+      and falsifier trials.  For the NPB kernels it is generated at build
+      time from the same source with the scalar bound to plain floats
+      ([scvad_float]): without flambda [Make (Float_scalar)] keeps an
+      indirect call and a boxed float per operation.  It must agree with
+      [Make (Float_scalar)] bit for bit. *)
+  module Float : INSTANCE with type scalar = float
 
   (** Mechanized integer-dependence analysis (IS): returns criticality
       masks keyed by integer-variable name for the [By_taint] variables.

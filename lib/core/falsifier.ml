@@ -91,7 +91,7 @@ let run ?boundary ?niter ?h ~trials ~seed ~targets (module A : App.S) =
     invalid_arg
       (Printf.sprintf "Falsifier.run: boundary %d outside [0, %d]" boundary
          niter);
-  let module I = A.Make (Scvad_ad.Float_scalar) in
+  let module I = A.Float in
   let state = I.create () in
   I.run state ~from:0 ~until:boundary;
   let fvars = I.float_vars state and ivars = I.int_vars state in

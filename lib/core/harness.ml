@@ -29,7 +29,7 @@ type experiment_result = {
 
 let golden_run ?niter (module A : App.S) =
   let niter = Option.value niter ~default:A.default_niter in
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   let state = I.create () in
   I.run state ~from:0 ~until:niter;
   { output = I.output state; iterations = niter }
@@ -42,7 +42,7 @@ let run_with_checkpoints ?report ?crash_at ?niter ~store ~every
     (module A : App.S) =
   if every <= 0 then invalid_arg "Harness.run_with_checkpoints: every <= 0";
   let niter = Option.value niter ~default:A.default_niter in
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   let state = I.create () in
   let checkpoint iteration =
     let file =
@@ -72,7 +72,7 @@ let run_with_checkpoints ?report ?crash_at ?niter ~store ~every
 let restart_from_latest ?(poison = Failure_.Nan) ?niter ~store
     (module A : App.S) =
   let niter = Option.value niter ~default:A.default_niter in
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   match Store.latest store with
   | None -> invalid_arg "Harness.restart_from_latest: empty store"
   | Some file ->
@@ -101,7 +101,7 @@ type restart_report = {
 let restart_resilient ?(poison = Failure_.Nan) ?niter ~store
     (module A : App.S) =
   let niter = Option.value niter ~default:A.default_niter in
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   let rec walk skipped = function
     | [] ->
         let state = I.create () in
@@ -150,7 +150,7 @@ let corrupt_element_experiment ?niter ?(bit = 30) ~at_iter ~var ~element
   if at_iter < 0 || at_iter >= niter then
     invalid_arg "Harness.corrupt_element_experiment: bad boundary";
   let golden = golden_run ~niter (module A : App.S) in
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   let state = I.create () in
   I.run state ~from:0 ~until:at_iter;
   let v =

@@ -201,7 +201,7 @@ type policy_bytes = {
    bytes. *)
 let storage_comparison ?(warmup = 1) ~checkpoints (module A : App.S)
     (report : Criticality.report) =
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   let st = I.create () in
   I.run st ~from:0 ~until:warmup;
   let inc = create_tracker () and comb = create_tracker () in

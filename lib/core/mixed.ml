@@ -164,7 +164,7 @@ let experiment ?(at_iter = 1) ?niter ~threshold (module A : App.S) =
      iteration a restart would replay. *)
   let impact = Analyzer.analyze_impact ~at_iter ~niter (module A) in
   let plans = plans_of_report ~threshold impact in
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   (* Golden. *)
   let golden =
     let st = I.create () in

@@ -6,8 +6,6 @@
    then the checkpoint-policy comparison and the Young operational
    model built on Table III's savings.                                  *)
 
-open Scvad_ad
-
 let buf_table rows =
   (* Simple column alignment over a list of string rows. *)
   match rows with
@@ -40,7 +38,7 @@ let buf_table rows =
 (* ------------------------------------------------------------------ *)
 
 let declarations (module A : App.S) =
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   let state = I.create () in
   List.map Variable.declaration (I.float_vars state)
   @ List.map Variable.int_declaration (I.int_vars state)
@@ -106,7 +104,7 @@ let saved_rate row =
 (* Measure one application: snapshot its state full and pruned. *)
 let table3_row ?(at_iter = 1) (module A : App.S) (report : Criticality.report)
     =
-  let module I = A.Make (Float_scalar) in
+  let module I = A.Float in
   let state = I.create () in
   I.run state ~from:0 ~until:at_iter;
   let snap r =

@@ -162,6 +162,7 @@ module App : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)
+  module Float = Scvad_float.Bt.Make_generic
 end
 
 (* NPB class-W problem size: the scaling study. *)
@@ -174,4 +175,5 @@ module App_w : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Adi_common.Bt_w_grid) (S)
+  module Float = Scvad_float.Bt.Make_sized (Adi_common.Bt_w_grid)
 end

@@ -272,6 +272,7 @@ module App : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (Class_s) (S)
+  module Float = Scvad_float.Cg.Make_generic (Class_s)
 end
 
 (* NPB class W (the scaling study). *)
@@ -293,6 +294,7 @@ module App_w : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (Class_w) (S)
+  module Float = Scvad_float.Cg.Make_generic (Class_w)
 end
 
 (* Reduced-size configuration for expensive ablations (forward probe). *)
@@ -318,4 +320,5 @@ module Tiny_app : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (Tiny_config) (S)
+  module Float = Scvad_float.Cg.Make_generic (Tiny_config)
 end

@@ -124,4 +124,5 @@ module App : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)
+  module Float = Scvad_float.Ep.Make_generic
 end

@@ -34,8 +34,8 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
 
   module C = Scvad_solvers.Dcomplex.Make (S)
   module F = Scvad_solvers.Fft.Make (S)
-  module Cf = Scvad_solvers.Dcomplex.Make (Scvad_ad.Float_scalar)
-  module Ff = Scvad_solvers.Fft.Make (Scvad_ad.Float_scalar)
+  module Cf = Scvad_float.Dcomplex.Make
+  module Ff = Scvad_float.Fft.Make
 
   type state = {
     y : C.t array; (* [64][64][65] frequency-domain signal *)
@@ -228,4 +228,5 @@ module App : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)
+  module Float = Scvad_float.Ft.Make_generic
 end

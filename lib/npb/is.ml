@@ -274,4 +274,7 @@ module App : Scvad_core.App.S = struct
           idoc = "main loop index";
         } ]
   end
+
+  (* The kernel is plain ints: the generic instance is already native. *)
+  module Float = Make (Scvad_ad.Float_scalar)
 end

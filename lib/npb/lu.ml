@@ -297,6 +297,7 @@ module App : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)
+  module Float = Scvad_float.Lu.Make_generic
 end
 
 (* NPB class-W problem size: the scaling study. *)
@@ -309,4 +310,5 @@ module App_w : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Adi_common.Lu_w_grid) (S)
+  module Float = Scvad_float.Lu.Make_sized (Adi_common.Lu_w_grid)
 end

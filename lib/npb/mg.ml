@@ -378,6 +378,7 @@ module App : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Class_s) (S)
+  module Float = Scvad_float.Mg.Make_sized (Class_s)
 end
 
 module App_w : Scvad_core.App.S = struct
@@ -389,4 +390,5 @@ module App_w : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Class_w) (S)
+  module Float = Scvad_float.Mg.Make_sized (Class_w)
 end

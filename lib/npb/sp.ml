@@ -136,6 +136,7 @@ module App : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)
+  module Float = Scvad_float.Sp.Make_generic
 end
 
 (* NPB class-W problem size: the scaling study. *)
@@ -148,4 +149,5 @@ module App_w : Scvad_core.App.S = struct
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Adi_common.Sp_w_grid) (S)
+  module Float = Scvad_float.Sp.Make_sized (Adi_common.Sp_w_grid)
 end

@@ -73,6 +73,8 @@ module Toy : App.S = struct
           idoc = "main loop index";
         } ]
   end
+
+  module Float = Make (Float_scalar)
 end
 
 let expected_mask = Array.init 10 (fun i -> i <= 7)

@@ -323,6 +323,47 @@ let test_registry () =
       "int istep";
       "int kt" ]
 
+(* ------------------------------------------------------------------ *)
+(* Generated plain-float instances                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [A.Float] runs golden runs and restarts; for the NPB kernels it is
+   generated from the kernel source with the scalar bound to plain
+   floats.  At a random boundary k its checkpoint variables must equal
+   those of the generic oracle [A.Make (Float_scalar)] bit for bit, and
+   so must the output after the rest of the run.  Runs are capped at three
+   iterations to keep the generic side affordable. *)
+let prop_float_instance (module A : App.S) =
+  let niter = min A.default_niter 3 in
+  QCheck.Test.make ~count:2
+    ~name:(A.name ^ ": Float = Make (Float_scalar) at random k")
+    (QCheck.int_bound niter)
+    (fun k ->
+      let module G = A.Make (Scvad_ad.Float_scalar) in
+      let module F = A.Float in
+      let g = G.create () and f = F.create () in
+      G.run g ~from:0 ~until:k;
+      F.run f ~from:0 ~until:k;
+      let floats vars =
+        List.map
+          (fun v ->
+            (v.Variable.name, Array.map Int64.bits_of_float (Variable.snapshot v)))
+          vars
+      in
+      let ints vars =
+        List.map (fun v -> (v.Variable.iname, Variable.int_snapshot v)) vars
+      in
+      if floats (G.float_vars g) <> floats (F.float_vars f) then
+        QCheck.Test.fail_reportf "float_vars differ at k = %d" k;
+      if ints (G.int_vars g) <> ints (F.int_vars f) then
+        QCheck.Test.fail_reportf "int_vars differ at k = %d" k;
+      G.run g ~from:k ~until:niter;
+      F.run f ~from:k ~until:niter;
+      let go = G.output g and fo = F.output f in
+      if Int64.bits_of_float go <> Int64.bits_of_float fo then
+        QCheck.Test.fail_reportf "output: generic %h, generated %h" go fo;
+      true)
+
 let suites =
   [ ( "npb.table2",
       [ Alcotest.test_case "paper Table II, exact" `Slow test_table2;
@@ -361,4 +402,8 @@ let suites =
         Alcotest.test_case "is" `Quick test_crash_restart_is;
         Alcotest.test_case "bt (full checkpoint)" `Quick
           test_crash_restart_full_checkpoint_bt ] );
-    ("npb.registry", [ Alcotest.test_case "Table I" `Quick test_registry ]) ]
+    ("npb.registry", [ Alcotest.test_case "Table I" `Quick test_registry ]);
+    ( "npb.float_instance",
+      List.map
+        (fun app -> QCheck_alcotest.to_alcotest (prop_float_instance app))
+        (Npb.Suite.all @ [ (module Npb.Cg.Tiny_app : App.S) ]) ) ]

@@ -310,6 +310,112 @@ let test_ad_through_fft () =
       close ~eps:1e-4 (Printf.sprintf "fft grad %d" i) fd (Reverse.grad g vars.(i)))
     [ 0; 1; 7; 30 ]
 
+(* ------------------------------------------------------------------ *)
+(* Generated plain-float solvers                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* scvad_float holds each solver generated from its scalar-generic source
+   with the scalar bound to plain floats.  It must reproduce the generic
+   [Make (Float_scalar)] instance bit for bit. *)
+module GB = Scvad_float.Block5.Make
+module GBT = Scvad_float.Btridiag.Make
+module GP = Scvad_float.Pentadiag.Make
+module GC = Scvad_float.Dcomplex.Make
+module GF = Scvad_float.Fft.Make
+
+let same_bits msg (generic : float array) (generated : float array) =
+  Alcotest.(check int) (msg ^ ": length") (Array.length generic)
+    (Array.length generated);
+  Array.iteri
+    (fun i g ->
+      if Int64.bits_of_float g <> Int64.bits_of_float generated.(i) then
+        Alcotest.failf "%s[%d]: generic %h, generated %h" msg i g generated.(i))
+    generic
+
+let trials = 20
+
+let test_generated_block5 () =
+  for _ = 1 to trials do
+    let a = random_block () and c = random_block () and r = random_vec () in
+    same_bits "matvec" (B.matvec a r) (GB.matvec a r);
+    same_bits "matmul" (B.matmul a c) (GB.matmul a c);
+    (* The in-place updates, chained on fresh copies per instance. *)
+    let update sub_matmul sub_matvec gauss_jordan solve =
+      let a = B.copy a and c = B.copy c and r = Array.copy r in
+      sub_matmul a c c;
+      sub_matvec r a c;
+      solve c r;
+      gauss_jordan a c r;
+      Array.concat [ a; c; r ]
+    in
+    same_bits "in-place updates"
+      (update B.sub_matmul B.sub_matvec B.gauss_jordan B.solve)
+      (update GB.sub_matmul GB.sub_matvec GB.gauss_jordan GB.solve)
+  done
+
+let test_generated_btridiag () =
+  for t = 1 to trials do
+    let n = 1 + (t mod 13) in
+    let band () = Array.init n (fun _ -> random_block ()) in
+    let a = band () and b = band () and c = band () in
+    let r = Array.init n (fun _ -> random_vec ()) in
+    let solve s =
+      let copy = Array.map Array.copy in
+      let r = copy r in
+      s ~a ~b:(copy b) ~c:(copy c) ~r;
+      Array.concat (Array.to_list r)
+    in
+    same_bits "btridiag" (solve BT.solve) (solve GBT.solve)
+  done
+
+let test_generated_pentadiag () =
+  for t = 1 to trials do
+    let n = 1 + (t mod 13) in
+    let band () = Array.init n (fun _ -> rand ()) in
+    let e = band () and a = band () and c = band () and f = band () in
+    let d = Array.init n (fun _ -> 8. +. rand ()) and r = band () in
+    let solve s =
+      let copy = Array.copy in
+      let r = copy r in
+      s ~e:(copy e) ~a:(copy a) ~d:(copy d) ~c:(copy c) ~f:(copy f) ~r;
+      r
+    in
+    same_bits "pentadiag" (solve P.solve) (solve GP.solve)
+  done
+
+let test_generated_dcomplex () =
+  for _ = 1 to trials do
+    let x = rand () and y = rand () and u = rand () and v = rand () in
+    let a = C.of_floats x y and b = C.of_floats u v in
+    let ga = GC.of_floats x y and gb = GC.of_floats u v in
+    let pair c = [| fst c; snd c |] in
+    let both msg c gc = same_bits msg (pair (C.to_floats c)) (pair (GC.to_floats gc)) in
+    both "mul" (C.mul a b) (GC.mul ga gb);
+    both "add" (C.add a b) (GC.add ga gb);
+    both "sub" (C.sub a b) (GC.sub ga gb);
+    both "conj" (C.conj a) (GC.conj ga);
+    both "scale" (C.scale u a) (GC.scale u ga);
+    same_bits "abs2" [| C.abs2 a |] [| GC.abs2 ga |]
+  done
+
+let test_generated_fft () =
+  List.iter
+    (fun n ->
+      let xs = Array.init (2 * n) (fun _ -> rand ()) in
+      let a = Array.init n (fun i -> C.of_floats xs.(2 * i) xs.((2 * i) + 1)) in
+      let ga = Array.init n (fun i -> GC.of_floats xs.(2 * i) xs.((2 * i) + 1)) in
+      let flat to_floats arr =
+        Array.concat
+          (Array.to_list (Array.map (fun c -> let re, im = to_floats c in [| re; im |]) arr))
+      in
+      F.forward a ~off:0 ~n;
+      GF.forward ga ~off:0 ~n;
+      same_bits "forward" (flat C.to_floats a) (flat GC.to_floats ga);
+      F.inverse a ~off:0 ~n;
+      GF.inverse ga ~off:0 ~n;
+      same_bits "inverse" (flat C.to_floats a) (flat GC.to_floats ga))
+    [ 1; 2; 4; 8; 16; 64 ]
+
 let suites =
   [ ( "solvers.block5",
       [ Alcotest.test_case "identity laws" `Quick test_block5_identity;
@@ -334,4 +440,15 @@ let suites =
         Alcotest.test_case "subrange pencil" `Quick test_fft_subrange;
         Alcotest.test_case "bad size" `Quick test_fft_bad_size;
         Alcotest.test_case "AD gradient vs finite diff" `Quick
-          test_ad_through_fft ] ) ]
+          test_ad_through_fft ] );
+    ( "solvers.generated",
+      [ Alcotest.test_case "block5 = generic, bitwise" `Quick
+          test_generated_block5;
+        Alcotest.test_case "btridiag = generic, bitwise" `Quick
+          test_generated_btridiag;
+        Alcotest.test_case "pentadiag = generic, bitwise" `Quick
+          test_generated_pentadiag;
+        Alcotest.test_case "dcomplex = generic, bitwise" `Quick
+          test_generated_dcomplex;
+        Alcotest.test_case "fft = generic, bitwise" `Quick
+          test_generated_fft ] ) ]
