@@ -1,25 +1,39 @@
 #!/usr/bin/env python3
-"""Write BENCH_<date>.json, the repository's benchmark ledger.
+"""Write BENCH_<date>.json, the repository's benchmark ledger, or compare two.
 
-Usage, from the root of a scvad checkout (takes no options):
+Usage, from the root of a scvad checkout:
 
     python3 bench/ledger.py
+    python3 bench/ledger.py --compare OLD.json NEW.json
 
-Runs every workload BENCHMARK.json declares through perfbench/run.py at
-seed 1 for its run_seconds, once untraced (end-to-end metrics) and once
-traced (per-layer metrics), then the bench/main.exe micro-benchmarks in
-the release profile.  Writes {date, commit, env, workloads: {name:
-{end_to_end, per_layer}}, micro} to the repository root.  Exits non-zero
+Without options: runs every workload BENCHMARK.json declares through
+perfbench/run.py at seed 1 for its run_seconds, once untraced (end-to-end
+metrics) and once traced (per-layer metrics), then the bench/main.exe
+micro-benchmarks in the release profile.  Writes {date, commit, env,
+workloads: {name: {end_to_end, per_layer}}, micro} to the repository root;
+each untraced result also keeps the per-run samples behind its medians
+(setup_s: the three set-ups, total_s: the measured passes).  Exits non-zero
 and writes nothing when a run fails or a result is not correct.
+
+With --compare: prints, for every metric of the two ledgers, the median and
+quartiles [q1, q3] of each side (over the recorded samples; a metric with one
+value has q1 = q3 = median) and the relative change of the medians.  An
+end-to-end metric whose median moved by more than its BENCHMARK.json bound is
+flagged "WORSE" or "better"; the exit status is 1 when any metric is WORSE.
 """
 
+import argparse
 import datetime
 import json
+import statistics
 import subprocess
 import sys
 
 # The fields of perfbench's env line that describe the host, not the run.
 HOST_KEYS = ("hardware_threads", "recommended_domains", "nproc", "ocaml_version", "jobs")
+
+# The env-line lists behind the end-to-end medians.
+SAMPLE_KEYS = {"setup_s": "setup_s", "total_s": "pass_s"}
 
 
 def run(cmd):
@@ -40,10 +54,12 @@ def perfbench(workload, seconds, trace):
                  "--seconds", str(seconds), "--trace", str(trace)]).splitlines()
     env = json.loads(lines[-2])["env"]
     result = checked("%s --trace %d" % (workload, trace), json.loads(lines[-1]))
+    if trace == 0:
+        result["samples"] = {m: env[k] for m, k in SAMPLE_KEYS.items()}
     return {k: env[k] for k in HOST_KEYS}, result
 
 
-def main():
+def write_ledger():
     with open("BENCHMARK.json") as f:
         spec = json.load(f)
     env, workloads = None, {}
@@ -67,6 +83,76 @@ def main():
         json.dump(ledger, f, indent=1)
         f.write("\n")
     print("ledger: wrote %s" % path)
+
+
+def metric_samples(ledger):
+    """{(section, metric): [values]} of every numeric metric in a ledger."""
+    out = {}
+    for wname, w in ledger.get("workloads", {}).items():
+        for mode in ("end_to_end", "per_layer"):
+            result = w.get(mode, {})
+            samples = result.get("samples", {})
+            for name, m in result.get("metrics", {}).items():
+                out[(wname, name)] = samples.get(name) or [m["value"]]
+
+    def leaves(prefix, node):
+        for k, v in node.items():
+            if isinstance(v, dict):
+                leaves(prefix + k + ".", v)
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                out[("micro", prefix + k)] = [v]
+
+    leaves("", ledger.get("micro", {}))
+    return out
+
+
+def summary(values):
+    """(median, q1, q3) of a list of numbers."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return statistics.median(values), q1, q3
+
+
+def compare(old_path, new_path):
+    with open("BENCHMARK.json") as f:
+        spec = json.load(f)
+    bounds = {m["name"]: m for m in spec["end_to_end"]}
+    lower_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"] + spec["per_layer"]}
+    with open(old_path) as f:
+        old = metric_samples(json.load(f))
+    with open(new_path) as f:
+        new = metric_samples(json.load(f))
+    print("ledger: %s -> %s (median [q1, q3])" % (old_path, new_path))
+    worse = 0
+    for key in sorted(set(old) | set(new)):
+        section, name = key
+        if key not in old or key not in new:
+            side = "new" if key not in old else "old"
+            print("%-10s %-32s only in the %s ledger" % (section, name, side))
+            continue
+        om, oq1, oq3 = summary(old[key])
+        nm, nq1, nq3 = summary(new[key])
+        change = (nm - om) / abs(om) if om else (0.0 if nm == om else float("inf"))
+        flag = ""
+        bound = bounds.get(name)
+        if section != "micro" and bound and abs(change) > bound["bound"]:
+            got_worse = (change > 0) == lower_better[name]
+            flag = "WORSE" if got_worse else "better"
+            worse += got_worse
+        print("%-10s %-32s %.6g [%.6g, %.6g] -> %.6g [%.6g, %.6g] (%+.1f%%) %s"
+              % (section, name, om, oq1, oq3, nm, nq1, nq3, 100 * change, flag))
+    return 1 if worse else 0
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two ledgers instead of writing one")
+    args = ap.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    write_ledger()
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@
      and a 1/64-sparse backward sweep, each timed on the unbudgeted
      [Scvad_ad.Tape] (the one tape engine: chunked slabs, frontier
      sweep) and on [Seed_tape] (test/seed), the seed's monolithic
-     grow-by-doubling tape with a dense backward scan.
+     grow-by-doubling tape with a dense backward scan.  The engine's
+     push is timed twice: into fresh storage, and into slabs a released
+     tape left in the domain's pool.
    - The 8-benchmark [Analyzer.run_suite] at jobs=1 and at jobs=N
      (perfbench runs jobs=1 only), with the masks of both compared.
 
@@ -54,24 +56,35 @@ let fill_chunked ~on_spine t =
 
 let all_active _ = true
 
-(* Push throughput: the seed doubles and copies, the chunked tape adds
-   64 slabs of 2^14 nodes without copying. *)
+(* Push throughput: the seed doubles and copies; the chunked tape adds
+   16 slabs of 2^16 nodes without copying, either freshly allocated
+   (tapes that are never released leave the pool empty) or recycled
+   (each timed run releases its tape, so the next one writes into pages
+   already mapped). *)
 let push_pair () =
   let seed =
     time_min (fun () -> fill_seed ~on_spine:all_active (Seed_tape.create ()))
   in
   let chunked =
-    time_min (fun () ->
-        fill_chunked ~on_spine:all_active (Tape.create ~capacity_hint:(1 lsl 14) ()))
+    time_min (fun () -> fill_chunked ~on_spine:all_active (Tape.create ()))
   in
-  Printf.sprintf "{\"seed_s\": %.6g, \"chunked_s\": %.6g}" seed chunked
+  let recycled_run () =
+    let t = Tape.create () in
+    let out = fill_chunked ~on_spine:all_active t in
+    Tape.release t;
+    out
+  in
+  ignore (recycled_run ());
+  let recycled = time_min recycled_run in
+  Printf.sprintf "{\"seed_s\": %.6g, \"chunked_s\": %.6g, \"recycled_s\": %.6g}"
+    seed chunked recycled
 
 (* Backward over a recorded chain: the seed's dense scan against the
    frontier sweep; the input's adjoint must agree bitwise. *)
 let backward_pair ~on_spine =
   let seed = Seed_tape.create () in
   let seed_out = fill_seed ~on_spine seed in
-  let chunked = Tape.create ~capacity_hint:nodes () in
+  let chunked = Tape.create () in
   let chunked_out = fill_chunked ~on_spine chunked in
   let seed_s = time_min (fun () -> Seed_tape.backward seed ~output:seed_out) in
   let chunked_s = time_min (fun () -> Tape.backward chunked ~output:chunked_out) in

@@ -38,7 +38,7 @@ let check_exactness (c : Driver.app_cost) =
 (* The gate, part 2: committed hand-maintained hints must stay within
    10% of the prediction (the drift that motivated this pass: cg-tiny
    once sat 51% above the truth).  A zero-node analysis (IS) makes any
-   relative bound meaningless; its hint is a pure preallocation floor. *)
+   relative bound meaningless; its hint sizes nothing. *)
 let check_hint (c : Driver.app_cost) =
   let predicted = c.Driver.c_p.Predict.p_total in
   if predicted > 0 then begin

@@ -270,14 +270,6 @@ let plan_arg =
   in
   Arg.(value & flag & info [ "plan" ] ~doc)
 
-let auto_capacity_arg =
-  let doc =
-    "Size the dense reverse tape from the static cost model's exact
-     prediction instead of the benchmark's hand-maintained
-     tape_nodes_hint (reverse mode without --memory-budget)."
-  in
-  Arg.(value & flag & info [ "auto-capacity" ] ~doc)
-
 let print_plan name (p : Scvad_cost.Predict.t) =
   Printf.printf
     "benchmark %s: static cost plan (boundary t=%d, window until %d)\n" name
@@ -292,13 +284,10 @@ let print_plan name (p : Scvad_cost.Predict.t) =
     let mx = Array.fold_left max segs.(0) segs in
     Printf.printf "  segments: %d (min %d, max %d nodes)\n" (Array.length segs)
       mn mx
-  end;
-  Printf.printf
-    "  dense tape: capacity_hint %d would be derived (committed hint %d)\n"
-    p.Scvad_cost.Predict.p_total p.Scvad_cost.Predict.p_hint
+  end
 
 let analyze_cmd =
-  let run name mode at_iter niter jobs memory_budget dry_run auto_capacity =
+  let run name mode at_iter niter jobs memory_budget dry_run =
     let ( >>= ) = Result.bind in
     handle
       ( find_app name >>= fun (module A : Scvad_core.App.S) ->
@@ -309,17 +298,10 @@ let analyze_cmd =
         | () -> Ok ()
         | exception Invalid_argument msg -> Error msg)
         >>= fun () ->
-        (if dry_run || auto_capacity then
-           Result.map Option.some (predict_cost (module A) ~at_iter ~niter)
-         else Ok None)
-        >>= fun prediction ->
-        if dry_run then Ok (print_plan A.name (Option.get prediction))
+        if dry_run then
+          Result.map (print_plan A.name)
+            (predict_cost (module A) ~at_iter ~niter)
         else
-          let capacity_hint =
-            if auto_capacity && memory_budget = None then
-              Option.map (fun p -> p.Scvad_cost.Predict.p_total) prediction
-            else None
-          in
           let config =
             {
               Scvad_core.Analyzer.Config.default with
@@ -328,7 +310,6 @@ let analyze_cmd =
               niter;
               jobs = Some jobs;
               memory_budget;
-              capacity_hint;
             }
           in
           match Scvad_core.Analyzer.run ~config (module A) with
@@ -351,7 +332,7 @@ let analyze_cmd =
        ~doc:"Scrutinize every element of the checkpoint variables with AD")
     Term.(
       const run $ app_arg $ mode_arg $ at_iter_arg $ niter_arg $ jobs_arg
-      $ memory_budget_arg $ plan_arg $ auto_capacity_arg)
+      $ memory_budget_arg $ plan_arg)
 
 (* ------------------------------------------------------------------ *)
 (* visualize                                                           *)

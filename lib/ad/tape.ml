@@ -6,10 +6,11 @@
    fit comfortably in memory and put no pressure on the OCaml GC.
 
    Storage is chunked: a tape is a sequence of equally sized Bigarray
-   slabs.  Growing appends one slab (a few Bigarray allocations) instead
-   of reallocating and copying the whole tape.  A [capacity_hint] sized
-   from the application (App.S.tape_nodes_hint) makes the common case a
-   single slab allocated exactly once.
+   slabs.  Growing appends one slab instead of reallocating and copying
+   the whole tape.  Slabs of the default size come from a per-domain
+   free list ([pool]) and go back to it on [release], so an analysis
+   that follows another in the same domain writes into pages that are
+   already mapped instead of faulting in fresh ones.
 
    Node ids are global indices; because every slab holds [sn] nodes, id
    [i] lives in slab [i / sn] at offset [i mod sn].  The hot paths
@@ -49,16 +50,51 @@ type frontier = { f_adj : f64; f_bits : Bytes.t }
 let alloc_i32 n : i32 = Bigarray.(Array1.create int32 c_layout n)
 let alloc_f64 n : f64 = Bigarray.(Array1.create float64 c_layout n)
 
-let alloc_slab ~nodes ~base =
-  {
-    lhs = alloc_i32 nodes;
-    rhs = alloc_i32 nodes;
-    dlhs = alloc_f64 nodes;
-    drhs = alloc_f64 nodes;
-    base;
-  }
+let default_slab_nodes = 1 lsl 16
 
-let default_capacity_hint = 1 lsl 16
+(* Free default-size slabs of the running domain.  Domain-local, so
+   taking and returning a slab needs no lock.  [release] and the unused
+   rest of a fresh chunk fill it; a tape that is dropped unreleased
+   leaves its storage to the GC.  Recycled slabs keep whatever the
+   previous tape wrote; that is sound because a push writes all four
+   fields of its node before any sweep or replay reads it. *)
+let pool : slab list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+
+(* [count] slabs of [nodes] carved out of two allocations, one for the
+   ids and one for the partials.  Every Bigarray allocation paces the
+   major GC by its size, capped at one cycle's worth per allocation: a
+   lone FT analysis whose 24.5M-node tape grew one 65,536-node slab at
+   a time ran 32 major collections, 21 with doubling chunks, 16 with
+   one slab sized to the whole recording.  Untouched pages of a chunk
+   cost no memory. *)
+let fresh_slabs ~nodes ~count =
+  let ids = alloc_i32 (2 * nodes * count) in
+  let partials = alloc_f64 (2 * nodes * count) in
+  let sub a k = Bigarray.Array1.sub a (k * nodes) nodes in
+  List.init count (fun i ->
+      { lhs = sub ids (2 * i); rhs = sub ids ((2 * i) + 1);
+        dlhs = sub partials (2 * i); drhs = sub partials ((2 * i) + 1);
+        base = 0 })
+
+(* One slab based at [base]: from the domain's pool when it has the
+   default size, else fresh.  An empty pool is refilled with a chunk of
+   [chunk] slabs, so a tape that doubles its chunk with its size
+   allocates O(log n) times. *)
+let rec alloc_slab ?(chunk = 1) ~nodes ~base () =
+  if nodes <> default_slab_nodes then
+    { (List.hd (fresh_slabs ~nodes ~count:1)) with base }
+  else
+    match Domain.DLS.get pool with
+    | s :: rest ->
+        Domain.DLS.set pool rest;
+        { s with base }
+    | [] ->
+        Domain.DLS.set pool (fresh_slabs ~nodes ~count:(Stdlib.max 1 chunk));
+        alloc_slab ~nodes ~base ()
+
+let recycle_slab s =
+  if Bigarray.Array1.dim s.lhs = default_slab_nodes then
+    Domain.DLS.set pool (s :: Domain.DLS.get pool)
 
 (* First id beyond the slab at [base], clamped at the id limit so the
    push that would exceed it always lands in a growth step, where the
@@ -216,7 +252,7 @@ type adjoints = { adj : f64; upto : int }
 let adjoint g id = if id < 0 || id > g.upto then 0. else g.adj.{id}
 
 (* Recording under a budget keeps only a trailing window of at most
-   [budget_slabs] materialized slabs; older slabs are released to a
+   [budget_slabs] materialized slabs; older slabs go to the tape's
    freelist as soon as replay can rebuild them (a primal snapshot at or
    below them exists).  [start_segment] marks program-step boundaries;
    the registered [capture] hook snapshots restart state there — the
@@ -277,6 +313,7 @@ type t = {
   mutable snapshots_taken : int;
   mutable fr : frontier option; (* sweep state cached across backwards *)
   mutable last : Tape_intf.sweep_stats option;
+  mutable released : bool; (* storage handed to the domain's pool *)
 }
 
 (* Raised by a replay push that crosses above the target window: the
@@ -304,16 +341,16 @@ let create ?capacity_hint ?budget_nodes ?(snapshot_slots = 32) () =
   let sn =
     match (capacity_hint, budget_nodes) with
     | Some h, _ -> Stdlib.max h 16
-    | None, None -> default_capacity_hint
+    | None, None -> default_slab_nodes
     | None, Some b ->
         (* Eight-or-more slabs per budget keeps replay windows coarse
            enough to amortize a replay pass over many swept nodes. *)
-        Stdlib.max 16 (Stdlib.min default_capacity_hint (b / 8))
+        Stdlib.max 16 (Stdlib.min default_slab_nodes (b / 8))
   in
   let budget_slabs =
     match budget_nodes with None -> max_int | Some b -> Stdlib.max 1 (b / sn)
   in
-  let first = alloc_slab ~nodes:sn ~base:0 in
+  let first = alloc_slab ~nodes:sn ~base:0 () in
   let dir = Array.make 8 None in
   dir.(0) <- Some first;
   {
@@ -346,14 +383,21 @@ let create ?capacity_hint ?budget_nodes ?(snapshot_slots = 32) () =
     snapshots_taken = 0;
     fr = None;
     last = None;
+    released = false;
   }
 
 let length t = t.n
 let slab_nodes t = t.sn
 let capacity t = (t.live_cnt + List.length t.free) * t.sn
 
+(* [release] leaves [cur_end = n], so a push after it takes the slow
+   path and fails here instead of writing into a recycled slab. *)
+let check_live who t =
+  if t.released then invalid_arg (who ^ ": the tape was released")
+
 (* Materialize slab [k] for the push of node [t.n] (idempotent): reuse
-   freelist storage, else allocate; the slab directory doubles.  Raises
+   the tape's freelist, else take from the domain's pool or allocate;
+   the slab directory doubles.  Raises
    [Tape_intf.Too_many_nodes] past the int32 id limit. *)
 let materialize t k =
   Tape_intf.check_nodes (t.n + 1);
@@ -375,14 +419,17 @@ let materialize t k =
         | s :: rest ->
             t.free <- rest;
             { s with base }
-        | [] -> alloc_slab ~nodes:t.sn ~base
+        | [] ->
+            (* An unbudgeted tape grows in chunks as large as itself. *)
+            let chunk = if t.budget_slabs = max_int then t.live_cnt else 1 in
+            alloc_slab ~chunk ~nodes:t.sn ~base ()
       in
       t.dir.(k) <- Some s;
       t.live_cnt <- t.live_cnt + 1;
       if t.live_cnt > t.peak_live then t.peak_live <- t.live_cnt;
       s
 
-let release t k =
+let discard t k =
   if k < Array.length t.dir then
     match t.dir.(k) with
     | None -> ()
@@ -406,7 +453,7 @@ let advance_recording t =
            budget, even transiently; refuse the push when nothing can
            go. *)
         while t.live_cnt >= t.budget_slabs && can_discard t && t.live_lo < k do
-          release t t.live_lo;
+          discard t t.live_lo;
           t.live_lo <- t.live_lo + 1
         done;
         if t.live_cnt >= t.budget_slabs then
@@ -433,7 +480,7 @@ let advance_replaying t =
       match t.scratch with
       | Some s -> s
       | None ->
-          let s = alloc_slab ~nodes:t.sn ~base:0 in
+          let s = alloc_slab ~nodes:t.sn ~base:0 () in
           t.scratch <- Some s;
           s
     in
@@ -443,6 +490,7 @@ let advance_replaying t =
 
 (* The push slow path: node [t.n] is at [cur_end]. *)
 let advance t l r =
+  check_live "Tape.push" t;
   match t.mode with
   | Replaying -> advance_replaying t
   | Recording ->
@@ -475,6 +523,7 @@ let push1 t parent partial = push t parent partial (-1) 0.
 let push2 t l dl r dr = push t l dl r dr
 
 let set_program t ~capture ~replay_step =
+  check_live "Tape.set_program" t;
   if t.n > 0 then invalid_arg "Tape.set_program: tape already holds nodes";
   t.capture <- Some capture;
   t.replay_step <- Some replay_step;
@@ -503,6 +552,7 @@ let take_snapshot t s =
       end
 
 let start_segment t =
+  check_live "Tape.start_segment" t;
   if t.mode <> Recording then
     invalid_arg "Tape.start_segment: tape is replaying";
   let s = t.nseg in
@@ -673,7 +723,7 @@ let windowed_sweep t ~get_slab ~adj ~bits ~output =
               ~lo:w_lo_node
       end;
       for k = t.win_lo to t.win_hi do
-        release t k
+        discard t k
       done;
       pos := t.win_lo - 1
     done
@@ -704,6 +754,7 @@ let windowed_sweep t ~get_slab ~adj ~bits ~output =
    parent id is always a node id recorded before its child, so
    [l, r < i <= output < dim adj]. *)
 let backward t ~output =
+  check_live "Tape.backward" t;
   if output < 0 || output >= t.n then
     invalid_arg "Tape.backward: output is not a tape node";
   let fr = obtain_frontier t.fr ~dim:(output + 1) in
@@ -731,6 +782,7 @@ type reach = { reached : Bytes.t; reach_upto : int }
    for the same reason as in the adjoint sweep: marks only land below
    the node being processed. *)
 let reach t ~output =
+  check_live "Tape.reach" t;
   if output < 0 || output >= t.n then
     invalid_arg
       (Printf.sprintf
@@ -782,11 +834,12 @@ let reach t ~output =
 let reachable g id = id >= 0 && id <= g.reach_upto && bit_set g.reached id
 let last_sweep t = t.last
 
-(* Storage is retained for reuse: every slab goes back to the freelist
-   and the next pushes take it again. *)
+(* Storage is retained for reuse: every slab goes back to the tape's
+   freelist and the next pushes take it again. *)
 let clear t =
+  check_live "Tape.clear" t;
   for k = 0 to Array.length t.dir - 1 do
-    release t k
+    discard t k
   done;
   Array.fill t.snaps 0 (Array.length t.snaps) None;
   t.n <- 0;
@@ -806,6 +859,22 @@ let clear t =
   t.peak_live <- t.live_cnt;
   (* The frontier cache is storage, not recording state: keep it. *)
   t.last <- None
+
+(* Hand every default-size slab (live, free and scratch) to the
+   domain's pool.  The tape keeps its length and statistics but refuses
+   any further push, sweep, clear or release. *)
+let release t =
+  check_live "Tape.release" t;
+  t.released <- true;
+  Array.iter (Option.iter recycle_slab) t.dir;
+  List.iter recycle_slab t.free;
+  Option.iter recycle_slab t.scratch;
+  Array.fill t.dir 0 (Array.length t.dir) None;
+  t.free <- [];
+  t.scratch <- None;
+  t.live_cnt <- 0;
+  t.fr <- None;
+  t.cur_end <- t.n
 
 type stats = {
   s_slab_nodes : int;

@@ -7,6 +7,19 @@
     slabs, so large kernels — tens of millions of nodes — stay off the
     OCaml heap and growth never copies recorded nodes.
 
+    {b How long storage lives.}  A tape owns its slabs from {!create}
+    until {!release} or, if it is never released, until the GC
+    collects it.  {!clear} keeps them for the next recording on the same
+    tape.  {!release} hands every slab of the default size (65,536
+    nodes) to a free list local to the running domain; {!create} and
+    every later growth in that domain take from that list before they
+    allocate, so the next analysis writes into pages that are already
+    mapped.  The list keeps what it is given for the life of the domain.
+    A recycled slab keeps whatever its last tape wrote, which is sound
+    because a push writes every field of its node before any sweep or
+    replay reads it.  Slabs of other sizes (small budgets, the
+    [capacity_hint] test seam) are never pooled.
+
     One engine serves every analysis.  Without a memory budget it stores
     every node.  Under a budget it materializes at most [budget_nodes]
     worth of trailing slabs; older slabs are discarded once a primal
@@ -48,12 +61,11 @@ type t
 (** [create ?capacity_hint ?budget_nodes ?snapshot_slots ()] makes an
     empty tape.
 
-    [capacity_hint] sets the nodes per slab, clamped up to 16; a
-    negative hint raises [Invalid_argument].  A hint covering the whole
-    recording (e.g. [App.S.tape_nodes_hint]) means exactly one slab is
-    ever allocated; an underestimate only adds further slabs of the same
-    size.  Without a hint, slabs hold 65536 nodes, or under a budget
-    [max 16 (min 65536 (budget_nodes / 8))].
+    Slabs hold 65,536 nodes, or under a budget
+    [max 16 (min 65536 (budget_nodes / 8))].  [capacity_hint] is a test
+    seam: it sets the nodes per slab, clamped up to 16, so that small
+    recordings cross many slab edges; a negative hint raises
+    [Invalid_argument].
 
     [budget_nodes] caps materialized node slots (rounded down to whole
     slabs, at least one slab); it must be >= 1.  The cap is never
@@ -71,6 +83,16 @@ include Tape_intf.RECORD with type t := t
 
 (** Nodes per storage slab (the granularity of growth). *)
 val slab_nodes : t -> int
+
+(** [release t] gives every default-size slab of [t] to the running
+    domain's free list (see the top of this file) and drops the sweep
+    accumulator.  Previously returned {!adjoints} and {!reach} results
+    stay valid; they own their storage.  After it, [length], [capacity]
+    (0), {!stats} and {!last_sweep} still answer, and every push,
+    {!set_program}, {!start_segment}, {!backward}, {!reach}, [clear] and
+    a second [release] raise [Invalid_argument].  The slabs join the
+    pool of the domain that calls it. *)
+val release : t -> unit
 
 (** Register the replay hooks; must be called before any push.
     [capture ()] snapshots restart state at the current boundary and

@@ -23,7 +23,9 @@
    extraction (reverse, activity), per-element dual probes (forward),
    and {!run_suite} runs whole per-benchmark analyses side by side.
    Each analysis owns its tape and each forward probe its state, so
-   nothing is shared and results are bitwise identical at any [jobs]. *)
+   nothing is shared and results are bitwise identical at any [jobs];
+   the only state tapes share, the free list of released slabs, is
+   local to the domain that runs them. *)
 
 open Scvad_ad
 module Pool = Scvad_par.Pool
@@ -113,18 +115,8 @@ type sweep = Gradient | Reach
 
    Extraction — one scan of every snapshot plus the region encoding —
    fans out per variable. *)
-let tape_analysis ?pool ~skips ?capacity_hint ?budget ~sweep
-    (module A : App.S) ~at_iter ~niter =
-  let tape =
-    match budget with
-    | Some budget_nodes -> Tape.create ~budget_nodes ()
-    | None ->
-        (* A caller-supplied hint (e.g. the static cost model's exact
-           prediction) overrides the app's hand-maintained ballpark. *)
-        Tape.create
-          ~capacity_hint:(Option.value capacity_hint ~default:A.tape_nodes_hint)
-          ()
-  in
+let record_and_extract ?pool ~skips ?budget ~sweep tape (module A : App.S)
+    ~at_iter ~niter =
   let module RS = Reverse.Scalar_of (struct
     let tape = tape
   end) in
@@ -220,6 +212,24 @@ let tape_analysis ?pool ~skips ?capacity_hint ?budget ~sweep
     sweep_profile = sweep_profile_of (Tape.last_sweep tape);
   }
 
+let tape_analysis ?pool ~skips ?budget ~sweep (module A : App.S) ~at_iter
+    ~niter =
+  (* Collect what earlier analyses left behind before recording.  Their
+     slabs are back in the pool, but the sweep accumulator of the last
+     one (8 B per node: 196 MB for FT) stays resident until a major
+     cycle finalizes it, and pooled slabs no longer pace the GC the way
+     fresh Bigarrays did: without this, scrutinizing IS after FT peaked
+     about 20 MB above the unpooled tape. *)
+  Gc.full_major ();
+  let tape = Tape.create ?budget_nodes:budget () in
+  (* Once the reports are extracted the slabs go back to this domain's
+     pool, where the next analysis finds them already mapped. *)
+  Fun.protect
+    ~finally:(fun () -> Tape.release tape)
+    (fun () ->
+      record_and_extract ?pool ~skips ?budget ~sweep tape (module A) ~at_iter
+        ~niter)
+
 let forward_analysis ?pool ~skips (module A : App.S)
     ~at_iter ~niter =
   let module I = A.Make (Dual.Scalar) in
@@ -273,7 +283,7 @@ let check_window who ~at_iter ~niter =
     invalid_arg (who ^ ": need 0 <= at_iter < niter")
 
 let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
-    ?memory_budget ?capacity_hint (module A : App.S) =
+    ?memory_budget (module A : App.S) =
   let niter = Option.value niter ~default:A.analysis_niter in
   check_window "Analyzer.run" ~at_iter ~niter;
   (* The skip set: float variables pre-resolved before any AD runs —
@@ -308,12 +318,11 @@ let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
   let a =
     match mode with
     | Criticality.Reverse_gradient ->
-        tape_analysis ?pool ~skips ?capacity_hint ?budget:memory_budget
-          ~sweep:Gradient
+        tape_analysis ?pool ~skips ?budget:memory_budget ~sweep:Gradient
           (module A)
           ~at_iter ~niter
     | Criticality.Activity_dependence ->
-        tape_analysis ?pool ~skips ?capacity_hint ~sweep:Reach
+        tape_analysis ?pool ~skips ~sweep:Reach
           (module A)
           ~at_iter ~niter
     | Criticality.Forward_probe ->
@@ -405,9 +414,6 @@ module Config = struct
            float fields are pre-resolved like statically-inactive ones *)
     guard : guard_spec option;
     memory_budget : int option; (* tape node slots; None: keep every node *)
-    capacity_hint : int option;
-        (* slab size of the unbudgeted tape, overriding the app's
-           [tape_nodes_hint] — e.g. the cost model's exact prediction *)
   }
 
   let default =
@@ -420,7 +426,6 @@ module Config = struct
       discovered = None;
       guard = None;
       memory_budget = None;
-      capacity_hint = None;
     }
 
   let with_mode mode c = { c with mode }
@@ -433,7 +438,6 @@ module Config = struct
   let with_memory_budget b c = { c with memory_budget = Some b }
   (* Kept only for the benchmark's call: there is one schedule. *)
   let with_schedule Tape.Segmented.Binomial c = c
-  let with_capacity_hint h c = { c with capacity_hint = Some h }
 end
 
 let run ?(config = Config.default) (module A : App.S) =
@@ -446,7 +450,6 @@ let run ?(config = Config.default) (module A : App.S) =
     discovered;
     guard;
     memory_budget;
-    capacity_hint;
   } =
     config
   in
@@ -457,11 +460,11 @@ let run ?(config = Config.default) (module A : App.S) =
   let report =
     if jobs = 1 then
       analyze_with ~mode ~at_iter ?niter ?static ?discovered ?memory_budget
-        ?capacity_hint (module A)
+        (module A)
     else
       Pool.with_pool ~jobs (fun pool ->
           analyze_with ~mode ~at_iter ?niter ~pool ?static ?discovered
-            ?memory_budget ?capacity_hint (module A))
+            ?memory_budget (module A))
   in
   maybe_guard guard (module A) report
 
@@ -480,7 +483,6 @@ let run_suite ?(config = Config.default) apps =
     discovered;
     guard;
     memory_budget;
-    capacity_hint;
   } =
     config
   in
@@ -491,7 +493,7 @@ let run_suite ?(config = Config.default) apps =
   let one pool app =
     maybe_guard guard app
       (analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
-         ?memory_budget ?capacity_hint app)
+         ?memory_budget app)
   in
   if jobs = 1 then List.map (one None) apps
   else

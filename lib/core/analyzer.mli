@@ -92,13 +92,6 @@ module Config : sig
             by activity mode, whose dependence sweep reads every stored
             node.  A budget too small for the lifted checkpoint state
             raises {!Scvad_ad.Tape_intf.Budget_too_small}. *)
-    capacity_hint : int option;
-        (** slab size in nodes of the unbudgeted tape (reverse and
-            activity mode), overriding the app's hand-maintained
-            [tape_nodes_hint] — pass the static cost model's exact
-            prediction to allocate the whole tape as one slab up front.
-            Ignored under [memory_budget] (the budget sizes the slabs)
-            and by forward mode. *)
   }
 
   val default : t
@@ -114,8 +107,6 @@ module Config : sig
   (** [with_schedule Binomial c] is [c]: the budgeted tape has one
       schedule.  Kept only because the benchmark calls it. *)
   val with_schedule : Scvad_ad.Tape.Segmented.schedule -> t -> t
-
-  val with_capacity_hint : int -> t -> t
 end
 
 (** [check_window who ~at_iter ~niter] raises

@@ -47,10 +47,9 @@ module type S = sig
   val analysis_niter : int
 
   (** Expected reverse-tape size (nodes) of one [analysis_niter]-window
-      recording; the analyzer passes it as the tape's [capacity_hint] so
-      the common case allocates exactly one slab.  A slight overestimate
-      of the measured node count is ideal; an underestimate only costs
-      extra slab allocations, never a copy. *)
+      recording, kept within 10% of the static cost model's exact count
+      by the cost gate.  Guard's falsifier scales its trial budget by
+      it; the tape itself does not read it. *)
   val tape_nodes_hint : int
 
   (** The scalar-generic kernel.  [Make (Float_scalar)] is the test

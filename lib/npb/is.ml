@@ -188,16 +188,9 @@ module Plain = Kernel (Plain_ops)
 (* Criticality masks from the integer dependence tracer: union of the
    mid-run boundary (before the last rank) and the pre-verification
    boundary (after it). *)
-(* Slab size of the taint tapes: the boundary-0 recording, the largest of
-   the three, holds 6,428,328 nodes, so each recording fits one slab.
-   Few large slabs also keep the GC calm: every Bigarray allocation
-   paces the major collector, and one IS analysis on default-size
-   (65,536-node) slabs ran 87 major collections against 28 here. *)
-let taint_nodes_hint = 6_500_000
-
 let taint_masks () =
   let analyze_at boundary =
-    let tape = Scvad_ad.Tape.create ~capacity_hint:taint_nodes_hint () in
+    let tape = Scvad_ad.Tape.create () in
     let module O = Traced_ops (struct
       let tape = tape
     end) in
@@ -214,6 +207,8 @@ let taint_masks () =
     let passed_snapshot = st.K.passed_verification in
     K.run st ~from:boundary ~until:iterations;
     let r = Scvad_ad.Itaint.backward tape (K.output st) in
+    (* The reach is a snapshot: the next recording may take the slabs. *)
+    Scvad_ad.Tape.release tape;
     let crit = Scvad_ad.Itaint.critical r in
     ( Array.map crit keys_snapshot,
       Array.map crit ptrs_snapshot,

@@ -266,6 +266,14 @@ let () =
           c "fill" [ Written; Read ] R_pure;
         ])
     [ "Bigarray.Array1"; "Array1" ];
+  (* Domain-local state ([Tape]'s slab pool).  A shard runs wholly on
+     one domain, and a domain runs one shard at a time (a nested map may
+     run another shard inside it, never beside it), so no two concurrent
+     shards ever share a DLS value: what [get] returns is private to the
+     shard that reads it, like a fresh allocation, and [set] writes only
+     the running domain's slot, which no concurrent shard can read. *)
+  register "Domain.DLS"
+    [ alloc "new_key"; alloc "get"; c "set" [ Read; Read ] R_pure ];
   register "Stdlib" [];
   (* Unqualified pervasives: operators, conversions, refs. *)
   register ""

@@ -226,7 +226,25 @@ let test_tape_clear_reuses_slabs () =
   let x = Reverse.var tape 3. in
   let y = S.(x *. x) in
   let g = Reverse.backward tape y in
-  close "gradient after clear+reuse" 6. (Reverse.grad g x)
+  close "gradient after clear+reuse" 6. (Reverse.grad g x);
+  (* Release hands the storage on: results already taken stay readable,
+     and every further use of the tape is refused. *)
+  let r = Tape.reach tape ~output:(Reverse.node_id y) in
+  Tape.release tape;
+  close "gradient outlives release" 6. (Reverse.grad g x);
+  Alcotest.(check bool) "reach outlives release" true
+    (Tape.reachable r (Reverse.node_id x));
+  let refused what f =
+    Alcotest.check_raises what
+      (Invalid_argument (what ^ ": the tape was released"))
+      (fun () -> ignore (f ()))
+  in
+  refused "Tape.push" (fun () -> Tape.push1 tape (Reverse.node_id x) 1.);
+  refused "Tape.backward" (fun () ->
+      Tape.backward tape ~output:(Reverse.node_id y));
+  refused "Tape.reach" (fun () -> Tape.reach tape ~output:(Reverse.node_id y));
+  refused "Tape.release" (fun () -> Tape.release tape);
+  refused "Tape.clear" (fun () -> Tape.clear tape)
 
 let test_tape_second_backward () =
   (* Two backward sweeps over the same tape.  The sweeps share the

@@ -89,7 +89,7 @@ let test_is_zero () =
 (* Every committed tape_nodes_hint must sit within 10% of the static
    prediction (the drift that motivated this pass: cg-tiny once sat 51%
    above the truth).  IS predicts zero, where a relative bound is
-   meaningless — its hint is a pure preallocation floor. *)
+   meaningless, and its hint sizes nothing. *)
 let test_hints_within_10pct () =
   List.iter
     (fun (c : Cost_driver.app_cost) ->

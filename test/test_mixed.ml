@@ -27,6 +27,13 @@ let test_impact_generalizes_criticality () =
 
 let test_impact_stats () =
   let imp = Analyzer.analyze_impact (module Npb.Cg.App) in
+  (* A second analysis in the same process records onto the first one's
+     recycled slabs and must not differ in a single byte. *)
+  Alcotest.(check string) "second impact analysis byte-identical"
+    (Marshal.to_string imp [])
+    (Marshal.to_string (Analyzer.analyze_impact (module Npb.Cg.App)) []);
+  let report () = Marshal.to_string (Analyzer.run (module Npb.Cg.App)) [] in
+  Alcotest.(check string) "second report byte-identical" (report ()) (report ());
   let x = Impact.find imp "x" in
   Alcotest.(check bool) "max positive" true (Impact.max_magnitude x > 0.);
   Alcotest.(check bool) "min nonzero <= max" true

@@ -162,6 +162,17 @@ let test_suite_determinism () =
   let cfg j = Scvad_core.Analyzer.Config.(default |> with_jobs j) in
   let seq = Scvad_core.Analyzer.run_suite ~config:(cfg 1) apps in
   let par = Scvad_core.Analyzer.run_suite ~config:(cfg 4) apps in
+  (* Two jobs=2 runs in one process: the analyses the calling domain
+     takes in the second run record onto slabs the first left in its
+     pool. *)
+  let twice =
+    List.init 2 (fun _ -> Scvad_core.Analyzer.run_suite ~config:(cfg 2) apps)
+  in
+  List.iter
+    (fun again ->
+      Alcotest.(check string) "jobs=2 run bit-identical to jobs=4"
+        (Marshal.to_string par []) (Marshal.to_string again []))
+    twice;
   List.iter2
     (fun (s : Crit.report) (p : Crit.report) ->
       Alcotest.(check string) "app order" s.Crit.app p.Crit.app;

@@ -20,10 +20,29 @@ module Crit = Scvad_core.Criticality
 module Analyzer = Scvad_core.Analyzer
 module Npb = Scvad_npb
 
-(* Unbudgeted engine run; returns the output value, the per-node
-   adjoint, and the sweep stats. *)
-let run_dense prog =
-  let tape = Tape.create ~capacity_hint:64 () in
+(* Leave two default-size slabs of garbage on top of this domain's slab
+   pool: NaN partials and wrong parents that still precede their slot
+   in any slab (so a recording that failed to overwrite a slot fails
+   the comparison instead of indexing past its accumulator). *)
+let dirty_pool () =
+  let t = Tape.create () in
+  let sn = Tape.slab_nodes t in
+  for i = 0 to (2 * sn) - 1 do
+    ignore (Tape.push2 t (i mod sn / 2) Float.nan (i mod sn / 3) Float.nan)
+  done;
+  Tape.release t
+
+(* Unbudgeted engine run on 64-node slabs, or with [~pooled:true] on
+   default-size slabs drawn from a dirtied pool; returns the output
+   value, the per-node adjoint, and the sweep stats. *)
+let run_dense ?(pooled = false) prog =
+  let tape =
+    if pooled then begin
+      dirty_pool ();
+      Tape.create ()
+    end
+    else Tape.create ~capacity_hint:64 ()
+  in
   let module S = Reverse.Scalar_of (struct
     let tape = tape
   end) in
@@ -66,6 +85,8 @@ let prop_sparse_equals_dense =
       in
       let v0, a0, s0 = run_dense prog in
       check "unbudgeted" v0 a0;
+      let pv, pa, _ = run_dense ~pooled:true prog in
+      check "unbudgeted on recycled slabs" pv pa;
       let sv, sadj, sstats =
         run_seg ~capacity_hint:16 ~snapshot_slots:slots ~budget_nodes:budget
           prog
