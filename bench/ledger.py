@@ -10,7 +10,9 @@ Without options: runs every workload BENCHMARK.json declares through
 perfbench/run.py at seed 1 for its run_seconds, once untraced (end-to-end
 metrics) and once traced (per-layer metrics), then the bench/main.exe
 micro-benchmarks in the release profile.  Writes {date, commit, env,
-workloads: {name: {end_to_end, per_layer}}, micro} to the repository root;
+workloads: {name: {end_to_end, per_layer}}, micro} to the repository root
+(a second ledger of the same date becomes BENCH_<date>-2.json, and so on;
+none is overwritten);
 each untraced result also keeps the per-run samples behind its medians
 (setup_s: the three set-ups, total_s: the measured passes).  Exits non-zero
 and writes nothing when a run fails or a result is not correct.
@@ -25,6 +27,7 @@ flagged "WORSE" or "better"; the exit status is 1 when any metric is WORSE.
 import argparse
 import datetime
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -79,6 +82,10 @@ def write_ledger():
         "micro": micro,
     }
     path = "BENCH_%s.json" % date
+    n = 1
+    while os.path.exists(path):
+        n += 1
+        path = "BENCH_%s-%d.json" % (date, n)
     with open(path, "w") as f:
         json.dump(ledger, f, indent=1)
         f.write("\n")

@@ -7,17 +7,23 @@
      grow-by-doubling tape with a dense backward scan.  The engine's
      push is timed twice: into fresh storage, and into slabs a released
      tape left in the domain's pool.
+   - A 1M-node product/sum chain recorded through the operator front
+     end ([Reverse.Scalar_of]) into recycled slabs: seconds and heap
+     words ([Gc.minor_words]) per node.
    - The 8-benchmark [Analyzer.run_suite] at jobs=1 and at jobs=N
      (perfbench runs jobs=1 only), with the masks of both compared.
 
    Every time is the best of five runs.  Takes no arguments and prints
    one JSON object on stdout; ["correct"] is false when the two tapes
-   disagree on an adjoint or the jobs=N masks differ from jobs=1.
+   disagree on an adjoint, when recording through [Reverse] allocates
+   more than 3 heap words per node, or when the jobs=N masks differ
+   from jobs=1.
 
    Run with:  dune exec --profile release bench/main.exe
    python3 bench/ledger.py records its output in BENCH_<date>.json.    *)
 
 module Crit = Scvad_core.Criticality
+module Reverse = Scvad_ad.Reverse
 module Tape = Scvad_ad.Tape
 
 let nodes = 1 lsl 20
@@ -100,6 +106,39 @@ let backward_pair ~on_spine =
     "{\"seed_s\": %.6g, \"chunked_s\": %.6g, \"nodes\": %d, \"visited_nodes\": %d}"
     seed_s chunked_s nodes visited
 
+(* Recording through [Reverse]: node i+1 multiplies node i by the input
+   and node i+2 adds the input back.  Each node should cost its own
+   3-word value and nothing else: a primal or partial boxed on its way
+   to a slab adds 2 words per float per node.  The ceiling leaves 0.01
+   word per node for the tape record and its slab records. *)
+let words_ceiling = 3.01
+
+let reverse_record () =
+  let length = ref 0 in
+  let run () =
+    let tape = Tape.create () in
+    let module S = Reverse.Scalar_of (struct
+      let tape = tape
+    end) in
+    let x = Reverse.var tape 0.5 in
+    let acc = ref x in
+    for _ = 1 to (nodes - 1) / 2 do
+      acc := S.((!acc *. x) +. x)
+    done;
+    length := Tape.length tape;
+    Tape.release tape;
+    !acc
+  in
+  ignore (run ());
+  let s = time_min run in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (run ()));
+  let words = (Gc.minor_words () -. w0) /. float_of_int !length in
+  if words > words_ceiling then correct := false;
+  Printf.sprintf
+    "{\"s_per_node\": %.4g, \"words_per_node\": %.4f, \"nodes\": %d}"
+    (s /. float_of_int !length) words !length
+
 (* The whole suite at jobs=1 and jobs=N; N is at least 2 so the pool's
    fan-out always runs, even on a one-thread host. *)
 let suite_pair jobs =
@@ -133,12 +172,14 @@ let () =
   let push = push_pair () in
   let dense = backward_pair ~on_spine:all_active in
   let sparse = backward_pair ~on_spine:(fun i -> i mod 64 = 0) in
+  let record = reverse_record () in
   let suite = suite_pair jobs in
   Printf.printf
     "{\"hw_threads\": %d, \"correct\": %b,\n\
     \ \"tape_push_1M\": %s,\n\
     \ \"tape_backward_1M\": %s,\n\
     \ \"tape_backward_1M_sparse\": %s,\n\
+    \ \"reverse_record_1M\": %s,\n\
     \ \"analyze_suite\": %s}\n"
     (Scvad_par.Pool.hardware_threads ())
-    !correct push dense sparse suite
+    !correct push dense sparse record suite

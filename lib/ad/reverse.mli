@@ -13,9 +13,22 @@
     ]}
 
     Constants fold: arithmetic on values never lifted with {!var} records
-    no tape nodes, so the pre-checkpoint phase of a kernel is free. *)
+    no tape nodes, so the pre-checkpoint phase of a kernel is free.
 
-type t = { id : int; v : float }
+    {b Layout.}  A value is an all-float record: the tape node id and
+    the primal share one flat float block of 3 heap words.  The id is
+    exact: a tape holds at most {!Tape_intf.max_nodes} = 2{^31} nodes,
+    and a float represents every integer below 2{^53}.
+
+    {b One set of push rules.}  {!var}, {!lift} and {!Scalar_of} are
+    written once, over the engine {!Tape}, whose pushes inline into
+    them.  The counting tape's recorder ([Scvad_float.Counting_reverse],
+    over {!Tape.Counting}) and the seed oracle's ([Seed_reverse], over
+    [Seed_tape]) are derived from this module's source text at build
+    time by [float/record.sed], so all three record exactly the same
+    nodes. *)
+
+type t = { id : float; v : float }
 
 (** A constant (derivative-transparent) value. *)
 val const : float -> t
@@ -27,22 +40,6 @@ val value : t -> float
 val node_id : t -> int
 
 val is_const : t -> bool
-
-(** The push rules over any {!Tape_intf.RECORD}: the one definition of
-    which node each [Scalar.S] operation records.  {!var}, {!lift} and
-    {!Scalar_of} below are [Record (Tape)]; [Record (Tape.Counting)]
-    runs a kernel under the same rules and only counts the nodes. *)
-module Record (T : Tape_intf.RECORD) : sig
-  (** [var tape v] introduces an independent variable on [tape]. *)
-  val var : T.t -> float -> t
-
-  val lift : T.t -> t -> t
-
-  (** Scalar structure recording onto the given tape. *)
-  module Scalar_of (_ : sig
-    val tape : T.t
-  end) : Scalar.S with type t = t
-end
 
 (** [var tape v] introduces an independent variable — one element under
     scrutiny. *)

@@ -504,7 +504,7 @@ let advance t l r =
       (* Still in the prelude: check the next push too. *)
       if prelude then t.cur_end <- t.n + 1
 
-let push t l dl r dr =
+let[@inline] push t l dl r dr =
   let i = t.n in
   if i = t.cur_end then advance t l r;
   let s = t.cur in
@@ -517,10 +517,9 @@ let push t l dl r dr =
   i
 
 (* An input (independent) variable: a parentless node. *)
-let fresh_var t = push t (-1) 0. (-1) 0.
-
-let push1 t parent partial = push t parent partial (-1) 0.
-let push2 t l dl r dr = push t l dl r dr
+let[@inline] fresh_var t = push t (-1) 0. (-1) 0.
+let[@inline] push1 t parent partial = push t parent partial (-1) 0.
+let[@inline] push2 t l dl r dr = push t l dl r dr
 
 let set_program t ~capture ~replay_step =
   check_live "Tape.set_program" t;
@@ -907,11 +906,11 @@ module Counting = struct
   let capacity _ = 0
   let clear t = t.n <- 0
 
-  let fresh_var t =
+  let[@inline] fresh_var t =
     let id = t.n in
     t.n <- id + 1;
     id
 
-  let push1 t _ _ = fresh_var t
-  let push2 t _ _ _ _ = fresh_var t
+  let[@inline] push1 t _ _ = fresh_var t
+  let[@inline] push2 t _ _ _ _ = fresh_var t
 end

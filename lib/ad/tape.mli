@@ -45,7 +45,10 @@
       once; the sweeps themselves use unsafe accesses.
 
     {!Reverse} provides the operator-overloading front end; most users
-    never call [push1]/[push2] directly. *)
+    never call [push1]/[push2] directly.  [push1], [push2] and
+    [fresh_var] are marked [[@inline]] and inline into {!Reverse}'s push
+    rules in the release profile, so a primal or partial reaches its
+    slab unboxed. *)
 
 (** The recompute-vs-store schedule of a budgeted tape.  There is one:
     keep boundary snapshots at a stride that doubles whenever the slots
@@ -167,8 +170,9 @@ val stats : t -> stats
 
 (** Counting tape: the recording half of a tape ({!Tape_intf.RECORD})
     with no storage.  Each push returns the id the tape would assign, so
-    [length] after a run through [Reverse.Record (Counting)] is that
-    run's tape size.  It has no sweep and no {!Tape_intf.max_nodes}
+    [length] after a run through [Scvad_float.Counting_reverse] (the
+    push rules of {!Reverse}, derived onto this module at build time)
+    is that run's tape size.  It has no sweep and no {!Tape_intf.max_nodes}
     limit: it can size recordings no real tape could hold.  [capacity]
     is always 0. *)
 module Counting : sig

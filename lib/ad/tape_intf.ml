@@ -3,8 +3,8 @@
     {!Tape} is the one storage and sweep engine; this module holds what
     its callers and the recording-only {!Tape.Counting} share: the sweep
     statistics, the int32 node-id limit, the budget error, and
-    {!RECORD}, the recording half of a tape that {!Reverse.Record}
-    writes its push rules against.
+    {!RECORD}, the recording half of a tape that the push rules of
+    {!Reverse} need.
 
     A {!RECORD} implementation keeps the tape's id discipline: ids are
     consecutive ints starting at 0 in push order, a parent id always
@@ -45,10 +45,14 @@ let check_nodes n = if n > max_nodes then raise (Too_many_nodes n)
     left as it was before the push. *)
 exception Budget_too_small of { budget_nodes : int; needed_nodes : int }
 
-(** Recording half of a reverse-mode tape: everything {!Reverse.Record}
-    ([var], [lift], [Scalar_of]) needs, and no sweep.  {!Tape} and
-    {!Tape.Counting} satisfy it; the counter predicts a recording's node
-    ids but can never be swept. *)
+(** Recording half of a reverse-mode tape: everything the push rules
+    of {!Reverse} ([var], [lift], [Scalar_of]) need, and no sweep.
+    Three modules implement it: {!Tape}, over which the rules are
+    written; {!Tape.Counting}, which predicts a recording's node ids but
+    can never be swept; and the test oracle [Seed_tape].  The rules
+    reach the last two as source text: [float/record.sed] derives
+    [Scvad_float.Counting_reverse] and [Seed_reverse] from
+    [lib/ad/reverse.ml] at build time, rebinding [Tape]. *)
 module type RECORD = sig
   type t
 

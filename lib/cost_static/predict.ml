@@ -12,7 +12,7 @@
 
 open Scvad_ad
 module Counting = Tape.Counting
-module R = Reverse.Record (Counting)
+module R = Scvad_float.Counting_reverse
 module App = Scvad_core.App
 module Variable = Scvad_core.Variable
 

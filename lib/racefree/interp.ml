@@ -428,7 +428,7 @@ and resolve_in_tree ctx file env ?hint_lib segs =
                 | Some _ -> T_binding (path, name)
                 | None -> (
                     (* A re-exported alias inside that file, e.g.
-                       [Reverse.Scalar_of] as [module Scalar_of = …]. *)
+                       [Predict.Counting] as [module Counting = …]. *)
                     match (Hashtbl.find_opt f.f_aliases (List.hd rest), rest)
                     with
                     | Some p, _ :: more ->
@@ -749,7 +749,7 @@ and eval_ident ctx file env segs =
       | None -> unknown
       | Some f -> (
           match Rmodel.lookup_binding f name with
-          | Some (Rmodel.Direct e)
+          | Some e
             when match e.pexp_desc with
                  | Pexp_fun _ | Pexp_function _ -> true
                  | _ -> false ->
@@ -773,7 +773,7 @@ and force_binding ctx path name =
   | Some f -> (
       match Rmodel.lookup_binding f name with
       | None -> unknown
-      | Some b ->
+      | Some e ->
           let key = path ^ "#" ^ name in
           if List.mem_assoc key ctx.visiting then unknown
           else begin
@@ -785,14 +785,7 @@ and force_binding ctx path name =
                      Prim (String.sub name 0 (i + 1), pure_contract)) ]
               | None -> []
             in
-            let v =
-              match b with
-              | Rmodel.Direct e -> eval ctx f prefix_env e
-              | Rmodel.Instanced (e, param, argpath) ->
-                  eval ctx f
-                    (("module:" ^ param, ModAlias argpath) :: prefix_env)
-                    e
-            in
+            let v = eval ctx f prefix_env e in
             ctx.visiting <- List.remove_assoc key ctx.visiting;
             v
           end)
@@ -944,19 +937,13 @@ and apply_fnref ctx path name args =
   | Some f -> (
       match Rmodel.lookup_binding f name with
       | None -> unknown
-      | Some b -> (
+      | Some expr -> (
           let prefix_env =
             match String.rindex_opt name '.' with
             | Some i ->
                 [ ("#prefix",
                    Prim (String.sub name 0 (i + 1), pure_contract)) ]
             | None -> []
-          in
-          let expr, base_env =
-            match b with
-            | Rmodel.Direct e -> (e, prefix_env)
-            | Rmodel.Instanced (e, param, argpath) ->
-                (e, ("module:" ^ param, ModAlias argpath) :: prefix_env)
           in
           match expr.pexp_desc with
           | Pexp_fun _ | Pexp_function _ ->
@@ -987,7 +974,7 @@ and apply_fnref ctx path name args =
                       {
                         cl_file = path;
                         cl_ctx = name;
-                        cl_env = base_env;
+                        cl_env = prefix_env;
                         cl_expr = expr;
                         cl_pending = [];
                       }
@@ -1301,7 +1288,7 @@ and pool_call ctx file env fn vargs loc =
           Option.bind (Rmodel.file ctx.model path) (fun fl ->
               Rmodel.lookup_binding fl name)
         with
-        | Some (Rmodel.Direct e) ->
+        | Some e ->
             add_flow ctx ~loc ~kind
               { cl_file = path; cl_ctx = name; cl_env = []; cl_expr = e;
                 cl_pending = [] }

@@ -32,11 +32,6 @@ type file = {
   mutable f_order : string list;  (** binding names in source order *)
   f_aliases : (string, string list) Hashtbl.t;
       (** [module P = Long.Path] aliases *)
-  f_functors : (string, string) Hashtbl.t;
-      (** functor name -> first named parameter, for bindings collected
-          under the functor's prefix *)
-  f_instances : (string, string * string list) Hashtbl.t;
-      (** [module S = F (Arg)] instances: name -> (functor, arg path) *)
   mutable f_opens : string list list;
       (** top-level [open M] paths, in source order *)
   f_structure : Parsetree.structure;
@@ -88,18 +83,10 @@ let rec collect_structure f ~prefix (items : Parsetree.structure) =
                     (flatten lid.Location.txt)
               | Pmod_structure items ->
                   collect_structure f ~prefix:(prefix ^ m ^ ".") items
-              | Pmod_functor (Named ({ txt = Some p; _ }, _), body) -> (
+              | Pmod_functor (Named ({ txt = Some _; _ }, _), body) -> (
                   match unwrap body with
                   | Pmod_structure items ->
-                      Hashtbl.replace f.f_functors (prefix ^ m) p;
                       collect_structure f ~prefix:(prefix ^ m ^ ".") items
-                  | _ -> ())
-              | Pmod_apply (fe, ae) -> (
-                  match (unwrap fe, unwrap ae) with
-                  | Pmod_ident flid, Pmod_ident alid ->
-                      Hashtbl.replace f.f_instances (prefix ^ m)
-                        ( String.concat "." (flatten flid.Location.txt),
-                          flatten alid.Location.txt )
                   | _ -> ())
               | _ -> ()))
       | Pstr_open od -> (
@@ -188,8 +175,6 @@ let load ~root =
               f_bindings = Hashtbl.create 32;
               f_order = [];
               f_aliases = Hashtbl.create 8;
-              f_functors = Hashtbl.create 4;
-              f_instances = Hashtbl.create 4;
               f_opens = [];
               f_structure = ast;
             }
@@ -206,34 +191,8 @@ let load ~root =
 
 let file t path = Hashtbl.find_opt t.files path
 
-(* A binding looked up by (possibly dotted) name.  [Instanced] routes
-   [On_tape.var] through [module On_tape = Record (Tape)]: the body is
-   [Record.var] with the functor parameter standing for the instance's
-   argument module. *)
-type binding =
-  | Direct of Parsetree.expression
-  | Instanced of Parsetree.expression * string * string list
-      (** body, functor parameter name, argument module path *)
-
-let lookup_binding f name =
-  match Hashtbl.find_opt f.f_bindings name with
-  | Some e -> Some (Direct e)
-  | None -> (
-      match String.index_opt name '.' with
-      | None -> None
-      | Some i -> (
-          let inst = String.sub name 0 i in
-          let rest = String.sub name (i + 1) (String.length name - i - 1) in
-          match Hashtbl.find_opt f.f_instances inst with
-          | None -> None
-          | Some (fctor, argpath) -> (
-              match
-                ( Hashtbl.find_opt f.f_bindings (fctor ^ "." ^ rest),
-                  Hashtbl.find_opt f.f_functors fctor )
-              with
-              | Some e, Some p -> Some (Instanced (e, p, argpath))
-              | Some e, None -> Some (Direct e)
-              | None, _ -> None)))
+(* A binding looked up by (possibly dotted) name. *)
+let lookup_binding f name = Hashtbl.find_opt f.f_bindings name
 
 (* Resolve a module segment to a file.  Ambiguous stems (several
    [driver.ml]s) are disambiguated by [hint_lib] (a [Scvad_*] leading

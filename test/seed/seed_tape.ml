@@ -3,8 +3,9 @@
    [Scvad_ad.Tape], so it is the independent reference for that engine:
    the property tests compare the engine's adjoints against it bitwise,
    and bench/main.exe times the engine's push and sweep against it.
-   Satisfies [Tape_intf.RECORD], so [Reverse.Record (Seed_tape)] records
-   onto it with the engine's push rules. *)
+   Satisfies [Tape_intf.RECORD], so [Seed_reverse], the engine's push
+   rules derived from lib/ad/reverse.ml (see this directory's dune
+   file), records onto it. *)
 
 type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t

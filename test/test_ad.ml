@@ -183,7 +183,16 @@ let test_tape_node_limit () =
     (Int32.to_int (Int32.of_int max_nodes) < 0);
   check_nodes max_nodes;
   Alcotest.check_raises "2^31 + 1 nodes raise" (Too_many_nodes (max_nodes + 1))
-    (fun () -> check_nodes (max_nodes + 1))
+    (fun () -> check_nodes (max_nodes + 1));
+  (* A [Reverse.t] keeps its id as a float: the last id must come back
+     exact, and still name a node rather than a constant. *)
+  let last = { Reverse.id = float_of_int (max_nodes - 1); v = 2.5 } in
+  Alcotest.(check int) "last id exact through Reverse.t" (max_nodes - 1)
+    (Reverse.node_id last);
+  Alcotest.(check bool) "last id is a node" false (Reverse.is_const last);
+  Alcotest.(check bool) "const is const" true
+    (Reverse.is_const (Reverse.const 2.5));
+  Alcotest.(check int) "const id" (-1) (Reverse.node_id (Reverse.const 2.5))
 
 let test_tape_multi_slab_backward () =
   (* A gradient with known closed form across many slabs: f = sum of

@@ -61,11 +61,10 @@ let init_regs var_of prog =
    adjoint of any node. *)
 let run_dense prog =
   let tape = Seed_tape.create () in
-  let module R = Reverse.Record (Seed_tape) in
-  let module S = R.Scalar_of (struct
+  let module S = Seed_reverse.Scalar_of (struct
     let tape = tape
   end) in
-  let regs = init_regs (R.var tape) prog in
+  let regs = init_regs (Seed_reverse.var tape) prog in
   let input_nodes = Array.sub regs 0 prog.ninputs in
   Array.iter (exec (module S) regs) prog.segs;
   let out = sum_regs (module S) regs input_nodes in

@@ -173,15 +173,15 @@ let seed_masks (module A : Scvad_core.App.S) =
   (* Presized past the hint (within 10% of the true count) so the
      reference never doubles a large recording. *)
   let tape = Seed_tape.create ~capacity:(A.tape_nodes_hint / 10 * 11) () in
-  let module R = Reverse.Record (Seed_tape) in
-  let module S = R.Scalar_of (struct
+  let module S = Seed_reverse.Scalar_of (struct
     let tape = tape
   end) in
   let module I = A.Make (S) in
   let st = I.create () in
   let lifted =
     List.map
-      (fun v -> (v, Scvad_core.Variable.lift_capture v (R.lift tape)))
+      (fun v ->
+        (v, Scvad_core.Variable.lift_capture v (Seed_reverse.lift tape)))
       (I.float_vars st)
   in
   I.run st ~from:0 ~until:A.analysis_niter;
