@@ -3,16 +3,16 @@
    footprints, escape sites with their closed taints, the leaked set
    and the notes — rendered to text for the eight NPB kernels and the
    synthetic kernels of the activity, guard and discover tests, and
-   compared byte for byte with [outcome_golden.txt].
+   compared byte for byte with [outcome_golden.txt].  A second golden,
+   [reports_golden.txt], pins the JSON reports the activity, guard and
+   discover drivers build on that walk for the eight NPB kernels.
 
-   On a mismatch the rendering is written to [outcome_golden.actual]
-   in the test's working directory. *)
+   On a mismatch the rendering is written next to the golden, with the
+   suffix [.actual]. *)
 
 module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
 module Escapes = Scvad_activity.Escapes
-
-let golden_file = "outcome_golden.txt"
 
 (* ---- rendering ------------------------------------------------------ *)
 
@@ -143,20 +143,52 @@ let render_corpus () =
     (npb_sources () @ toy_sources ());
   Buffer.contents b
 
-let test_golden () =
-  let actual = render_corpus () in
-  let expected = read_file golden_file in
-  if actual <> expected then begin
-    Out_channel.with_open_bin "outcome_golden.actual" (fun oc ->
-        output_string oc actual);
-    Alcotest.failf
-      "walk outcomes differ from %s (rendering written to \
-       outcome_golden.actual)"
-      golden_file
+(* Each driver's [render_json] over the NPB kernels, called per file
+   with the repo-relative name so the paths in the reports do not
+   depend on the test's working directory. *)
+let render_reports () =
+  let sources = npb_sources () in
+  let pass name analyze_source render_json =
+    let reports, findings =
+      List.fold_left
+        (fun (reports, findings) (file, source) ->
+          let r, fs = analyze_source ~file source in
+          (reports @ Option.to_list r, findings @ fs))
+        ([], []) sources
+    in
+    Printf.sprintf "== %s ==\n%s" name (render_json reports findings)
+  in
+  String.concat ""
+    [
+      pass "activity" Scvad_activity.Driver.analyze_source
+        Scvad_activity.Driver.render_json;
+      pass "guard" Scvad_guard.Driver.analyze_source
+        Scvad_guard.Driver.render_json;
+      pass "discover" Scvad_discover.Driver.analyze_source
+        Scvad_discover.Driver.render_json;
+    ]
+
+(* The goldens sit in [test/] under the dune-project root, so the
+   suite runs from the build sandbox and from the repo root alike. *)
+let check_golden name actual =
+  let golden =
+    match Scvad_lint.Source.locate "test" with
+    | Some dir -> Filename.concat dir name
+    | None -> name
+  in
+  if actual <> read_file golden then begin
+    let dump = Filename.remove_extension golden ^ ".actual" in
+    Out_channel.with_open_bin dump (fun oc -> output_string oc actual);
+    Alcotest.failf "rendering differs from %s (written to %s)" golden dump
   end
 
 let suites =
   [
     ( "outcome.golden",
-      [ Alcotest.test_case "walk facts byte-identical" `Slow test_golden ] );
+      [
+        Alcotest.test_case "walk facts byte-identical" `Slow (fun () ->
+            check_golden "outcome_golden.txt" (render_corpus ()));
+        Alcotest.test_case "pass reports byte-identical" `Slow (fun () ->
+            check_golden "reports_golden.txt" (render_reports ()));
+      ] );
   ]
