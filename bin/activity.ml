@@ -36,10 +36,11 @@ let check_soundness (av : Verdict.app_verdicts) report =
 
 (* The gate, part 2: pre-resolving statically-inactive variables must
    not change any mask. *)
-let check_fast_path (module A : Scvad_core.App.S) verdicts report =
+let check_fast_path (module A : Scvad_core.App.S) skip report =
   Gate.masks_identical ~pass:"activity" ~mode:"fast-path" ~app:A.name report
     (Scvad_core.Analyzer.run
-       ~config:Scvad_core.Analyzer.Config.(default |> with_static verdicts)
+       ~config:
+         Scvad_core.Analyzer.Config.(default |> with_skip [ (A.name, skip) ])
        (module A))
 
 let run_gate verdicts =
@@ -65,8 +66,9 @@ let run_gate verdicts =
     (fun ((av : Verdict.app_verdicts), (module A : Scvad_core.App.S)) ->
       let report = Scvad_core.Analyzer.run (module A) in
       if not (check_soundness av report) then ok := false;
-      if Verdict.skippable_float_vars av <> [] then
-        if not (check_fast_path (module A) verdicts report) then ok := false)
+      match Verdict.skippable_float_vars av with
+      | [] -> ()
+      | skip -> if not (check_fast_path (module A) skip report) then ok := false)
     checked;
   if !ok then
     Printf.eprintf

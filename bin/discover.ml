@@ -6,9 +6,9 @@
      the last), no dynamically critical variable may sit in a field
      the discovery ranked prunable — the discovered set must contain
      the dynamic engine's critical elements;
-   - fast path: analyzing under the discovered set (Config.discovered)
-     must leave every criticality mask bitwise identical to the
-     unfiltered analysis;
+   - fast path: analyzing under the discovered set (the pruned
+     variables as Config.skip) must leave every criticality mask
+     bitwise identical to the unfiltered analysis at boundary 0;
    - non-vacuity: every app must resolve with a non-empty ranking, and
      at least one app must prune a declared variable or add an
      undeclared field — otherwise discovery found nothing the
@@ -31,47 +31,39 @@ let boundaries (module A : Scvad_core.App.S) =
 (* Gate part 1 — containment: a dynamically critical variable whose
    backing field the discovery ranked prunable is a hard failure; the
    static claim "zero derivative, safe to drop" is falsified by the
-   engine the paper builds. *)
-let check_containment (a : Rank.app_ranks) (module A : Scvad_core.App.S) =
+   engine the paper builds.  [report] is the unfiltered analysis at
+   boundary [at_iter]. *)
+let check_containment (a : Rank.app_ranks) ~at_iter report =
   let ok = ref true in
   List.iter
-    (fun at_iter ->
-      let report =
-        Analyzer.run
-          ~config:Analyzer.Config.(default |> with_at_iter at_iter)
-          (module A)
-      in
-      List.iter
-        (fun (v : Criticality.var_report) ->
-          let crit = Criticality.critical v in
-          if crit > 0 then
-            match
-              List.find_opt
-                (fun (f : Rank.field_rank) ->
-                  f.Rank.f_var = Some v.Criticality.name)
-                a.Rank.r_fields
-            with
-            | Some f when Rank.is_prunable f.Rank.f_verdict ->
-                Printf.eprintf
-                  "discover: GATE VIOLATION: %s.%s: %d dynamically critical \
-                   element(s) at boundary %d, but field %s is ranked %s (%s)\n"
-                  a.Rank.r_app v.Criticality.name crit at_iter f.Rank.f_field
-                  (Rank.verdict_name f.Rank.f_verdict)
-                  f.Rank.f_reason;
-                ok := false
-            | _ -> ())
-        report.Criticality.vars)
-    (boundaries (module A));
+    (fun (v : Criticality.var_report) ->
+      let crit = Criticality.critical v in
+      if crit > 0 then
+        match
+          List.find_opt
+            (fun (f : Rank.field_rank) ->
+              f.Rank.f_var = Some v.Criticality.name)
+            a.Rank.r_fields
+        with
+        | Some f when Rank.is_prunable f.Rank.f_verdict ->
+            Printf.eprintf
+              "discover: GATE VIOLATION: %s.%s: %d dynamically critical \
+               element(s) at boundary %d, but field %s is ranked %s (%s)\n"
+              a.Rank.r_app v.Criticality.name crit at_iter f.Rank.f_field
+              (Rank.verdict_name f.Rank.f_verdict)
+              f.Rank.f_reason;
+            ok := false
+        | _ -> ())
+    report.Criticality.vars;
   !ok
 
 (* Gate part 2 — fast path: pre-resolving the pruned variables must
-   not change any mask. *)
-let check_fast_path (ps : Rank.proposals) (module A : Scvad_core.App.S) =
-  let unfiltered = Analyzer.run (module A) in
+   not change any mask of the [unfiltered] boundary-0 analysis. *)
+let check_fast_path (module A : Scvad_core.App.S) skip unfiltered =
   Gate.masks_identical ~pass:"discover" ~mode:"discovered-mode" ~app:A.name
     unfiltered
     (Analyzer.run
-       ~config:Analyzer.Config.(default |> with_discovered ps)
+       ~config:Analyzer.Config.(default |> with_skip [ (A.name, skip) ])
        (module A))
 
 (* Candidate dead weight: hand-declared variables the ranking prunes,
@@ -136,9 +128,24 @@ let run_gate (ps : Rank.proposals) =
   List.iter
     (fun ((a : Rank.app_ranks), (module A : Scvad_core.App.S)) ->
       report_dead_weight a;
-      if not (check_containment a (module A)) then ok := false;
-      if Rank.pruned_float_vars a <> [] then
-        if not (check_fast_path ps (module A)) then ok := false)
+      let reports =
+        List.map
+          (fun at_iter ->
+            ( at_iter,
+              Analyzer.run
+                ~config:Analyzer.Config.(default |> with_at_iter at_iter)
+                (module A) ))
+          (boundaries (module A))
+      in
+      List.iter
+        (fun (at_iter, report) ->
+          if not (check_containment a ~at_iter report) then ok := false)
+        reports;
+      match Rank.pruned_float_vars a with
+      | [] -> ()
+      | skip ->
+          if not (check_fast_path (module A) skip (List.assoc 0 reports))
+          then ok := false)
     checked;
   if !ok then
     Printf.eprintf

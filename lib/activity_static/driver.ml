@@ -1,6 +1,5 @@
-(* The static activity driver: parse an NPB kernel with compiler-libs,
-   extract the {!Model}, run the abstract interpreter, and assemble one
-   {!Verdict.var_verdict} per checkpoint variable.
+(* The static activity driver: project the {!Frontend}'s walk of an
+   NPB kernel onto one {!Verdict.var_verdict} per checkpoint variable.
 
    The verdict rule (the soundness argument lives in DESIGN.md §11):
 
@@ -30,9 +29,9 @@ let whole_var (v : Model.var_decl) =
   | Some n when n > 0 -> [ { Regions.start = 0; stop = n } ]
   | _ -> Regions.empty
 
-(* Base verdict before pragmas, from the interpreter outcome (or from
-   nothing, when the app could not be interpreted at all). *)
-let base_verdict (outcome : Absint.outcome option) (v : Model.var_decl) =
+(* Base verdict before pragmas, from the interpreter outcome ([Error]
+   when the app could not be interpreted at all). *)
+let base_verdict outcome (v : Model.var_decl) =
   match v.Model.v_declared_critical with
   | Some why ->
       ( Verdict.Statically_active,
@@ -40,9 +39,8 @@ let base_verdict (outcome : Absint.outcome option) (v : Model.var_decl) =
         Regions.empty )
   | None -> (
       match outcome with
-      | None ->
-          (Verdict.Unknown, "analysis incomplete", Regions.empty)
-      | Some o -> (
+      | Error _ -> (Verdict.Unknown, "analysis incomplete", Regions.empty)
+      | Ok o -> (
           match v.Model.v_field with
           | None ->
               ( Verdict.Unknown,
@@ -83,8 +81,7 @@ let base_verdict (outcome : Absint.outcome option) (v : Model.var_decl) =
                        output (a path may exist through an opaque value)",
                       Regions.empty ))))
 
-let var_verdict ~pragmas (outcome : Absint.outcome option)
-    (v : Model.var_decl) =
+let var_verdict ~pragmas outcome (v : Model.var_decl) =
   let class_, reason, inactive = base_verdict outcome v in
   let class_, reason, inactive, assumed =
     match Apragma.assume pragmas ~var:v.Model.v_name ~line:v.Model.v_line with
@@ -109,32 +106,21 @@ let var_verdict ~pragmas (outcome : Absint.outcome option)
 (* [analyze_source ~file source] is [None] when the file declares no
    NPB app (shared modules like adi_common.ml); findings carry pragma
    problems either way. *)
-let analyze_source ~file source =
-  let pragmas, pragma_errors = Apragma.scan ~file source in
-  match Source.parse ~file source with
-  | Error f -> (None, [ f ])
-  | Ok ast -> (
-      let m = Model.of_structure ~file ast in
-      match m.Model.app_name with
-      | None -> (None, pragma_errors)
-      | Some app ->
-          let outcome, resolved, extra_notes =
-            match Absint.analyze m with
-            | o -> (Some o, true, o.Absint.o_notes)
-            | exception Absint.Incomplete msg ->
-                (None, false, [ Printf.sprintf "analysis incomplete: %s" msg ])
-          in
-          let vars = List.map (var_verdict ~pragmas outcome) m.Model.vars in
-          let av =
-            {
-              Verdict.app;
-              source = file;
-              resolved;
-              vars;
-              notes = List.rev m.Model.notes @ extra_notes;
-            }
-          in
-          (Some av, pragma_errors @ Apragma.unused pragmas))
+let analyze_source =
+  Frontend.analyze_source ~scan:Apragma.scan ~unused:Apragma.unused
+    (fun pragmas { Frontend.app; model = m; outcome } ->
+      let notes =
+        match outcome with
+        | Ok o -> o.Absint.o_notes
+        | Error msg -> [ Printf.sprintf "analysis incomplete: %s" msg ]
+      in
+      {
+        Verdict.app;
+        source = m.Model.file;
+        resolved = Result.is_ok outcome;
+        vars = List.map (var_verdict ~pragmas outcome) m.Model.vars;
+        notes = List.rev m.Model.notes @ notes;
+      })
 
 let analyze_file file = analyze_source ~file (Source.read_file file)
 let analyze_files files = Source.analyze_files analyze_source files
@@ -249,16 +235,6 @@ let json_of_var (v : Verdict.var_verdict) =
       ("assumed", Ljson.Bool v.Verdict.assumed);
     ]
 
-let json_of_finding (f : Finding.t) =
-  Ljson.Obj
-    [
-      ("rule", Ljson.Str (Finding.rule_name f.Finding.rule));
-      ("file", Ljson.Str f.Finding.file);
-      ("line", Ljson.Int f.Finding.line);
-      ("severity", Ljson.Str (Finding.severity_name f.Finding.severity));
-      ("message", Ljson.Str f.Finding.message);
-    ]
-
 let render_json (vs : Verdict.verdicts) (findings : Finding.t list) =
   Ljson.to_string
     (Ljson.Obj
@@ -280,78 +256,6 @@ let render_json (vs : Verdict.verdicts) (findings : Finding.t list) =
                     ])
                 vs) );
          ("inactive_elements", Ljson.Int (Verdict.total_inactive_claims vs));
-         ("findings", Ljson.Arr (List.map json_of_finding findings));
+         ("findings", Ljson.Arr (List.map Finding.to_json findings));
        ])
   ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* JSON parse-back (fixture round-trip + report consumers)             *)
-(* ------------------------------------------------------------------ *)
-
-let jstr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Str s) -> s
-  | _ -> failwith (Printf.sprintf "verdicts_of_json: missing string %S" key)
-
-let jbool key j =
-  match Ljson.member key j with
-  | Some (Ljson.Bool v) -> v
-  | _ -> failwith (Printf.sprintf "verdicts_of_json: missing bool %S" key)
-
-let jarr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Arr items) -> items
-  | _ -> failwith (Printf.sprintf "verdicts_of_json: missing array %S" key)
-
-let var_of_json j =
-  let class_ =
-    match Verdict.class_of_name (jstr "class" j) with
-    | Some c -> c
-    | None -> failwith "verdicts_of_json: unknown class"
-  in
-  let kind =
-    match jstr "kind" j with
-    | "float" -> Verdict.Float_var
-    | "int" -> Verdict.Int_var
-    | k -> failwith (Printf.sprintf "verdicts_of_json: unknown kind %S" k)
-  in
-  let elements =
-    match Ljson.member "elements" j with
-    | Some (Ljson.Int n) -> Some n
-    | _ -> None
-  in
-  let inactive =
-    List.map
-      (function
-        | Ljson.Arr [ Ljson.Int start; Ljson.Int stop ] ->
-            { Regions.start; stop }
-        | _ -> failwith "verdicts_of_json: malformed span")
-      (jarr "inactive" j)
-  in
-  {
-    Verdict.var = jstr "var" j;
-    kind;
-    class_;
-    elements;
-    inactive;
-    reason = jstr "reason" j;
-    assumed = jbool "assumed" j;
-  }
-
-let verdicts_of_json s =
-  let j = Ljson.of_string s in
-  List.map
-    (fun app ->
-      {
-        Verdict.app = jstr "app" app;
-        source = jstr "source" app;
-        resolved = jbool "resolved" app;
-        vars = List.map var_of_json (jarr "vars" app);
-        notes =
-          List.map
-            (function
-              | Ljson.Str s -> s
-              | _ -> failwith "verdicts_of_json: malformed note")
-            (jarr "notes" app);
-      })
-    (jarr "apps" j)

@@ -1,5 +1,5 @@
-(** The static activity driver: parse NPB kernel sources, run the
-    abstract interpreter, assemble per-variable {!Verdict.t}s, apply
+(** The static activity driver: project the {!Frontend}'s walk of NPB
+    kernel sources onto per-variable {!Verdict.var_verdict}s, apply
     [(* activity: assume … *)] pragmas, and render the report. *)
 
 (** [None] when the file declares no NPB app (shared helpers); pragma
@@ -34,8 +34,3 @@ val unsound_claims :
 
 val render_text : Verdict.verdicts -> Scvad_lint.Finding.t list -> string
 val render_json : Verdict.verdicts -> Scvad_lint.Finding.t list -> string
-
-(** Parse the [apps] array out of {!render_json} output — the test
-    suite asserts this round-trips.  Raises [Failure] on malformed
-    input. *)
-val verdicts_of_json : string -> Verdict.verdicts

@@ -24,12 +24,6 @@ let class_name = function
   | Statically_active -> "statically-active"
   | Unknown -> "unknown"
 
-let class_of_name = function
-  | "statically-inactive" | "inactive" -> Some Statically_inactive
-  | "statically-active" | "active" -> Some Statically_active
-  | "unknown" -> Some Unknown
-  | _ -> None
-
 (* Join of independent approximations: agreement keeps the claim, any
    disagreement or doubt decays to Unknown.  (Inactive/Active conflict
    would mean a bug in one side; never silently pick one.) *)

@@ -282,35 +282,20 @@ let check_window who ~at_iter ~niter =
   if at_iter < 0 || at_iter >= niter then
     invalid_arg (who ^ ": need 0 <= at_iter < niter")
 
-let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
-    ?memory_budget (module A : App.S) =
+let analyze_with ~mode ~at_iter ?niter ?pool ~skip ?memory_budget
+    (module A : App.S) =
   let niter = Option.value niter ~default:A.analysis_niter in
   check_window "Analyzer.run" ~at_iter ~niter;
   (* The skip set: float variables pre-resolved before any AD runs —
      never lifted onto the tape (or probed), with all-false masks and
-     all-zero magnitudes by construction.  Two sources feed it: the
-     variables the static activity pass proved [Statically_inactive]
-     (the paper's "scrutinize before you run" carried to its limit),
-     and in discovered mode the variables whose backing field the
-     discovery pass ranked prunable.  The @activity-check and
-     @discover-check gates fail if the unfiltered dynamic analysis ever
-     finds a critical element inside a skipped variable, so a
-     gate-checked table never changes a mask. *)
-  let skips =
-    (match
-       Option.bind static (fun vs ->
-           Scvad_activity.Verdict.find_app vs ~app:A.name)
-     with
-    | Some av -> Scvad_activity.Verdict.skippable_float_vars av
-    | None -> [])
-    @
-    match
-      Option.bind discovered (fun ps ->
-          Scvad_discover.Rank.find_app ps ~app:A.name)
-    with
-    | Some ranks -> Scvad_discover.Rank.pruned_float_vars ranks
-    | None -> []
-  in
+     all-zero magnitudes by construction.  The static passes fill it:
+     the variables the activity pass proved [Statically_inactive] (the
+     paper's "scrutinize before you run" carried to its limit), or
+     those whose backing field the discovery pass ranked prunable.  The
+     @activity-check and @discover-check gates fail if the unfiltered
+     dynamic analysis ever finds a critical element inside a skipped
+     variable, so a gate-checked list never changes a mask. *)
+  let skips = Option.value (List.assoc_opt A.name skip) ~default:[] in
   (* A memory budget bounds the reverse tape.  The other modes ignore
      it: forward probing records no tape at all, and the dependence
      sweep reads every node below the output, so its tape must keep
@@ -339,62 +324,6 @@ let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
     vars = a.float_reports @ a.int_reports;
   }
 
-(* Guarded scrutiny: harden a report against the static guard pass's
-   [Control_tainted] certificates.  Variables whose dataflow escapes
-   into discrete consumers (branches, conversions, kinks) can have
-   elements the derivative calls uncritical but the output nonetheless
-   depends on; the perturbation falsifier hunts such elements over the
-   report's own analysis window and promotes every witness to critical.
-   Smooth / Unknown variables are left alone — the AD verdict is the
-   paper's criterion and the guard only overrides it where the
-   criterion is provably inapplicable. *)
-type guard_spec = {
-  g_certs : Scvad_guard.Cert.certificates;
-  g_trials : int;
-  g_seed : int;
-}
-
-let guard_harden spec (module A : App.S) (report : Criticality.report) =
-  match Scvad_guard.Cert.find_app spec.g_certs ~app:A.name with
-  | None -> report
-  | Some ac ->
-      let tainted = Scvad_guard.Cert.tainted_vars ac in
-      let targets =
-        List.filter_map
-          (fun (v : Criticality.var_report) ->
-            if not (List.mem v.Criticality.name tainted) then None
-            else begin
-              let acc = ref [] in
-              Array.iteri
-                (fun i critical -> if not critical then acc := i :: !acc)
-                v.Criticality.mask;
-              match !acc with
-              | [] -> None
-              | rev ->
-                  Some
-                    {
-                      Falsifier.t_var = v.Criticality.name;
-                      t_kind = v.Criticality.kind;
-                      t_candidates = Array.of_list (List.rev rev);
-                    }
-            end)
-          report.Criticality.vars
-      in
-      if targets = [] || spec.g_trials <= 0 then report
-      else
-        let o =
-          Falsifier.run ~boundary:report.Criticality.at_iteration
-            ~niter:report.Criticality.analyzed_until ~trials:spec.g_trials
-            ~seed:spec.g_seed ~targets
-            (module A : App.S)
-        in
-        Falsifier.harden report o.Falsifier.f_witnesses
-
-let maybe_guard guard (module A : App.S) report =
-  match guard with
-  | None -> report
-  | Some spec -> guard_harden spec (module A : App.S) report
-
 (* ------------------------------------------------------------------ *)
 (* Configuration record                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -408,11 +337,7 @@ module Config = struct
     at_iter : int;
     niter : int option; (* None: the app's analysis_niter *)
     jobs : int option; (* None: 1 for run, default_jobs for run_suite *)
-    static : Scvad_activity.Verdict.verdicts option;
-    discovered : Scvad_discover.Rank.proposals option;
-        (* scrutinize the discovered checkpoint set: prunable-ranked
-           float fields are pre-resolved like statically-inactive ones *)
-    guard : guard_spec option;
+    skip : (string * string list) list; (* app name -> float vars *)
     memory_budget : int option; (* tape node slots; None: keep every node *)
   }
 
@@ -422,9 +347,7 @@ module Config = struct
       at_iter = 0;
       niter = None;
       jobs = None;
-      static = None;
-      discovered = None;
-      guard = None;
+      skip = [];
       memory_budget = None;
     }
 
@@ -432,41 +355,24 @@ module Config = struct
   let with_at_iter at_iter c = { c with at_iter }
   let with_niter n c = { c with niter = Some n }
   let with_jobs j c = { c with jobs = Some j }
-  let with_static s c = { c with static = Some s }
-  let with_discovered ps c = { c with discovered = Some ps }
-  let with_guard g c = { c with guard = Some g }
+  let with_skip skip c = { c with skip }
   let with_memory_budget b c = { c with memory_budget = Some b }
   (* Kept only for the benchmark's call: there is one schedule. *)
   let with_schedule Tape.Segmented.Binomial c = c
 end
 
 let run ?(config = Config.default) (module A : App.S) =
-  let {
-    Config.mode;
-    at_iter;
-    niter;
-    jobs;
-    static;
-    discovered;
-    guard;
-    memory_budget;
-  } =
-    config
-  in
+  let { Config.mode; at_iter; niter; jobs; skip; memory_budget } = config in
   let jobs = Option.value jobs ~default:1 in
   if jobs < 1 then
     invalid_arg
       (Printf.sprintf "Analyzer.run: jobs must be >= 1 (got %d)" jobs);
-  let report =
-    if jobs = 1 then
-      analyze_with ~mode ~at_iter ?niter ?static ?discovered ?memory_budget
-        (module A)
-    else
-      Pool.with_pool ~jobs (fun pool ->
-          analyze_with ~mode ~at_iter ?niter ~pool ?static ?discovered
-            ?memory_budget (module A))
-  in
-  maybe_guard guard (module A) report
+  if jobs = 1 then
+    analyze_with ~mode ~at_iter ?niter ~skip ?memory_budget (module A)
+  else
+    Pool.with_pool ~jobs (fun pool ->
+        analyze_with ~mode ~at_iter ?niter ~pool ~skip ?memory_budget
+          (module A))
 
 (* Suite-level parallelism: each benchmark's analysis builds its own
    tape and state, so the eight analyses share nothing and run whole on
@@ -474,26 +380,13 @@ let run ?(config = Config.default) (module A : App.S) =
    fan-outs: a nested Pool.map from inside a worker degrades to the
    sequential path, so the pool never deadlocks on itself. *)
 let run_suite ?(config = Config.default) apps =
-  let {
-    Config.mode;
-    at_iter;
-    niter;
-    jobs;
-    static;
-    discovered;
-    guard;
-    memory_budget;
-  } =
-    config
-  in
+  let { Config.mode; at_iter; niter; jobs; skip; memory_budget } = config in
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   if jobs < 1 then
     invalid_arg
       (Printf.sprintf "Analyzer.run_suite: jobs must be >= 1 (got %d)" jobs);
   let one pool app =
-    maybe_guard guard app
-      (analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
-         ?memory_budget app)
+    analyze_with ~mode ~at_iter ?niter ?pool ~skip ?memory_budget app
   in
   if jobs = 1 then List.map (one None) apps
   else

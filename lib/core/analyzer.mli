@@ -19,21 +19,6 @@
     probe its state — so results are bitwise identical for any job
     count. *)
 
-(** Guarded scrutiny: after the AD pass, harden the report against the
-    static guard certificates.  For every variable the guard classified
-    [Control_tainted] (its dataflow escapes into branches, integer
-    conversions, or kinks — places where "derivative = 0" does not
-    imply "uncritical"), the perturbation falsifier ({!Falsifier}) runs
-    [g_trials] seeded trials over the report's analysis window on the
-    elements the masks call uncritical; every witness is promoted to
-    critical.  [Smooth] and [Unknown] variables keep their AD verdict
-    untouched. *)
-type guard_spec = {
-  g_certs : Scvad_guard.Cert.certificates;
-  g_trials : int;
-  g_seed : int;
-}
-
 (** Analysis configuration: every knob of the engine in one value.
 
     Build one by overriding {!Config.default}, either with a record
@@ -67,21 +52,15 @@ module Config : sig
             on; 1 means fully sequential.  Default 1 for {!run},
             [Scvad_par.Pool.default_jobs ()] for {!run_suite}.  The
             produced report is bitwise identical for every [jobs]. *)
-    static : Scvad_activity.Verdict.verdicts option;
-        (** verdict table from the static activity pass; the entry
-            matching the app (if any) pre-resolves its
-            statically-inactive variables without lifting them *)
-    discovered : Scvad_discover.Rank.proposals option;
-        (** proposals from the static discovery pass ([scvad check discover]):
-            the analysis scrutinizes the {e discovered} checkpoint set
-            — declared float variables whose backing field is ranked
-            prunable are pre-resolved like statically-inactive ones
-            (never lifted, all-false masks).  The [@discover-check]
-            gate asserts the ranking against the unfiltered dynamic
-            analysis, so a gate-checked proposal never changes a
-            mask. *)
-    guard : guard_spec option;
-        (** harden the produced report — see {!guard_spec} *)
+    skip : (string * string list) list;
+        (** float variables to pre-resolve, listed per app by name
+            (default none): the analysis never lifts them onto the
+            tape (or probes them) and reports them with all-false
+            masks.  [scvad check activity] fills it with the variables
+            the static activity pass proved inactive, [scvad check
+            discover] with those whose backing field the discovery
+            pass ranked prunable; their gates assert that this leaves
+            every mask of the unfiltered analysis unchanged. *)
     memory_budget : int option;
         (** cap on materialized tape node slots (24 bytes each).  Set:
             reverse mode records on a budgeted {!Scvad_ad.Tape} —
@@ -99,9 +78,7 @@ module Config : sig
   val with_at_iter : int -> t -> t
   val with_niter : int -> t -> t
   val with_jobs : int -> t -> t
-  val with_static : Scvad_activity.Verdict.verdicts -> t -> t
-  val with_discovered : Scvad_discover.Rank.proposals -> t -> t
-  val with_guard : guard_spec -> t -> t
+  val with_skip : (string * string list) list -> t -> t
   val with_memory_budget : int -> t -> t
 
   (** [with_schedule Binomial c] is [c]: the budgeted tape has one

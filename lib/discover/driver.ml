@@ -1,13 +1,12 @@
-(* The discover driver: parse an NPB kernel with compiler-libs, extract
-   the {!Scvad_activity.Model}, run the abstract interpreter (first
+(* The discover driver: rank every mutable state field of an NPB kernel
+   with {!Rank.rank}, from the {!Scvad_activity.Frontend}'s walk (first
    effects, dependence edges, and the leak facts of the recomputability
-   check), and rank every mutable state field with {!Rank.rank}.  The result is a
-   proposed checkpoint set per app — discovery, where the rest of the
-   tree only scrutinizes a hand-declared set. *)
+   check).  The result is a proposed checkpoint set per app — discovery,
+   where the rest of the tree only scrutinizes a hand-declared set. *)
 
 module Model = Scvad_activity.Model
-module Absint = Scvad_activity.Absint
 module Source = Scvad_lint.Source
+module Frontend = Scvad_activity.Frontend
 module Verdict = Scvad_activity.Verdict
 module Finding = Scvad_lint.Finding
 module Ljson = Scvad_util.Ljson
@@ -30,44 +29,30 @@ let apply_pragmas pragmas (f : Rank.field_rank) =
 (* [analyze_source ~file source] is [None] when the file declares no
    NPB app (shared modules); findings carry pragma problems either
    way. *)
-let analyze_source ~file source =
-  let pragmas, pragma_errors = Dpragma.scan ~file source in
-  match Source.parse ~file source with
-  | Error f -> (None, [ f ])
-  | Ok ast -> (
-      let m = Model.of_structure ~file ast in
-      match m.Model.app_name with
-      | None -> (None, pragma_errors)
-      | Some app ->
-          let absint, notes =
-            match Absint.analyze m with
-            | o -> (Some o, [])
-            | exception Absint.Incomplete msg ->
-                ( None,
-                  [
-                    Printf.sprintf "activity analysis incomplete: %s" msg;
-                    Printf.sprintf "escape analysis incomplete: %s" msg;
-                  ] )
-          in
-          let fields =
-            List.map (apply_pragmas pragmas) (Rank.rank ?absint m)
-          in
-          let ar =
-            {
-              Rank.r_app = app;
-              r_source = file;
-              r_resolved = absint <> None;
-              r_fields = fields;
-              r_notes = List.rev m.Model.notes @ notes;
-            }
-          in
-          (Some ar, pragma_errors @ Dpragma.unused pragmas))
+let analyze_source =
+  Frontend.analyze_source ~scan:Dpragma.scan ~unused:Dpragma.unused
+    (fun pragmas { Frontend.app; model = m; outcome } ->
+      let notes =
+        match outcome with
+        | Ok _ -> []
+        | Error msg ->
+            [
+              Printf.sprintf "activity analysis incomplete: %s" msg;
+              Printf.sprintf "escape analysis incomplete: %s" msg;
+            ]
+      in
+      let fields = Rank.rank ?absint:(Result.to_option outcome) m in
+      {
+        Rank.r_app = app;
+        r_source = m.Model.file;
+        r_resolved = Result.is_ok outcome;
+        r_fields = List.map (apply_pragmas pragmas) fields;
+        r_notes = List.rev m.Model.notes @ notes;
+      })
 
 let analyze_file file = analyze_source ~file (Source.read_file file)
 let analyze_files files = Source.analyze_files analyze_source files
 let analyze_dir dir = analyze_files (Source.ml_files dir)
-
-let locate_npb_dir = Scvad_activity.Driver.locate_npb_dir
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -142,16 +127,6 @@ let json_of_field (f : Rank.field_rank) =
       ("assumed", Ljson.Bool f.Rank.f_assumed);
     ]
 
-let json_of_finding (f : Finding.t) =
-  Ljson.Obj
-    [
-      ("rule", Ljson.Str (Finding.rule_name f.Finding.rule));
-      ("file", Ljson.Str f.Finding.file);
-      ("line", Ljson.Int f.Finding.line);
-      ("severity", Ljson.Str (Finding.severity_name f.Finding.severity));
-      ("message", Ljson.Str f.Finding.message);
-    ]
-
 let json_of_proposals (ps : Rank.proposals) (findings : Finding.t list) =
   Ljson.Obj
     [
@@ -182,77 +157,8 @@ let json_of_proposals (ps : Rank.proposals) (findings : Finding.t list) =
         Ljson.Int (Rank.count_verdict ps Rank.Prunable_recomputable) );
       ("prunable_dead", Ljson.Int (Rank.count_verdict ps Rank.Prunable_dead));
       ("unknown", Ljson.Int (Rank.count_verdict ps Rank.Unknown));
-      ("findings", Ljson.Arr (List.map json_of_finding findings));
+      ("findings", Ljson.Arr (List.map Finding.to_json findings));
     ]
 
 let render_json (ps : Rank.proposals) (findings : Finding.t list) =
   Ljson.to_string (json_of_proposals ps findings) ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* JSON parse-back (fixture round-trip, report archaeology)            *)
-(* ------------------------------------------------------------------ *)
-
-let jstr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Str s) -> s
-  | _ -> failwith (Printf.sprintf "proposals_of_json: missing string %S" key)
-
-let jbool key j =
-  match Ljson.member key j with
-  | Some (Ljson.Bool v) -> v
-  | _ -> failwith (Printf.sprintf "proposals_of_json: missing bool %S" key)
-
-let jarr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Arr items) -> items
-  | _ -> failwith (Printf.sprintf "proposals_of_json: missing array %S" key)
-
-let field_of_json j =
-  let verdict =
-    match Rank.verdict_of_name (jstr "verdict" j) with
-    | Some v -> v
-    | None -> failwith "proposals_of_json: unknown verdict"
-  in
-  let kind =
-    match Ljson.member "kind" j with
-    | Some (Ljson.Str "float") -> Some Verdict.Float_var
-    | Some (Ljson.Str "int") -> Some Verdict.Int_var
-    | Some Ljson.Null | None -> None
-    | Some _ -> failwith "proposals_of_json: unknown kind"
-  in
-  {
-    Rank.f_field = jstr "field" j;
-    f_var =
-      (match Ljson.member "var" j with
-      | Some (Ljson.Str v) -> Some v
-      | _ -> None);
-    f_kind = kind;
-    f_elements =
-      (match Ljson.member "elements" j with
-      | Some (Ljson.Int n) -> Some n
-      | _ -> None);
-    f_live = jbool "live" j;
-    f_reaches = jbool "reaches_output" j;
-    f_recomputable = jbool "recomputable" j;
-    f_verdict = verdict;
-    f_reason = jstr "reason" j;
-    f_assumed = jbool "assumed" j;
-  }
-
-let proposals_of_json s =
-  let j = Ljson.of_string s in
-  List.map
-    (fun app ->
-      {
-        Rank.r_app = jstr "app" app;
-        r_source = jstr "source" app;
-        r_resolved = jbool "resolved" app;
-        r_fields = List.map field_of_json (jarr "fields" app);
-        r_notes =
-          List.map
-            (function
-              | Ljson.Str s -> s
-              | _ -> failwith "proposals_of_json: malformed note")
-            (jarr "notes" app);
-      })
-    (jarr "apps" j)

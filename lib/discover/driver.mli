@@ -1,7 +1,7 @@
-(** Discover driver: parse NPB kernels, run the activity abstract
-    interpreter (first effects, dependence edges) and the escape
-    interpreter (leak facts), and assemble per-field {!Rank.field_rank}
-    proposals with pragma overlay. *)
+(** Discover driver: rank every state field of NPB kernels from the
+    {!Scvad_activity.Frontend}'s walk (first effects, dependence edges,
+    leak facts), and assemble per-field {!Rank.field_rank} proposals
+    with pragma overlay. *)
 
 (** [analyze_source ~file source] ranks the app declared in [source],
     or [None] for shared modules; findings carry pragma problems and
@@ -20,12 +20,5 @@ val analyze_files :
 (** Rank every [.ml] file in [dir], sorted by name. *)
 val analyze_dir : string -> Rank.proposals * Scvad_lint.Finding.t list
 
-(** Walk up from [cwd] looking for [lib/npb]. *)
-val locate_npb_dir : ?cwd:string -> unit -> string option
-
 val render_text : Rank.proposals -> Scvad_lint.Finding.t list -> string
 val render_json : Rank.proposals -> Scvad_lint.Finding.t list -> string
-
-(** Parse a {!render_json} document back (round-trip tests, report
-    archaeology).  Raises [Failure] on malformed input. *)
-val proposals_of_json : string -> Rank.proposals

@@ -80,8 +80,8 @@ val discovered_fields : app_ranks -> string list
     evidence. *)
 val pruned_vars : app_ranks -> field_rank list
 
-(** Declared float variables ranked prunable: the set the analyzer's
-    [discovered] mode skips lifting (mirrors the static fast path). *)
+(** Declared float variables ranked prunable: the discover gate's skip
+    list for the analyzer (mirrors the activity fast path). *)
 val pruned_float_vars : app_ranks -> string list
 
 (** Discovered-but-undeclared fields the proposal adds ([Required]

@@ -1,6 +1,5 @@
-(* The guard driver: parse an NPB kernel with compiler-libs, extract
-   the {!Scvad_activity.Model}, run the abstract interpreter (kill and
-   reach facts, escape sites, leaks), and assemble one
+(* The guard driver: project the {!Scvad_activity.Frontend}'s walk of
+   an NPB kernel (kill and reach facts, escape sites, leaks) onto one
    {!Cert.var_cert} per checkpoint variable.
 
    The certificate rule (soundness argument in DESIGN.md §12):
@@ -34,6 +33,7 @@
 module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
 module Source = Scvad_lint.Source
+module Frontend = Scvad_activity.Frontend
 module Verdict = Scvad_activity.Verdict
 module Finding = Scvad_lint.Finding
 module Ljson = Scvad_util.Ljson
@@ -48,9 +48,9 @@ let field_sites (a : Absint.outcome) f =
     a.Absint.o_escapes
 
 (* Base certificate before pragmas. *)
-let base_cert (a : Absint.outcome option) (v : Model.var_decl) =
+let base_cert outcome (v : Model.var_decl) =
   let declared = v.Model.v_declared_critical in
-  match (v.Model.v_field, a) with
+  match (v.Model.v_field, outcome) with
   | _ when declared <> None && v.Model.v_kind = Verdict.Int_var ->
       ( Cert.Control_tainted,
         [],
@@ -61,8 +61,8 @@ let base_cert (a : Absint.outcome option) (v : Model.var_decl) =
           (Option.value declared ~default:"declared") )
   | None, _ ->
       (Cert.Unknown, [], false, "declaration not bound to a unique state field")
-  | Some _, None -> (Cert.Unknown, [], false, "analysis incomplete")
-  | Some f, Some a -> (
+  | Some _, Error _ -> (Cert.Unknown, [], false, "analysis incomplete")
+  | Some f, Ok a -> (
       let reaches = Absint.SS.mem f a.Absint.o_reaches in
       match List.assoc_opt f a.Absint.o_status with
       | Some Absint.Untouched ->
@@ -103,8 +103,8 @@ let base_cert (a : Absint.outcome option) (v : Model.var_decl) =
                   "every resolved flow to the output is smooth scalar \
                    arithmetic" )))
 
-let var_cert ~pragmas a (v : Model.var_decl) =
-  let class_, sites, reaches, reason = base_cert a v in
+let var_cert ~pragmas outcome (v : Model.var_decl) =
+  let class_, sites, reaches, reason = base_cert outcome v in
   let class_, reason, assumed =
     match Gpragma.assume pragmas ~var:v.Model.v_name ~line:v.Model.v_line with
     | None -> (class_, reason, false)
@@ -125,42 +125,29 @@ let var_cert ~pragmas a (v : Model.var_decl) =
 (* [analyze_source ~file source] is [None] when the file declares no
    NPB app (shared modules); findings carry pragma problems either
    way. *)
-let analyze_source ~file source =
-  let pragmas, pragma_errors = Gpragma.scan ~file source in
-  match Source.parse ~file source with
-  | Error f -> (None, [ f ])
-  | Ok ast -> (
-      let m = Model.of_structure ~file ast in
-      match m.Model.app_name with
-      | None -> (None, pragma_errors)
-      | Some app ->
-          let a, notes =
-            match Absint.analyze m with
-            | o -> (Some o, o.Absint.o_escape_notes)
-            | exception Absint.Incomplete msg ->
-                ( None,
-                  [
-                    Printf.sprintf "activity analysis incomplete: %s" msg;
-                    Printf.sprintf "escape analysis incomplete: %s" msg;
-                  ] )
-          in
-          let certs = List.map (var_cert ~pragmas a) m.Model.vars in
-          let ac =
-            {
-              Cert.app;
-              source = file;
-              resolved = a <> None;
-              certs;
-              notes = List.rev m.Model.notes @ notes;
-            }
-          in
-          (Some ac, pragma_errors @ Gpragma.unused pragmas))
+let analyze_source =
+  Frontend.analyze_source ~scan:Gpragma.scan ~unused:Gpragma.unused
+    (fun pragmas { Frontend.app; model = m; outcome } ->
+      let notes =
+        match outcome with
+        | Ok o -> o.Absint.o_escape_notes
+        | Error msg ->
+            [
+              Printf.sprintf "activity analysis incomplete: %s" msg;
+              Printf.sprintf "escape analysis incomplete: %s" msg;
+            ]
+      in
+      {
+        Cert.app;
+        source = m.Model.file;
+        resolved = Result.is_ok outcome;
+        certs = List.map (var_cert ~pragmas outcome) m.Model.vars;
+        notes = List.rev m.Model.notes @ notes;
+      })
 
 let analyze_file file = analyze_source ~file (Source.read_file file)
 let analyze_files files = Source.analyze_files analyze_source files
 let analyze_dir dir = analyze_files (Source.ml_files dir)
-
-let locate_npb_dir = Scvad_activity.Driver.locate_npb_dir
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -229,16 +216,6 @@ let json_of_cert (v : Cert.var_cert) =
       ("assumed", Ljson.Bool v.Cert.assumed);
     ]
 
-let json_of_finding (f : Finding.t) =
-  Ljson.Obj
-    [
-      ("rule", Ljson.Str (Finding.rule_name f.Finding.rule));
-      ("file", Ljson.Str f.Finding.file);
-      ("line", Ljson.Int f.Finding.line);
-      ("severity", Ljson.Str (Finding.severity_name f.Finding.severity));
-      ("message", Ljson.Str f.Finding.message);
-    ]
-
 let json_of_certs (cs : Cert.certificates) (findings : Finding.t list) =
   Ljson.Obj
     [
@@ -262,7 +239,7 @@ let json_of_certs (cs : Cert.certificates) (findings : Finding.t list) =
       ( "control_tainted",
         Ljson.Int (Cert.count_class cs Cert.Control_tainted) );
       ("unknown", Ljson.Int (Cert.count_class cs Cert.Unknown));
-      ("findings", Ljson.Arr (List.map json_of_finding findings));
+      ("findings", Ljson.Arr (List.map Finding.to_json findings));
     ]
 
 let render_json (cs : Cert.certificates) (findings : Finding.t list) =

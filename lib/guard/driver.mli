@@ -1,6 +1,6 @@
-(** Guard driver: parse NPB kernels, run the activity abstract
-    interpreter and the escape interpreter, and assemble per-variable
-    {!Cert.var_cert} certificates with pragma overlay. *)
+(** Guard driver: project the {!Scvad_activity.Frontend}'s walk of NPB
+    kernels (kill and reach facts, escape sites, leaks) onto
+    per-variable {!Cert.var_cert} certificates with pragma overlay. *)
 
 (** [analyze_source ~file source] certifies the app declared in
     [source], or [None] for shared modules; findings carry pragma
@@ -18,9 +18,6 @@ val analyze_files :
 
 (** Certify every [.ml] file in [dir], sorted by name. *)
 val analyze_dir : string -> Cert.certificates * Scvad_lint.Finding.t list
-
-(** Walk up from [cwd] looking for [lib/npb]. *)
-val locate_npb_dir : ?cwd:string -> unit -> string option
 
 val render_text : Cert.certificates -> Scvad_lint.Finding.t list -> string
 val render_json : Cert.certificates -> Scvad_lint.Finding.t list -> string

@@ -190,21 +190,11 @@ let render_text r =
        r.suppressed);
   Buffer.contents b
 
-let json_of_finding (f : Finding.t) =
-  Ljson.Obj
-    [
-      ("rule", Ljson.Str (Finding.rule_name f.Finding.rule));
-      ("file", Ljson.Str f.Finding.file);
-      ("line", Ljson.Int f.Finding.line);
-      ("severity", Ljson.Str (Finding.severity_name f.Finding.severity));
-      ("message", Ljson.Str f.Finding.message);
-    ]
-
 let render_json r =
   Ljson.to_string
     (Ljson.Obj
        [
-         ("findings", Ljson.Arr (List.map json_of_finding r.findings));
+         ("findings", Ljson.Arr (List.map Finding.to_json r.findings));
          ("suppressed", Ljson.Int r.suppressed);
          ( "allowlist",
            Ljson.Arr

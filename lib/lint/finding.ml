@@ -66,3 +66,14 @@ let compare a b =
 let to_text f =
   Printf.sprintf "%s:%d: [%s] %s: %s" f.file f.line
     (severity_name f.severity) (rule_name f.rule) f.message
+
+let to_json f =
+  let open Scvad_util.Ljson in
+  Obj
+    [
+      ("rule", Str (rule_name f.rule));
+      ("file", Str f.file);
+      ("line", Int f.line);
+      ("severity", Str (severity_name f.severity));
+      ("message", Str f.message);
+    ]

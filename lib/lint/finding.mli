@@ -45,3 +45,7 @@ val compare : t -> t -> int
 
 (** ["file:line: [severity] rule: message"]. *)
 val to_text : t -> string
+
+(** [{"rule", "file", "line", "severity", "message"}], the object every
+    pass's JSON report lists its findings as. *)
+val to_json : t -> Scvad_util.Ljson.t

@@ -297,16 +297,6 @@ let json_of_site (c : Verdict.classified) =
      ]
     @ verdict_fields)
 
-let json_of_finding (f : Finding.t) =
-  Ljson.Obj
-    [
-      ("rule", Ljson.Str (Finding.rule_name f.Finding.rule));
-      ("file", Ljson.Str f.Finding.file);
-      ("line", Ljson.Int f.Finding.line);
-      ("severity", Ljson.Str (Finding.severity_name f.Finding.severity));
-      ("message", Ljson.Str f.Finding.message);
-    ]
-
 let render_json (report : report) =
   Ljson.to_string
     (Ljson.Obj
@@ -318,7 +308,7 @@ let render_json (report : report) =
          ("shared_write", Ljson.Int (count report "shared-write"));
          ("unknown", Ljson.Int (count report "unknown"));
          ( "findings",
-           Ljson.Arr (List.map json_of_finding report.r_findings) );
+           Ljson.Arr (List.map Finding.to_json report.r_findings) );
        ])
   ^ "\n"
 

@@ -12,7 +12,7 @@ module Driver = Guard.Driver
 module Finding = Scvad_lint.Finding
 
 let npb_dir () =
-  match Driver.locate_npb_dir () with
+  match Scvad_activity.Driver.locate_npb_dir () with
   | Some d -> d
   | None -> Alcotest.fail "lib/npb not found above the test cwd"
 
@@ -459,34 +459,6 @@ let test_harden_promotes_witnesses () =
     [ true; false; false; false ]
     (Array.to_list orig.Criticality.mask)
 
-(* Analyzer ?guard plumbs the same promotion end to end: guarding IS
-   with its Control_tainted certificates must never lose a critical
-   element (the production masks are already all-critical, so the
-   guarded report is identical). *)
-let test_analyze_guard_is_monotone () =
-  let (module A) = find_app "is" in
-  let cs, _ = certs () in
-  let plain = Analyzer.run (module A : App.S) in
-  let guarded =
-    Analyzer.run
-      ~config:
-        Analyzer.Config.(
-          default
-          |> with_guard { Analyzer.g_certs = cs; g_trials = 30; g_seed = 1 })
-      (module A : App.S)
-  in
-  List.iter
-    (fun (v : Criticality.var_report) ->
-      let g = Criticality.find guarded v.Criticality.name in
-      Array.iteri
-        (fun i critical ->
-          if critical then
-            Alcotest.(check bool)
-              (Printf.sprintf "%s[%d] stays critical" v.Criticality.name i)
-              true g.Criticality.mask.(i))
-        v.Criticality.mask)
-    plain.Criticality.vars
-
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -537,8 +509,6 @@ let suites =
           `Quick test_is_key_array_no_junk_witness;
         Alcotest.test_case "harden promotes witnesses" `Quick
           test_harden_promotes_witnesses;
-        Alcotest.test_case "analyze ?guard is monotone on IS" `Slow
-          test_analyze_guard_is_monotone;
         QCheck_alcotest.to_alcotest prop_smooth_never_falsified;
       ] );
   ]
