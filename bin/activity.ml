@@ -68,7 +68,8 @@ let run_gate verdicts =
       if not (check_soundness av report) then ok := false;
       match Verdict.skippable_float_vars av with
       | [] -> ()
-      | skip -> if not (check_fast_path (module A) skip report) then ok := false)
+      | skip ->
+          if not (check_fast_path (module A) skip report) then ok := false)
     checked;
   if !ok then
     Printf.eprintf
