@@ -364,6 +364,46 @@ let prop_float_instance (module A : App.S) =
         QCheck.Test.fail_reportf "output: generic %h, generated %h" go fo;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* FT recording pinned                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* FT's FFT pushes four multiplies and six additions per butterfly, in
+   a fixed order.  The reverse tape's size, the backward sweep's visited
+   nodes, the bits of every impact magnitude of [y] and [sums], and the
+   6-iteration output of both float instances pin that order and the
+   arithmetic: a layout change to the FFT's work arrays must leave them
+   all unchanged. *)
+let bits_md5 (a : float array) =
+  let b = Buffer.create (8 * Array.length a) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) a;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_ft_recording_pinned () =
+  let r = report_of (module Npb.Ft.App) in
+  Alcotest.(check int) "tape nodes" 24_530_844 r.Criticality.tape_nodes;
+  Alcotest.(check int) "visited nodes" 7_856_238
+    (match r.Criticality.sweep_profile with
+    | None -> 0
+    | Some w -> w.Criticality.w_visited_nodes);
+  let impact = Analyzer.analyze_impact (module Npb.Ft.App) in
+  List.iter
+    (fun (var, md5) ->
+      Alcotest.(check string) (var ^ " magnitudes MD5") md5
+        (bits_md5 (Impact.find impact var).Impact.magnitude))
+    [ ("y", "88ac44781eb0e7ca8d715222c077bfd0");
+      ("sums", "1c507ed6c044af516be945b78605f1d2") ];
+  let output (module I : App.INSTANCE with type scalar = float) =
+    let st = I.create () in
+    I.run st ~from:0 ~until:Npb.Ft.niter;
+    Printf.sprintf "%h" (I.output st)
+  in
+  Alcotest.(check string) "Float output" "0x1.7e63b790d08fcp+12"
+    (output (module Npb.Ft.App.Float));
+  Alcotest.(check string) "Make (Float_scalar) output"
+    "0x1.7e63b790d08fcp+12"
+    (output (module Npb.Ft.App.Make (Scvad_ad.Float_scalar)))
+
 let suites =
   [ ( "npb.table2",
       [ Alcotest.test_case "paper Table II, exact" `Slow test_table2;
@@ -403,6 +443,9 @@ let suites =
         Alcotest.test_case "bt (full checkpoint)" `Quick
           test_crash_restart_full_checkpoint_bt ] );
     ("npb.registry", [ Alcotest.test_case "Table I" `Quick test_registry ]);
+    ( "npb.ft_recording",
+      [ Alcotest.test_case "tape, magnitudes and outputs pinned" `Slow
+          test_ft_recording_pinned ] );
     ( "npb.float_instance",
       List.map
         (fun app -> QCheck_alcotest.to_alcotest (prop_float_instance app))
