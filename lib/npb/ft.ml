@@ -13,7 +13,13 @@
    Checkpoint variables (Table I): dcomplex y[64][64][65],
    dcomplex sums[6], int kt.  The random initial state and the twiddle
    factors are reconstructed deterministically at create time and enter
-   AD mode as constants, exactly like CG's matrix. *)
+   AD mode as constants, exactly like CG's matrix.
+
+   The FFT's work data is interleaved scalars, not dcomplex cells: the
+   work grid [w] holds 2 * 266240 scalars (cell o's real part at 2o,
+   its imaginary part at 2o+1) and the gather buffer [pencil] 2 * 64,
+   the layout {!Scvad_solvers.Fft} transforms.  Over plain floats both
+   are flat float arrays and a butterfly allocates nothing. *)
 
 let n1 = 64 (* x extent (plus 1 padding) *)
 let n2 = 64 (* y extent *)
@@ -34,45 +40,48 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
 
   module C = Scvad_solvers.Dcomplex.Make (S)
   module F = Scvad_solvers.Fft.Make (S)
-  module Cf = Scvad_float.Dcomplex.Make
   module Ff = Scvad_float.Fft.Make
 
   type state = {
     y : C.t array; (* [64][64][65] frequency-domain signal *)
     sums : C.t array; (* per-iteration checksums *)
     twiddle : float array; (* evolution factors, constant data *)
-    w : C.t array; (* work grid for the inverse transform *)
-    pencil : C.t array; (* gather buffer for strided FFT pencils *)
+    w : S.t array; (* interleaved work grid for the inverse transform *)
+    pencil : S.t array; (* interleaved gather buffer for FFT pencils *)
     mutable iter_done : int;
   }
 
   (* Initial condition: NPB's compute_initial_conditions (a vranlc
-     random field) followed by a forward 3-D FFT — all in plain floats,
-     entering the state as constants. *)
+     random field) followed by a forward 3-D FFT — all in plain floats
+     on an interleaved grid, entering the state as constants. *)
   let initial_frequency_field () =
-    let grid = Array.make cells Cf.zero in
+    let grid = Array.make (2 * cells) 0. in
     let rng = Scvad_nprand.Nprand.create Scvad_nprand.Nprand.cg_seed in
     for z = 0 to n3 - 1 do
       for y = 0 to n2 - 1 do
         for x = 0 to n1 - 1 do
-          let re = Scvad_nprand.Nprand.next rng in
-          let im = Scvad_nprand.Nprand.next rng in
-          grid.(idx z y x) <- Cf.of_floats re im
+          let o = 2 * idx z y x in
+          grid.(o) <- Scvad_nprand.Nprand.next rng;
+          grid.(o + 1) <- Scvad_nprand.Nprand.next rng
         done
       done
     done;
     (* Forward 3-D FFT, dimension by dimension (gather strided
        pencils). *)
-    let tmp = Array.make n1 Cf.zero in
+    let tmp = Array.make (2 * n1) 0. in
     let do_dim ~count ~base_of ~stride ~n =
       for p = 0 to count - 1 do
         let base = base_of p in
         for q = 0 to n - 1 do
-          tmp.(q) <- grid.(base + (q * stride))
+          let c = 2 * (base + (q * stride)) in
+          tmp.(2 * q) <- grid.(c);
+          tmp.((2 * q) + 1) <- grid.(c + 1)
         done;
         Ff.forward tmp ~off:0 ~n;
         for q = 0 to n - 1 do
-          grid.(base + (q * stride)) <- tmp.(q)
+          let c = 2 * (base + (q * stride)) in
+          grid.(c) <- tmp.(2 * q);
+          grid.(c + 1) <- tmp.((2 * q) + 1)
         done
       done
     in
@@ -103,18 +112,14 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
   let create () =
     let init = initial_frequency_field () in
     let y =
-      Array.map
-        (fun c ->
-          let re, im = Cf.to_floats c in
-          C.of_floats re im)
-        init
+      Array.init cells (fun o -> C.of_floats init.(2 * o) init.((2 * o) + 1))
     in
     {
       y;
       sums = Array.make niter C.zero;
       twiddle = make_twiddle ();
-      w = Array.make cells C.zero;
-      pencil = Array.make (max n1 (max n2 n3)) C.zero;
+      w = Array.make (2 * cells) S.zero;
+      pencil = Array.make (2 * max n1 (max n2 n3)) S.zero;
       iter_done = 0;
     }
 
@@ -125,11 +130,15 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
       for p = 0 to count - 1 do
         let base = base_of p in
         for q = 0 to n - 1 do
-          st.pencil.(q) <- st.w.(base + (q * stride))
+          let c = 2 * (base + (q * stride)) in
+          st.pencil.(2 * q) <- st.w.(c);
+          st.pencil.((2 * q) + 1) <- st.w.(c + 1)
         done;
         F.transform ~sign:1. st.pencil ~off:0 ~n;
         for q = 0 to n - 1 do
-          st.w.(base + (q * stride)) <- st.pencil.(q)
+          let c = 2 * (base + (q * stride)) in
+          st.w.(c) <- st.pencil.(2 * q);
+          st.w.(c + 1) <- st.pencil.((2 * q) + 1)
         done
       done
     in
@@ -149,7 +158,8 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
           let o = idx z yy x in
           let evolved = C.scale (S.of_float st.twiddle.(o)) st.y.(o) in
           st.y.(o) <- evolved;
-          st.w.(o) <- evolved
+          st.w.(2 * o) <- C.re evolved;
+          st.w.((2 * o) + 1) <- C.im evolved
         done
       done
     done;
@@ -158,7 +168,8 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
     let acc = ref C.zero in
     for j = 1 to 1024 do
       let q = j mod n1 and r = 3 * j mod n2 and s = 5 * j mod n3 in
-      acc := C.add !acc st.w.(idx s r q)
+      let o = 2 * idx s r q in
+      acc := C.add !acc (C.make st.w.(o) st.w.(o + 1))
     done;
     let chk = C.scale (S.of_float (1. /. float_of_int ntotal)) !acc in
     (* NPB accumulates (each MPI rank adds its partial sum), so sums[i]

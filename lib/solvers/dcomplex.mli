@@ -1,5 +1,5 @@
 (** Complex numbers over a generic scalar — NPB FT's [dcomplex],
-    generalized so the FFT can run under AD. *)
+    generalized so FT's signal and checksums can run under AD. *)
 
 module Make (S : Scvad_ad.Scalar.S) : sig
   type t
@@ -7,19 +7,10 @@ module Make (S : Scvad_ad.Scalar.S) : sig
   val make : S.t -> S.t -> t
   val of_floats : float -> float -> t
   val zero : t
-  val one : t
   val re : t -> S.t
   val im : t -> S.t
-  val conj : t -> t
   val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
 
   (** Scale by a real scalar. *)
   val scale : S.t -> t -> t
-
-  (** |z|². *)
-  val abs2 : t -> S.t
-
-  val to_floats : t -> float * float
 end

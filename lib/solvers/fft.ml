@@ -1,23 +1,28 @@
-(* In-place iterative radix-2 complex FFT over a generic scalar.
+(* In-place iterative radix-2 complex FFT over a generic scalar, on
+   interleaved storage: complex entry [k] of an array [a] is the pair
+   [a.(2k)] (real part), [a.(2k+1)] (imaginary part).
 
    Twiddle factors are computed in plain floats and enter the computation
    as AD constants, so differentiating an FFT costs one tape node per
    butterfly arithmetic operation and nothing for the trigonometry —
-   mirroring how Enzyme sees FT's precomputed exponent tables. *)
+   mirroring how Enzyme sees FT's precomputed exponent tables.  Each
+   butterfly is straight-line scalar code: no complex value is built, so
+   over plain floats the transform allocates nothing. *)
 
 module Make (S : Scvad_ad.Scalar.S) = struct
-  module C = Dcomplex.Make (S)
-
   let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-  (* Bit-reversal permutation of [a.(off .. off+n-1)]. *)
-  let bit_reverse (a : C.t array) off n =
+  (* Bit-reversal permutation of entries [off .. off+n-1]. *)
+  let bit_reverse (a : S.t array) off n =
     let j = ref 0 in
     for i = 0 to n - 2 do
       if i < !j then begin
-        let t = a.(off + i) in
-        a.(off + i) <- a.(off + !j);
-        a.(off + !j) <- t
+        let p = 2 * (off + i) and q = 2 * (off + !j) in
+        let re = a.(p) and im = a.(p + 1) in
+        a.(p) <- a.(q);
+        a.(p + 1) <- a.(q + 1);
+        a.(q) <- re;
+        a.(q + 1) <- im
       end;
       let m = ref (n lsr 1) in
       while !m >= 1 && !j land !m <> 0 do
@@ -27,10 +32,14 @@ module Make (S : Scvad_ad.Scalar.S) = struct
       j := !j lor !m
     done
 
-  (* In-place transform of the [n] entries starting at [off].
+  (* In-place transform of the [n] entries starting at entry [off].
      [sign] = -1. gives the forward transform (exp(-2πik/n) kernel),
-     [sign] = +1. the unnormalized inverse. *)
-  let transform ~sign (a : C.t array) ~off ~n =
+     [sign] = +1. the unnormalized inverse.  The butterfly
+     (u, b) -> (u + w·b, u - w·b) records its ten operations in a fixed
+     order: w·b's imaginary part (wi·br, wr·bi, +), its real part
+     (wi·bi, wr·br, -), then the sum's imaginary and real parts, then
+     the difference's. *)
+  let transform ~sign (a : S.t array) ~off ~n =
     if not (is_pow2 n) then invalid_arg "Fft.transform: n must be 2^k";
     bit_reverse a off n;
     let len = ref 2 in
@@ -39,13 +48,23 @@ module Make (S : Scvad_ad.Scalar.S) = struct
       let step = Float.pi *. sign /. float_of_int half in
       for k = 0 to half - 1 do
         let angle = step *. float_of_int k in
-        let w = C.of_floats (Stdlib.cos angle) (Stdlib.sin angle) in
+        let wr = S.of_float (Stdlib.cos angle)
+        and wi = S.of_float (Stdlib.sin angle) in
         let i = ref (off + k) in
         while !i < off + n do
-          let u = a.(!i) in
-          let v = C.mul w a.(!i + half) in
-          a.(!i) <- C.add u v;
-          a.(!i + half) <- C.sub u v;
+          let p = 2 * !i and q = 2 * (!i + half) in
+          let ur = a.(p) and ui = a.(p + 1) in
+          let br = a.(q) and bi = a.(q + 1) in
+          let wi_br = S.(wi *. br) in
+          let wr_bi = S.(wr *. bi) in
+          let vi = S.(wr_bi +. wi_br) in
+          let wi_bi = S.(wi *. bi) in
+          let wr_br = S.(wr *. br) in
+          let vr = S.(wr_br -. wi_bi) in
+          a.(p + 1) <- S.(ui +. vi);
+          a.(p) <- S.(ur +. vr);
+          a.(q + 1) <- S.(ui -. vi);
+          a.(q) <- S.(ur -. vr);
           i := !i + !len
         done
       done;
@@ -53,12 +72,12 @@ module Make (S : Scvad_ad.Scalar.S) = struct
     done
 
   (* Normalized inverse: divides by n. *)
-  let inverse (a : C.t array) ~off ~n =
+  let inverse (a : S.t array) ~off ~n =
     transform ~sign:1. a ~off ~n;
     let inv_n = S.of_float (1. /. float_of_int n) in
-    for i = off to off + n - 1 do
-      a.(i) <- C.scale inv_n a.(i)
+    for p = 2 * off to (2 * (off + n)) - 1 do
+      a.(p) <- S.(inv_n *. a.(p))
     done
 
-  let forward (a : C.t array) ~off ~n = transform ~sign:(-1.) a ~off ~n
+  let forward (a : S.t array) ~off ~n = transform ~sign:(-1.) a ~off ~n
 end
