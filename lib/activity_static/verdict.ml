@@ -24,15 +24,6 @@ let class_name = function
   | Statically_active -> "statically-active"
   | Unknown -> "unknown"
 
-(* Join of independent approximations: agreement keeps the claim, any
-   disagreement or doubt decays to Unknown.  (Inactive/Active conflict
-   would mean a bug in one side; never silently pick one.) *)
-let join a b =
-  match (a, b) with
-  | Statically_inactive, Statically_inactive -> Statically_inactive
-  | Statically_active, Statically_active -> Statically_active
-  | _ -> Unknown
-
 type kind = Float_var | Int_var
 
 let kind_name = function Float_var -> "float" | Int_var -> "int"

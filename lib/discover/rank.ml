@@ -60,9 +60,6 @@ type app_ranks = {
 
 type proposals = app_ranks list
 
-let find_app (ps : proposals) ~app =
-  List.find_opt (fun (a : app_ranks) -> a.r_app = app) ps
-
 let find_field (a : app_ranks) ~field =
   List.find_opt (fun (f : field_rank) -> f.f_field = field) a.r_fields
 

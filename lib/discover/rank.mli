@@ -68,7 +68,6 @@ type app_ranks = {
 
 type proposals = app_ranks list
 
-val find_app : proposals -> app:string -> app_ranks option
 val find_field : app_ranks -> field:string -> field_rank option
 
 (** Fields of the proposed checkpoint set ([Required] or [Unknown]),

@@ -28,7 +28,7 @@ let proposals () =
 
 let app_ranks name =
   let ps, _ = proposals () in
-  match Rank.find_app ps ~app:name with
+  match List.find_opt (fun (a : Rank.app_ranks) -> a.r_app = name) ps with
   | Some a -> a
   | None -> Alcotest.failf "no proposal for app %s" name
 
