@@ -10,13 +10,17 @@
    - A 1M-node product/sum chain recorded through the operator front
      end ([Reverse.Scalar_of]) into recycled slabs: seconds and heap
      words ([Gc.minor_words]) per node.
+   - One iteration of FT's plain-float production instance
+     ([Ft.App.Float], what golden runs and restarts execute): seconds
+     and heap words ([Gc.minor_words]) per stored grid cell.
    - The 8-benchmark [Analyzer.run_suite] at jobs=1 and at jobs=N
      (perfbench runs jobs=1 only), with the masks of both compared.
 
    Every time is the best of five runs.  Takes no arguments and prints
    one JSON object on stdout; ["correct"] is false when the two tapes
    disagree on an adjoint, when recording through [Reverse] allocates
-   more than 3 heap words per node, or when the jobs=N masks differ
+   more than 3 heap words per node, when an FT float iteration allocates
+   more than 8 heap words per grid cell, or when the jobs=N masks differ
    from jobs=1.
 
    Run with:  dune exec --profile release bench/main.exe
@@ -139,6 +143,28 @@ let reverse_record () =
     "{\"s_per_node\": %.4g, \"words_per_node\": %.4f, \"nodes\": %d}"
     (s /. float_of_int !length) words !length
 
+(* One FT iteration over plain floats: the evolve step rebuilds each
+   dcomplex cell of [y] (3 words), while the FFT's interleaved work
+   arrays allocate nothing.  A butterfly that built complex records
+   would cost about 90 words per cell. *)
+let ft_words_ceiling = 8.
+
+let ft_float_step () =
+  let module F = Scvad_npb.Ft.App.Float in
+  let st = F.create () in
+  let step () =
+    let k = F.iterations_done st in
+    F.run st ~from:k ~until:(k + 1)
+  in
+  step ();
+  let s = time_min step in
+  let w0 = Gc.minor_words () in
+  step ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int Scvad_npb.Ft.cells in
+  if words > ft_words_ceiling then correct := false;
+  Printf.sprintf "{\"s\": %.6g, \"words_per_cell\": %.4f, \"cells\": %d}" s
+    words Scvad_npb.Ft.cells
+
 (* The whole suite at jobs=1 and jobs=N; N is at least 2 so the pool's
    fan-out always runs, even on a one-thread host. *)
 let suite_pair jobs =
@@ -173,6 +199,7 @@ let () =
   let dense = backward_pair ~on_spine:all_active in
   let sparse = backward_pair ~on_spine:(fun i -> i mod 64 = 0) in
   let record = reverse_record () in
+  let ft = ft_float_step () in
   let suite = suite_pair jobs in
   Printf.printf
     "{\"hw_threads\": %d, \"correct\": %b,\n\
@@ -180,6 +207,7 @@ let () =
     \ \"tape_backward_1M\": %s,\n\
     \ \"tape_backward_1M_sparse\": %s,\n\
     \ \"reverse_record_1M\": %s,\n\
+    \ \"ft_float_step\": %s,\n\
     \ \"analyze_suite\": %s}\n"
     (Scvad_par.Pool.hardware_threads ())
-    !correct push dense sparse record suite
+    !correct push dense sparse record ft suite
