@@ -11,8 +11,6 @@
     trigonometry. *)
 
 module Make (S : Scvad_ad.Scalar.S) : sig
-  val is_pow2 : int -> bool
-
   (** In-place transform of the [n] complex entries starting at entry
       [off] (array slots [2off .. 2(off+n)-1]).  [sign = -1.] is the
       forward kernel exp(-2πik/n), [sign = +1.] the unnormalized
