@@ -63,6 +63,12 @@ type site = { s_base : int; s_terms : (int * int * int) list }
 
 type footprint = Sites of site list | Top
 
+module Site_set = Set.Make (struct
+  type t = site
+
+  let compare = compare
+end)
+
 (* ---- abstract values ------------------------------------------------- *)
 
 type iexpr =
@@ -145,7 +151,7 @@ type ctx = {
   mutable status : feffect SM.t;
   edges : (string, SS.t ref) Hashtbl.t;  (* dst -> sources *)
   ranges : (int, int * int) Hashtbl.t;  (* loop-var id -> inclusive range *)
-  sites : (string, site list ref) Hashtbl.t;
+  sites : (string, Site_set.t) Hashtbl.t;
   tops : (string, unit) Hashtbl.t;
   mutable notes : string list;
   (* escape component *)
@@ -214,10 +220,11 @@ let record_site ctx f ie =
       | Iunknown -> None
     in
     match resolved with
-    | Some site -> (
-        match Hashtbl.find_opt ctx.sites f with
-        | Some r -> r := site :: !r
-        | None -> Hashtbl.add ctx.sites f (ref [ site ]))
+    | Some site ->
+        let known =
+          Option.value (Hashtbl.find_opt ctx.sites f) ~default:Site_set.empty
+        in
+        Hashtbl.replace ctx.sites f (Site_set.add site known)
     | None -> mark_top ctx f
 
 let record_escape ctx (loc : Location.t) kind detail taint =
@@ -1249,7 +1256,7 @@ let analyze (model : Model.t) : outcome =
         if Hashtbl.mem ctx.tops f then (f, Top) :: acc
         else
           match Hashtbl.find_opt ctx.sites f with
-          | Some sites -> (f, Sites !sites) :: acc
+          | Some sites -> (f, Sites (Site_set.elements sites)) :: acc
           | None -> (f, Sites []) :: acc)
       model.Model.fields []
   in

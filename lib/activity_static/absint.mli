@@ -11,8 +11,8 @@
     - membership in the may-influence set of the output (backward
       closure of a flow-insensitive dependence edge graph seeded at the
       synthetic [@output] sink);
-    - a read footprint: the affine read sites with constant loop
-      ranges, or [Top] as soon as any read is unresolvable;
+    - a read footprint: the distinct affine read sites with constant
+      loop ranges, or [Top] as soon as any read is unresolvable;
     - the float-to-discrete escape sites it taints (branch, conversion,
       subscript, comparison, kink) and whether its taint leaked into
       code the pass cannot see.
@@ -32,6 +32,7 @@ val feffect_name : feffect -> string
 (** base + Σ coeff·v, each v ranging over an inclusive [lo, hi]. *)
 type site = { s_base : int; s_terms : (int * int * int) list }
 
+(** [Sites] lists each distinct site once, in [compare] order. *)
 type footprint = Sites of site list | Top
 
 type outcome = {

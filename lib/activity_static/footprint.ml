@@ -34,9 +34,6 @@ let inactive_spans ~elements (fp : Absint.footprint) =
   | Absint.Sites sites ->
       if elements <= 0 then None
       else
-        (* Loop re-interpretation records the same site once per pass;
-           dedupe before costing the enumeration. *)
-        let sites = List.sort_uniq compare sites in
         let total = List.fold_left (fun acc s -> acc + site_points s) 0 sites in
         if total > enumeration_cap then None
         else begin
