@@ -15,13 +15,16 @@
      and heap words ([Gc.minor_words]) per stored grid cell.
    - The 8-benchmark [Analyzer.run_suite] at jobs=1 and at jobs=N
      (perfbench runs jobs=1 only), with the masks of both compared.
+   - The static passes' walk ([Absint.analyze]) over every kernel model
+     of lib/npb: seconds and interpretation steps summed over the files.
 
    Every time is the best of five runs.  Takes no arguments and prints
    one JSON object on stdout; ["correct"] is false when the two tapes
    disagree on an adjoint, when recording through [Reverse] allocates
    more than 3 heap words per node, when an FT float iteration allocates
-   more than 8 heap words per grid cell, or when the jobs=N masks differ
-   from jobs=1.
+   more than 8 heap words per grid cell, when the jobs=N masks differ
+   from jobs=1, or when the static walk spends more than its step
+   ceiling.
 
    Run with:  dune exec --profile release bench/main.exe
    python3 bench/ledger.py records its output in BENCH_<date>.json.    *)
@@ -193,6 +196,40 @@ let suite_pair jobs =
     "{\"jobs1_s\": %.6g, \"jobsN_s\": %.6g, \"jobs\": %d, \"tape_nodes\": %d}"
     t1 tn jobs tape_nodes
 
+(* Loop bodies stop re-walking at the first pass that changes nothing.
+   The walk spends 2.44M steps over lib/npb that way; walking every body
+   three times spent 11.71M (3^d body walks for a depth-d nest), which
+   the ceiling rejects. *)
+let static_steps_ceiling = 3_500_000
+
+let static_walk () =
+  let module Source = Scvad_lint.Source in
+  let module Absint = Scvad_activity.Absint in
+  let module Model = Scvad_activity.Model in
+  let dir =
+    match Scvad_activity.Driver.locate_npb_dir () with
+    | Some d -> d
+    | None -> failwith "static_walk: run from inside the repository"
+  in
+  let models =
+    List.filter_map
+      (fun file ->
+        match Source.parse ~file (Source.read_file file) with
+        | Ok ast ->
+            let m = Model.of_structure ~file ast in
+            if m.Model.app_name = None then None else Some m
+        | Error _ -> None)
+      (Source.ml_files dir)
+  in
+  let walk () =
+    List.fold_left (fun acc m -> acc + (Absint.analyze m).Absint.o_steps) 0 models
+  in
+  let steps = walk () in
+  let s = time_min walk in
+  if steps > static_steps_ceiling then correct := false;
+  Printf.sprintf "{\"s\": %.6g, \"steps\": %d, \"models\": %d}" s steps
+    (List.length models)
+
 let () =
   let jobs = Stdlib.max 2 (Scvad_par.Pool.default_jobs ()) in
   let push = push_pair () in
@@ -201,6 +238,7 @@ let () =
   let record = reverse_record () in
   let ft = ft_float_step () in
   let suite = suite_pair jobs in
+  let walk = static_walk () in
   Printf.printf
     "{\"hw_threads\": %d, \"correct\": %b,\n\
     \ \"tape_push_1M\": %s,\n\
@@ -208,6 +246,7 @@ let () =
     \ \"tape_backward_1M_sparse\": %s,\n\
     \ \"reverse_record_1M\": %s,\n\
     \ \"ft_float_step\": %s,\n\
-    \ \"analyze_suite\": %s}\n"
+    \ \"analyze_suite\": %s,\n\
+    \ \"static_walk\": %s}\n"
     (Scvad_par.Pool.hardware_threads ())
-    !correct push dense sparse record ft suite
+    !correct push dense sparse record ft suite walk

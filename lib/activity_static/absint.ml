@@ -39,6 +39,9 @@
    callee treatments, each recording only its own component's facts
    (see {!split}).
 
+   A loop body is walked again until a pass records nothing new and
+   moves no cell, at most [loop_passes] times (see {!interp_loop}).
+
    Everything unrecognized degrades toward [Mayread]/[Top]/more edges
    and more escapes/leaks, never the other way; {!Incomplete} aborts
    the whole app when even that is impossible (missing [run]/[output],
@@ -167,13 +170,25 @@ type ctx = {
   mutable fuel : int;
   mutable depth : int;
   mutable next_id : int;
+  mutable gen : int;
+      (* bumped by every fact the walk had not recorded yet and every
+         cell whose value moves: a loop pass that leaves it (and the
+         first-effect map) unchanged has converged *)
 }
 
-let add_note notes msg = if List.mem msg notes then notes else notes @ [ msg ]
-let note ctx msg = if ctx.act then ctx.notes <- add_note ctx.notes msg
+let changed ctx = ctx.gen <- ctx.gen + 1
+
+let add_note ctx notes msg =
+  if List.mem msg notes then notes
+  else begin
+    changed ctx;
+    notes @ [ msg ]
+  end
+
+let note ctx msg = if ctx.act then ctx.notes <- add_note ctx ctx.notes msg
 
 let escape_note ctx msg =
-  if ctx.esc then ctx.escape_notes <- add_note ctx.escape_notes msg
+  if ctx.esc then ctx.escape_notes <- add_note ctx ctx.escape_notes msg
 
 let fields_of ctx =
   Hashtbl.fold (fun f _ acc -> f :: acc) ctx.model.Model.fields []
@@ -190,18 +205,29 @@ let kill_field ctx f =
     | Some Untouched -> ctx.status <- SM.add f Killed ctx.status
     | _ -> ()
 
-let add_to tbl srcs dst =
-  match Hashtbl.find_opt tbl dst with
-  | Some r -> r := SS.union !r srcs
-  | None -> Hashtbl.add tbl dst (ref srcs)
+(* [tbl]'s set at [key] grows by [srcs]. *)
+let add_to ctx tbl srcs key =
+  match Hashtbl.find_opt tbl key with
+  | Some r ->
+      if not (SS.subset srcs !r) then begin
+        changed ctx;
+        r := SS.union !r srcs
+      end
+  | None ->
+      changed ctx;
+      Hashtbl.add tbl key (ref srcs)
 
 let add_edge ctx srcs dst =
   if not (SS.is_empty srcs) then begin
-    if ctx.act then add_to ctx.edges srcs dst;
-    if ctx.esc then add_to ctx.escape_edges srcs dst
+    if ctx.act then add_to ctx ctx.edges srcs dst;
+    if ctx.esc then add_to ctx ctx.escape_edges srcs dst
   end
 
-let mark_top ctx f = if ctx.act then Hashtbl.replace ctx.tops f ()
+let mark_top ctx f =
+  if ctx.act && not (Hashtbl.mem ctx.tops f) then begin
+    changed ctx;
+    Hashtbl.add ctx.tops f ()
+  end
 
 let record_site ctx f ie =
   if ctx.act && not (Hashtbl.mem ctx.tops f) then
@@ -224,18 +250,21 @@ let record_site ctx f ie =
         let known =
           Option.value (Hashtbl.find_opt ctx.sites f) ~default:Site_set.empty
         in
-        Hashtbl.replace ctx.sites f (Site_set.add site known)
+        if not (Site_set.mem site known) then begin
+          changed ctx;
+          Hashtbl.replace ctx.sites f (Site_set.add site known)
+        end
     | None -> mark_top ctx f
 
 let record_escape ctx (loc : Location.t) kind detail taint =
-  if ctx.esc && not (SS.is_empty taint) then begin
-    let key = (loc.loc_start.Lexing.pos_lnum, kind, detail) in
-    match Hashtbl.find_opt ctx.escapes key with
-    | Some r -> r := SS.union !r taint
-    | None -> Hashtbl.add ctx.escapes key (ref taint)
-  end
+  if ctx.esc && not (SS.is_empty taint) then
+    add_to ctx ctx.escapes taint (loc.loc_start.Lexing.pos_lnum, kind, detail)
 
-let leak ctx taint = if ctx.esc then ctx.leaked <- SS.union ctx.leaked taint
+let leak ctx taint =
+  if ctx.esc && not (SS.subset taint ctx.leaked) then begin
+    changed ctx;
+    ctx.leaked <- SS.union ctx.leaked taint
+  end
 
 (* An element read of field [f] at abstract index [ie]. *)
 let read_elem ctx f ie =
@@ -304,6 +333,15 @@ let rec structured ctx v =
   | Local_arr _ | Closure_sh _ | Scalar_sh -> ());
   deep_taint v
 
+(* Cell contents only move up the lattice (joins), so comparing the
+   shape physically is enough: a join keeps the old shape or falls to
+   [Scalar_sh], and any cell nested in it is set through here too. *)
+let set_cell ctx c v =
+  let old = c.c_val in
+  if not (v.sh == old.sh && v.ie = old.ie && SS.equal v.taint old.taint) then
+    changed ctx;
+  c.c_val <- v
+
 let rec join_value ctx a b =
   let taint = SS.union a.taint b.taint in
   let ie = if a.ie = b.ie then a.ie else Iunknown in
@@ -311,11 +349,11 @@ let rec join_value ctx a b =
     match (a.sh, b.sh) with
     | Field_arr x, Field_arr y when x = y -> a.sh
     | Local_arr ca, Local_arr cb ->
-        if ca != cb then ca.c_val <- join_raw ca.c_val cb.c_val;
+        if ca != cb then set_cell ctx ca (join_raw ca.c_val cb.c_val);
         a.sh
     | State_sh, State_sh -> State_sh
     | Ref_sh ca, Ref_sh cb ->
-        if ca != cb then ca.c_val <- join_raw ca.c_val cb.c_val;
+        if ca != cb then set_cell ctx ca (join_raw ca.c_val cb.c_val);
         a.sh
     | x, y when x == y -> x
     | x, y ->
@@ -332,8 +370,7 @@ and join_raw a b =
      taints merge; shape keeps the first side. *)
   { a with taint = SS.union a.taint b.taint }
 
-let cell_join ctx c v =
-  c.c_val <- join_value ctx c.c_val v
+let cell_join ctx c v = set_cell ctx c (join_value ctx c.c_val v)
 
 (* Run [f] with only the named components recording facts.  No handler
    inside the walk catches an exception, so one that escapes [f] ends
@@ -607,10 +644,15 @@ and interp_cases ctx env sv cases =
   ctx.status <- status;
   { v with taint = SS.union v.taint sv.taint }
 
-(* Loop bodies run a bounded number of passes (local taints converge
-   through ref cells and the write-edge graph), then the first-effect
-   map is merged against the pre-loop state: a kill inside a
-   possibly-zero-trip loop does not survive it, a may-read does. *)
+(* Loop bodies run until a pass changes nothing, at most [loop_passes]
+   times (local taints converge through ref cells and the write-edge
+   graph), then the first-effect map is merged against the pre-loop
+   state: a kill inside a possibly-zero-trip loop does not survive it,
+   a may-read does.  A pass that records no new fact, moves no cell and
+   leaves the first-effect map as it found it would be replayed exactly
+   by the next one: the walk is deterministic and its facts only grow.
+   A fresh loop counter id held in a cell counts as a move, which only
+   costs a pass. *)
 and interp_loop ctx env ~var ~cond body =
   let before = ctx.status in
   let env' =
@@ -618,14 +660,20 @@ and interp_loop ctx env ~var ~cond body =
     | Some (pat, v) -> bind_pattern env pat v
     | None -> env
   in
-  for _pass = 1 to loop_passes do
+  let rec pass k =
+    let gen = ctx.gen and status = ctx.status in
     (match cond with
     | Some c ->
         let cv = interp ctx env' c in
         record_escape ctx c.pexp_loc Escapes.Branch "while condition" cv.taint
     | None -> ());
-    ignore (interp ctx env' body)
-  done;
+    ignore (interp ctx env' body);
+    if
+      k < loop_passes
+      && (ctx.gen <> gen || not (SM.equal ( = ) ctx.status status))
+    then pass (k + 1)
+  in
+  pass 1;
   let after = ctx.status in
   ctx.status <-
     SM.merge
@@ -1179,6 +1227,7 @@ type outcome = {
   o_escapes : (Escapes.site * SS.t) list;
   o_leaked : SS.t;
   o_escape_notes : string list;
+  o_steps : int;  (** interpretation fuel spent *)
 }
 
 (* The state fields reachable backward from [seeds] over [edges]. *)
@@ -1196,6 +1245,8 @@ let backward_closure ctx edges seeds =
   Hashtbl.fold
     (fun f _ acc -> if Model.is_state_field ctx.model f then SS.add f acc else acc)
     visited SS.empty
+
+let fuel_limit = 50_000_000
 
 let analyze (model : Model.t) : outcome =
   let run =
@@ -1228,9 +1279,10 @@ let analyze (model : Model.t) : outcome =
       escape_notes = [];
       act = true;
       esc = true;
-      fuel = 50_000_000;
+      fuel = fuel_limit;
       depth = 0;
       next_id = 0;
+      gen = 0;
     }
   in
   let bind_params params =
@@ -1249,7 +1301,7 @@ let analyze (model : Model.t) : outcome =
   let out_v =
     interp ctx (bind_params output.Model.fn_params) output.Model.fn_body
   in
-  add_to ctx.edges (deep_taint out_v) "@output";
+  add_to ctx ctx.edges (deep_taint out_v) "@output";
   let footprints =
     Hashtbl.fold
       (fun f _ acc ->
@@ -1293,4 +1345,5 @@ let analyze (model : Model.t) : outcome =
     o_escapes = escapes;
     o_leaked = close_taint ctx.leaked;
     o_escape_notes = ctx.escape_notes;
+    o_steps = fuel_limit - ctx.fuel;
   }

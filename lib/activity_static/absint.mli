@@ -17,6 +17,10 @@
       subscript, comparison, kink) and whether its taint leaked into
       code the pass cannot see.
 
+    A loop body is walked again until a pass records nothing new, at
+    most three times, so a converged nest costs about one walk per
+    level rather than three to the power of its depth.
+
     Unrecognized constructs always degrade toward
     [Mayread]/[Top]/more edges/more escapes and leaks; {!Incomplete}
     aborts the app to a fully-Unknown verdict. *)
@@ -51,6 +55,9 @@ type outcome = {
           the write-edge graph (field-to-field laundering included) *)
   o_leaked : SS.t;  (** fields whose taint reached unseen code (closed) *)
   o_escape_notes : string list;  (** escape transparency notes *)
+  o_steps : int;
+      (** interpretation steps spent (one per expression visited); the
+          walk aborts with {!Incomplete} past 50M *)
 }
 
 (** Raises {!Incomplete} when the cone cannot be interpreted at all

@@ -364,6 +364,87 @@ let test_toy_unused_pragma_warns () =
         (Finding.severity_name f.Finding.severity)
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
+(* ---- loop convergence in the walk ---------------------------------- *)
+
+(* A kernel whose [run] is [body]: an array field [src], three scalar
+   fields [p], [q], [r] and the output sum of the three. *)
+let loop_source body =
+  Printf.sprintf
+    {|
+module Make_generic (S : Scvad_ad.Scalar.S) = struct
+  type state = {
+    src : S.t array;
+    mutable p : S.t;
+    mutable q : S.t;
+    mutable r : S.t;
+    mutable iter_done : int;
+  }
+
+  let run st ~from ~until =
+    %s
+
+  let output st = S.(st.p +. st.q +. st.r)
+end
+
+module App = struct
+  let name = "loops"
+end
+|}
+    body
+
+let walk body =
+  let file = "loops.ml" in
+  match Scvad_lint.Source.parse ~file (loop_source body) with
+  | Error _ -> Alcotest.fail "synthetic kernel does not parse"
+  | Ok ast -> Activity.Absint.analyze (Activity.Model.of_structure ~file ast)
+
+let edge_sources (o : Activity.Absint.outcome) dst =
+  match List.assoc_opt dst o.Activity.Absint.o_edges with
+  | Some srcs -> Activity.Absint.SS.elements srcs
+  | None -> []
+
+(* The field's taint moves one ref per pass: [a] holds it after the
+   first pass, [b] after the second, [c] only after the third.  A loop
+   that stopped at a pass recording no new fact, without counting the
+   cells it moved, would leave [c] clean. *)
+let test_ref_chain_needs_three_passes () =
+  let o =
+    walk
+      "let a = ref S.zero and b = ref S.zero and c = ref S.zero in\n\
+      \    for i = from to until - 1 do\n\
+      \      c := !b;\n\
+      \      b := !a;\n\
+      \      a := st.src.(i)\n\
+      \    done;\n\
+      \    st.p <- !a;\n\
+      \    st.q <- !b;\n\
+      \    st.r <- !c"
+  in
+  List.iter
+    (fun dst ->
+      Alcotest.(check (list string)) (dst ^ " sources") [ "src" ]
+        (edge_sources o dst))
+    [ "p"; "q"; "r" ]
+
+(* Twelve nested constant-range loops: three passes per level walk the
+   innermost body 3^12 = 531,441 times (6.1M steps); a loop that stops
+   once a pass adds nothing spends 373. *)
+let nest_depth = 12
+let nest_step_bound = 2_000
+
+let test_deep_nest_converges () =
+  let var k = Printf.sprintf "i%d" k in
+  let rec nest k =
+    if k > nest_depth then
+      Printf.sprintf "st.p <- S.(st.p +. st.src.(%s))" (var nest_depth)
+    else Printf.sprintf "for %s = 0 to 1 do %s done" (var k) (nest (k + 1))
+  in
+  let o = walk (nest 1) in
+  Alcotest.(check (list string)) "p sources" [ "p"; "src" ] (edge_sources o "p");
+  if o.Activity.Absint.o_steps > nest_step_bound then
+    Alcotest.failf "%d-deep nest took %d steps (bound %d)" nest_depth
+      o.Activity.Absint.o_steps nest_step_bound
+
 let suites =
   [
     ( "activity.static",
@@ -382,6 +463,10 @@ let suites =
           test_toy_pragma_needs_reason;
         Alcotest.test_case "unused pragma warns" `Quick
           test_toy_unused_pragma_warns;
+        Alcotest.test_case "ref chain taints after three passes" `Quick
+          test_ref_chain_needs_three_passes;
+        Alcotest.test_case "12-deep loop nest converges" `Quick
+          test_deep_nest_converges;
       ] );
     ( "activity.gate",
       [
