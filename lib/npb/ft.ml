@@ -70,6 +70,7 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
        pencils). *)
     let tmp = Array.make (2 * n1) 0. in
     let do_dim ~count ~base_of ~stride ~n =
+      let plan = Ff.plan ~sign:(-1.) ~n in
       for p = 0 to count - 1 do
         let base = base_of p in
         for q = 0 to n - 1 do
@@ -77,7 +78,7 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
           tmp.(2 * q) <- grid.(c);
           tmp.((2 * q) + 1) <- grid.(c + 1)
         done;
-        Ff.forward tmp ~off:0 ~n;
+        Ff.run plan tmp ~off:0;
         for q = 0 to n - 1 do
           let c = 2 * (base + (q * stride)) in
           grid.(c) <- tmp.(2 * q);
@@ -127,6 +128,7 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
      fft(-1); the checksum divides by NTOTAL). *)
   let inverse_fft3 st =
     let do_dim ~count ~base_of ~stride ~n =
+      let plan = F.plan ~sign:1. ~n in
       for p = 0 to count - 1 do
         let base = base_of p in
         for q = 0 to n - 1 do
@@ -134,7 +136,7 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
           st.pencil.(2 * q) <- st.w.(c);
           st.pencil.((2 * q) + 1) <- st.w.(c + 1)
         done;
-        F.transform ~sign:1. st.pencil ~off:0 ~n;
+        F.run plan st.pencil ~off:0;
         for q = 0 to n - 1 do
           let c = 2 * (base + (q * stride)) in
           st.w.(c) <- st.pencil.(2 * q);

@@ -2,10 +2,11 @@
    interleaved storage: complex entry [k] of an array [a] is the pair
    [a.(2k)] (real part), [a.(2k+1)] (imaginary part).
 
-   Twiddle factors are computed in plain floats and enter the computation
-   as AD constants, so differentiating an FFT costs one tape node per
-   butterfly arithmetic operation and nothing for the trigonometry —
-   mirroring how Enzyme sees FT's precomputed exponent tables.  Each
+   Twiddle factors are computed once per size and direction (a {!plan})
+   in plain floats and enter the computation as AD constants, so
+   differentiating an FFT costs one tape node per butterfly arithmetic
+   operation and nothing for the trigonometry — mirroring how Enzyme
+   sees FT's precomputed exponent tables.  Each
    butterfly is straight-line scalar code: no complex value is built, so
    over plain floats the transform allocates nothing. *)
 
@@ -32,24 +33,40 @@ module Make (S : Scvad_ad.Scalar.S) = struct
       j := !j lor !m
     done
 
-  (* In-place transform of the [n] entries starting at entry [off].
-     [sign] = -1. gives the forward transform (exp(-2πik/n) kernel),
-     [sign] = +1. the unnormalized inverse.  The butterfly
-     (u, b) -> (u + w·b, u - w·b) records its ten operations in a fixed
-     order: w·b's imaginary part (wi·br, wr·bi, +), its real part
-     (wi·bi, wr·br, -), then the sum's imaginary and real parts, then
-     the difference's. *)
-  let transform ~sign (a : S.t array) ~off ~n =
-    if not (is_pow2 n) then invalid_arg "Fft.transform: n must be 2^k";
+  (* Twiddle k of the stage with half-length h sits at index h + k of
+     [wr] (real part) and [wi] (imaginary part). *)
+  type plan = { size : int; wr : S.t array; wi : S.t array }
+
+  (* [sign] = -1. gives the forward transform (exp(-2πik/n) kernel),
+     [sign] = +1. the unnormalized inverse. *)
+  let plan ~sign ~n =
+    if not (is_pow2 n) then invalid_arg "Fft.plan: n must be 2^k";
+    let wr = Array.make n S.zero and wi = Array.make n S.zero in
+    let half = ref 1 in
+    while !half < n do
+      let step = Float.pi *. sign /. float_of_int !half in
+      for k = 0 to !half - 1 do
+        let angle = step *. float_of_int k in
+        wr.(!half + k) <- S.of_float (Stdlib.cos angle);
+        wi.(!half + k) <- S.of_float (Stdlib.sin angle)
+      done;
+      half := !half * 2
+    done;
+    { size = n; wr; wi }
+
+  (* In-place transform of the plan's entries starting at entry [off].
+     The butterfly (u, b) -> (u + w·b, u - w·b) records its ten
+     operations in a fixed order: w·b's imaginary part (wi·br, wr·bi,
+     +), its real part (wi·bi, wr·br, -), then the sum's imaginary and
+     real parts, then the difference's. *)
+  let run p (a : S.t array) ~off =
+    let n = p.size in
     bit_reverse a off n;
     let len = ref 2 in
     while !len <= n do
       let half = !len / 2 in
-      let step = Float.pi *. sign /. float_of_int half in
       for k = 0 to half - 1 do
-        let angle = step *. float_of_int k in
-        let wr = S.of_float (Stdlib.cos angle)
-        and wi = S.of_float (Stdlib.sin angle) in
+        let wr = p.wr.(half + k) and wi = p.wi.(half + k) in
         let i = ref (off + k) in
         while !i < off + n do
           let p = 2 * !i and q = 2 * (!i + half) in
@@ -70,6 +87,8 @@ module Make (S : Scvad_ad.Scalar.S) = struct
       done;
       len := !len * 2
     done
+
+  let transform ~sign a ~off ~n = run (plan ~sign ~n) a ~off
 
   (* Normalized inverse: divides by n. *)
   let inverse (a : S.t array) ~off ~n =

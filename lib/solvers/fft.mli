@@ -11,10 +11,20 @@
     trigonometry. *)
 
 module Make (S : Scvad_ad.Scalar.S) : sig
-  (** In-place transform of the [n] complex entries starting at entry
-      [off] (array slots [2off .. 2(off+n)-1]).  [sign = -1.] is the
-      forward kernel exp(-2πik/n), [sign = +1.] the unnormalized
-      inverse.  Raises unless [n] is a power of two. *)
+  (** The twiddle factors of one transform size and direction. *)
+  type plan
+
+  (** [plan ~sign ~n] computes the [n - 1] twiddle factors of an
+      [n]-entry transform once.  [sign = -1.] is the forward kernel
+      exp(-2πik/n), [sign = +1.] the unnormalized inverse.  Raises
+      unless [n] is a power of two. *)
+  val plan : sign:float -> n:int -> plan
+
+  (** In-place transform of the plan's [n] complex entries starting at
+      entry [off] (array slots [2off .. 2(off+n)-1]). *)
+  val run : plan -> S.t array -> off:int -> unit
+
+  (** [run (plan ~sign ~n)]: one-off transforms. *)
   val transform : sign:float -> S.t array -> off:int -> n:int -> unit
 
   val forward : S.t array -> off:int -> n:int -> unit

@@ -218,7 +218,7 @@ let test_fft_subrange () =
 
 let test_fft_bad_size () =
   Alcotest.check_raises "non power of two"
-    (Invalid_argument "Fft.transform: n must be 2^k") (fun () ->
+    (Invalid_argument "Fft.plan: n must be 2^k") (fun () ->
       F.forward (Array.make 24 0.) ~off:0 ~n:12)
 
 (* AD through the solvers: gradient vs finite differences. *)
