@@ -11,13 +11,13 @@
    integer dependence tracer ({!Scvad_ad.Itaint}) instead of
    derivatives.  The kernel is written once, as a functor over INT_OPS,
    and instantiated twice: plain ints for execution/checkpointing, and
-   traced ints for the analysis.  The analysis covers two checkpoint
+   traced ints for the analysis.  The analysis covers three checkpoint
    boundaries and takes the union (an element is critical if some
    checkpoint needs it):
-   - mid-run (before the last rank): rank reads every key_array element
-     — key_array is critical;
-   - pre-verification (after the last rank): full_verify reads every
-     bucket_ptrs element — bucket_ptrs is critical.
+   - 0 and 9 (before the last rank): rank reads every key_array
+     element — key_array is critical;
+   - 10 (pre-verification, after the last rank): full_verify reads
+     every bucket_ptrs element — bucket_ptrs is critical.
    This mechanizes the paper's manual claim that both arrays plus
    passed_verification and iteration are fully critical. *)
 
@@ -186,8 +186,8 @@ end
 module Plain = Kernel (Plain_ops)
 
 (* Criticality masks from the integer dependence tracer: union of the
-   mid-run boundary (before the last rank) and the pre-verification
-   boundary (after it). *)
+   boundaries 0, 9 (before the last rank) and 10 (pre-verification,
+   after it). *)
 let taint_masks () =
   let analyze_at boundary =
     let tape = Scvad_ad.Tape.create () in
