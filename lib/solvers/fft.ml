@@ -6,9 +6,9 @@
    in plain floats and enter the computation as AD constants, so
    differentiating an FFT costs one tape node per butterfly arithmetic
    operation and nothing for the trigonometry — mirroring how Enzyme
-   sees FT's precomputed exponent tables.  Each
-   butterfly is straight-line scalar code: no complex value is built, so
-   over plain floats the transform allocates nothing. *)
+   sees FT's precomputed exponent tables.  Each butterfly is
+   straight-line scalar code: no complex value is built, so over plain
+   floats the transform allocates nothing. *)
 
 module Make (S : Scvad_ad.Scalar.S) = struct
   let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -59,14 +59,14 @@ module Make (S : Scvad_ad.Scalar.S) = struct
      operations in a fixed order: w·b's imaginary part (wi·br, wr·bi,
      +), its real part (wi·bi, wr·br, -), then the sum's imaginary and
      real parts, then the difference's. *)
-  let run p (a : S.t array) ~off =
-    let n = p.size in
+  let run pl (a : S.t array) ~off =
+    let n = pl.size in
     bit_reverse a off n;
     let len = ref 2 in
     while !len <= n do
       let half = !len / 2 in
       for k = 0 to half - 1 do
-        let wr = p.wr.(half + k) and wi = p.wi.(half + k) in
+        let wr = pl.wr.(half + k) and wi = pl.wi.(half + k) in
         let i = ref (off + k) in
         while !i < off + n do
           let p = 2 * !i and q = 2 * (!i + half) in
