@@ -426,6 +426,31 @@ let test_ref_chain_needs_three_passes () =
         (edge_sources o dst))
     [ "p"; "q"; "r" ]
 
+(* [t] is born anew in every pass, but [b] and [c] are older than the
+   loop: the taint [a] picks up in the first pass reaches [b] through [t]
+   only in the second, a pass that records no new fact, and [c] only in
+   the third.  A move of an older cell made through a pass-local one
+   must still ask for another pass. *)
+let test_fresh_cell_moves_older_cell () =
+  let o =
+    walk
+      "let a = ref S.zero and b = ref S.zero and c = ref S.zero in\n\
+      \    for i = from to until - 1 do\n\
+      \      c := !b;\n\
+      \      let t = ref !a in\n\
+      \      b := !t;\n\
+      \      a := st.src.(i)\n\
+      \    done;\n\
+      \    st.p <- !b;\n\
+      \    st.q <- !a;\n\
+      \    st.r <- !c"
+  in
+  List.iter
+    (fun dst ->
+      Alcotest.(check (list string)) (dst ^ " sources") [ "src" ]
+        (edge_sources o dst))
+    [ "p"; "q"; "r" ]
+
 (* Twelve nested constant-range loops: three passes per level walk the
    innermost body 3^12 = 531,441 times (6.1M steps); a loop that stops
    once a pass adds nothing spends 373. *)
@@ -465,6 +490,8 @@ let suites =
           test_toy_unused_pragma_warns;
         Alcotest.test_case "ref chain taints after three passes" `Quick
           test_ref_chain_needs_three_passes;
+        Alcotest.test_case "pass-local ref moves an older cell" `Quick
+          test_fresh_cell_moves_older_cell;
         Alcotest.test_case "12-deep loop nest converges" `Quick
           test_deep_nest_converges;
       ] );
