@@ -40,7 +40,8 @@
    (see {!split}).
 
    A loop body is walked again until a pass records nothing new and
-   moves no cell, at most [loop_passes] times (see {!interp_loop}).
+   moves no cell older than the pass, at most [loop_passes] times (see
+   {!interp_loop}).
 
    Everything unrecognized degrades toward [Mayread]/[Top]/more edges
    and more escapes/leaks, never the other way; {!Incomplete} aborts
@@ -89,7 +90,7 @@ and shape =
   | Ref_sh of cell
   | Closure_sh of closure
 
-and cell = { mutable c_val : value }
+and cell = { mutable c_val : value; c_born : int }
 
 and closure = {
   cl_params : (Asttypes.arg_label * pattern) list;
@@ -171,12 +172,17 @@ type ctx = {
   mutable depth : int;
   mutable next_id : int;
   mutable gen : int;
-      (* bumped by every fact the walk had not recorded yet and every
-         cell whose value moves: a loop pass that leaves it (and the
-         first-effect map) unchanged has converged *)
+      (* bumped by every fact the walk had not recorded yet *)
+  mutable epoch : int;
+      (* goes up at the start of every loop pass; a cell is born in the
+         epoch current at its allocation *)
+  mutable moved : int;
+      (* the smallest birth epoch among the cells moved since the
+         current loop pass began ([max_int]: none) *)
 }
 
 let changed ctx = ctx.gen <- ctx.gen + 1
+let new_cell ctx v = { c_val = v; c_born = ctx.epoch }
 
 let add_note ctx notes msg =
   if List.mem msg notes then notes
@@ -335,11 +341,13 @@ let rec structured ctx v =
 
 (* Cell contents only move up the lattice (joins), so comparing the
    shape physically is enough: a join keeps the old shape or falls to
-   [Scalar_sh], and any cell nested in it is set through here too. *)
+   [Scalar_sh], and any cell nested in it is set through here too.  A
+   move is recorded by the cell's birth epoch, so a loop pass can tell
+   the cells it allocated itself from older ones (see {!interp_loop}). *)
 let set_cell ctx c v =
   let old = c.c_val in
   if not (v.sh == old.sh && v.ie = old.ie && SS.equal v.taint old.taint) then
-    changed ctx;
+    ctx.moved <- min ctx.moved c.c_born;
   c.c_val <- v
 
 let rec join_value ctx a b =
@@ -578,7 +586,7 @@ let rec interp ctx env (e : expression) : value =
           (fun acc p -> join_value ctx acc (interp ctx env p))
           opaque parts
       in
-      { taint = SS.empty; sh = Local_arr { c_val = elem }; ie = Iunknown }
+      { taint = SS.empty; sh = Local_arr (new_cell ctx elem); ie = Iunknown }
   | Pexp_assert cond ->
       let cv = interp ctx env cond in
       record_escape ctx cond.pexp_loc Escapes.Branch "assert condition"
@@ -648,11 +656,16 @@ and interp_cases ctx env sv cases =
    times (local taints converge through ref cells and the write-edge
    graph), then the first-effect map is merged against the pre-loop
    state: a kill inside a possibly-zero-trip loop does not survive it,
-   a may-read does.  A pass that records no new fact, moves no cell and
-   leaves the first-effect map as it found it would be replayed exactly
-   by the next one: the walk is deterministic and its facts only grow.
-   A fresh loop counter id held in a cell counts as a move, which only
-   costs a pass. *)
+   a may-read does.  A pass that records no new fact, moves no cell
+   born before it began and leaves the first-effect map as it found it
+   would be replayed exactly by the next one: the walk is deterministic
+   and its facts only grow, and a cell the pass allocated itself is
+   allocated again by the next pass from the same inputs.  Such a cell
+   can only carry a move into the next pass by moving an older cell,
+   which counts.  A pass hands the smallest birth epoch it moved out to
+   the enclosing pass, for which a cell born in an earlier outer pass
+   is old.  A fresh loop counter id held in an older cell counts as a
+   move, which only costs a pass. *)
 and interp_loop ctx env ~var ~cond body =
   let before = ctx.status in
   let env' =
@@ -661,16 +674,22 @@ and interp_loop ctx env ~var ~cond body =
     | None -> env
   in
   let rec pass k =
-    let gen = ctx.gen and status = ctx.status in
+    let gen = ctx.gen and status = ctx.status and outer = ctx.moved in
+    ctx.epoch <- ctx.epoch + 1;
+    let born = ctx.epoch in
+    ctx.moved <- max_int;
     (match cond with
     | Some c ->
         let cv = interp ctx env' c in
         record_escape ctx c.pexp_loc Escapes.Branch "while condition" cv.taint
     | None -> ());
     ignore (interp ctx env' body);
+    let moved = ctx.moved in
+    ctx.moved <- min outer moved;
     if
       k < loop_passes
-      && (ctx.gen <> gen || not (SM.equal ( = ) ctx.status status))
+      && (ctx.gen <> gen || moved < born
+         || not (SM.equal ( = ) ctx.status status))
     then pass (k + 1)
   in
   pass 1;
@@ -1039,7 +1058,7 @@ and apply_array_alloc ctx vals =
         SS.union acc (deep_taint v))
       SS.empty vals
   in
-  { taint = SS.empty; sh = Local_arr { c_val = scalar taint }; ie = Iunknown }
+  { taint = SS.empty; sh = Local_arr (new_cell ctx (scalar taint)); ie = Iunknown }
 
 and apply_array_init ctx vals =
   match positional vals with
@@ -1050,7 +1069,7 @@ and apply_array_init ctx vals =
         | _ -> scalar (deep_taint f)
       in
       let elem = { elem with taint = SS.union elem.taint n.taint } in
-      { taint = SS.empty; sh = Local_arr { c_val = elem }; ie = Iunknown }
+      { taint = SS.empty; sh = Local_arr (new_cell ctx elem); ie = Iunknown }
   | vals -> unknown_call ctx (nolabel vals)
 
 and apply_hof ctx kind vals =
@@ -1108,7 +1127,7 @@ and apply_hof ctx kind vals =
       let r = apply_cb [ elem ] in
       {
         taint = SS.empty;
-        sh = Local_arr { c_val = scalar (SS.union (deep_taint r) elem.taint) };
+        sh = Local_arr (new_cell ctx (scalar (SS.union (deep_taint r) elem.taint)));
         ie = Iunknown;
       }
   | Effects.Fold ->
@@ -1190,7 +1209,7 @@ and apply_assign ctx vals =
 
 and apply_ref_make ctx vals =
   match positional vals with
-  | [ v ] -> { taint = SS.empty; sh = Ref_sh { c_val = v }; ie = Iunknown }
+  | [ v ] -> { taint = SS.empty; sh = Ref_sh (new_cell ctx v); ie = Iunknown }
   | vals -> unknown_call ctx (nolabel vals)
 
 (* [Nprand.vranlc rng ~a count arr off]: writes [count] fresh deviates
@@ -1283,6 +1302,8 @@ let analyze (model : Model.t) : outcome =
       depth = 0;
       next_id = 0;
       gen = 0;
+      epoch = 0;
+      moved = max_int;
     }
   in
   let bind_params params =

@@ -17,9 +17,11 @@
       subscript, comparison, kink) and whether its taint leaked into
       code the pass cannot see.
 
-    A loop body is walked again until a pass records nothing new, at
-    most three times, so a converged nest costs about one walk per
-    level rather than three to the power of its depth.
+    A loop body is walked again until a pass records nothing new and
+    moves no cell allocated before the pass, at most three times, so a
+    converged nest costs about one walk per level rather than three to
+    the power of its depth, even when its body allocates its own
+    [ref]s and arrays.
 
     Unrecognized constructs always degrade toward
     [Mayread]/[Top]/more edges/more escapes and leaks; {!Incomplete}

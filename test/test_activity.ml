@@ -470,6 +470,44 @@ let test_deep_nest_converges () =
     Alcotest.failf "%d-deep nest took %d steps (bound %d)" nest_depth
       o.Activity.Absint.o_steps nest_step_bound
 
+(* The same nest around a body that allocates its own accumulator, as
+   MG's [interp] and [rprj3] do: [acc] moves in every pass, but it is
+   born anew in every pass, so the move is no reason to walk the body
+   again.  Counting it walked the innermost body three times per level
+   (12.5M steps). *)
+let test_deep_nest_with_local_ref_converges () =
+  let var k = Printf.sprintf "i%d" k in
+  let rec nest k =
+    if k > nest_depth then
+      Printf.sprintf
+        "let acc = ref S.zero in\n\
+        \    acc := S.(!acc +. st.src.(%s));\n\
+        \    st.p <- S.(st.p +. !acc)"
+        (var nest_depth)
+    else Printf.sprintf "for %s = 0 to 1 do %s done" (var k) (nest (k + 1))
+  in
+  let o = walk (nest 1) in
+  Alcotest.(check (list string)) "p sources" [ "p"; "src" ] (edge_sources o "p");
+  if o.Activity.Absint.o_steps > nest_step_bound then
+    Alcotest.failf "%d-deep nest took %d steps (bound %d)" nest_depth
+      o.Activity.Absint.o_steps nest_step_bound
+
+(* [b] moves only inside the inner loop, in the outer loop's second
+   pass; [c] reads it before that loop, so the outer loop needs a third
+   pass, which it takes only if the inner loop hands the move out. *)
+let test_inner_loop_move_reaches_outer_loop () =
+  let o =
+    walk
+      "let a = ref S.zero and b = ref S.zero and c = ref S.zero in\n\
+      \    for i = from to until - 1 do\n\
+      \      c := !b;\n\
+      \      for j = 0 to 1 do b := !a done;\n\
+      \      a := st.src.(i)\n\
+      \    done;\n\
+      \    st.r <- !c"
+  in
+  Alcotest.(check (list string)) "r sources" [ "src" ] (edge_sources o "r")
+
 let suites =
   [
     ( "activity.static",
@@ -494,6 +532,10 @@ let suites =
           test_fresh_cell_moves_older_cell;
         Alcotest.test_case "12-deep loop nest converges" `Quick
           test_deep_nest_converges;
+        Alcotest.test_case "12-deep nest with a pass-local ref" `Quick
+          test_deep_nest_with_local_ref_converges;
+        Alcotest.test_case "inner loop hands a move out" `Quick
+          test_inner_loop_move_reaches_outer_loop;
       ] );
     ( "activity.gate",
       [
