@@ -31,7 +31,9 @@ one fresh seed (S, S+1, ...), the side that runs first alternating from pair
 to pair; each tree runs its own perfbench.  Prints, per workload (all of them
 unless --workload) and end-to-end metric, each side's median [q1, q3] over the
 pairs, the relative change of the medians, the pairs the checkout won and
-whether the gap between the medians exceeds REV's interquartile range.  Exits
+whether the gap between the medians exceeds REV's interquartile range.  Give
+an even number of pairs: on a shared host the second run of a pair can be
+the slower one whatever its side, so each side should run first as often.  Exits
 non-zero when any run fails or is not correct; the temporary tree is removed
 either way.
 """
@@ -167,7 +169,7 @@ def compare(old_path, new_path):
 
 
 def paired_workload(spec, workload, base_dir, pairs, seed_base):
-    """Runs the pairs of one workload; prints and returns its table."""
+    """Runs the pairs of one workload and prints its table."""
     sides = {"base": base_dir, "change": "."}
     values = {"base": [], "change": []}
     for i in range(pairs):

@@ -1058,7 +1058,8 @@ and apply_array_alloc ctx vals =
         SS.union acc (deep_taint v))
       SS.empty vals
   in
-  { taint = SS.empty; sh = Local_arr (new_cell ctx (scalar taint)); ie = Iunknown }
+  let cell = new_cell ctx (scalar taint) in
+  { taint = SS.empty; sh = Local_arr cell; ie = Iunknown }
 
 and apply_array_init ctx vals =
   match positional vals with
@@ -1125,11 +1126,8 @@ and apply_hof ctx kind vals =
       opaque
   | Effects.Map ->
       let r = apply_cb [ elem ] in
-      {
-        taint = SS.empty;
-        sh = Local_arr (new_cell ctx (scalar (SS.union (deep_taint r) elem.taint)));
-        ie = Iunknown;
-      }
+      let cell = new_cell ctx (scalar (SS.union (deep_taint r) elem.taint)) in
+      { taint = SS.empty; sh = Local_arr cell; ie = Iunknown }
   | Effects.Fold ->
       (* fold f init seq / fold_right f seq init: thread the
          accumulator twice so element taint reaches it. *)
