@@ -5,7 +5,8 @@
    synthetic kernels of the activity, guard and discover tests, and
    compared byte for byte with [outcome_golden.txt].  A second golden,
    [reports_golden.txt], pins the JSON reports the activity, guard and
-   discover drivers build on that walk for the eight NPB kernels.
+   discover drivers build on that walk for the eight NPB kernels, and
+   the race pass's JSON report over [lib] and over each fixture tree.
 
    On a mismatch the rendering is written next to the golden, with the
    suffix [.actual]. *)
@@ -143,6 +144,30 @@ let render_corpus () =
     (npb_sources () @ toy_sources ());
   Buffer.contents b
 
+(* The race report over [lib] and the three fixture trees, certified
+   from the dune-project root so the paths in the reports are
+   repo-relative wherever the suite runs. *)
+let render_race () =
+  let lib =
+    match Scvad_racefree.Driver.locate_lib_dir () with
+    | Some d -> d
+    | None -> Alcotest.fail "lib not found above the test cwd"
+  in
+  let cwd = Sys.getcwd () in
+  Sys.chdir (Filename.dirname lib);
+  Fun.protect
+    ~finally:(fun () -> Sys.chdir cwd)
+    (fun () ->
+      String.concat ""
+        (List.map
+           (fun root ->
+             Scvad_racefree.Driver.render_json
+               (Scvad_racefree.Driver.certify ~root))
+           [
+             "lib"; "test/racefree_fixtures/good";
+             "test/racefree_fixtures/bad"; "test/racefree_fixtures/assumed";
+           ]))
+
 (* Each driver's [render_json] over the NPB kernels, called per file
    with the repo-relative name so the paths in the reports do not
    depend on the test's working directory. *)
@@ -166,6 +191,7 @@ let render_reports () =
         Scvad_guard.Driver.render_json;
       pass "discover" Scvad_discover.Driver.analyze_source
         Scvad_discover.Driver.render_json;
+      "== race ==\n" ^ render_race ();
     ]
 
 (* The goldens sit in [test/] under the dune-project root, so the
