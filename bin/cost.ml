@@ -4,8 +4,7 @@
 
    --gate runs the real dynamic reverse analysis for every predicted
    app and fails unless every prediction matches the measured tape
-   node count EXACTLY, every committed tape_nodes_hint sits within 10%
-   of its prediction, and IS is proven to record zero float nodes. *)
+   node count EXACTLY and IS is proven to record zero float nodes. *)
 
 module World = Scvad_cost.World
 module Driver = Scvad_cost.Driver
@@ -35,23 +34,7 @@ let check_exactness (c : Driver.app_cost) =
         fail "%s: predicted %d nodes but the dense tape recorded %d"
           c.Driver.c_app predicted measured
 
-(* The gate, part 2: committed hand-maintained hints must stay within
-   10% of the prediction (the drift that motivated this pass: cg-tiny
-   once sat 51% above the truth).  A zero-node analysis (IS) makes any
-   relative bound meaningless; its hint sizes nothing. *)
-let check_hint (c : Driver.app_cost) =
-  let predicted = c.Driver.c_p.Predict.p_total in
-  if predicted > 0 then begin
-    let drift =
-      Float.abs (float_of_int (c.Driver.c_hint - predicted))
-      /. float_of_int predicted
-    in
-    if drift > 0.10 then
-      fail "%s: tape_nodes_hint %d drifts %.0f%% from the predicted %d"
-        c.Driver.c_app c.Driver.c_hint (100. *. drift) predicted
-  end
-
-(* The gate, part 3: the paper's IS observation — an integer sort
+(* The gate, part 2: the paper's IS observation — an integer sort
    records no float operations — must come out of the model as an exact
    zero, not a small number. *)
 let check_is_zero costs =
@@ -65,16 +48,12 @@ let check_is_zero costs =
           c.Driver.c_p.Predict.p_total
 
 let run_gate costs =
-  List.iter
-    (fun c ->
-      check_exactness c;
-      check_hint c)
-    costs;
+  List.iter check_exactness costs;
   check_is_zero costs;
   if not !violation then
     Printf.eprintf
       "cost: gate passed: %d prediction(s) exact against the dynamic tape, \
-       all hints within 10%%, IS proven zero-node.\n"
+       IS proven zero-node.\n"
       (List.length costs);
   not !violation
 

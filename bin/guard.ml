@@ -139,13 +139,13 @@ let validate_smooth ~trials ctx =
     else (o.Falsifier.f_trials, o.Falsifier.f_witnesses)
 
 (* Split [total] Smooth-validation trials across apps, proportional to
-   1 / tape_nodes_hint (cheap apps absorb more trials) with a floor so
+   1 / the tape nodes of the app's dense analysis (cheap apps absorb
+   more trials; IS records none, hence the [max 1]) with a floor so
    every app gets real coverage. *)
 let validation_shares ~total ctxs =
   let floor_trials = 24 in
   let weight ctx =
-    let (module A : Scvad_core.App.S) = ctx.x_app in
-    1.0 /. float_of_int (max 1 A.tape_nodes_hint)
+    1.0 /. float_of_int (max 1 ctx.x_report.Criticality.tape_nodes)
   in
   let wsum = List.fold_left (fun acc c -> acc +. weight c) 0.0 ctxs in
   List.map

@@ -21,7 +21,6 @@ module Heat : App.S = struct
   let description = "2-D heat equation on an over-allocated grid"
   let default_niter = 200
   let analysis_niter = 2
-  let tape_nodes_hint = 1 lsl 12
   let int_taint_masks = None
 
   module Make (S : Scalar.S) = struct

@@ -39,7 +39,6 @@ module Demo : App.S = struct
   let description = "toy relaxation with an over-allocated state array"
   let default_niter = 10
   let analysis_niter = 2
-  let tape_nodes_hint = 1 lsl 12
   let int_taint_masks = None
 
   module Make (S : Scalar.S) = struct

@@ -46,12 +46,6 @@ module type S = sig
       so this is small — what keeps reverse tapes affordable). *)
   val analysis_niter : int
 
-  (** Expected reverse-tape size (nodes) of one [analysis_niter]-window
-      recording, kept within 10% of the static cost model's exact count
-      by the cost gate.  Guard's falsifier scales its trial budget by
-      it; the tape itself does not read it. *)
-  val tape_nodes_hint : int
-
   (** The scalar-generic kernel.  [Make (Float_scalar)] is the test
       oracle for {!Float}; the AD modes instantiate it at their scalars. *)
   module Make (S : Scvad_ad.Scalar.S) : INSTANCE with type scalar = S.t

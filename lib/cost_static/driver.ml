@@ -5,17 +5,11 @@
    The dynamic gate — predictions vs a real `Analyzer.reverse_analysis`
    tape — lives in `bin/cost.ml`. *)
 
-(* Paper order; cg-tiny rides along because its hand-written hint once
-   drifted 51% from the truth — exactly the rot this pass exists to
-   catch. *)
+(* Paper order, with the reduced cg-tiny the ablations run. *)
 let s_apps = [ "bt"; "sp"; "mg"; "cg"; "lu"; "ft"; "ep"; "is" ]
 let default_apps = s_apps @ [ "cg-tiny" ]
 
-type app_cost = {
-  c_app : string;
-  c_hint : int;  (** committed [tape_nodes_hint] *)
-  c_p : Predict.t;
-}
+type app_cost = { c_app : string; c_p : Predict.t }
 
 type class_point = {
   k_label : string;  (** problem class: S, W, A *)
@@ -53,8 +47,7 @@ let analyze ?(apps = default_apps) world =
       match World.find_app world name with
       | None -> invalid_arg ("Driver.analyze: no app named " ^ name)
       | Some app ->
-          let p = Predict.predict app in
-          { c_app = name; c_hint = p.Predict.p_hint; c_p = p })
+          { c_app = name; c_p = Predict.predict app })
     apps
 
 let fit_families world =
@@ -84,33 +77,19 @@ let fit_families world =
 
 let segment_sum p = Array.fold_left ( + ) 0 p.Predict.p_segments
 
-let hint_status c =
-  if c.c_p.Predict.p_total = 0 then "n/a (zero-node analysis)"
-  else
-    let drift =
-      Float.abs (float_of_int c.c_hint -. float_of_int c.c_p.Predict.p_total)
-      /. float_of_int c.c_p.Predict.p_total
-    in
-    Printf.sprintf "%+.1f%%"
-      (100.
-      *. (float_of_int c.c_hint -. float_of_int c.c_p.Predict.p_total)
-         /. float_of_int c.c_p.Predict.p_total)
-    ^ (if drift <= 0.10 then "" else "  DRIFTED")
-
 let render_text costs fits =
   let b = Buffer.create 4096 in
   Buffer.add_string b "static cost model: predicted tape nodes\n\n";
   Buffer.add_string b
-    (Printf.sprintf "  %-8s %12s %12s %10s %10s %6s  %s\n" "app" "predicted"
-       "hint" "lift" "output" "iters" "hint drift");
+    (Printf.sprintf "  %-8s %12s %10s %10s %6s\n" "app" "predicted" "lift"
+       "output" "iters");
   List.iter
     (fun c ->
       let p = c.c_p in
       Buffer.add_string b
-        (Printf.sprintf "  %-8s %12d %12d %10d %10d %6d  %s\n" c.c_app
-           p.Predict.p_total c.c_hint p.Predict.p_lift p.Predict.p_output
-           (Array.length p.Predict.p_segments)
-           (hint_status c)))
+        (Printf.sprintf "  %-8s %12d %10d %10d %6d\n" c.c_app p.Predict.p_total
+           p.Predict.p_lift p.Predict.p_output
+           (Array.length p.Predict.p_segments)))
     costs;
   if fits <> [] then begin
     Buffer.add_string b
@@ -139,7 +118,6 @@ let json_of_cost c =
     [
       ("app", Scvad_util.Ljson.Str c.c_app);
       ("predicted", Scvad_util.Ljson.Int p.Predict.p_total);
-      ("hint", Scvad_util.Ljson.Int c.c_hint);
       ("lift", Scvad_util.Ljson.Int p.Predict.p_lift);
       ("segments_total", Scvad_util.Ljson.Int (segment_sum p));
       ("output", Scvad_util.Ljson.Int p.Predict.p_output);

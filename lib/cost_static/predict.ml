@@ -24,7 +24,6 @@ type var_lift = {
 
 type t = {
   p_app : string;
-  p_hint : int;  (** committed [tape_nodes_hint] *)
   p_analysis_niter : int;
   p_at_iter : int;
   p_lift : int;
@@ -81,7 +80,6 @@ let predict ?(at_iter = 0) ?niter (module A : App.S) : t =
   in
   {
     p_app = A.name;
-    p_hint = A.tape_nodes_hint;
     p_analysis_niter = niter;
     p_at_iter = at_iter;
     p_lift = lift;

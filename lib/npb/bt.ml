@@ -158,7 +158,6 @@ module App : Scvad_core.App.S = struct
   let description = "Block Tri-diagonal ADI solver (class S)"
   let default_niter = 60
   let analysis_niter = 1
-  let tape_nodes_hint = 3_700_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)
@@ -171,7 +170,6 @@ module App_w : Scvad_core.App.S = struct
   let description = "Block Tri-diagonal ADI solver (class W, 24^3)"
   let default_niter = 200
   let analysis_niter = 1
-  let tape_nodes_hint = 35_500_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Adi_common.Bt_w_grid) (S)

@@ -268,7 +268,6 @@ module App : Scvad_core.App.S = struct
   let description = "Conjugate Gradient, irregular memory access (class S)"
   let default_niter = Class_s.niter
   let analysis_niter = 1
-  let tape_nodes_hint = 4_500_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (Class_s) (S)
@@ -290,7 +289,6 @@ module App_w : Scvad_core.App.S = struct
   let description = "Conjugate Gradient (class W, NA = 7000)"
   let default_niter = Class_w.niter
   let analysis_niter = 1
-  let tape_nodes_hint = 28_600_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (Class_w) (S)
@@ -313,10 +311,6 @@ module Tiny_app : Scvad_core.App.S = struct
   let default_niter = Tiny_config.niter
   let analysis_niter = 1
 
-  (* The static cost model predicts exactly 21,648 nodes (and the
-     dynamic tape confirms it); a round 22k replaces the old 32,768
-     guess, which over-allocated by half. *)
-  let tape_nodes_hint = 22_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (Tiny_config) (S)

@@ -120,7 +120,6 @@ module App : Scvad_core.App.S = struct
   let description = "Embarrassingly Parallel Gaussian deviates (class S)"
   let default_niter = nn
   let analysis_niter = 1
-  let tape_nodes_hint = 310_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)

@@ -237,7 +237,6 @@ module App : Scvad_core.App.S = struct
   let description = "3-D FFT PDE solver (class S)"
   let default_niter = niter
   let analysis_niter = 1
-  let tape_nodes_hint = 24_800_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)

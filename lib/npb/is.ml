@@ -229,7 +229,6 @@ module App : Scvad_core.App.S = struct
   let description = "Integer bucket Sort (class S)"
   let default_niter = iterations
   let analysis_niter = iterations
-  let tape_nodes_hint = 4_096
   let int_taint_masks = Some taint_masks
 
   module Make (S : Scvad_ad.Scalar.S) = struct

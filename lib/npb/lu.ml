@@ -293,7 +293,6 @@ module App : Scvad_core.App.S = struct
      two smoothing hops (corner -> edge -> face) before the residual of
      the following iteration consumes it. *)
   let analysis_niter = 3
-  let tape_nodes_hint = 700_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)
@@ -306,7 +305,6 @@ module App_w : Scvad_core.App.S = struct
   let description = "Lower-Upper symmetric Gauss-Seidel solver (class W, 33^3)"
   let default_niter = 300
   let analysis_niter = 3
-  let tape_nodes_hint = 17_200_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Adi_common.Lu_w_grid) (S)

@@ -374,7 +374,6 @@ module App : Scvad_core.App.S = struct
   let description = "V-cycle MultiGrid Poisson solver (class S)"
   let default_niter = Class_s.niter
   let analysis_niter = 1
-  let tape_nodes_hint = 2_450_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Class_s) (S)
@@ -386,7 +385,6 @@ module App_w : Scvad_core.App.S = struct
   let description = "V-cycle MultiGrid Poisson solver (class W, 64^3)"
   let default_niter = Class_w.niter
   let analysis_niter = 1
-  let tape_nodes_hint = 18_700_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Class_w) (S)

@@ -132,7 +132,6 @@ module App : Scvad_core.App.S = struct
   let description = "Scalar Penta-diagonal ADI solver (class S)"
   let default_niter = 100
   let analysis_niter = 1
-  let tape_nodes_hint = 650_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_generic (S)
@@ -145,7 +144,6 @@ module App_w : Scvad_core.App.S = struct
   let description = "Scalar Penta-diagonal ADI solver (class W, 36^3)"
   let default_niter = 400
   let analysis_niter = 1
-  let tape_nodes_hint = 22_300_000
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = Make_sized (Adi_common.Sp_w_grid) (S)

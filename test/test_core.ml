@@ -15,7 +15,6 @@ module Toy : App.S = struct
   let description = "stencil on a[0..7] of a 10-element array"
   let default_niter = 6
   let analysis_niter = 2
-  let tape_nodes_hint = 1 lsl 12
   let int_taint_masks = None
 
   module Make (S : Scvad_ad.Scalar.S) = struct

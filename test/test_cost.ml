@@ -86,29 +86,6 @@ let test_is_zero () =
     p.Predict.p_segments;
   Alcotest.(check int) "is: total" 0 p.Predict.p_total
 
-(* Every committed tape_nodes_hint must sit within 10% of the static
-   prediction (the drift that motivated this pass: cg-tiny once sat 51%
-   above the truth).  IS predicts zero, where a relative bound is
-   meaningless, and its hint sizes nothing. *)
-let test_hints_within_10pct () =
-  List.iter
-    (fun (c : Cost_driver.app_cost) ->
-      let predicted = c.Cost_driver.c_p.Predict.p_total in
-      if predicted = 0 then
-        Alcotest.(check bool)
-          (c.Cost_driver.c_app ^ " hint is a positive floor")
-          true
-          (c.Cost_driver.c_hint > 0)
-      else
-        let drift =
-          Float.abs (float_of_int (c.Cost_driver.c_hint - predicted))
-          /. float_of_int predicted
-        in
-        if drift > 0.10 then
-          Alcotest.failf "%s: hint %d drifts %.0f%% from predicted %d"
-            c.Cost_driver.c_app c.Cost_driver.c_hint (100. *. drift) predicted)
-    (costs ())
-
 (* Prediction equals the dense recording at non-zero boundaries too:
    the prefix runs as constants and pushes nothing, in both. *)
 let test_nonzero_boundaries () =
@@ -171,8 +148,6 @@ let suites =
           test_totals_decompose;
         Alcotest.test_case "IS records exactly zero float nodes" `Slow
           test_is_zero;
-        Alcotest.test_case "every hint within 10% of prediction" `Slow
-          test_hints_within_10pct;
         Alcotest.test_case "predictions equal the tape at non-zero boundaries"
           `Slow test_nonzero_boundaries;
         Alcotest.test_case "predictions need no source tree" `Quick

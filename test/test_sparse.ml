@@ -170,9 +170,13 @@ let test_is_degenerate () =
    engine's push rules on [Seed_tape], swept by its dense scan.
    Returns the node count and every float variable's mask. *)
 let seed_masks (module A : Scvad_core.App.S) =
-  (* Presized past the hint (within 10% of the true count) so the
-     reference never doubles a large recording. *)
-  let tape = Seed_tape.create ~capacity:(A.tape_nodes_hint / 10 * 11) () in
+  (* Presized to the cost pass's exact prediction so the reference
+     never doubles a large recording. *)
+  let tape =
+    Seed_tape.create
+      ~capacity:(Scvad_cost.Predict.predict (module A)).Scvad_cost.Predict.p_total
+      ()
+  in
   let module S = Seed_reverse.Scalar_of (struct
     let tape = tape
   end) in
