@@ -44,10 +44,15 @@ let arg_use t i =
 
 let table : (string, t) Hashtbl.t = Hashtbl.create 256
 
+(* Each name is registered once: a second entry for the same name
+   would silently replace the first. *)
 let register prefix entries =
   List.iter
     (fun (n, ct) ->
-      Hashtbl.replace table (if prefix = "" then n else prefix ^ "." ^ n) ct)
+      let key = if prefix = "" then n else prefix ^ "." ^ n in
+      if Hashtbl.mem table key then
+        invalid_arg ("Contracts.register: duplicate contract for " ^ key);
+      Hashtbl.add table key ct)
     entries
 
 let () =
@@ -184,10 +189,16 @@ let () =
     ];
   register "Bytes"
     [
-      alloc "create"; alloc "make"; pure "length"; pure "get";
+      c "make" [ Read; Read ] R_alloc;
+      c "create" [ Read ] R_alloc;
+      pure "length";
+      pure "get"; pure "unsafe_get"; pure "get_int64_ne";
       c "set" [ Written_at 1; Read; Read ] R_pure;
+      c "unsafe_set" [ Written_at 1; Read; Read ] R_pure;
+      c "fill" [ Written; Read; Read; Read ] R_pure;
       c "blit" [ Read; Read; Written; Read; Read ] R_pure;
-      alloc "to_string"; alloc "of_string"; alloc "sub_string";
+      alloc "copy"; alloc "sub"; pure "to_string"; alloc "of_string";
+      alloc "sub_string";
     ];
   register "Printf"
     [ pure "printf"; pure "eprintf"; pure "sprintf"; pure "fprintf";
@@ -208,18 +219,6 @@ let () =
       pure "to_float"; pure "max_int"; pure "min_int" ];
   register "Char"
     [ pure "code"; pure "chr"; pure "unsafe_chr"; pure "lowercase_ascii" ];
-  register "Bytes"
-    [
-      c "make" [ Read; Read ] R_alloc;
-      c "create" [ Read ] R_alloc;
-      pure "length";
-      pure "get"; pure "unsafe_get"; pure "get_int64_ne";
-      c "set" [ Written_at 1; Read; Read ] R_pure;
-      c "unsafe_set" [ Written_at 1; Read; Read ] R_pure;
-      c "fill" [ Written; Read; Read; Read ] R_pure;
-      c "blit" [ Read; Read; Written; Read; Read ] R_pure;
-      alloc "copy"; alloc "sub"; pure "to_string"; alloc "of_string";
-    ];
   register "Int32"
     [ pure "of_int"; pure "to_int"; pure "add"; pure "sub"; pure "mul";
       pure "logand"; pure "logor"; pure "logxor"; pure "shift_left";

@@ -198,6 +198,15 @@ let test_sanitizer_clean_on_disjoint_spans () =
   Alcotest.(check (list string)) "no witnesses" []
     (List.map Sanitize.witness_to_text stats.Sanitize.witnesses)
 
+(* The contract table holds one entry per name: registering a name
+   twice is an error, not a silent override. *)
+let test_duplicate_contract_raises () =
+  Alcotest.check_raises "duplicate Bytes.length"
+    (Invalid_argument "Contracts.register: duplicate contract for Bytes.length")
+    (fun () ->
+      Scvad_racefree.Contracts.register "Bytes"
+        [ Scvad_racefree.Contracts.pure "length" ])
+
 let suites =
   [ ( "racefree.verdicts",
       [ Alcotest.test_case "good tree: shard + affine proofs" `Quick
@@ -211,7 +220,9 @@ let suites =
     ( "racefree.report",
       [ Alcotest.test_case "JSON round-trips" `Quick test_json_roundtrip;
         Alcotest.test_case "JSON parser rejects garbage" `Quick
-          test_json_rejects_garbage ] );
+          test_json_rejects_garbage;
+        Alcotest.test_case "a duplicate contract raises" `Quick
+          test_duplicate_contract_raises ] );
     ( "racefree.sanitizer",
       [ Alcotest.test_case "planted overlap yields a witness" `Quick
           test_sanitizer_catches_planted_race;
