@@ -6,9 +6,10 @@
    queued tasks itself, so [jobs] domains (workers + submitter) stay
    busy and a pool of width 1 never context-switches at all.
 
-   Nested [map] calls from inside a worker run sequentially in that
-   worker (detected with a domain-local flag) — the fixed-size pool can
-   therefore never deadlock on its own tasks. *)
+   Nested [map] calls from inside a task run sequentially on the domain
+   running it, a worker or the submitter (detected with a domain-local
+   flag) — the fixed-size pool can therefore never deadlock on its own
+   tasks, and a nested map never starts a batch of its own. *)
 
 module Sanitize = Scvad_sanitize.Sanitize
 
@@ -163,12 +164,17 @@ let run_map ?(sanitize = false) ?(label = "pool.map") pool f (xs : 'a array) =
     Queue.push (task i) pool.queue
   done;
   Condition.broadcast pool.work;
-  (* Participate until the batch settles. *)
+  (* Participate until the batch settles.  A task run here counts as
+     running in a worker, so a nested map inside it runs inline exactly
+     as it would on a worker domain. *)
   while batch.pending > 0 do
     if not (Queue.is_empty pool.queue) then begin
       let task = Queue.pop pool.queue in
       Mutex.unlock pool.mu;
+      let was_worker = Domain.DLS.get in_worker in
+      Domain.DLS.set in_worker true;
       task ();
+      Domain.DLS.set in_worker was_worker;
       Mutex.lock pool.mu
     end
     else Condition.wait batch.done_ pool.mu

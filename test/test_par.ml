@@ -114,6 +114,30 @@ let test_nested_map () =
         [ [ 11; 12; 13 ]; [ 21; 22; 23 ]; [ 31; 32; 33 ]; [ 41; 42; 43 ] ]
         got)
 
+(* A nested map or init inside a jobs=4 map runs inline whichever
+   domain picked up its outer task, the submitting one included: with
+   the sanitizer armed, every outer map is the only batch it starts. *)
+let test_nested_never_batches () =
+  let module Sanitize = Scvad_sanitize.Sanitize in
+  let outer = 20 in
+  let stats =
+    with_pool4 (fun pool ->
+        Sanitize.arm ();
+        Fun.protect
+          ~finally:(fun () -> if Sanitize.armed () then ignore (Sanitize.disarm ()))
+          (fun () ->
+            for _ = 1 to outer do
+              ignore
+                (Pool.map pool
+                   (fun row ->
+                     ignore (Pool.map pool (fun x -> row + x) [ 1; 2; 3 ]);
+                     Pool.init pool 3 (fun i -> row * i))
+                   [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+            done;
+            Sanitize.disarm ()))
+  in
+  Alcotest.(check int) "one batch per outer map" outer stats.Sanitize.batches
+
 let test_init () =
   with_pool4 (fun pool ->
       let got = Pool.init pool 100 (fun i -> i * 3) in
@@ -309,6 +333,8 @@ let suites =
         Alcotest.test_case "shutdown idempotent, map raises" `Quick
           test_map_after_shutdown;
         Alcotest.test_case "nested map" `Quick test_nested_map;
+        Alcotest.test_case "nested maps never start a batch" `Quick
+          test_nested_never_batches;
         Alcotest.test_case "init" `Quick test_init;
         Alcotest.test_case "tasks overlap" `Quick test_map_actually_parallel;
         Alcotest.test_case "non-positive jobs rejected everywhere" `Quick
