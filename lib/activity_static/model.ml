@@ -1,9 +1,20 @@
-(* Extraction of the analysis model from one NPB kernel source: the
-   function table (functors unwrapped), the [state] record fields, the
-   integer constants, and the checkpoint-variable declarations parsed
-   out of [float_vars]/[int_vars] — the same declarations the dynamic
-   engine consumes at run time, so the two sides analyze the same
-   metadata by construction. *)
+(* The one source model of the static passes: the parsed forest of a
+   scanned tree, each file collected by one walk that records both
+   what cross-file resolution needs and the per-kernel facts.
+
+   - Resolution (the race pass): every top-level binding, nested
+     [module M = struct … end] and single-functor bodies included, under
+     its dotted name ("Counting.push1"); [module P = Path] aliases;
+     [open]s; and the tree's stem and dune-library indexes, so a
+     [Tape.create] in one file resolves to tape.ml's binding.
+   - Kernel facts (activity, guard, discover): the function table
+     (functors unwrapped, first definition wins, so kernel bodies shadow
+     their [App.Make] aliases), the [state] record fields, the functor
+     parameters and local modules, the folded integer constants, and
+     the checkpoint-variable declarations parsed out of
+     [float_vars]/[int_vars] — the same declarations the dynamic engine
+     consumes at run time, so the two sides analyze the same metadata
+     by construction.  {!kernel} is the per-kernel query. *)
 
 open Parsetree
 
@@ -51,6 +62,24 @@ let note t msg = if not (List.mem msg t.notes) then t.notes <- t.notes @ [ msg ]
 let find_fn t name = Hashtbl.find_opt t.funcs name
 let is_state_field t name = Hashtbl.mem t.fields name
 
+type file = {
+  f_path : string;
+  f_stem : string;  (* module stem, capitalized, e.g. "Tape" *)
+  f_bindings : (string, expression) Hashtbl.t;  (* dotted names *)
+  mutable f_order : string list;  (* binding names in source order *)
+  f_aliases : (string, string list) Hashtbl.t;  (* module P = Long.Path *)
+  mutable f_opens : string list list;  (* top-level opens, in order *)
+  f_kernel : t;
+}
+
+type tree = {
+  files : (string, file) Hashtbl.t;  (* keyed by path *)
+  stems : (string, string list) Hashtbl.t;  (* stem -> paths *)
+  libs : (string, string) Hashtbl.t;  (* dune library name -> dir *)
+}
+
+let kernel f = f.f_kernel
+
 (* ---- function collection -------------------------------------------- *)
 
 let rec split_fun params (e : expression) =
@@ -75,11 +104,18 @@ let is_scalar_sig (mty : module_type) =
       | _ -> false)
   | _ -> false
 
-let rec collect_structure t items = List.iter (collect_item t) items
+(* The walk.  [prefix] is the dotted path of the enclosing module when
+   its bindings are addressable from other files ([Some ""] at top
+   level), [None] inside includes, recursive modules, functor
+   applications and functors nested in functors; the kernel facts are
+   collected everywhere. *)
+let rec collect_structure f ~prefix items =
+  List.iter (collect_item f ~prefix) items
 
-and collect_item t item =
+and collect_item f ~prefix item =
+  let t = f.f_kernel in
   match item.pstr_desc with
-  | Pstr_value (_, vbs) -> List.iter (collect_binding t) vbs
+  | Pstr_value (_, vbs) -> List.iter (collect_binding f ~prefix) vbs
   | Pstr_type (_, decls) -> List.iter (collect_type t) decls
   | Pstr_module mb ->
       let name =
@@ -89,7 +125,17 @@ and collect_item t item =
         Hashtbl.replace t.local_modules name ();
       if name = "App" && t.app_name = None then
         t.app_name <- app_name_of t mb.pmb_expr;
-      collect_module_expr t mb.pmb_expr
+      let prefix =
+        match (prefix, mb.pmb_name.Location.txt) with
+        | Some p, Some m ->
+            (match (unconstrain mb.pmb_expr).pmod_desc with
+            | Pmod_ident lid ->
+                Hashtbl.replace f.f_aliases (p ^ m) (flatten lid.Location.txt)
+            | _ -> ());
+            Some (p ^ m ^ ".")
+        | _ -> None
+      in
+      collect_module_expr f ~prefix ~in_functor:false mb.pmb_expr
   | Pstr_recmodule mbs ->
       List.iter
         (fun mb ->
@@ -97,20 +143,35 @@ and collect_item t item =
           | Some n when module_is_internal t mb.pmb_expr ->
               Hashtbl.replace t.local_modules n ()
           | _ -> ());
-          collect_module_expr t mb.pmb_expr)
+          collect_module_expr f ~prefix:None ~in_functor:false mb.pmb_expr)
         mbs
-  | Pstr_include incl -> collect_module_expr t incl.pincl_mod
+  | Pstr_include incl ->
+      collect_module_expr f ~prefix:None ~in_functor:false incl.pincl_mod
+  | Pstr_open { popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }
+    when prefix <> None ->
+      f.f_opens <- f.f_opens @ [ flatten lid.Location.txt ]
   | _ -> ()
 
-and collect_binding t vb =
+and collect_binding f ~prefix vb =
+  let t = f.f_kernel in
   match binding_name vb.pvb_pat with
   | None -> ()
   | Some name -> (
+      (match prefix with
+      | Some p when not (Hashtbl.mem f.f_bindings (p ^ name)) ->
+          Hashtbl.replace f.f_bindings (p ^ name) vb.pvb_expr;
+          f.f_order <- (p ^ name) :: f.f_order
+      | _ -> ());
       match split_fun [] vb.pvb_expr with
       | [], _ -> Constfold.add_binding t.consts name vb.pvb_expr
       | params, body ->
           if not (Hashtbl.mem t.funcs name) then
             Hashtbl.add t.funcs name { fn_params = params; fn_body = body })
+
+and unconstrain (me : module_expr) =
+  match me.pmod_desc with
+  | Pmod_constraint (inner, _) -> unconstrain inner
+  | _ -> me
 
 and binding_name (p : pattern) =
   match p.ppat_desc with
@@ -149,21 +210,27 @@ and collect_type t decl =
           labels
     | _ -> ()
 
-and collect_module_expr t (me : module_expr) =
+and collect_module_expr f ~prefix ~in_functor (me : module_expr) =
+  let t = f.f_kernel in
   match me.pmod_desc with
-  | Pmod_structure items -> collect_structure t items
+  | Pmod_structure items -> collect_structure f ~prefix items
   | Pmod_functor (param, body) ->
-      (match param with
-      | Named ({ Location.txt = Some pname; _ }, mty) ->
-          if is_scalar_sig mty then Hashtbl.replace t.pure_modules pname ()
-          else Hashtbl.replace t.param_modules pname ()
-      | _ -> ());
-      collect_module_expr t body
-  | Pmod_constraint (inner, _) -> collect_module_expr t inner
-  | Pmod_apply (f, arg) ->
-      collect_module_expr t f;
-      collect_module_expr t arg
-  | Pmod_apply_unit f -> collect_module_expr t f
+      let named =
+        match param with
+        | Named ({ Location.txt = Some pname; _ }, mty) ->
+            if is_scalar_sig mty then Hashtbl.replace t.pure_modules pname ()
+            else Hashtbl.replace t.param_modules pname ();
+            true
+        | _ -> false
+      in
+      let prefix = if named && not in_functor then prefix else None in
+      collect_module_expr f ~prefix ~in_functor:true body
+  | Pmod_constraint (inner, _) ->
+      collect_module_expr f ~prefix ~in_functor inner
+  | Pmod_apply (g, arg) ->
+      collect_module_expr f ~prefix:None ~in_functor g;
+      collect_module_expr f ~prefix:None ~in_functor arg
+  | Pmod_apply_unit g -> collect_module_expr f ~prefix:None ~in_functor g
   | Pmod_ident _ | Pmod_unpack _ | Pmod_extension _ -> ()
 
 and app_name_of t (me : module_expr) =
@@ -421,10 +488,10 @@ let binding_name_of = binding_name
 
 (* ---- entry ----------------------------------------------------------- *)
 
-let of_structure ~file (items : structure) =
+let collect_file ~path (items : structure) =
   let t =
     {
-      file;
+      file = path;
       app_name = None;
       consts = Constfold.create_env ();
       funcs = Hashtbl.create 64;
@@ -437,6 +504,120 @@ let of_structure ~file (items : structure) =
       notes = [];
     }
   in
-  collect_structure t items;
+  let f =
+    {
+      f_path = path;
+      f_stem =
+        String.capitalize_ascii
+          (Filename.remove_extension (Filename.basename path));
+      f_bindings = Hashtbl.create 32;
+      f_order = [];
+      f_aliases = Hashtbl.create 8;
+      f_opens = [];
+      f_kernel = t;
+    }
+  in
+  collect_structure f ~prefix:(Some "") items;
+  f.f_order <- List.rev f.f_order;
   collect_vars t;
-  t
+  f
+
+let of_structure ~file items = kernel (collect_file ~path:file items)
+
+(* ---- the tree -------------------------------------------------------- *)
+
+module Source = Scvad_lint.Source
+
+(* The library a dune file declares: its first "(name <x>)". *)
+let library_of_dune dir =
+  let dune = Filename.concat dir "dune" in
+  if not (Sys.file_exists dune) then None
+  else
+    let s = Source.read_file dune and key = "(name " in
+    let n = String.length s and kl = String.length key in
+    let rec find i =
+      if i + kl >= n then None
+      else if String.sub s i kl <> key then find (i + 1)
+      else
+        let k = ref (i + kl) in
+        while !k < n && not (List.mem s.[!k] [ ')'; ' '; '\n' ]) do
+          incr k
+        done;
+        Some (String.trim (String.sub s (i + kl) (!k - i - kl)))
+    in
+    find 0
+
+(* [root]/<dir>/*.ml, sorted, skipping [exclude]d and [_]/[.]-prefixed
+   directories. *)
+let ml_files_under ~exclude root =
+  if not (Sys.file_exists root && Sys.is_directory root) then []
+  else
+    Sys.readdir root |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun d ->
+           let dir = Filename.concat root d in
+           if
+             (not (Sys.is_directory dir))
+             || List.mem d exclude
+             || d.[0] = '_' || d.[0] = '.'
+           then []
+           else
+             Sys.readdir dir |> Array.to_list |> List.sort String.compare
+             |> List.filter_map (fun fn ->
+                    if Filename.check_suffix fn ".ml" then
+                      Some (Filename.concat dir fn)
+                    else None))
+
+(* The forest under [root]; files that do not parse come back as
+   findings. *)
+let load ~exclude root =
+  let tree =
+    { files = Hashtbl.create 64; stems = Hashtbl.create 64;
+      libs = Hashtbl.create 16 }
+  in
+  let findings =
+    List.filter_map
+      (fun path ->
+        match Source.parse ~file:path (Source.read_file path) with
+        | Error finding -> Some finding
+        | Ok ast ->
+            let dir = Filename.dirname path in
+            (match library_of_dune dir with
+            | Some lib when not (Hashtbl.mem tree.libs lib) ->
+                Hashtbl.replace tree.libs lib dir
+            | _ -> ());
+            let f = collect_file ~path ast in
+            Hashtbl.replace tree.files path f;
+            let prev =
+              Option.value (Hashtbl.find_opt tree.stems f.f_stem) ~default:[]
+            in
+            Hashtbl.replace tree.stems f.f_stem (prev @ [ path ]);
+            None)
+      (ml_files_under ~exclude root)
+  in
+  (tree, findings)
+
+let file tree path = Hashtbl.find_opt tree.files path
+let lookup_binding f name = Hashtbl.find_opt f.f_bindings name
+
+(* The file a module stem names.  Ambiguous stems (several [driver.ml]s)
+   are settled by [hint_lib] (a leading [Scvad_*] path segment), then by
+   [near] (the referencing file's directory); a stem still ambiguous
+   resolves to nothing rather than to a guess. *)
+let resolve_stem tree ?hint_lib ?near stem =
+  match Hashtbl.find_opt tree.stems stem with
+  | None | Some [] -> None
+  | Some [ p ] -> Some p
+  | Some paths -> (
+      let in_dir dir = List.filter (fun p -> Filename.dirname p = dir) paths in
+      let by_lib =
+        match
+          Option.bind hint_lib (fun lib ->
+              Hashtbl.find_opt tree.libs (String.lowercase_ascii lib))
+        with
+        | Some dir -> in_dir dir
+        | None -> []
+      in
+      match (by_lib, near) with
+      | [ p ], _ -> Some p
+      | _, Some dir -> ( match in_dir dir with [ p ] -> Some p | _ -> None)
+      | _, None -> None)

@@ -117,8 +117,16 @@ let apply_pragma pragmas (c : Verdict.classified) =
 (* Certification                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The pool and the sanitizer are the trusted runtime the certification
+   is about, modeled as primitives; the analysis passes are dev-time
+   tooling that never runs under the pool, and whose prose names
+   [Pool.map]. *)
+let excluded_dirs = [ "par"; "sanitize"; "lint"; "racefree" ]
+
 let certify ~root =
-  let model, findings = Rmodel.load ~root in
+  let model, findings =
+    Scvad_activity.Model.load ~exclude:excluded_dirs root
+  in
   let result = Interp.run model in
   let flows_of site =
     List.filter_map

@@ -21,6 +21,7 @@
 
 module Effects = Effects
 module Verdict = Verdict
+module Model = Scvad_activity.Model
 
 (* ------------------------------------------------------------------ *)
 (* Abstract values                                                     *)
@@ -251,7 +252,7 @@ type flow_item = {
 }
 
 type ctx = {
-  model : Rmodel.t;
+  model : Model.tree;
   sites : (string, Verdict.site) Hashtbl.t;
   mutable site_order : string list;  (** site keys, discovery order *)
   mutable queue : flow_item list;
@@ -331,15 +332,15 @@ let record_write ctx ~loc ~region ~what target =
 (* Shallow rendering of a written target for witnesses. *)
 let rec expr_name (e : Parsetree.expression) =
   match e.pexp_desc with
-  | Pexp_ident lid -> String.concat "." (Rmodel.flatten lid.txt)
+  | Pexp_ident lid -> String.concat "." (Model.flatten lid.txt)
   | Pexp_field (b, lid) ->
-      expr_name b ^ "." ^ Rmodel.last_segment lid.txt
+      expr_name b ^ "." ^ Model.last_segment lid.txt
   | Pexp_apply (f, _) -> expr_name f ^ " …"
   | Pexp_constraint (e, _) -> expr_name e
   | _ -> "…"
 
 let pat_name (p : Parsetree.pattern) =
-  match Rmodel.binding_name_of p with Some n -> n | None -> "_"
+  match Model.binding_name_of p with Some n -> n | None -> "_"
 
 (* ------------------------------------------------------------------ *)
 (* Environments and paths                                              *)
@@ -363,7 +364,7 @@ let starts_with_scvad s =
 (* Resolve a dotted path against: local env (values and modules), the
    file's aliases, the global stem index, contracts, and the trusted
    runtime — in that order.  [Pool] is intercepted structurally. *)
-let rec resolve_path ctx (file : Rmodel.file) env segs =
+let rec resolve_path ctx (file : Model.file) env segs =
   match segs with
   | [] -> T_unknown "<empty path>"
   | [ s ] -> (
@@ -375,7 +376,7 @@ let rec resolve_path ctx (file : Rmodel.file) env segs =
              [Counting.fresh_var]. *)
           let prefixed =
             match env_find env "#prefix" with
-            | Some (Prim (p, _)) when Rmodel.lookup_binding file (p ^ s) <> None
+            | Some (Prim (p, _)) when Model.lookup_binding file (p ^ s) <> None
               ->
                 Some (p ^ s)
             | _ -> None
@@ -383,7 +384,7 @@ let rec resolve_path ctx (file : Rmodel.file) env segs =
           match prefixed with
           | Some name -> T_binding (file.f_path, name)
           | None -> (
-              match Rmodel.lookup_binding file s with
+              match Model.lookup_binding file s with
               | Some _ -> T_binding (file.f_path, s)
               | None -> (
                   match Contracts.find [ s ] with
@@ -416,15 +417,15 @@ and resolve_in_tree ctx file env ?hint_lib segs =
   | [ "Pool"; fn ] -> T_pool fn
   | head :: rest -> (
       let near = Filename.dirname file.f_path in
-      match Rmodel.resolve_stem ctx.model ?hint_lib ~near head with
+      match Model.resolve_stem ctx.model ?hint_lib ~near head with
       | Some path -> (
-          match Rmodel.file ctx.model path with
+          match Model.file ctx.model path with
           | None -> T_unknown (String.concat "." segs)
           | Some f -> (
               if rest = [] then T_unknown head
               else
                 let name = String.concat "." rest in
-                match Rmodel.lookup_binding f name with
+                match Model.lookup_binding f name with
                 | Some _ -> T_binding (path, name)
                 | None -> (
                     (* A re-exported alias inside that file, e.g.
@@ -456,7 +457,7 @@ let resolve ctx file env segs =
               match v with ModAlias p -> Some p | _ -> None
             else None)
           env
-        @ List.rev file.Rmodel.f_opens
+        @ List.rev file.Model.f_opens
       in
       let rec try_opens = function
         | [] -> base
@@ -483,7 +484,7 @@ let elem_results =
 
 let max_via_depth = 4
 
-let rec eval ctx (file : Rmodel.file) env (e : Parsetree.expression) : value =
+let rec eval ctx (file : Model.file) env (e : Parsetree.expression) : value =
   if ctx.fuel <= 0 then unknown
   else begin
     ctx.fuel <- ctx.fuel - 1;
@@ -491,7 +492,7 @@ let rec eval ctx (file : Rmodel.file) env (e : Parsetree.expression) : value =
       obligation ctx
         (Printf.sprintf "analysis budget exhausted inside %s" ctx.via);
     match e.pexp_desc with
-    | Pexp_ident lid -> eval_ident ctx file env (Rmodel.flatten lid.txt)
+    | Pexp_ident lid -> eval_ident ctx file env (Model.flatten lid.txt)
     | Pexp_constant (Pconst_integer (s, _)) -> (
         match int_of_string_opt s with
         | Some n -> Idx { scale = 0; offset = n }
@@ -523,7 +524,7 @@ let rec eval ctx (file : Rmodel.file) env (e : Parsetree.expression) : value =
         let args =
           match arg with None -> [] | Some a -> [ eval ctx file env a ]
         in
-        Constr (Rmodel.last_segment lid.txt, args)
+        Constr (Model.last_segment lid.txt, args)
     | Pexp_variant (_, arg) ->
         let args =
           match arg with None -> [] | Some a -> [ eval ctx file env a ]
@@ -541,7 +542,7 @@ let rec eval ctx (file : Rmodel.file) env (e : Parsetree.expression) : value =
         let fields =
           List.map
             (fun (lid, fe) ->
-              ( Rmodel.last_segment lid.Location.txt,
+              ( Model.last_segment lid.Location.txt,
                 eval ctx file env fe ))
             fields
         in
@@ -555,7 +556,7 @@ let rec eval ctx (file : Rmodel.file) env (e : Parsetree.expression) : value =
               r_fields = fields }
     | Pexp_field (be, lid) ->
         let v = force (eval ctx file env be) in
-        let fname = Rmodel.last_segment lid.txt in
+        let fname = Model.last_segment lid.txt in
         let base =
           match v with
           | Rec r -> (
@@ -567,7 +568,7 @@ let rec eval ctx (file : Rmodel.file) env (e : Parsetree.expression) : value =
         heap_read ctx v ~field:fname base
     | Pexp_setfield (be, lid, ve) ->
         let target = eval ctx file env be in
-        let fname = Rmodel.last_segment lid.txt in
+        let fname = Model.last_segment lid.txt in
         let stored = eval ctx file env ve in
         record_write ctx ~loc:e.pexp_loc ~region:Effects.All
           ~what:(expr_name be ^ "." ^ fname)
@@ -621,7 +622,7 @@ let rec eval ctx (file : Rmodel.file) env (e : Parsetree.expression) : value =
         let env =
           match od.popen_expr.pmod_desc with
           | Pmod_ident lid ->
-              ("#open", ModAlias (Rmodel.flatten lid.txt)) :: env
+              ("#open", ModAlias (Model.flatten lid.txt)) :: env
           | _ -> env
         in
         eval ctx file env body
@@ -658,7 +659,7 @@ and eval_bindings ctx file env rf vbs =
       let cells =
         List.map
           (fun (vb : Parsetree.value_binding) ->
-            (vb, Rmodel.binding_name_of vb.pvb_pat, ref Pure))
+            (vb, Model.binding_name_of vb.pvb_pat, ref Pure))
           vbs
       in
       let env' =
@@ -705,7 +706,7 @@ and bind_pat ctx file env (p : Parsetree.pattern) v =
   | Ppat_record (fields, _) ->
       List.fold_left
         (fun env (lid, p') ->
-          let fname = Rmodel.last_segment lid.Location.txt in
+          let fname = Model.last_segment lid.Location.txt in
           let fv =
             match force v with
             | Rec r -> (
@@ -745,10 +746,10 @@ and eval_ident ctx file env segs =
   match resolve ctx file env segs with
   | T_local v -> v
   | T_binding (path, name) -> (
-      match Rmodel.file ctx.model path with
+      match Model.file ctx.model path with
       | None -> unknown
       | Some f -> (
-          match Rmodel.lookup_binding f name with
+          match Model.lookup_binding f name with
           | Some e
             when match e.pexp_desc with
                  | Pexp_fun _ | Pexp_function _ -> true
@@ -768,10 +769,10 @@ and eval_ident ctx file env segs =
 
 (* Evaluate a non-function top-level binding on demand. *)
 and force_binding ctx path name =
-  match Rmodel.file ctx.model path with
+  match Model.file ctx.model path with
   | None -> unknown
   | Some f -> (
-      match Rmodel.lookup_binding f name with
+      match Model.lookup_binding f name with
       | None -> unknown
       | Some e ->
           let key = path ^ "#" ^ name in
@@ -793,7 +794,7 @@ and force_binding ctx path name =
 and eval_module ctx file env (m : Parsetree.module_expr) : value =
   match m.pmod_desc with
   | Pmod_ident lid -> (
-      let segs = Rmodel.flatten lid.txt in
+      let segs = Model.flatten lid.txt in
       match segs with
       | [ s ] -> (
           match env_module env s with
@@ -851,7 +852,7 @@ and eval_module ctx file env (m : Parsetree.module_expr) : value =
 and eval_call ctx file env fe syn_args vargs loc =
   match fe.Parsetree.pexp_desc with
   | Pexp_ident lid -> (
-      let segs = Rmodel.flatten lid.txt in
+      let segs = Model.flatten lid.txt in
       match resolve ctx file env segs with
       | T_local v -> apply_value ~loc ctx file env v vargs
       | T_binding (path, name) -> apply_fnref ctx path name vargs
@@ -864,7 +865,8 @@ and eval_call ctx file env fe syn_args vargs loc =
                "trusted runtime: %s mutates only its own internal state"
                p);
           Pure
-      | T_modcall r -> module_call ctx ~path:(String.concat "." segs) r vargs
+      | T_modcall r ->
+          module_call ctx file ~path:(String.concat "." segs) r vargs
       | T_unknown p ->
           obligation ctx (Printf.sprintf "unresolved call to %s" p);
           obj
@@ -932,10 +934,10 @@ and apply_value ?(loc = Location.none) ctx file env f args =
            (roots_of v) args)
 
 and apply_fnref ctx path name args =
-  match Rmodel.file ctx.model path with
+  match Model.file ctx.model path with
   | None -> unknown
   | Some f -> (
-      match Rmodel.lookup_binding f name with
+      match Model.lookup_binding f name with
       | None -> unknown
       | Some expr -> (
           let prefix_env =
@@ -987,13 +989,13 @@ and apply_fnref ctx path name args =
               if args = [] then v
               else
                 let file' =
-                  Option.value (Rmodel.file ctx.model path) ~default:f
+                  Option.value (Model.file ctx.model path) ~default:f
                 in
                 apply_value ctx file' [] v args))
 
 and apply_closure ctx (c : closure) args =
   let file =
-    match Rmodel.file ctx.model c.cl_file with
+    match Model.file ctx.model c.cl_file with
     | Some f -> f
     | None ->
         (* Closures always come from a scanned file; a miss means the
@@ -1239,7 +1241,7 @@ and contract_call ctx file env name (ct : Contracts.t) syn_args vargs loc =
    captures, and returns a value rooted in all of them plus fresh
    allocations.  Justified by the lint-certified absence of top-level
    mutable state: a module function has nothing else to reach. *)
-and module_call ctx ~path r vargs =
+and module_call ctx file ~path r vargs =
   premise ctx
     "module contract: module functions write state reachable from their \
      positional arguments and creation captures; labelled arguments are \
@@ -1261,12 +1263,7 @@ and module_call ctx ~path r vargs =
       match force v with
       | Clo _ | Fnref _ ->
           ignore
-            (apply_value ctx
-               (match Rmodel.file ctx.model "" with
-               | Some f -> f
-               | None -> Obj.magic ())
-               [] v
-               [ (Asttypes.Nolabel, obj touched) ])
+            (apply_value ctx file [] v [ (Asttypes.Nolabel, obj touched) ])
       | _ -> ())
     vargs;
   Obj { o_roots = union_roots [ Effects.Fresh ] touched; o_app = true }
@@ -1285,8 +1282,8 @@ and pool_call ctx file env fn vargs loc =
     | Clo c -> add_flow ctx ~loc ~kind c
     | Fnref (path, name) -> (
         match
-          Option.bind (Rmodel.file ctx.model path) (fun fl ->
-              Rmodel.lookup_binding fl name)
+          Option.bind (Model.file ctx.model path) (fun fl ->
+              Model.lookup_binding fl name)
         with
         | Some e ->
             add_flow ctx ~loc ~kind
@@ -1369,12 +1366,12 @@ and add_flow ctx ~loc ~kind (c : closure) =
    must surface as [Unknown], not vanish. *)
 let scan_sites model ctx =
   Hashtbl.iter
-    (fun _ (f : Rmodel.file) ->
+    (fun _ (f : Model.file) ->
       let context = ref "" in
       let expr_iter (it : Ast_iterator.iterator) (e : Parsetree.expression) =
         (match e.pexp_desc with
         | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, _) -> (
-            let segs = Rmodel.flatten lid.txt in
+            let segs = Model.flatten lid.txt in
             let segs =
               match segs with
               | head :: rest -> (
@@ -1416,7 +1413,7 @@ let scan_sites model ctx =
           | Some e -> iter.expr iter e
           | None -> ())
         f.f_order)
-    model.Rmodel.files
+    model.Model.files
 
 (* ------------------------------------------------------------------ *)
 (* Driving: entries, then the flow queue                               *)
@@ -1435,7 +1432,7 @@ type result = {
 
 let entry_files model =
   Hashtbl.fold
-    (fun path (f : Rmodel.file) acc ->
+    (fun path (f : Model.file) acc ->
       let src = try Scvad_lint.Source.read_file path with Sys_error _ -> "" in
       let mentions needle =
         let nl = String.length needle and sl = String.length src in
@@ -1445,8 +1442,8 @@ let entry_files model =
         go 0
       in
       if mentions "Pool." then f :: acc else acc)
-    model.Rmodel.files []
-  |> List.sort (fun (a : Rmodel.file) b -> compare a.f_path b.f_path)
+    model.Model.files []
+  |> List.sort (fun (a : Model.file) b -> compare a.f_path b.f_path)
 
 (* Apply an entry function to opaque, externally-rooted arguments. *)
 let entry_args (e : Parsetree.expression) =
@@ -1521,7 +1518,7 @@ let run model =
   in
   scan_sites model ctx;
   List.iter
-    (fun (f : Rmodel.file) ->
+    (fun (f : Model.file) ->
       List.iter
         (fun name ->
           match Hashtbl.find_opt f.f_bindings name with
