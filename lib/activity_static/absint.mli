@@ -35,6 +35,18 @@ type feffect = Untouched | Killed | Mayread
 
 val feffect_name : feffect -> string
 
+(** Integers affine in symbols: [Affine (base, [(id, coeff); …])] is
+    base + Σ coeff·symbol, terms sorted by id with no zero coefficient.
+    The symbols are loop counters here and the shard index in the race
+    pass. *)
+type iexpr = Const of int | Affine of int * (int * int) list | Iunknown
+
+val iadd : iexpr -> iexpr -> iexpr
+val isub : iexpr -> iexpr -> iexpr
+
+(** [Iunknown] unless one side is constant. *)
+val imul : iexpr -> iexpr -> iexpr
+
 (** base + Σ coeff·v, each v ranging over an inclusive [lo, hi]. *)
 type site = { s_base : int; s_terms : (int * int * int) list }
 

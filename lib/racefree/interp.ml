@@ -10,7 +10,8 @@
    environment included — that flowed there.  Each captured closure is
    then re-analyzed as a {e shard}: captured state is re-rooted as
    external ([Ext]), its argument becomes the shard datum ([Shard]) or
-   the shard index (affine [Idx]), and its evaluation yields the
+   the shard index (an affine symbol, {!shard}), and its evaluation
+   yields the
    mutable-state footprint the verdicts are computed from.
 
    Everything the interpreter cannot establish becomes an obligation,
@@ -22,6 +23,7 @@
 module Effects = Effects
 module Verdict = Verdict
 module Model = Scvad_activity.Model
+module Absint = Scvad_activity.Absint
 
 (* ------------------------------------------------------------------ *)
 (* Abstract values                                                     *)
@@ -31,9 +33,9 @@ type roots = Effects.root list
 
 type value =
   | Pure  (** immediate value with no provenance *)
-  | Idx of { scale : int; offset : int }
-      (** integer affine in the shard index (and plain int constants,
-          with [scale = 0]) *)
+  | Int of Absint.iexpr
+      (** integer affine in the shard index, or a constant; never
+          [Iunknown] *)
   | Obj of { o_roots : roots; o_app : bool }
       (** opaque value; [o_app] marks values read off a rooted object,
           applicable under the accessor contract *)
@@ -58,6 +60,10 @@ and closure = {
 }
 
 let obj r = Obj { o_roots = r; o_app = false }
+
+(* The shard index's symbol: a [Pool.init] shard's argument is
+   [Affine (0, [ (shard, 1) ])]. *)
+let shard = 0
 let unknown = obj []
 
 let union_roots a b =
@@ -111,7 +117,7 @@ let env_entry_live free n =
   | _ -> Hashtbl.mem free n
 
 let rec roots_of = function
-  | Pure | Idx _ | Fnref _ | Prim _ | Poolfn _ | ModAlias _ -> []
+  | Pure | Int _ | Fnref _ | Prim _ | Poolfn _ | ModAlias _ -> []
   | Obj o -> o.o_roots
   | Mod r -> r
   | Rec r ->
@@ -144,7 +150,7 @@ and force' = function VRef _ -> unknown | v -> force v
 let rec join a b =
   match (force a, force b) with
   | Pure, v | v, Pure -> v
-  | Idx a, Idx b when a.scale = b.scale && a.offset = b.offset -> Idx a
+  | Int a, Int b when a = b -> Int a
   | (Obj { o_roots = r; o_app } as o), v | v, (Obj { o_roots = r; o_app } as o)
     -> (
       match v with
@@ -206,7 +212,7 @@ let elem_of v =
 let rec reroot ~who v =
   match v with
   | Pure -> Pure
-  | Idx _ -> Pure
+  | Int _ -> Pure
   | Obj o ->
       Obj { o with o_roots = List.map (reroot_root ~who) o.o_roots }
   | Mod r -> Mod (List.map (reroot_root ~who) r)
@@ -285,7 +291,7 @@ let premise ctx msg =
    nothing are not worth storing. *)
 let heap_store ctx target ~field v =
   match force v with
-  | Pure | Idx _ -> ()
+  | Pure | Int _ -> ()
   | v ->
       List.iter
         (fun root ->
@@ -495,7 +501,7 @@ let rec eval ctx (file : Model.file) env (e : Parsetree.expression) : value =
     | Pexp_ident lid -> eval_ident ctx file env (Model.flatten lid.txt)
     | Pexp_constant (Pconst_integer (s, _)) -> (
         match int_of_string_opt s with
-        | Some n -> Idx { scale = 0; offset = n }
+        | Some n -> Int (Absint.Const n)
         | None -> Pure)
     | Pexp_constant _ -> Pure
     | Pexp_let (rf, vbs, body) ->
@@ -917,7 +923,7 @@ and apply_value ?(loc = Location.none) ctx file env f args =
         | Coll _ -> "collection"
         | Rec _ -> "record"
         | Pure -> "immediate"
-        | Idx _ -> "integer"
+        | Int _ -> "integer"
         | _ -> "opaque"
       in
       let where =
@@ -1104,20 +1110,16 @@ and consume ctx file env (e : Parsetree.expression) pending (orig : closure) =
    an affine region when the index argument is index-affine), re-enter
    [Applied] closures, and shape the result. *)
 and contract_call ctx file env name (ct : Contracts.t) syn_args vargs loc =
-  (* Index-affine arithmetic keeps [Idx] flowing through address
+  (* Index-affine arithmetic keeps [Int] flowing through address
      computations like [2 * i + 1]. *)
   let arith () =
+    let int = function Absint.Iunknown -> None | ie -> Some (Int ie) in
     match (name, List.map (fun (_, v) -> force v) vargs) with
-    | "+", [ Idx a; Idx b ] ->
-        Some (Idx { scale = a.scale + b.scale; offset = a.offset + b.offset })
-    | "-", [ Idx a; Idx b ] ->
-        Some (Idx { scale = a.scale - b.scale; offset = a.offset - b.offset })
-    | "*", [ Idx { scale = 0; offset = k }; Idx b ] ->
-        Some (Idx { scale = k * b.scale; offset = k * b.offset })
-    | "*", [ Idx a; Idx { scale = 0; offset = k } ] ->
-        Some (Idx { scale = k * a.scale; offset = k * a.offset })
-    | "succ", [ Idx a ] -> Some (Idx { a with offset = a.offset + 1 })
-    | "pred", [ Idx a ] -> Some (Idx { a with offset = a.offset - 1 })
+    | "+", [ Int a; Int b ] -> int (Absint.iadd a b)
+    | "-", [ Int a; Int b ] -> int (Absint.isub a b)
+    | "*", [ Int a; Int b ] -> int (Absint.imul a b)
+    | "succ", [ Int a ] -> int (Absint.iadd a (Absint.Const 1))
+    | "pred", [ Int a ] -> int (Absint.isub a (Absint.Const 1))
     | _ -> None
   in
   match arith () with
@@ -1143,7 +1145,9 @@ and contract_call ctx file env name (ct : Contracts.t) syn_args vargs loc =
           | Contracts.Written_at j ->
               let region =
                 match Option.map force (nth_value j) with
-                | Some (Idx { scale; offset }) ->
+                | Some (Int (Absint.Const offset)) ->
+                    Effects.Affine { scale = 0; offset }
+                | Some (Int (Absint.Affine (offset, [ (_, scale) ]))) ->
                     Effects.Affine { scale; offset }
                 | _ -> Effects.All
               in
@@ -1482,7 +1486,7 @@ let analyze_flow ctx (fl : flow_item) =
   let arg =
     match fl.q_kind with
     | Verdict.Map -> Obj { o_roots = [ Effects.Shard ]; o_app = false }
-    | Verdict.Init -> Idx { scale = 1; offset = 0 }
+    | Verdict.Init -> Int (Absint.Affine (0, [ (shard, 1) ]))
   in
   (try ignore (apply_closure ctx c [ (Asttypes.Nolabel, arg) ])
    with Not_found | Stack_overflow ->
