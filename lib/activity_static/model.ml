@@ -560,12 +560,7 @@ let ml_files_under ~exclude root =
              || List.mem d exclude
              || d.[0] = '_' || d.[0] = '.'
            then []
-           else
-             Sys.readdir dir |> Array.to_list |> List.sort String.compare
-             |> List.filter_map (fun fn ->
-                    if Filename.check_suffix fn ".ml" then
-                      Some (Filename.concat dir fn)
-                    else None))
+           else Source.ml_files dir)
 
 (* The forest under [root]; files that do not parse come back as
    findings. *)

@@ -54,7 +54,3 @@ let decide (regions : Effects.region list) : outcome =
             (Printf.sprintf
                "offsets span %d >= stride %d: lanes of adjacent shards overlap"
                (hi - lo) (abs s0))
-
-(* Half-open interval overlap — the dynamic sanitizer's question, kept
-   here so both halves of the certification share one definition. *)
-let intervals_overlap ~a_lo ~a_hi ~b_lo ~b_hi = a_lo < b_hi && b_lo < a_hi

@@ -46,10 +46,6 @@ type write = {
 
 let write_site w = Printf.sprintf "%s:%d" w.wr_file w.wr_line
 
-let write_to_text w =
-  Printf.sprintf "%s:%d: %s -> %s [%s]" w.wr_file w.wr_line w.wr_what
-    (root_name w.wr_root) (region_name w.wr_region)
-
 (* What one closure does, as far as the interpreter could see.  An
    obligation is a fact the analysis needed and could not establish —
    an unresolvable call, an exhausted budget, a value it lost track
@@ -63,8 +59,6 @@ type summary = {
           accessor contract, trusted pool/sanitizer primitives) *)
 }
 
-let empty = { sm_writes = []; sm_obligations = []; sm_premises = [] }
-
 let dedup_strings l = List.sort_uniq String.compare l
 
 let dedup_writes ws =
@@ -74,13 +68,6 @@ let dedup_writes ws =
         (a.wr_root, a.wr_region, a.wr_file, a.wr_line, a.wr_what)
         (b.wr_root, b.wr_region, b.wr_file, b.wr_line, b.wr_what))
     ws
-
-let merge a b =
-  {
-    sm_writes = dedup_writes (a.sm_writes @ b.sm_writes);
-    sm_obligations = dedup_strings (a.sm_obligations @ b.sm_obligations);
-    sm_premises = dedup_strings (a.sm_premises @ b.sm_premises);
-  }
 
 let ext_writes s =
   List.filter (fun w -> match w.wr_root with Ext _ -> true | _ -> false)

@@ -136,10 +136,12 @@ let rec roots_of = function
             else acc)
           [] c.cl_env
       in
-      List.fold_left
-        (fun acc (_, v) -> union_roots acc (roots_of v))
-        acc c.cl_pending
+      union_roots acc (args_roots c.cl_pending)
   | VRef r -> ( match !r with VRef _ -> [] | v -> roots_of v)
+
+(* The roots of a call's arguments. *)
+and args_roots args =
+  List.fold_left (fun acc (_, v) -> union_roots acc (roots_of v)) [] args
 
 let rec force = function VRef r -> force' !r | v -> v
 and force' = function VRef _ -> unknown | v -> force v
@@ -490,6 +492,23 @@ let elem_results =
 
 let max_via_depth = 4
 
+(* The first pending argument whose label satisfies [p], and the others
+   in order. *)
+let take_arg p pending =
+  let rec go acc = function
+    | [] -> None
+    | (l, v) :: rest when p l -> Some (v, List.rev_append acc rest)
+    | x :: rest -> go (x :: acc) rest
+  in
+  go [] pending
+
+(* The environment of a nested module's binding: its bare names resolve
+   to siblings first (see [resolve_path]). *)
+let prefix_env name =
+  match String.rindex_opt name '.' with
+  | Some i -> [ ("#prefix", Prim (String.sub name 0 (i + 1), pure_contract)) ]
+  | None -> []
+
 let rec eval ctx (file : Model.file) env (e : Parsetree.expression) : value =
   if ctx.fuel <= 0 then unknown
   else begin
@@ -785,14 +804,7 @@ and force_binding ctx path name =
           if List.mem_assoc key ctx.visiting then unknown
           else begin
             ctx.visiting <- (key, []) :: ctx.visiting;
-            let prefix_env =
-              match String.rindex_opt name '.' with
-              | Some i ->
-                  [ ("#prefix",
-                     Prim (String.sub name 0 (i + 1), pure_contract)) ]
-              | None -> []
-            in
-            let v = eval ctx f prefix_env e in
+            let v = eval ctx f (prefix_env name) e in
             ctx.visiting <- List.remove_assoc key ctx.visiting;
             v
           end)
@@ -875,10 +887,7 @@ and eval_call ctx file env fe syn_args vargs loc =
           module_call ctx file ~path:(String.concat "." segs) r vargs
       | T_unknown p ->
           obligation ctx (Printf.sprintf "unresolved call to %s" p);
-          obj
-            (List.fold_left
-               (fun acc (_, v) -> union_roots acc (roots_of v))
-               [] vargs))
+          obj (args_roots vargs))
   | _ ->
       let f = eval ctx file env fe in
       apply_value ~loc ctx file env f vargs
@@ -946,21 +955,10 @@ and apply_fnref ctx path name args =
       match Model.lookup_binding f name with
       | None -> unknown
       | Some expr -> (
-          let prefix_env =
-            match String.rindex_opt name '.' with
-            | Some i ->
-                [ ("#prefix",
-                   Prim (String.sub name 0 (i + 1), pure_contract)) ]
-            | None -> []
-          in
           match expr.pexp_desc with
           | Pexp_fun _ | Pexp_function _ ->
               let key = path ^ "#" ^ name in
-              let arg_roots =
-                List.fold_left
-                  (fun acc (_, v) -> union_roots acc (roots_of v))
-                  [] args
-              in
+              let arg_roots = args_roots args in
               (match List.assoc_opt key ctx.visiting with
               | Some seen ->
                   if
@@ -982,7 +980,7 @@ and apply_fnref ctx path name args =
                       {
                         cl_file = path;
                         cl_ctx = name;
-                        cl_env = prefix_env;
+                        cl_env = prefix_env name;
                         cl_expr = expr;
                         cl_pending = [];
                       }
@@ -1016,10 +1014,7 @@ and apply_closure ctx (c : closure) args =
   if List.mem_assoc key ctx.visiting then
     (* Reentrant application of the same closure: the outer activation
        already collects the body's writes. *)
-    obj
-      (List.fold_left
-         (fun acc (_, v) -> union_roots acc (roots_of v))
-         [] args)
+    obj (args_roots args)
   else begin
     ctx.visiting <- (key, []) :: ctx.visiting;
     let v = consume ctx file c.cl_env c.cl_expr (c.cl_pending @ args) c in
@@ -1035,24 +1030,11 @@ and consume ctx file env (e : Parsetree.expression) pending (orig : closure) =
   | Pexp_newtype (_, body) -> consume ctx file env body pending orig
   | Pexp_fun (lbl, default, pat, body) -> (
       let take_label name =
-        let rec go acc = function
-          | [] -> None
-          | (l, v) :: rest
-            when l = Asttypes.Labelled name || l = Asttypes.Optional name ->
-              Some (v, List.rev_append acc rest)
-          | x :: rest -> go (x :: acc) rest
-        in
-        go [] pending
+        take_arg
+          (fun l -> l = Asttypes.Labelled name || l = Asttypes.Optional name)
+          pending
       in
-      let take_positional () =
-        let rec go acc = function
-          | [] -> None
-          | (Asttypes.Nolabel, v) :: rest ->
-              Some (v, List.rev_append acc rest)
-          | x :: rest -> go (x :: acc) rest
-        in
-        go [] pending
-      in
+      let take_positional () = take_arg (( = ) Asttypes.Nolabel) pending in
       match lbl with
       | Asttypes.Optional name -> (
           match take_label name with
@@ -1092,12 +1074,7 @@ and consume ctx file env (e : Parsetree.expression) pending (orig : closure) =
                 { orig with cl_env = env; cl_expr = e; cl_pending = pending }
           ))
   | Pexp_function cases -> (
-      let rec take acc = function
-        | [] -> None
-        | (Asttypes.Nolabel, v) :: rest -> Some (v, List.rev_append acc rest)
-        | x :: rest -> take (x :: acc) rest
-      in
-      match take [] pending with
+      match take_arg (( = ) Asttypes.Nolabel) pending with
       | None -> Clo { orig with cl_env = env; cl_expr = e; cl_pending = pending }
       | Some (v, rest) ->
           let r = eval_cases ctx file env v cases in
@@ -1204,11 +1181,7 @@ and contract_call ctx file env name (ct : Contracts.t) syn_args vargs loc =
             | _ -> None)
           (List.mapi (fun i a -> (i, a)) vargs)
       in
-      let arg_roots =
-        List.fold_left
-          (fun acc (_, v) -> union_roots acc (roots_of v))
-          [] vargs
-      in
+      let arg_roots = args_roots vargs in
       let base =
         match ct.Contracts.c_result with
         | Contracts.R_pure -> Pure
