@@ -83,10 +83,7 @@ val line_of : Location.t -> int
 (** Name bound by a simple [Ppat_var] (possibly constrained) pattern. *)
 val binding_name_of : Parsetree.pattern -> string option
 
-(** Collect one parsed implementation. *)
-val collect_file : path:string -> Parsetree.structure -> file
-
-(** [kernel (collect_file ~path:file items)]. *)
+(** The kernel facts of one parsed implementation. *)
 val of_structure : file:string -> Parsetree.structure -> t
 
 (** [load ~exclude root] parses every [root/<dir>/*.ml], skipping the

@@ -124,7 +124,8 @@ let test_nested_never_batches () =
     with_pool4 (fun pool ->
         Sanitize.arm ();
         Fun.protect
-          ~finally:(fun () -> if Sanitize.armed () then ignore (Sanitize.disarm ()))
+          ~finally:(fun () ->
+            if Sanitize.armed () then ignore (Sanitize.disarm ()))
           (fun () ->
             for _ = 1 to outer do
               ignore

@@ -172,10 +172,9 @@ let test_is_degenerate () =
 let seed_masks (module A : Scvad_core.App.S) =
   (* Presized to the cost pass's exact prediction so the reference
      never doubles a large recording. *)
+  let predicted = Scvad_cost.Predict.predict (module A) in
   let tape =
-    Seed_tape.create
-      ~capacity:(Scvad_cost.Predict.predict (module A)).Scvad_cost.Predict.p_total
-      ()
+    Seed_tape.create ~capacity:predicted.Scvad_cost.Predict.p_total ()
   in
   let module S = Seed_reverse.Scalar_of (struct
     let tape = tape
