@@ -311,7 +311,6 @@ let heap_read ctx target ~field base =
       | None -> acc)
     base (roots_of target)
 
-let line_of_loc (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
 let file_of_loc (loc : Location.t) = loc.loc_start.Lexing.pos_fname
 
 let record_write ctx ~loc ~region ~what target =
@@ -331,7 +330,7 @@ let record_write ctx ~loc ~region ~what target =
               Effects.wr_root = root;
               wr_region = region;
               wr_file = file_of_loc loc;
-              wr_line = line_of_loc loc;
+              wr_line = Model.line_of loc;
               wr_what = what;
             }
             :: ctx.writes)
@@ -938,7 +937,7 @@ and apply_value ?(loc = Location.none) ctx file env f args =
       let where =
         if loc = Location.none then ctx.via
         else Printf.sprintf "%s (%s:%d)" ctx.via (file_of_loc loc)
-            (line_of_loc loc)
+            (Model.line_of loc)
       in
       obligation ctx
         (Printf.sprintf "call through an untracked %s value in %s" shape
@@ -1305,7 +1304,7 @@ and pool_call ctx file env fn vargs loc =
   | _ -> Pure
 
 and add_flow ctx ~loc ~kind (c : closure) =
-  let sfile = file_of_loc loc and sline = line_of_loc loc in
+  let sfile = file_of_loc loc and sline = Model.line_of loc in
   let key = Printf.sprintf "%s:%d" sfile sline in
   let site =
     match Hashtbl.find_opt ctx.sites key with
@@ -1366,13 +1365,13 @@ let scan_sites model ctx =
                 in
                 let key =
                   Printf.sprintf "%s:%d" (file_of_loc e.pexp_loc)
-                    (line_of_loc e.pexp_loc)
+                    (Model.line_of e.pexp_loc)
                 in
                 if not (Hashtbl.mem ctx.sites key) then begin
                   Hashtbl.replace ctx.sites key
                     {
                       Verdict.st_file = file_of_loc e.pexp_loc;
-                      st_line = line_of_loc e.pexp_loc;
+                      st_line = Model.line_of e.pexp_loc;
                       st_kind = kind;
                       st_context = !context;
                     };
