@@ -7,6 +7,9 @@
      grow-by-doubling tape with a dense backward scan.  The engine's
      push is timed twice: into fresh storage, and into slabs a released
      tape left in the domain's pool.
+   - A sparse backward over a 5M-node tape whose accumulator exceeds
+     glibc's mmap threshold: the sweep's growth of [VmRSS] against the
+     share of the accumulator the sweep reaches.
    - A 1M-node product/sum chain recorded through the operator front
      end ([Reverse.Scalar_of]) into recycled slabs: seconds and heap
      words ([Gc.minor_words]) per node.
@@ -20,7 +23,8 @@
 
    Every time is the best of five runs.  Takes no arguments and prints
    one JSON object on stdout; ["correct"] is false when the two tapes
-   disagree on an adjoint, when recording through [Reverse] allocates
+   disagree on an adjoint, when the sparse sweep grows [VmRSS] past its
+   touched share plus slack, when recording through [Reverse] allocates
    more than 3 heap words per node, when an FT float iteration allocates
    more than 8 heap words per grid cell, when the jobs=N masks differ
    from jobs=1, or when the static walk spends more than its step
@@ -112,6 +116,55 @@ let backward_pair ~on_spine =
   Printf.sprintf
     "{\"seed_s\": %.6g, \"chunked_s\": %.6g, \"nodes\": %d, \"visited_nodes\": %d}"
     seed_s chunked_s nodes visited
+
+(* A sparse backward over a tape whose adjoint accumulator (8 B per
+   node, 40 MB here) is past glibc's 32 MB mmap threshold, so it starts
+   as fresh pages that cost nothing until written.  The output depends
+   on the input and on a chain of [rss_cone] nodes at the top of the
+   tape; everything below is dead fan-out.  A sweep that writes only the
+   entries it reaches makes resident the chain's pages, the input's
+   page and the bitmap (1 bit per node); a zero-filled accumulator would
+   add all 40 MB.  The ceiling is that touched share plus 4 MB of slack
+   for the allocator and the GC. *)
+let rss_nodes = 5 lsl 20
+let rss_cone = 1 lsl 16
+
+let vm_rss_mb () =
+  let ic = open_in "/proc/self/status" in
+  let rec find () =
+    match input_line ic with
+    | line when String.starts_with ~prefix:"VmRSS:" line ->
+        Scanf.sscanf line "VmRSS: %d kB" (fun kb -> float_of_int kb /. 1024.)
+    | _ -> find ()
+    | exception End_of_file -> nan
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) find
+
+let sparse_rss () =
+  let t = Tape.create () in
+  let v = Tape.fresh_var t in
+  for _ = 2 to rss_nodes - rss_cone do
+    ignore (Tape.push2 t v 1. v 1.)
+  done;
+  let last = ref v in
+  for _ = 1 to rss_cone do
+    last := Tape.push2 t !last 1. v 1.
+  done;
+  let before = vm_rss_mb () in
+  let g = Tape.backward t ~output:!last in
+  let delta = vm_rss_mb () -. before in
+  let mb n = float_of_int n /. float_of_int (1 lsl 20) in
+  let ceiling = mb ((8 * (rss_cone + 1)) + (rss_nodes / 8)) +. 4. in
+  (* Every chain node passes 1 to the input, and the first one 1 more. *)
+  if
+    (not (Float.equal (Tape.adjoint g v) (float_of_int (rss_cone + 1))))
+    || Float.is_nan delta || delta > ceiling
+  then correct := false;
+  Tape.release t;
+  Printf.sprintf
+    "{\"nodes\": %d, \"cone_nodes\": %d, \"accumulator_mb\": %.1f, \
+     \"rss_delta_mb\": %.2f, \"ceiling_mb\": %.2f}"
+    rss_nodes rss_cone (mb (8 * rss_nodes)) delta ceiling
 
 (* Recording through [Reverse]: node i+1 multiplies node i by the input
    and node i+2 adds the input back.  Each node should cost its own
@@ -237,6 +290,7 @@ let () =
   let push = push_pair () in
   let dense = backward_pair ~on_spine:all_active in
   let sparse = backward_pair ~on_spine:(fun i -> i mod 64 = 0) in
+  let rss = sparse_rss () in
   let record = reverse_record () in
   let ft = ft_float_step () in
   let suite = suite_pair jobs in
@@ -246,9 +300,10 @@ let () =
     \ \"tape_push_1M\": %s,\n\
     \ \"tape_backward_1M\": %s,\n\
     \ \"tape_backward_1M_sparse\": %s,\n\
+    \ \"tape_backward_sparse_rss\": %s,\n\
     \ \"reverse_record_1M\": %s,\n\
     \ \"ft_float_step\": %s,\n\
     \ \"analyze_suite\": %s,\n\
     \ \"static_walk\": %s}\n"
     (Scvad_par.Pool.hardware_threads ())
-    !correct push dense sparse record ft suite walk
+    !correct push dense sparse rss record ft suite walk

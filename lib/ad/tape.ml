@@ -39,12 +39,12 @@ type slab = {
 
 (* Cached backward-sweep state: the adjoint accumulator plus the
    frontier bitmap (one bit per node, set the moment the node's adjoint
-   receives any contribution).  Both survive across sweeps on the same
-   tape so that a later sweep clears only the entries the previous one
-   touched instead of zero-filling the whole accumulator (~8 bytes per
-   node — ~196 MB for a class-S FT tape, per probed output).
-   Invariant between sweeps: every nonzero entry of [f_adj] has its bit
-   set in [f_bits]. *)
+   receives its first contribution).  Both survive across sweeps on the
+   same tape.  Invariant: an entry of [f_adj] is defined only when its
+   bit is set in [f_bits]; a clear bit reads as adjoint 0.  So a sweep
+   never zero-fills the accumulator: it clears the bitmap and writes
+   each entry first as [0. +. c], and the pages of entries no sweep
+   touches are never written. *)
 type frontier = { f_adj : f64; f_bits : Bytes.t }
 
 let alloc_i32 n : i32 = Bigarray.(Array1.create int32 c_layout n)
@@ -127,43 +127,15 @@ let[@inline] set_bit bits i =
 let[@inline] bit_set bits i =
   Char.code (Bytes.unsafe_get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-(* Restore the invariant "accumulator is all zero, bitmap is all
-   clear" by walking the bitmap: only previously-touched entries are
-   written, so the cost is O(touched + bits/64), not O(nodes). *)
-let reset_frontier fr =
-  let bits = fr.f_bits and adj = fr.f_adj in
-  let adim = Bigarray.Array1.dim adj in
-  let nbytes = Bytes.length bits in
-  let b = ref 0 in
-  while !b < nbytes do
-    if !b + 8 <= nbytes && Bytes.get_int64_ne bits !b = 0L then b := !b + 8
-    else begin
-      if Bytes.unsafe_get bits !b <> '\000' then begin
-        (* Zero all 8 slots unconditionally: re-zeroing an untouched
-           neighbor is free, and the branchless run vectorizes. *)
-        let base = !b lsl 3 in
-        let last = Stdlib.min (base + 7) (adim - 1) in
-        for i = base to last do
-          Bigarray.Array1.unsafe_set adj i 0.
-        done
-      end;
-      incr b
-    end
-  done;
-  Bytes.fill bits 0 nbytes '\000'
-
-(* A zeroed accumulator + clear bitmap covering ids [0, dim): reuse the
-   cached one when large enough (clearing only what the previous sweep
-   touched), else allocate fresh. *)
+(* A cleared bitmap covering ids [0, dim) over an accumulator at least
+   that long: the cached one when large enough, else a fresh one whose
+   entries stay unwritten until the sweep defines them. *)
 let obtain_frontier cached ~dim =
   match cached with
   | Some fr when Bigarray.Array1.dim fr.f_adj >= dim ->
-      reset_frontier fr;
+      Bytes.fill fr.f_bits 0 (Bytes.length fr.f_bits) '\000';
       fr
-  | _ ->
-      let adj = alloc_f64 dim in
-      Bigarray.Array1.fill adj 0.;
-      { f_adj = adj; f_bits = Bytes.make ((dim + 7) lsr 3) '\000' }
+  | _ -> { f_adj = alloc_f64 dim; f_bits = Bytes.make ((dim + 7) lsr 3) '\000' }
 
 (* Any touched node in id range [lo, hi]?  Byte-granular, so shared
    boundary bytes make it conservative (may answer [true] for a range
@@ -179,6 +151,19 @@ let range_live bits ~lo ~hi =
     else incr b
   done;
   !live
+
+(* Add [c] to the adjoint of node [p].  The first contribution sets the
+   bit and writes [0. +. c], exactly the sum a zeroed entry would hold
+   (so [-0.] still lands as [+0.]); later ones accumulate as before. *)
+let[@inline] contribute (adj : f64) bits p c =
+  let byte = p lsr 3 and m = 1 lsl (p land 7) in
+  let b = Char.code (Bytes.unsafe_get bits byte) in
+  if b land m <> 0 then
+    Bigarray.Array1.unsafe_set adj p (Bigarray.Array1.unsafe_get adj p +. c)
+  else begin
+    Bigarray.Array1.unsafe_set adj p (0. +. c);
+    Bytes.unsafe_set bits byte (Char.unsafe_chr (b lor m))
+  end
 
 (* Sequential frontier scan of ids [hi] downto [lo]: inspect only
    touched nodes, propagate only nonzero ones.  [get_slab k] must
@@ -215,19 +200,11 @@ let frontier_scan ~get_slab ~sn ~(adj : f64) ~bits ~hi ~lo =
             let sl = !s in
             let j = ip - sl.base in
             let l = Int32.to_int (Bigarray.Array1.unsafe_get sl.lhs j) in
-            if l >= 0 then begin
-              Bigarray.Array1.unsafe_set adj l
-                (Bigarray.Array1.unsafe_get adj l
-                +. (a *. Bigarray.Array1.unsafe_get sl.dlhs j));
-              set_bit bits l
-            end;
+            if l >= 0 then
+              contribute adj bits l (a *. Bigarray.Array1.unsafe_get sl.dlhs j);
             let r = Int32.to_int (Bigarray.Array1.unsafe_get sl.rhs j) in
-            if r >= 0 then begin
-              Bigarray.Array1.unsafe_set adj r
-                (Bigarray.Array1.unsafe_get adj r
-                +. (a *. Bigarray.Array1.unsafe_get sl.drhs j));
-              set_bit bits r
-            end
+            if r >= 0 then
+              contribute adj bits r (a *. Bigarray.Array1.unsafe_get sl.drhs j)
           end
         end;
         i := ip - 1
@@ -244,12 +221,15 @@ module Segmented = struct
   type schedule = Binomial
 end
 
-(* Adjoint accumulator produced by a backward sweep. *)
-type adjoints = { adj : f64; upto : int }
+(* Adjoint accumulator produced by a backward sweep, with the bitmap
+   that says which of its entries the sweep defined. *)
+type adjoints = { adj : f64; bits : Bytes.t; upto : int }
 
 (* Adjoint of a node; nodes above the output (or constants, id = -1)
-   cannot influence it, so their adjoint is 0. *)
-let adjoint g id = if id < 0 || id > g.upto then 0. else g.adj.{id}
+   cannot influence it, and a node the sweep never reached received no
+   contribution, so their adjoint is 0. *)
+let adjoint g id =
+  if id < 0 || id > g.upto || not (bit_set g.bits id) then 0. else g.adj.{id}
 
 (* Recording under a budget keeps only a trailing window of at most
    [budget_slabs] materialized slabs; older slabs go to the tape's
@@ -269,11 +249,12 @@ let adjoint g id = if id < 0 || id > g.upto then 0. else g.adj.{id}
    parentless: the budgeted sweep skips them (a leaf receives adjoint
    but propagates nothing), which is enforced at push time.
 
-   The adjoint accumulator itself stays dense (8 bytes per node up to
-   the output): adjoint edges cross segment boundaries, so it cannot be
-   windowed without a second level of checkpointing.  The memory budget
-   bounds tape *node storage* (24 bytes per slot); callers size budgets
-   accordingly.
+   The adjoint accumulator itself spans every id up to the output:
+   adjoint edges cross segment boundaries, so it cannot be windowed
+   without a second level of checkpointing.  Only the entries the sweep
+   touches are written (see [frontier]), so its resident share follows
+   the adjoint cone, not the tape.  The memory budget bounds tape *node
+   storage* (24 bytes per slot); callers size budgets accordingly.
 
    Push keeps the dense cost — one compare against [cur_end], four
    stores, one increment — because every exceptional case takes the
@@ -769,7 +750,7 @@ let backward t ~output =
   in
   t.last <-
     Some { Tape_intf.visited_nodes = visited; swept_nodes = output + 1 };
-  { adj; upto = output }
+  { adj; bits; upto = output }
 
 (* Set of nodes the output depends on, as a bitset. *)
 type reach = { reached : Bytes.t; reach_upto : int }

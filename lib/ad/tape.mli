@@ -75,8 +75,9 @@ type t
     exceeded: a push that finds it full with nothing discardable (the
     prelude, or a tape without {!set_program}) raises
     {!Tape_intf.Budget_too_small}.  The adjoint accumulator of a
-    backward sweep is dense regardless — adjoint edges cross segment
-    boundaries — and costs 8 bytes per node up to the output.
+    backward sweep is not windowed — adjoint edges cross segment
+    boundaries — and reserves 8 bytes per node up to the output, but a
+    sweep writes only the entries of the nodes it reaches.
     [snapshot_slots] (default 32, >= 1) bounds the boundary snapshots a
     budgeted tape keeps. *)
 val create :
@@ -122,8 +123,11 @@ type adjoints
 
     The sweep is sparsity-aware: only nodes whose adjoint became nonzero
     are visited, and the result is bitwise identical to a dense
-    descending scan (same nodes inspected in the same order, so the same
-    floating-point additions in the same order).
+    descending scan over a zeroed accumulator (same nodes inspected in
+    the same order, so the same floating-point additions in the same
+    order).  The accumulator is never zero-filled: a bitmap marks the
+    nodes that received a contribution, and {!adjoint} reads 0 for the
+    rest, so the sweep writes only the entries of the nodes it reaches.
 
     The accumulator is cached on the tape across sweeps, so a later
     [backward] invalidates previously returned [adjoints]: read

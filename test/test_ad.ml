@@ -280,6 +280,74 @@ let test_tape_second_backward () =
             "visited <= swept" true
             Scvad_ad.Tape_intf.(st.visited_nodes <= st.swept_nodes)))
 
+(* One recording, pushed node for node onto the engine or the seed
+   tape.  [big] reaches every input; [small] lies above the chain from
+   [u] that [big]'s sweep touches, yet its own cone is only [x] and
+   [z], and [z]'s only contribution to it is [1. *. -0.]. *)
+let record_two_outputs ~var ~push2 =
+  let x = var () in
+  let z = var () in
+  let u = var () in
+  let chain = ref u in
+  for i = 1 to 40 do
+    chain := push2 !chain (1. +. (float_of_int i /. 64.)) x 0.25
+  done;
+  let small = push2 x 1.5 z (-0.) in
+  for i = 1 to 40 do
+    chain := push2 !chain (1. -. (float_of_int i /. 128.)) small 0.5
+  done;
+  let big = push2 small 2. !chain 1. in
+  (z, small, big)
+
+let test_tape_dirty_accumulator () =
+  (* A later sweep from a smaller output reuses the accumulator the
+     larger sweep dirtied.  Every node's adjoint must equal, bit for
+     bit, a fresh tape's and the seed tape's dense scan over a zeroed
+     accumulator; nodes the first sweep touched outside the second cone
+     must read 0, and [z] must read [+0.], not [-0.]. *)
+  let engine () =
+    let t = Tape.create ~capacity_hint:16 () in
+    let ids =
+      record_two_outputs
+        ~var:(fun () -> Tape.fresh_var t)
+        ~push2:(Tape.push2 t)
+    in
+    (t, ids)
+  in
+  let seed = Seed_tape.create () in
+  let _, seed_small, seed_big =
+    record_two_outputs
+      ~var:(fun () -> Seed_tape.fresh_var seed)
+      ~push2:(Seed_tape.push2 seed)
+  in
+  let n = Seed_tape.length seed in
+  let seed_adjoints output =
+    let adj = Seed_tape.backward seed ~output in
+    Array.init n (fun id -> if id <= output then adj.{id} else 0.)
+  in
+  let check what expected got =
+    Array.iteri
+      (fun id e ->
+        let g = got id in
+        if Int64.bits_of_float e <> Int64.bits_of_float g then
+          Alcotest.failf "%s: adjoint of node %d is %h, expected %h" what id
+            g e)
+      expected
+  in
+  let dirty, (z, small, big) = engine () in
+  Alcotest.(check int) "same ids" seed_small small;
+  Alcotest.(check int) "same length" n (Tape.length dirty);
+  check "big" (seed_adjoints seed_big)
+    (Tape.adjoint (Tape.backward dirty ~output:big));
+  let again = Tape.adjoint (Tape.backward dirty ~output:small) in
+  check "small after big" (seed_adjoints seed_small) again;
+  let fresh, _ = engine () in
+  let fresh_adj = Tape.adjoint (Tape.backward fresh ~output:small) in
+  check "small after big vs fresh tape"
+    (Array.init n fresh_adj) again;
+  Alcotest.(check int64) "-0. contribution reads +0." 0L
+    (Int64.bits_of_float (again z))
+
 (* ------------------------------------------------------------------ *)
 (* Forward mode                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -718,7 +786,9 @@ let suites =
         Alcotest.test_case "clear retains and reuses slabs" `Quick
           test_tape_clear_reuses_slabs;
         Alcotest.test_case "two backward sweeps" `Quick
-          test_tape_second_backward ] );
+          test_tape_second_backward;
+        Alcotest.test_case "smaller sweep over a dirty accumulator" `Quick
+          test_tape_dirty_accumulator ] );
     ( "ad.dual",
       [ Alcotest.test_case "basic" `Quick test_dual_basic;
         Alcotest.test_case "transcendental" `Quick test_dual_transcendental;
