@@ -17,7 +17,13 @@ let value x = x.v
 let node_id x = x.id
 let is_const x = x.id < 0
 let var tape v = { id = Tape.fresh_var tape; v }
-let lift tape x = if is_const x then var tape x.v else x
+
+(* A checkpoint marker: a fresh var for a constant, an identity node
+   otherwise.  Every later use of the value goes through the marker, so
+   whether the output reaches it says whether a checkpoint taken here
+   needs the value, while one recording still covers every boundary. *)
+let mark tape x =
+  if is_const x then var tape x.v else { id = Tape.push1 tape x.id 0.; v = x.v }
 
 let node2 tape v a b =
   if a.id < 0 && b.id < 0 then const v

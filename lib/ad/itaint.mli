@@ -16,7 +16,12 @@ val is_const : t -> bool
 (** Introduce one traced element. *)
 val var : Tape.t -> int -> t
 
-val lift : Tape.t -> t -> t
+(** [mark tape x] stands for [x] from a checkpoint boundary on: a fresh
+    element for a constant, an identity node otherwise.  The output
+    reaches the marker iff a checkpoint taken there needs [x], so one
+    recording with markers at several boundaries answers for all of
+    them. *)
+val mark : Tape.t -> t -> t
 
 val add : Tape.t -> t -> t -> t
 val sub : Tape.t -> t -> t -> t

@@ -12,8 +12,8 @@
    derivatives.  The kernel is written once, as a functor over INT_OPS,
    and instantiated twice: plain ints for execution/checkpointing, and
    traced ints for the analysis.  The analysis covers three checkpoint
-   boundaries and takes the union (an element is critical if some
-   checkpoint needs it):
+   boundaries in one recording from 0, with a marker per checkpoint
+   scalar at each (see [boundary_masks]), and takes the union:
    - 0 and 9 (before the last rank): rank reads every key_array
      element — key_array is critical;
    - 10 (pre-verification, after the last rank): full_verify reads
@@ -185,44 +185,79 @@ end
 
 module Plain = Kernel (Plain_ops)
 
-(* Criticality masks from the integer dependence tracer: union of the
-   boundaries 0, 9 (before the last rank) and 10 (pre-verification,
-   after it). *)
+(* The boundaries the taint masks cover: 0 covers the keys the later
+   ranks plant, [iterations - 1] a mid-run restart, [iterations] a
+   pre-verification restart. *)
+let boundaries = [ 0; iterations - 1; iterations ]
+
+(* The kernel over traced ints on [T.tape], with [mark] replacing every
+   checkpoint scalar by a boundary marker ({!Scvad_ad.Itaint.mark}) and
+   returning the markers. *)
+module Traced_kernel (T : sig
+  val tape : Scvad_ad.Tape.t
+end) =
+struct
+  include Kernel (Traced_ops (T))
+
+  let mark st =
+    let mark = Scvad_ad.Itaint.mark T.tape in
+    Array.iteri (fun i x -> st.key_array.(i) <- mark x) st.key_array;
+    Array.iteri (fun i x -> st.bucket_ptrs.(i) <- mark x) st.bucket_ptrs;
+    st.passed_verification <- mark st.passed_verification;
+    (Array.copy st.key_array, Array.copy st.bucket_ptrs, st.passed_verification)
+end
+
+(* Which markers of each boundary the output reaches.  The reach is a
+   snapshot, so the tape's slabs go back to the pool first. *)
+let reached tape output markers =
+  let r = Scvad_ad.Itaint.backward tape output in
+  Scvad_ad.Tape.release tape;
+  let crit = Scvad_ad.Itaint.critical r in
+  List.map
+    (fun (k, p, v) ->
+      [ ("key_array", Array.map crit k);
+        ("bucket_ptrs", Array.map crit p);
+        ("passed_verification", [| crit v |]) ])
+    markers
+
+(* One recording from boundary 0 with markers at every boundary, the
+   one at [iterations] after the last rank and before full_verify. *)
+let boundary_masks () =
+  let tape = Scvad_ad.Tape.create () in
+  let module K = Traced_kernel (struct
+    let tape = tape
+  end) in
+  let st = K.create () in
+  let at0 = K.mark st in
+  K.run st ~from:0 ~until:(iterations - 1);
+  let at_last = K.mark st in
+  K.rank st ~iteration:iterations;
+  let at_verify = K.mark st in
+  K.full_verify st;
+  reached tape (K.output st) [ at0; at_last; at_verify ]
+
+let boundary_masks_per_recording () =
+  List.concat_map
+    (fun boundary ->
+      let tape = Scvad_ad.Tape.create () in
+      let module K = Traced_kernel (struct
+        let tape = tape
+      end) in
+      let st = K.create () in
+      K.run st ~from:0 ~until:boundary;
+      let markers = K.mark st in
+      K.run st ~from:boundary ~until:iterations;
+      reached tape (K.output st) [ markers ])
+    boundaries
+
+(* An element is critical if the checkpoint of some boundary needs it. *)
 let taint_masks () =
-  let analyze_at boundary =
-    let tape = Scvad_ad.Tape.create () in
-    let module O = Traced_ops (struct
-      let tape = tape
-    end) in
-    let module K = Kernel (O) in
-    let st = K.create () in
-    K.run st ~from:0 ~until:boundary;
-    (* Lift the checkpoint variables. *)
-    let lift = Scvad_ad.Itaint.lift tape in
-    Array.iteri (fun i x -> st.K.key_array.(i) <- lift x) st.K.key_array;
-    Array.iteri (fun i x -> st.K.bucket_ptrs.(i) <- lift x) st.K.bucket_ptrs;
-    st.K.passed_verification <- lift st.K.passed_verification;
-    let keys_snapshot = Array.copy st.K.key_array in
-    let ptrs_snapshot = Array.copy st.K.bucket_ptrs in
-    let passed_snapshot = st.K.passed_verification in
-    K.run st ~from:boundary ~until:iterations;
-    let r = Scvad_ad.Itaint.backward tape (K.output st) in
-    (* The reach is a snapshot: the next recording may take the slabs. *)
-    Scvad_ad.Tape.release tape;
-    let crit = Scvad_ad.Itaint.critical r in
-    ( Array.map crit keys_snapshot,
-      Array.map crit ptrs_snapshot,
-      crit passed_snapshot )
-  in
-  (* t = 0 covers the keys the later ranks plant; t = last-1 covers a
-     mid-run restart; t = last covers a pre-verification restart. *)
-  let k0, p0, v0 = analyze_at 0 in
-  let k1, p1, v1 = analyze_at (iterations - 1) in
-  let k2, p2, v2 = analyze_at iterations in
-  let union3 a b c = Array.map2 ( || ) a (Array.map2 ( || ) b c) in
-  [ ("key_array", union3 k0 k1 k2);
-    ("bucket_ptrs", union3 p0 p1 p2);
-    ("passed_verification", [| v0 || v1 || v2 |]) ]
+  match boundary_masks () with
+  | [] -> []
+  | m :: ms ->
+      List.fold_left
+        (List.map2 (fun (name, a) (_, b) -> (name, Array.map2 ( || ) a b)))
+        m ms
 
 module App : Scvad_core.App.S = struct
   let name = "is"

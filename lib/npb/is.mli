@@ -3,7 +3,7 @@
 
     All-integer benchmark: criticality comes from the integer
     dependence tracer ({!Scvad_ad.Itaint}) over the union of three
-    checkpoint boundaries.  Checkpoint variables (Table I):
+    checkpoint boundaries, all read off one recording.  Checkpoint variables (Table I):
     int passed_verification, int key_array[65536],
     int bucket_ptrs[512], int iteration — all critical. *)
 
@@ -41,8 +41,20 @@ module Kernel (O : INT_OPS) : sig
   val output : state -> O.t
 end
 
-(** Criticality masks by dependence tracing (union over boundaries
-    0, 9, 10). *)
+(** The checkpoint boundaries the taint masks cover: 0, 9 (before the
+    last rank) and 10 (after it, before full_verify). *)
+val boundaries : int list
+
+(** Per boundary, in {!boundaries} order, the mask of every [By_taint]
+    variable: one recording from boundary 0 with
+    {!Scvad_ad.Itaint.mark} markers at each boundary, swept once. *)
+val boundary_masks : unit -> (string * bool array) list list
+
+(** The same masks from one recording per boundary, each prefix run on
+    constants: the reference {!boundary_masks} is tested against. *)
+val boundary_masks_per_recording : unit -> (string * bool array) list list
+
+(** The masks of {!boundary_masks}, united over the boundaries. *)
 val taint_masks : unit -> (string * bool array) list
 
 module App : Scvad_core.App.S

@@ -281,6 +281,35 @@ let test_crash_restart_ep () =
 let test_crash_restart_is () =
   crash_restart (module Npb.Is.App) ~every:3 ~crash_at:8 ()
 
+(* IS's one recording with boundary markers gives, boundary by
+   boundary, the masks of one recording per boundary.  The boundaries
+   disagree (the next rank reads every key but the two it plants first,
+   full_verify reads the bucket pointers), so this pins each marker's
+   place, which the all-true union would not. *)
+let test_is_one_recording () =
+  let count m = Array.fold_left (fun n b -> if b then n + 1 else n) 0 m in
+  let one = Npb.Is.boundary_masks ()
+  and reference = Npb.Is.boundary_masks_per_recording () in
+  Alcotest.(check int) "boundaries" (List.length Npb.Is.boundaries)
+    (List.length one);
+  List.iter2
+    (fun boundary (ms, refs) ->
+      List.iter2
+        (fun (name, m) (rname, r) ->
+          let what = Printf.sprintf "boundary %d %s" boundary name in
+          Alcotest.(check string) what rname name;
+          Alcotest.(check (array bool)) what r m)
+        ms refs)
+    Npb.Is.boundaries
+    (List.combine one reference);
+  Alcotest.(check (list (pair string int)))
+    "critical counts per boundary"
+    [ ("key_array", Npb.Is.total_keys - 2); ("bucket_ptrs", 0);
+      ("passed_verification", 1); ("key_array", Npb.Is.total_keys - 2);
+      ("bucket_ptrs", 0); ("passed_verification", 1); ("key_array", 0);
+      ("bucket_ptrs", Npb.Is.num_buckets); ("passed_verification", 1) ]
+    (List.concat_map (List.map (fun (n, m) -> (n, count m))) one)
+
 (* Full (unpruned) checkpoints must also roundtrip. *)
 let test_crash_restart_full_checkpoint_bt () =
   with_store (fun store ->
@@ -430,7 +459,9 @@ let suites =
         Alcotest.test_case "three modes agree (tiny CG)" `Slow
           test_modes_agree_cg_tiny;
         Alcotest.test_case "CG matches NPB reference zeta" `Quick
-          test_cg_matches_npb_reference ] );
+          test_cg_matches_npb_reference;
+        Alcotest.test_case "IS masks: one recording = one per boundary"
+          `Quick test_is_one_recording ] );
     ( "npb.crash_restart",
       [ Alcotest.test_case "bt" `Quick test_crash_restart_bt;
         Alcotest.test_case "sp" `Quick test_crash_restart_sp;
