@@ -11,11 +11,12 @@
      a gate failure, pragma-assumed sites pass but stay visible;
    - no shared writes: a [Shared_write] verdict (two shards provably
      reaching the same captured state) fails outright unless assumed;
-   - falsification: a jobs=4 sanitizer session over the full NPB suite
+   - falsification: jobs=4 sanitizer sessions over the full NPB suite
      plus dedicated reverse (per-variable, unbudgeted and budgeted) and
      forward (per-element) analyses must produce no witness — a witness against
      a [Race_free] certificate means the static pass is wrong, not just
-     incomplete. *)
+     incomplete — and each dedicated analysis must start a sanitized
+     batch. *)
 
 module Driver = Scvad_racefree.Driver
 module Verdict = Scvad_racefree.Verdict
@@ -61,50 +62,71 @@ let check_static (report : Driver.report) =
    certificates with the dynamic sanitizer at jobs=4.  The suite run
    exercises the whole-analysis fan and its nested per-variable maps;
    the dedicated runs drive each certified fan-out shape as the
-   {e outer} (sanitized) batch: per-variable mask extraction on cg, from
-   a dense and from a budgeted tape, and per-element forward probes on
-   cg-tiny. *)
+   {e outer} (sanitized) batch: per-variable mask extraction on lu (four
+   float variables, so the map really fans out), from a dense and from
+   a budgeted tape, and per-element forward probes on cg-tiny.  Each run
+   is a session of its own, and a dedicated run that starts no
+   sanitized batch fails the gate: its fan-out ran inline, so nothing
+   was checked. *)
 let check_dynamic () =
-  Sanitize.arm ();
-  let jobs4 c = Analyzer.Config.(c |> with_jobs 4) in
-  ignore
-    (Analyzer.run_suite
-       ~config:(jobs4 Analyzer.Config.default)
-       Scvad_npb.Suite.all);
-  (match Scvad_npb.Suite.find "cg" with
-  | Some app ->
-      ignore (Analyzer.run ~config:(jobs4 Analyzer.Config.default) app);
-      ignore
-        (Analyzer.run
-           ~config:
-             (jobs4
-                Analyzer.Config.(default |> with_memory_budget 100_000))
-           app)
-  | None -> ());
-  (match Scvad_npb.Suite.find "cg-tiny" with
-  | Some app ->
-      ignore
-        (Analyzer.run
-           ~config:
-             (jobs4
-                Analyzer.Config.(
-                  default |> with_mode Criticality.Forward_probe))
-           app)
-  | None -> ());
-  let stats = Sanitize.disarm () in
+  let analyze app config () =
+    match Scvad_npb.Suite.find app with
+    | Some a ->
+        ignore (Analyzer.run ~config:Analyzer.Config.(config |> with_jobs 4) a)
+    | None -> failwith ("racecheck: no benchmark named " ^ app)
+  in
+  let default = Analyzer.Config.default in
+  let runs =
+    [ ( "suite",
+        false,
+        fun () ->
+          ignore
+            (Analyzer.run_suite
+               ~config:Analyzer.Config.(default |> with_jobs 4)
+               Scvad_npb.Suite.all) );
+      ("lu (dense)", true, analyze "lu" default);
+      ( "lu (budgeted)",
+        true,
+        analyze "lu" Analyzer.Config.(default |> with_memory_budget 100_000) );
+      ( "cg-tiny (forward)",
+        true,
+        analyze "cg-tiny"
+          Analyzer.Config.(default |> with_mode Criticality.Forward_probe) ) ]
+  in
+  let sessions =
+    List.map
+      (fun (what, dedicated, run) ->
+        Sanitize.arm ();
+        run ();
+        let stats = Sanitize.disarm () in
+        let idle = dedicated && stats.Sanitize.batches = 0 in
+        if idle then
+          Printf.eprintf
+            "racecheck: GATE VIOLATION: the %s run started no sanitized \
+             batch: its fan-out ran inline and was not checked\n"
+            what;
+        (idle, stats))
+      runs
+  in
+  let total f = List.fold_left (fun n (_, st) -> n + f st) 0 sessions in
+  let witnesses =
+    List.concat_map (fun (_, st) -> st.Sanitize.witnesses) sessions
+  in
   List.iter
     (fun w ->
       Printf.eprintf
         "racecheck: GATE VIOLATION: sanitizer witness against a race-free \
          certificate: %s\n"
         (Sanitize.witness_to_text w))
-    stats.Sanitize.witnesses;
+    witnesses;
   Printf.eprintf
     "racecheck: sanitizer: %d batch(es), %d span(s) recorded, %d dropped \
      under budget, %d witness(es).\n"
-    stats.Sanitize.batches stats.Sanitize.spans stats.Sanitize.dropped
-    (List.length stats.Sanitize.witnesses);
-  stats.Sanitize.witnesses = []
+    (total (fun st -> st.Sanitize.batches))
+    (total (fun st -> st.Sanitize.spans))
+    (total (fun st -> st.Sanitize.dropped))
+    (List.length witnesses);
+  witnesses = [] && not (List.exists fst sessions)
 
 let run_gate report =
   let static_ok = check_static report in
