@@ -70,6 +70,7 @@ type file = {
   f_aliases : (string, string list) Hashtbl.t;  (* module P = Long.Path *)
   mutable f_opens : string list list;  (* top-level opens, in order *)
   f_kernel : t;
+  f_source : string;  (* the text [load] parsed; "" from a parsetree *)
 }
 
 type tree = {
@@ -488,7 +489,7 @@ let binding_name_of = binding_name
 
 (* ---- entry ----------------------------------------------------------- *)
 
-let collect_file ~path (items : structure) =
+let collect_file ?(source = "") ~path (items : structure) =
   let t =
     {
       file = path;
@@ -515,6 +516,7 @@ let collect_file ~path (items : structure) =
       f_aliases = Hashtbl.create 8;
       f_opens = [];
       f_kernel = t;
+      f_source = source;
     }
   in
   collect_structure f ~prefix:(Some "") items;
@@ -572,7 +574,8 @@ let load ~exclude root =
   let findings =
     List.filter_map
       (fun path ->
-        match Source.parse ~file:path (Source.read_file path) with
+        let source = Source.read_file path in
+        match Source.parse ~file:path source with
         | Error finding -> Some finding
         | Ok ast ->
             let dir = Filename.dirname path in
@@ -580,7 +583,7 @@ let load ~exclude root =
             | Some lib when not (Hashtbl.mem tree.libs lib) ->
                 Hashtbl.replace tree.libs lib dir
             | _ -> ());
-            let f = collect_file ~path ast in
+            let f = collect_file ~source ~path ast in
             Hashtbl.replace tree.files path f;
             let prev =
               Option.value (Hashtbl.find_opt tree.stems f.f_stem) ~default:[]

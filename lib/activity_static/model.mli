@@ -58,6 +58,7 @@ type file = {
       (** [module P = Long.Path] aliases *)
   mutable f_opens : string list list;  (** [open M] paths, in order *)
   f_kernel : t;
+  f_source : string;  (** the text {!load} parsed; [""] from a parsetree *)
 }
 
 (** The parsed forest of a scanned tree. *)

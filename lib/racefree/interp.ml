@@ -1406,18 +1406,20 @@ type result = {
   flows : analyzed_flow list;
 }
 
+(* Does [s] contain [needle]?  Compares in place: no substring is
+   allocated per offset. *)
+let mentions needle s =
+  let nl = String.length needle and sl = String.length s in
+  let rec matches i k = k = nl || (s.[i + k] = needle.[k] && matches i (k + 1)) in
+  let rec go i = i + nl <= sl && (matches i 0 || go (i + 1)) in
+  go 0
+
+(* The files whose text mentions ["Pool."]: their bindings are the
+   entries the flows start from. *)
 let entry_files model =
   Hashtbl.fold
-    (fun path (f : Model.file) acc ->
-      let src = try Scvad_lint.Source.read_file path with Sys_error _ -> "" in
-      let mentions needle =
-        let nl = String.length needle and sl = String.length src in
-        let rec go i =
-          i + nl <= sl && (String.sub src i nl = needle || go (i + 1))
-        in
-        go 0
-      in
-      if mentions "Pool." then f :: acc else acc)
+    (fun _ (f : Model.file) acc ->
+      if mentions "Pool." f.f_source then f :: acc else acc)
     model.Model.files []
   |> List.sort (fun (a : Model.file) b -> compare a.f_path b.f_path)
 
