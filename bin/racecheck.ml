@@ -65,53 +65,42 @@ let check_static (report : Driver.report) =
    {e outer} (sanitized) batch: per-variable mask extraction on lu (four
    float variables, so the map really fans out), from a dense and from
    a budgeted tape, and per-element forward probes on cg-tiny.  Each run
-   is a session of its own, and a dedicated run that starts no
-   sanitized batch fails the gate: its fan-out ran inline, so nothing
-   was checked. *)
+   is a session of its own, and a run that starts no sanitized batch
+   fails the gate: its fan-out ran inline, so nothing was checked. *)
 let check_dynamic () =
-  let analyze app config () =
-    match Scvad_npb.Suite.find app with
-    | Some a ->
-        ignore (Analyzer.run ~config:Analyzer.Config.(config |> with_jobs 4) a)
-    | None -> failwith ("racecheck: no benchmark named " ^ app)
+  let open Analyzer.Config in
+  let analyze name config () =
+    match Scvad_npb.Suite.find name with
+    | Some app -> ignore (Analyzer.run ~config:(config |> with_jobs 4) app)
+    | None -> failwith ("racecheck: no benchmark named " ^ name)
   in
-  let default = Analyzer.Config.default in
   let runs =
     [ ( "suite",
-        false,
         fun () ->
           ignore
-            (Analyzer.run_suite
-               ~config:Analyzer.Config.(default |> with_jobs 4)
+            (Analyzer.run_suite ~config:(default |> with_jobs 4)
                Scvad_npb.Suite.all) );
-      ("lu (dense)", true, analyze "lu" default);
-      ( "lu (budgeted)",
-        true,
-        analyze "lu" Analyzer.Config.(default |> with_memory_budget 100_000) );
-      ( "cg-tiny (forward)",
-        true,
-        analyze "cg-tiny"
-          Analyzer.Config.(default |> with_mode Criticality.Forward_probe) ) ]
+      ("lu", analyze "lu" default);
+      ("budgeted lu", analyze "lu" (default |> with_memory_budget 100_000));
+      ( "cg-tiny forward",
+        analyze "cg-tiny" (default |> with_mode Criticality.Forward_probe) ) ]
   in
   let sessions =
     List.map
-      (fun (what, dedicated, run) ->
+      (fun (what, run) ->
         Sanitize.arm ();
         run ();
         let stats = Sanitize.disarm () in
-        let idle = dedicated && stats.Sanitize.batches = 0 in
-        if idle then
+        if stats.Sanitize.batches = 0 then
           Printf.eprintf
             "racecheck: GATE VIOLATION: the %s run started no sanitized \
              batch: its fan-out ran inline and was not checked\n"
             what;
-        (idle, stats))
+        stats)
       runs
   in
-  let total f = List.fold_left (fun n (_, st) -> n + f st) 0 sessions in
-  let witnesses =
-    List.concat_map (fun (_, st) -> st.Sanitize.witnesses) sessions
-  in
+  let total f = List.fold_left (fun n st -> n + f st) 0 sessions in
+  let witnesses = List.concat_map (fun st -> st.Sanitize.witnesses) sessions in
   List.iter
     (fun w ->
       Printf.eprintf
@@ -126,7 +115,7 @@ let check_dynamic () =
     (total (fun st -> st.Sanitize.spans))
     (total (fun st -> st.Sanitize.dropped))
     (List.length witnesses);
-  witnesses = [] && not (List.exists fst sessions)
+  witnesses = [] && List.for_all (fun st -> st.Sanitize.batches > 0) sessions
 
 let run_gate report =
   let static_ok = check_static report in
