@@ -215,11 +215,11 @@ let record_and_extract ?pool ~skips ?budget ~sweep tape (module A : App.S)
 let tape_analysis ?pool ~skips ?budget ~sweep (module A : App.S) ~at_iter
     ~niter =
   (* Collect what earlier analyses left behind before recording.  Their
-     slabs are back in the pool, but the sweep accumulator of the last
-     one (8 B per node: 196 MB for FT) stays resident until a major
+     slabs are back in the pool, but the pages the last sweep wrote in
+     its accumulator (69% of FT's 196 MB) stay resident until a major
      cycle finalizes it, and pooled slabs no longer pace the GC the way
-     fresh Bigarrays did: without this, scrutinizing IS after FT peaked
-     about 20 MB above the unpooled tape. *)
+     fresh Bigarrays did: without this call, perfbench's [scrutinize]
+     peaked at 841 MB instead of 825 MB on a 2-core host. *)
   Gc.full_major ();
   let tape = Tape.create ?budget_nodes:budget () in
   (* Once the reports are extracted the slabs go back to this domain's
