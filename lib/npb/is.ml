@@ -227,14 +227,19 @@ let boundary_masks () =
   let module K = Traced_kernel (struct
     let tape = tape
   end) in
-  let st = K.create () in
-  let at0 = K.mark st in
-  K.run st ~from:0 ~until:(iterations - 1);
-  let at_last = K.mark st in
-  K.rank st ~iteration:iterations;
-  let at_verify = K.mark st in
+  let st = K.create () and ranked = ref 0 in
+  let markers =
+    List.map
+      (fun boundary ->
+        for it = !ranked + 1 to boundary do
+          K.rank st ~iteration:it
+        done;
+        ranked := boundary;
+        K.mark st)
+      boundaries
+  in
   K.full_verify st;
-  reached tape (K.output st) [ at0; at_last; at_verify ]
+  reached tape (K.output st) markers
 
 let boundary_masks_per_recording () =
   List.concat_map
