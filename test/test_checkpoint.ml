@@ -321,6 +321,59 @@ let test_format_golden_lu () =
   Alcotest.(check string) "lu pruned" "a04c227f60658c486d6b9cb0143416d8"
     (md5 (Ckpt_format.encode pruned))
 
+(* The other policies' files, pinned the same way: a mixed-precision
+   snapshot at iteration 1 (impact from iteration 0, threshold 1e-6),
+   then incremental-only and combined snapshots at iterations 1-3.  FT
+   covers two scalars per element. *)
+let policy_digests (module A : Scvad_core.App.S) =
+  let open Scvad_core in
+  let impact = Analyzer.analyze_impact ~at_iter:0 (module A) in
+  let plans = Mixed.plans_of_report ~threshold:1e-6 impact in
+  let report = Test_npb.report_of (module A) in
+  let module I = A.Make (Scvad_ad.Float_scalar) in
+  let st = I.create () in
+  I.run st ~from:0 ~until:1;
+  let digest file = md5 (Ckpt_format.encode file) in
+  let mixed =
+    digest
+      (Mixed.snapshot ~plans ~app:A.name ~iteration:1
+         ~float_vars:(I.float_vars st) ~int_vars:(I.int_vars st) ())
+  in
+  let only = Incremental.create_tracker ()
+  and combined = Incremental.create_tracker () in
+  let incremental =
+    List.concat_map
+      (fun iteration ->
+        if iteration > 1 then I.run st ~from:(iteration - 1) ~until:iteration;
+        List.map
+          (fun (tracker, mode) ->
+            digest
+              (Incremental.snapshot tracker ~mode ~app:A.name ~iteration
+                 ~float_vars:(I.float_vars st) ~int_vars:(I.int_vars st) ()))
+          [ (only, Incremental.Incremental_only);
+            (combined, Incremental.Combined_with report) ])
+      [ 1; 2; 3 ]
+  in
+  mixed :: incremental
+
+let test_format_golden_policies () =
+  let check (module A : Scvad_core.App.S) expected =
+    Alcotest.(check (list string))
+      (A.name ^ ": mixed, then incremental-only and combined at 1-3")
+      expected
+      (policy_digests (module A))
+  in
+  check (module Scvad_npb.Lu.App)
+    [ "d00ed448566f148d66327d6394b190af"; "1e363e29eee522125a170bf9782ec7d9";
+      "3f549b5269062e68df58eed2bfa34012"; "cb640781dce9833b5100e7a19e95e24f";
+      "cb640781dce9833b5100e7a19e95e24f"; "967a3933923e6f8809abf37a4adda06c";
+      "967a3933923e6f8809abf37a4adda06c" ];
+  check (module Scvad_npb.Ft.App)
+    [ "27495dc5786e0bb773fb4292ba8103c5"; "e318b7b537aff90db9d1f854a683c14c";
+      "e3ec0b19f74490434140d92652ae966c"; "27c8b089472b7b3624d0b7fe7e5b14ce";
+      "27c8b089472b7b3624d0b7fe7e5b14ce"; "0f7b12123e541c4c819e89280ebd0f8d";
+      "0f7b12123e541c4c819e89280ebd0f8d" ]
+
 (* Every proper prefix of a body, sealed with a valid CRC, must be
    rejected with the format's own exception: a truncated section never
    surfaces as an index or argument error. *)
@@ -571,6 +624,8 @@ let suites =
           test_format_golden_fixed;
         Alcotest.test_case "golden bytes (LU snapshots)" `Quick
           test_format_golden_lu;
+        Alcotest.test_case "golden bytes (mixed and incremental)" `Quick
+          test_format_golden_policies;
         Alcotest.test_case "truncated bodies are Corrupt" `Quick
           test_format_truncated_bodies;
         Alcotest.test_case "u32 overflow rejected" `Quick
