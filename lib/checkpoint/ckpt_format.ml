@@ -243,18 +243,12 @@ let gather ~create ~spe regions get =
     (Regions.spans regions);
   packed
 
-let gather_f64 ~(data : float array) ~spe regions =
-  gather ~create:Array.create_float ~spe regions (fun e k -> data.((e * spe) + k))
-
-let gather_i64 ~(data : int array) ~spe regions =
-  gather ~create:(fun n -> Array.make n 0) ~spe regions (fun e k ->
-      data.((e * spe) + k))
-
-(* Hand every slot of the section's variable to [set] in element order:
-   payload values for covered elements, [poison] for the rest.  On a
-   real restart uncovered slots hold whatever garbage survived the
-   failure; poisoning proves they are never read. *)
-let scatter s (packed : 'a array) ~(poison : 'a) set =
+(* Hand the section's covered slots to [set] in element order, and with
+   [poison] every other slot of its variable too; without [poison] the
+   other slots are left alone, so a later section overlays an earlier
+   one.  On a real restart uncovered slots hold whatever garbage
+   survived the failure; poisoning proves they are never read. *)
+let scatter s (packed : 'a array) ?poison set =
   let pos = ref 0 in
   let fill lo hi =
     for e = lo to hi - 1 do
@@ -264,11 +258,14 @@ let scatter s (packed : 'a array) ~(poison : 'a) set =
       done
     done
   and poison_between lo hi =
-    for e = lo to hi - 1 do
-      for k = 0 to s.spe - 1 do
-        set e k poison
-      done
-    done
+    match poison with
+    | None -> ()
+    | Some poison ->
+        for e = lo to hi - 1 do
+          for k = 0 to s.spe - 1 do
+            set e k poison
+          done
+        done
   in
   match s.regions with
   | None -> fill 0 (element_count s)
@@ -283,25 +280,15 @@ let scatter s (packed : 'a array) ~(poison : 'a) set =
       in
       poison_between next (element_count s)
 
-let scatter_floats s ~poison set =
+let scatter_floats s ?poison set =
   match s.payload with
-  | F64 a | F32 a -> scatter s a ~poison set
+  | F64 a | F32 a -> scatter s a ?poison set
   | I64 _ -> invalid_arg "Ckpt_format.scatter_floats: integer section"
 
-let scatter_ints s ~poison set =
+let scatter_ints s ?poison set =
   match s.payload with
-  | I64 a -> scatter s a ~poison set
+  | I64 a -> scatter s a ?poison set
   | F64 _ | F32 _ -> invalid_arg "Ckpt_format.scatter_ints: float section"
-
-let scatter_f64 s ~poison =
-  let out = Array.create_float (element_count s * s.spe) in
-  scatter_floats s ~poison (fun e k x -> out.((e * s.spe) + k) <- x);
-  out
-
-let scatter_i64 s ~poison =
-  let out = Array.make (element_count s * s.spe) 0 in
-  scatter_ints s ~poison (fun e k x -> out.((e * s.spe) + k) <- x);
-  out
 
 (* ------------------------------------------------------------------ *)
 (* Sizes and the sidecar auxiliary file                                *)

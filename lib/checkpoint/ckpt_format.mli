@@ -48,26 +48,18 @@ val decode : string -> file
 val gather :
   create:(int -> 'a array) -> spe:int -> Regions.t -> (int -> int -> 'a) -> 'a array
 
-(** Pack the critical elements of a full scalar buffer (length
-    [elements * spe]) into a pruned payload. *)
-val gather_f64 : data:float array -> spe:int -> Regions.t -> float array
-
-val gather_i64 : data:int array -> spe:int -> Regions.t -> int array
-
-(** [scatter_floats s ~poison set] calls [set e k x] for every slot of
-    the section's variable in element order: [x] is the stored value
-    for covered elements and [poison] elsewhere (proving on restart that
-    uncritical slots are never read).  Raises [Invalid_argument] on an
-    integer section. *)
-val scatter_floats : section -> poison:float -> (int -> int -> float -> unit) -> unit
+(** [scatter_floats s ?poison set] calls [set e k x] in element order
+    for every slot [k] of every element [e] the section covers, [x]
+    being the stored value.  With [poison] it also calls
+    [set e k poison] for every slot the section does not cover (proving
+    on restart that uncritical slots are never read); without it those
+    slots are left alone, so a later section overlays an earlier one.
+    Raises [Invalid_argument] on an integer section. *)
+val scatter_floats :
+  section -> ?poison:float -> (int -> int -> float -> unit) -> unit
 
 (** Integer analogue of {!scatter_floats}; raises on a float section. *)
-val scatter_ints : section -> poison:int -> (int -> int -> int -> unit) -> unit
-
-(** Expand a section to a full scalar buffer with {!scatter_floats}. *)
-val scatter_f64 : section -> poison:float -> float array
-
-val scatter_i64 : section -> poison:int -> int array
+val scatter_ints : section -> ?poison:int -> (int -> int -> int -> unit) -> unit
 
 (** Payload bytes (8 per double/int scalar, 4 per single), the paper's
     storage metric. *)

@@ -11,11 +11,13 @@
      incremental changed elements since last time    (related work)
      combined    changed AND critical elements       (both)
 
-   A delta checkpoint is an ordinary pruned section whose regions are
-   the changed (optionally also critical) elements; restore starts from
-   poison and overlays base + deltas in order, so a slot that no file
-   covers — an uncritical element — stays poisoned, preserving the
-   §IV-C validation property. *)
+   A delta checkpoint is an ordinary pruned section, built by
+   [Pruned.float_section] over the changed (optionally also critical)
+   elements.  Restore goes through [Pruned.restore_files]: the base
+   writes every slot, poison where it stores nothing, and each delta
+   overwrites only its own, so a slot that no file covers — an
+   uncritical element — stays poisoned, preserving the §IV-C validation
+   property. *)
 
 open Scvad_ad
 module F = Scvad_checkpoint.Ckpt_format
@@ -68,8 +70,7 @@ let snapshot tracker ~mode ~app ~iteration
     List.map
       (fun (v : Float_scalar.t Variable.t) ->
         let name = v.Variable.name in
-        let dims = Scvad_nd.Shape.dims v.Variable.shape in
-        let now = Pruned.flatten_float v in
+        let now = Variable.snapshot v in
         let total = Variable.elements v in
         let mask =
           match Hashtbl.find_opt tracker.floats name with
@@ -80,110 +81,37 @@ let snapshot tracker ~mode ~app ~iteration
                 (critical_mask name total)
         in
         Hashtbl.replace tracker.floats name now;
-        let regions = Regions.of_mask mask in
-        {
-          F.name;
-          dims;
-          spe = v.Variable.spe;
-          regions = Some regions;
-          payload = F.F64 (F.gather_f64 ~data:now ~spe:v.Variable.spe regions);
-        })
+        Pruned.float_section ~regions:(Regions.of_mask mask) v)
       float_vars
   in
   let int_sections =
     List.map
       (fun (v : Variable.int_t) ->
         let name = v.Variable.iname in
-        let now = Array.init (Variable.int_elements v) v.Variable.iget in
+        let now = Variable.int_snapshot v in
         let mask =
           match Hashtbl.find_opt tracker.ints name with
           | None -> Array.make (Array.length now) true
           | Some last -> Array.map2 ( <> ) last now
         in
         Hashtbl.replace tracker.ints name now;
-        let regions = Regions.of_mask mask in
-        {
-          F.name;
-          dims = Scvad_nd.Shape.dims v.Variable.ishape;
-          spe = 1;
-          regions = Some regions;
-          payload = F.I64 (F.gather_i64 ~data:now ~spe:1 regions);
-        })
+        Pruned.int_section ~regions:(Regions.of_mask mask) v)
       int_vars
   in
   { F.app; iteration; sections = float_sections @ int_sections }
-
-(* Overlay one section's covered elements onto a scalar buffer. *)
-let overlay_f64 (s : F.section) (buf : float array) =
-  match (s.F.payload, s.F.regions) with
-  | F.F64 packed, Some regions ->
-      let pos = ref 0 in
-      Regions.iter_elements regions (fun e ->
-          for k = 0 to s.F.spe - 1 do
-            buf.((e * s.F.spe) + k) <- packed.(!pos);
-            incr pos
-          done)
-  | F.F64 packed, None -> Array.blit packed 0 buf 0 (Array.length packed)
-  | (F.I64 _ | F.F32 _), _ -> invalid_arg "Incremental.overlay_f64"
-
-let overlay_i64 (s : F.section) (buf : int array) =
-  match (s.F.payload, s.F.regions) with
-  | F.I64 packed, Some regions ->
-      let pos = ref 0 in
-      Regions.iter_elements regions (fun e ->
-          buf.(e) <- packed.(!pos);
-          incr pos)
-  | F.I64 packed, None -> Array.blit packed 0 buf 0 (Array.length packed)
-  | (F.F64 _ | F.F32 _), _ -> invalid_arg "Incremental.overlay_i64"
 
 (* Restore from the base + delta chain, oldest first.  Slots no file
    covers (uncritical under Combined_with) stay poisoned.  Returns the
    newest file's iteration. *)
 let restore ?(poison = Scvad_checkpoint.Failure.Nan) ~(files : F.file list)
-    ~(float_vars : Float_scalar.t Variable.t list)
-    ~(int_vars : Variable.int_t list) () =
-  match files with
+    ~float_vars ~int_vars () =
+  match List.rev files with
   | [] -> invalid_arg "Incremental.restore: no files"
-  | _ ->
-      List.iter
-        (fun (v : Float_scalar.t Variable.t) ->
-          let total = Variable.elements v * v.Variable.spe in
-          let buf =
-            Array.make total (Scvad_checkpoint.Failure.poison_value poison)
-          in
-          List.iter
-            (fun (file : F.file) ->
-              match
-                List.find_opt
-                  (fun s -> s.F.name = v.Variable.name)
-                  file.F.sections
-              with
-              | Some s -> overlay_f64 s buf
-              | None -> ())
-            files;
-          for e = 0 to Variable.elements v - 1 do
-            for k = 0 to v.Variable.spe - 1 do
-              v.Variable.set e k buf.((e * v.Variable.spe) + k)
-            done
-          done)
-        float_vars;
-      List.iter
-        (fun (v : Variable.int_t) ->
-          let buf =
-            Array.make (Variable.int_elements v)
-              (Scvad_checkpoint.Failure.int_poison_value poison)
-          in
-          List.iter
-            (fun (file : F.file) ->
-              match
-                List.find_opt (fun s -> s.F.name = v.Variable.iname) file.F.sections
-              with
-              | Some s -> overlay_i64 s buf
-              | None -> ())
-            files;
-          Array.iteri (fun e x -> v.Variable.iset e x) buf)
-        int_vars;
-      (List.nth files (List.length files - 1)).F.iteration
+  | newest :: _ ->
+      Pruned.restore_files ~who:"Incremental.restore" ~poison
+        ~names:(fun n -> [ n ])
+        files ~float_vars ~int_vars;
+      newest.F.iteration
 
 (* ------------------------------------------------------------------ *)
 (* Storage comparison across policies                                  *)

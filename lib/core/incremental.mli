@@ -4,8 +4,9 @@
 
     Policies compared: full / pruned (the paper) / incremental (changed
     elements only) / combined (changed ∩ critical).  A delta checkpoint
-    is an ordinary pruned section; restore overlays base + deltas in
-    order over a poisoned buffer, so uncritical slots stay poisoned. *)
+    is an ordinary pruned section; restore writes the base with poison
+    in the slots it does not store, then overlays each delta, so
+    uncritical slots stay poisoned. *)
 
 open Scvad_ad
 
@@ -28,8 +29,11 @@ val snapshot :
   unit ->
   Scvad_checkpoint.Ckpt_format.file
 
-(** Restore from the base + delta chain, oldest first; returns the
-    newest file's iteration.  Raises on an empty chain. *)
+(** Restore from the base + delta chain, oldest first, through
+    {!Pruned.restore_files}; returns the newest file's iteration.
+    Raises [Invalid_argument "Incremental.restore: ..."] on an empty
+    chain, when no file has a section for a variable, or when a
+    section's element count or [spe] differs from its variable's. *)
 val restore :
   ?poison:Scvad_checkpoint.Failure.poison ->
   files:Scvad_checkpoint.Ckpt_format.file list ->

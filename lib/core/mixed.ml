@@ -36,11 +36,6 @@ let plan_for plans name = List.find_opt (fun p -> p.name = name) plans
 (* Round to IEEE single precision (what an F32 payload stores). *)
 let to_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
-let flatten (v : Float_scalar.t Variable.t) =
-  let n = Variable.elements v in
-  Array.init (n * v.Variable.spe) (fun i ->
-      v.Variable.get (i / v.Variable.spe) (i mod v.Variable.spe))
-
 (* Mixed-precision snapshot: per planned variable, a double-precision
    section over the high-impact regions plus a single-precision
    companion over the low-impact regions.  Unplanned variables and
@@ -51,91 +46,32 @@ let snapshot ~plans ~app ~iteration
   let float_sections =
     List.concat_map
       (fun (v : Float_scalar.t Variable.t) ->
-        let dims = Scvad_nd.Shape.dims v.Variable.shape in
-        let data = flatten v in
         match plan_for plans v.Variable.name with
-        | None ->
-            [ { F.name = v.Variable.name; dims; spe = v.Variable.spe;
-                regions = None; payload = F.F64 data } ]
+        | None -> [ Pruned.float_section v ]
         | Some p ->
-            [ { F.name = v.Variable.name;
-                dims;
-                spe = v.Variable.spe;
-                regions = Some p.high;
-                payload = F.F64 (F.gather_f64 ~data ~spe:v.Variable.spe p.high) };
-              { F.name = v.Variable.name ^ f32_suffix;
-                dims;
-                spe = v.Variable.spe;
-                regions = Some p.low;
-                (* Round now, so the in-memory payload already carries
-                   single precision and encoding is lossless. *)
-                payload =
-                  F.F32
-                    (Array.map to_f32
-                       (F.gather_f64 ~data ~spe:v.Variable.spe p.low)) } ])
+            [ Pruned.float_section ~regions:p.high v;
+              (* Round now, so the in-memory payload already carries
+                 single precision and encoding is lossless. *)
+              Pruned.float_section ~regions:p.low
+                ~name:(v.Variable.name ^ f32_suffix)
+                ~payload:(fun a -> F.F32 (Array.map to_f32 a))
+                v ])
       float_vars
   in
-  let int_sections =
-    List.map
-      (fun (v : Variable.int_t) ->
-        {
-          F.name = v.Variable.iname;
-          dims = Scvad_nd.Shape.dims v.Variable.ishape;
-          spe = 1;
-          regions = None;
-          payload = F.I64 (Array.init (Variable.int_elements v) v.Variable.iget);
-        })
-      int_vars
-  in
-  { F.app; iteration; sections = float_sections @ int_sections }
+  {
+    F.app;
+    iteration;
+    sections =
+      float_sections @ List.map (fun v -> Pruned.int_section v) int_vars;
+  }
 
-(* Restore: scatter the double-precision base section, then overlay the
-   single-precision companion; remaining (uncritical) slots hold
-   poison. *)
+(* Restore: the double-precision base section, then the single-precision
+   companion over it; remaining (uncritical) slots hold poison. *)
 let restore ?(poison = Scvad_checkpoint.Failure.Nan) (file : F.file)
-    ~(float_vars : Float_scalar.t Variable.t list)
-    ~(int_vars : Variable.int_t list) =
-  let section name = List.find_opt (fun s -> s.F.name = name) file.F.sections in
-  let require name =
-    match section name with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Mixed.restore: no section %S" name)
-  in
-  List.iter
-    (fun (v : Float_scalar.t Variable.t) ->
-      let base = require v.Variable.name in
-      if F.element_count base <> Variable.elements v || base.F.spe <> v.Variable.spe
-      then invalid_arg "Mixed.restore: shape mismatch";
-      let full =
-        F.scatter_f64 base
-          ~poison:(Scvad_checkpoint.Failure.poison_value poison)
-      in
-      (match section (v.Variable.name ^ f32_suffix) with
-      | None -> ()
-      | Some low -> (
-          match (low.F.payload, low.F.regions) with
-          | F.F32 packed, Some regions ->
-              let pos = ref 0 in
-              Regions.iter_elements regions (fun e ->
-                  for k = 0 to v.Variable.spe - 1 do
-                    full.((e * v.Variable.spe) + k) <- packed.(!pos);
-                    incr pos
-                  done)
-          | _ -> invalid_arg "Mixed.restore: malformed f32 companion"));
-      for e = 0 to Variable.elements v - 1 do
-        for k = 0 to v.Variable.spe - 1 do
-          v.Variable.set e k full.((e * v.Variable.spe) + k)
-        done
-      done)
-    float_vars;
-  List.iter
-    (fun (v : Variable.int_t) ->
-      let s = require v.Variable.iname in
-      let full =
-        F.scatter_i64 s ~poison:(Scvad_checkpoint.Failure.int_poison_value poison)
-      in
-      Array.iteri (fun e x -> v.Variable.iset e x) full)
-    int_vars;
+    ~float_vars ~int_vars =
+  Pruned.restore_files ~who:"Mixed.restore" ~poison
+    ~names:(fun n -> [ n; n ^ f32_suffix ])
+    [ file ] ~float_vars ~int_vars;
   file.F.iteration
 
 (* ------------------------------------------------------------------ *)

@@ -36,8 +36,11 @@ val snapshot :
   unit ->
   Scvad_checkpoint.Ckpt_format.file
 
-(** Restore: base section, then the F32 overlay; uncritical slots hold
-    [poison].  Returns the checkpointed iteration. *)
+(** Restore through {!Pruned.restore_files}: each variable's base
+    section, then its F32 companion over it; uncritical slots hold
+    [poison].  Returns the checkpointed iteration.  Raises
+    [Invalid_argument "Mixed.restore: ..."] when a variable has no
+    section or a section's element count or [spe] differs. *)
 val restore :
   ?poison:Scvad_checkpoint.Failure.poison ->
   Scvad_checkpoint.Ckpt_format.file ->

@@ -5,7 +5,11 @@
    contiguous-region bounds, the paper's auxiliary file) and [restore]
    scatters them back, poisoning uncritical slots to prove they are never
    read.  Without a report the same entry points produce/consume full
-   checkpoints — the paper's baseline. *)
+   checkpoints — the paper's baseline.
+
+   This is also where every policy turns a variable into sections and
+   back: {!Mixed} and {!Incremental} build theirs with [float_section]
+   and [int_section] and restore through [restore_files]. *)
 
 open Scvad_ad
 module F = Scvad_checkpoint.Ckpt_format
@@ -24,47 +28,41 @@ let regions_for (report : Criticality.report option) name =
              region metadata. *)
           if Criticality.uncritical v = 0 then None else Some v.Criticality.regions)
 
-let flatten_float (v : Float_scalar.t Variable.t) =
-  let n = Variable.elements v in
-  let out = Array.make (n * v.Variable.spe) 0. in
-  for e = 0 to n - 1 do
-    for k = 0 to v.Variable.spe - 1 do
-      out.((e * v.Variable.spe) + k) <- v.Variable.get e k
-    done
-  done;
-  out
+(* What a section without regions gathers: one span over every element
+   ([F.gather] packs nothing when it is empty). *)
+let covered regions elements =
+  Option.value regions ~default:[ { Regions.start = 0; stop = elements } ]
 
-let float_section ?report (v : Float_scalar.t Variable.t) =
+(* The one section builder: every policy's sections come from here.
+   Without [regions] the section stores every element; otherwise only
+   the covered ones.  [name] defaults to the variable's, and [payload]
+   wraps the gathered scalars (F64 unless told otherwise). *)
+let float_section ?regions ?name ?(payload = fun a -> F.F64 a)
+    (v : Float_scalar.t Variable.t) =
   let spe = v.Variable.spe in
-  let regions = regions_for report v.Variable.name in
-  let payload =
-    match regions with
-    | None -> flatten_float v
-    | Some r -> F.gather ~create:Array.create_float ~spe r v.Variable.get
-  in
   {
-    F.name = v.Variable.name;
+    F.name = Option.value name ~default:v.Variable.name;
     dims = Scvad_nd.Shape.dims v.Variable.shape;
     spe;
     regions;
-    payload = F.F64 payload;
+    payload =
+      payload
+        (F.gather ~create:Array.create_float ~spe
+           (covered regions (Variable.elements v))
+           v.Variable.get);
   }
 
-let int_section ?report (v : Variable.int_t) =
-  let regions = regions_for report v.Variable.iname in
-  let payload =
-    match regions with
-    | None -> Array.init (Variable.int_elements v) v.Variable.iget
-    | Some r ->
-        F.gather ~create:(fun n -> Array.make n 0) ~spe:1 r (fun e _ ->
-            v.Variable.iget e)
-  in
+let int_section ?regions (v : Variable.int_t) =
   {
     F.name = v.Variable.iname;
     dims = Scvad_nd.Shape.dims v.Variable.ishape;
     spe = 1;
     regions;
-    payload = F.I64 payload;
+    payload =
+      F.I64
+        (F.gather ~create:(fun n -> Array.make n 0) ~spe:1
+           (covered regions (Variable.int_elements v))
+           (fun e _ -> v.Variable.iget e));
   }
 
 (* Snapshot the live state of an application instance.  [report = None]
@@ -76,39 +74,71 @@ let snapshot ?report ~app ~iteration
     F.app;
     iteration;
     sections =
-      List.map (float_section ?report) float_vars
-      @ List.map (int_section ?report) int_vars;
+      List.map
+        (fun (v : Float_scalar.t Variable.t) ->
+          float_section ?regions:(regions_for report v.Variable.name) v)
+        float_vars
+      @ List.map
+          (fun (v : Variable.int_t) ->
+            int_section ?regions:(regions_for report v.Variable.iname) v)
+          int_vars;
   }
+
+(* The one restore path.  A variable's sections are those named
+   [names v] in each file, oldest file first.  The first writes every
+   slot, with poison where it holds no value; each later one overwrites
+   only the slots it covers.  Every section must match the variable's
+   element count and [spe], and a variable must have one. *)
+let restore_files ~who ~poison ~names (files : F.file list)
+    ~(float_vars : Float_scalar.t Variable.t list)
+    ~(int_vars : Variable.int_t list) =
+  let restore_var name ~elements ~spe scatter =
+    let sections =
+      List.concat_map
+        (fun (file : F.file) ->
+          List.filter_map
+            (fun n -> List.find_opt (fun s -> s.F.name = n) file.F.sections)
+            (names name))
+        files
+    in
+    match sections with
+    | [] -> invalid_arg (Printf.sprintf "%s: no section %S" who name)
+    | _ ->
+        List.iteri
+          (fun i s ->
+            if F.element_count s <> elements || s.F.spe <> spe then
+              invalid_arg
+                (Printf.sprintf "%s: shape mismatch in %S" who s.F.name);
+            scatter s (i = 0))
+          sections
+  in
+  let fpoison = Scvad_checkpoint.Failure.poison_value poison
+  and ipoison = Scvad_checkpoint.Failure.int_poison_value poison in
+  List.iter
+    (fun (v : Float_scalar.t Variable.t) ->
+      restore_var v.Variable.name ~elements:(Variable.elements v)
+        ~spe:v.Variable.spe (fun s first ->
+          F.scatter_floats s
+            ?poison:(if first then Some fpoison else None)
+            v.Variable.set))
+    float_vars;
+  List.iter
+    (fun (v : Variable.int_t) ->
+      restore_var v.Variable.iname ~elements:(Variable.int_elements v) ~spe:1
+        (fun s first ->
+          F.scatter_ints s
+            ?poison:(if first then Some ipoison else None)
+            (fun e _ x -> v.Variable.iset e x)))
+    int_vars
 
 (* Restore a checkpoint into live state.  Variables present in the file
    are overwritten; uncritical slots of pruned sections receive poison.
    Returns the checkpointed iteration count. *)
 let restore ?(poison = Scvad_checkpoint.Failure.Nan) (file : F.file)
-    ~(float_vars : Float_scalar.t Variable.t list)
-    ~(int_vars : Variable.int_t list) =
-  let section name =
-    match List.find_opt (fun s -> s.F.name = name) file.F.sections with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Pruned.restore: no section %S" name)
-  in
-  List.iter
-    (fun (v : Float_scalar.t Variable.t) ->
-      let s = section v.Variable.name in
-      if F.element_count s <> Variable.elements v || s.F.spe <> v.Variable.spe
-      then invalid_arg "Pruned.restore: shape mismatch";
-      F.scatter_floats s
-        ~poison:(Scvad_checkpoint.Failure.poison_value poison)
-        v.Variable.set)
-    float_vars;
-  List.iter
-    (fun (v : Variable.int_t) ->
-      let s = section v.Variable.iname in
-      if F.element_count s <> Variable.int_elements v then
-        invalid_arg "Pruned.restore: shape mismatch";
-      F.scatter_ints s
-        ~poison:(Scvad_checkpoint.Failure.int_poison_value poison)
-        (fun e _ x -> v.Variable.iset e x))
-    int_vars;
+    ~float_vars ~int_vars =
+  restore_files ~who:"Pruned.restore" ~poison
+    ~names:(fun n -> [ n ])
+    [ file ] ~float_vars ~int_vars;
   file.F.iteration
 
 (* Storage accounting for Table III. *)

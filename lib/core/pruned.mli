@@ -8,9 +8,24 @@
 
 open Scvad_ad
 
-(** Every scalar of a float variable, element-major ([spe] slots per
-    element): the payload of a full section. *)
-val flatten_float : Float_scalar.t Variable.t -> float array
+(** The one section builder, shared by every policy.  Without
+    [regions] the section stores every element; with them, only the
+    covered ones (element-major, [spe] slots per element).  [name]
+    defaults to the variable's; [payload] wraps the gathered scalars
+    (default [F64]; the mixed-precision companion rounds them into an
+    [F32]). *)
+val float_section :
+  ?regions:Scvad_checkpoint.Regions.t ->
+  ?name:string ->
+  ?payload:(float array -> Scvad_checkpoint.Ckpt_format.payload) ->
+  Float_scalar.t Variable.t ->
+  Scvad_checkpoint.Ckpt_format.section
+
+(** Integer analogue of {!float_section}: an [I64] section. *)
+val int_section :
+  ?regions:Scvad_checkpoint.Regions.t ->
+  Variable.int_t ->
+  Scvad_checkpoint.Ckpt_format.section
 
 (** Snapshot the live state of an application instance.
     [report = None] ⇒ full checkpoint; all-critical variables are
@@ -24,10 +39,27 @@ val snapshot :
   unit ->
   Scvad_checkpoint.Ckpt_format.file
 
-(** Restore a checkpoint into live state; uncritical slots of pruned
-    sections receive [poison] (default NaN — loud if ever read).
-    Returns the checkpointed iteration count.  Raises
-    [Invalid_argument] on a name/shape mismatch. *)
+(** The one restore path, shared by every policy.  A variable's
+    sections are those named [names v] in each of [files], oldest file
+    first.  The first writes every slot, with [poison] where it holds no
+    value; each later one overwrites only the slots it covers.  Raises
+    [Invalid_argument], prefixed with [who], when a variable has no
+    section or a section's element count or [spe] differs from the
+    variable's. *)
+val restore_files :
+  who:string ->
+  poison:Scvad_checkpoint.Failure.poison ->
+  names:(string -> string list) ->
+  Scvad_checkpoint.Ckpt_format.file list ->
+  float_vars:Float_scalar.t Variable.t list ->
+  int_vars:Variable.int_t list ->
+  unit
+
+(** Restore a checkpoint into live state through {!restore_files};
+    uncritical slots of pruned sections receive [poison] (default NaN —
+    loud if ever read).  Returns the checkpointed iteration count.
+    Raises [Invalid_argument "Pruned.restore: ..."] when a variable has
+    no section or its section's element count or [spe] differs. *)
 val restore :
   ?poison:Scvad_checkpoint.Failure.poison ->
   Scvad_checkpoint.Ckpt_format.file ->

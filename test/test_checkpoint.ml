@@ -133,6 +133,18 @@ let prop_regions_complement_partitions =
 let f64_section ?regions ~name ~dims ~spe data =
   { Ckpt_format.name; dims; spe; regions; payload = Ckpt_format.F64 data }
 
+(* A full scalar buffer ([spe] slots per element) packed by [regions],
+   and a section expanded back into one. *)
+let gather_f64 ~data ~spe regions =
+  Ckpt_format.gather ~create:Array.create_float ~spe regions (fun e k ->
+      data.((e * spe) + k))
+
+let scatter_f64 s ~poison =
+  let spe = s.Ckpt_format.spe in
+  let out = Array.create_float (Ckpt_format.element_count s * spe) in
+  Ckpt_format.scatter_floats s ~poison (fun e k x -> out.((e * spe) + k) <- x);
+  out
+
 let test_format_roundtrip_full () =
   let data = Array.init 60 (fun i -> float i *. 1.5) in
   let ints = Array.init 7 (fun i -> (i * i) - 3) in
@@ -170,13 +182,13 @@ let test_format_roundtrip_pruned () =
   let full = Array.init total (fun i -> float i) in
   let mask = Array.init total (fun i -> i <> 3 && i <> 7 && i <> 8) in
   let regions = Regions.of_mask mask in
-  let packed = Ckpt_format.gather_f64 ~data:full ~spe:1 regions in
+  let packed = gather_f64 ~data:full ~spe:1 regions in
   Alcotest.(check int) "packed size" 7 (Array.length packed);
   let s = f64_section ~regions ~name:"x" ~dims:[| total |] ~spe:1 packed in
   let file = { Ckpt_format.app = "cg"; iteration = 1; sections = [ s ] } in
   let file' = Ckpt_format.decode (Ckpt_format.encode file) in
   let s' = List.hd file'.Ckpt_format.sections in
-  let restored = Ckpt_format.scatter_f64 s' ~poison:Float.nan in
+  let restored = scatter_f64 s' ~poison:Float.nan in
   Array.iteri
     (fun i v ->
       if mask.(i) then Alcotest.(check (float 0.)) "critical restored" full.(i) v
@@ -189,10 +201,10 @@ let test_format_spe2 () =
   let full = Array.init (elements * 2) (fun i -> float i) in
   let mask = [| true; true; false; true; false; true |] in
   let regions = Regions.of_mask mask in
-  let packed = Ckpt_format.gather_f64 ~data:full ~spe:2 regions in
+  let packed = gather_f64 ~data:full ~spe:2 regions in
   Alcotest.(check int) "packed scalars" 8 (Array.length packed);
   let s = f64_section ~regions ~name:"y" ~dims:[| elements |] ~spe:2 packed in
-  let restored = Ckpt_format.scatter_f64 s ~poison:(-1.) in
+  let restored = scatter_f64 s ~poison:(-1.) in
   Alcotest.(check (float 0.)) "elem 1 re" 2. restored.(2);
   Alcotest.(check (float 0.)) "elem 1 im" 3. restored.(3);
   Alcotest.(check (float 0.)) "elem 2 re poisoned" (-1.) restored.(4);
@@ -246,10 +258,71 @@ let test_format_payload_mismatch_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "length mismatch not rejected"
 
+(* Every policy's restore checks each section it reads against its
+   variable, and names itself when it refuses one.  Each row is a file
+   for a 4-element float variable [x] and a 4-element integer [k]. *)
+let test_restore_validation () =
+  let open Scvad_core in
+  let shape = Scvad_nd.Shape.create [ 4 ] in
+  let x ~dims ~spe =
+    f64_section ~name:"x" ~dims ~spe
+      (Array.init (Array.fold_left ( * ) spe dims) float)
+  in
+  let k n =
+    {
+      Ckpt_format.name = "k";
+      dims = [| n |];
+      spe = 1;
+      regions = None;
+      payload = Ckpt_format.I64 (Array.init n (fun i -> 10 + i));
+    }
+  in
+  let rows =
+    [ ("missing section", [ k 4 ]);
+      ("element-count mismatch", [ x ~dims:[| 3 |] ~spe:1; k 4 ]);
+      ("spe mismatch", [ x ~dims:[| 4 |] ~spe:2; k 4 ]);
+      ("same scalars, other shape", [ x ~dims:[| 2 |] ~spe:2; k 4 ]);
+      ("short int section", [ x ~dims:[| 4 |] ~spe:1; k 2 ]) ]
+  in
+  let policies =
+    [ ("Pruned.restore", fun file ~float_vars ~int_vars ->
+          Pruned.restore file ~float_vars ~int_vars);
+      ("Mixed.restore", fun file ~float_vars ~int_vars ->
+          Mixed.restore file ~float_vars ~int_vars);
+      ("Incremental.restore", fun file ~float_vars ~int_vars ->
+          Incremental.restore ~files:[ file ] ~float_vars ~int_vars ()) ]
+  in
+  let failures =
+    List.concat_map
+      (fun (policy, restore) ->
+        List.filter_map
+          (fun (row, sections) ->
+            let file = { Ckpt_format.app = "t"; iteration = 1; sections } in
+            let float_vars =
+              [ Variable.of_array ~name:"x" shape (Array.make 4 (-1.)) ]
+            and int_vars =
+              [ Variable.int_of_array ~name:"k"
+                  ~crit:(Variable.Always_critical "test") shape
+                  (Array.make 4 (-1)) ]
+            in
+            match restore file ~float_vars ~int_vars with
+            | exception Invalid_argument msg
+              when Astring.String.is_prefix ~affix:policy msg ->
+                None
+            | exception e ->
+                Some
+                  (Printf.sprintf "%s, %s: raised %s" policy row
+                     (Printexc.to_string e))
+            | _ -> Some (Printf.sprintf "%s, %s: restored" policy row))
+          rows)
+      policies
+  in
+  Alcotest.(check (list string)) "every row refused by its policy" [] failures
+
 let test_format_aux_file () =
   let mask = [| true; true; false; true |] in
   let regions = Regions.of_mask mask in
-  let packed = Ckpt_format.gather_f64 ~data:[| 0.; 1.; 2.; 3. |] ~spe:1 regions in
+  let packed = gather_f64 ~data:[| 0.; 1.; 2.; 3. |] ~spe:1 regions in
   let s = f64_section ~regions ~name:"x" ~dims:[| 4 |] ~spe:1 packed in
   let full = f64_section ~name:"w" ~dims:[| 2 |] ~spe:1 [| 5.; 6. |] in
   let file =
@@ -450,7 +523,7 @@ let prop_format_pruned_roundtrip =
   QCheck.Test.make ~count:300 ~name:"pruned section roundtrip"
     (QCheck.make payload_gen) (fun (elements, spe, mask, values) ->
       let regions = Regions.of_mask mask in
-      let packed = Ckpt_format.gather_f64 ~data:values ~spe regions in
+      let packed = gather_f64 ~data:values ~spe regions in
       let s =
         {
           Ckpt_format.name = "v";
@@ -463,7 +536,7 @@ let prop_format_pruned_roundtrip =
       let file = { Ckpt_format.app = "p"; iteration = 9; sections = [ s ] } in
       let file' = Ckpt_format.decode (Ckpt_format.encode file) in
       let s' = List.hd file'.Ckpt_format.sections in
-      let restored = Ckpt_format.scatter_f64 s' ~poison:Float.nan in
+      let restored = scatter_f64 s' ~poison:Float.nan in
       Array.for_all
         (fun e ->
           Array.for_all
@@ -543,7 +616,7 @@ let test_store_sidecar () =
   with_tmp_dir (fun dir ->
       let store = Store.create dir in
       let regions = Regions.of_mask [| true; false; true |] in
-      let packed = Ckpt_format.gather_f64 ~data:[| 1.; 2.; 3. |] ~spe:1 regions in
+      let packed = gather_f64 ~data:[| 1.; 2.; 3. |] ~spe:1 regions in
       let file =
         {
           Ckpt_format.app = "demo";
@@ -619,6 +692,8 @@ let suites =
           test_format_crc_field_every_bit;
         Alcotest.test_case "payload mismatch rejected" `Quick
           test_format_payload_mismatch_rejected;
+        Alcotest.test_case "restore validation (every policy)" `Quick
+          test_restore_validation;
         Alcotest.test_case "auxiliary file" `Quick test_format_aux_file;
         Alcotest.test_case "golden bytes (fixed file)" `Quick
           test_format_golden_fixed;
