@@ -43,6 +43,10 @@ let expected_values s =
   in
   elems * s.spe
 
+(* Regions may only cover elements the section has. *)
+let fits ~elements r =
+  List.for_all (fun { Regions.stop; _ } -> stop <= elements) (Regions.spans r)
+
 let payload_length = function
   | F64 a | F32 a -> Array.length a
   | I64 a -> Array.length a
@@ -52,6 +56,10 @@ let check_section s =
   (match s.regions with
   | Some r when not (Regions.is_well_formed r) ->
       invalid_arg "Ckpt_format: malformed regions"
+  | Some r when not (fits ~elements:(element_count s) r) ->
+      invalid_arg
+        (Printf.sprintf "Ckpt_format: section %S has a region past its %d elements"
+           s.name (element_count s))
   | _ -> ());
   if payload_length s.payload <> expected_values s then
     invalid_arg
@@ -178,6 +186,8 @@ let decode_section r =
         in
         if not (Regions.is_well_formed spans) then
           raise (Corrupt "malformed regions");
+        if not (fits ~elements:(Array.fold_left ( * ) 1 dims) spans) then
+          raise (Corrupt "region out of bounds");
         Some spans
     | _ -> raise (Corrupt "bad regions flag")
   in

@@ -30,15 +30,17 @@ type file = { app : string; iteration : int; sections : section list }
 (** Number of logical elements of the variable. *)
 val element_count : section -> int
 
-(** Serialize; raises [Invalid_argument] on malformed sections and on
-    a u32 field (iteration, rank, dims, spe, lengths, region count)
-    outside [0, 2{^32}). *)
+(** Serialize; raises [Invalid_argument] on malformed sections (a
+    payload of the wrong length, ill-formed regions or a region ending
+    past the section's elements) and on a u32 field (iteration, rank,
+    dims, spe, lengths, region count) outside [0, 2{^32}). *)
 val encode : file -> string
 
 (** Exact byte length of [encode file], computed without encoding. *)
 val encoded_size : file -> int
 
-(** Parse and verify CRC; raises {!Corrupt}. *)
+(** Parse and verify CRC; raises {!Corrupt}, also for a region ending
+    past its section's elements (["region out of bounds"]). *)
 val decode : string -> file
 
 (** [gather ~create ~spe regions get] packs [get e k] for every slot

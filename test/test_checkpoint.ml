@@ -258,6 +258,39 @@ let test_format_payload_mismatch_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "length mismatch not rejected"
 
+(* A region must end inside its section's elements: encode refuses one
+   that does not, and decode refuses a CRC-valid file that carries one
+   (here a scalar whose region [0, 3) would restore a third value). *)
+let test_format_region_out_of_bounds () =
+  let regions = [ { Regions.start = 0; stop = 3 } ] in
+  let file dims =
+    {
+      Ckpt_format.app = "r";
+      iteration = 0;
+      sections = [ f64_section ~regions ~name:"s" ~dims ~spe:1 [| 1.; 2.; 3. |] ];
+    }
+  in
+  (match Ckpt_format.encode (file [||]) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "encode accepted a region past the section");
+  (* Encode with one dimension of 3, then rewrite it to 1 and reseal. *)
+  let body =
+    let s = Ckpt_format.encode (file [| 3 |]) in
+    Bytes.of_string (String.sub s 0 (String.length s - 8))
+  in
+  let dim_at =
+    String.length Ckpt_format.magic + 4 + 1 + 4 + 4 + 4 + 1 + 1 + 4
+  in
+  Alcotest.(check int) "dimension found" 3
+    (Int32.to_int (Bytes.get_int32_le body dim_at));
+  Bytes.set_int32_le body dim_at 1l;
+  let crc = Bytes.create 8 in
+  Bytes.set_int64_le crc 0 (Int64.of_int32 (Crc32.of_bytes body));
+  match Ckpt_format.decode (Bytes.to_string body ^ Bytes.to_string crc) with
+  | exception Ckpt_format.Corrupt "region out of bounds" -> ()
+  | exception e -> Alcotest.failf "decode raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "decode accepted a region past the section"
+
 (* Every policy's restore checks each section it reads against its
    variable, and names itself when it refuses one.  Each row is a file
    for a 4-element float variable [x] and a 4-element integer [k]. *)
@@ -692,6 +725,8 @@ let suites =
           test_format_crc_field_every_bit;
         Alcotest.test_case "payload mismatch rejected" `Quick
           test_format_payload_mismatch_rejected;
+        Alcotest.test_case "region out of bounds rejected" `Quick
+          test_format_region_out_of_bounds;
         Alcotest.test_case "restore validation (every policy)" `Quick
           test_restore_validation;
         Alcotest.test_case "auxiliary file" `Quick test_format_aux_file;
