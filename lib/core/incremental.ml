@@ -45,13 +45,6 @@ let changed_mask ~spe ~(last : float array) ~(now : float array) =
       in
       any 0)
 
-let criticality_regions report name =
-  match Criticality.find_opt report name with
-  | Some v -> Some v.Criticality.regions
-  | None -> None
-
-let intersect_masks a b = Array.map2 ( && ) a b
-
 (* Snapshot: the first call for a variable produces its base (full or
    pruned); later calls produce deltas.  The tracker always records the
    exact values this checkpoint represents. *)
@@ -62,8 +55,8 @@ let snapshot tracker ~mode ~app ~iteration
     match mode with
     | Incremental_only -> Array.make total true
     | Combined_with report -> (
-        match criticality_regions report name with
-        | Some regions -> Regions.to_mask ~total regions
+        match Criticality.find_opt report name with
+        | Some v -> v.Criticality.mask
         | None -> Array.make total true)
   in
   let float_sections =
@@ -76,7 +69,7 @@ let snapshot tracker ~mode ~app ~iteration
           match Hashtbl.find_opt tracker.floats name with
           | None -> critical_mask name total (* base checkpoint *)
           | Some last ->
-              intersect_masks
+              Array.map2 ( && )
                 (changed_mask ~spe:v.Variable.spe ~last ~now)
                 (critical_mask name total)
         in
