@@ -62,7 +62,7 @@ let snapshot ~plans ~app ~iteration
     F.app;
     iteration;
     sections =
-      float_sections @ List.map (fun v -> Pruned.int_section v) int_vars;
+      float_sections @ List.map Pruned.int_section int_vars;
   }
 
 (* Restore: the double-precision base section, then the single-precision

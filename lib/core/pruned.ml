@@ -92,7 +92,7 @@ let snapshot ?report ~app ~iteration
 let restore_files ~who ~poison ~names (files : F.file list)
     ~(float_vars : Float_scalar.t Variable.t list)
     ~(int_vars : Variable.int_t list) =
-  let restore_var name ~elements ~spe scatter =
+  let restore_var name ~elements ~spe ~poison scatter =
     let sections =
       List.concat_map
         (fun (file : F.file) ->
@@ -109,26 +109,22 @@ let restore_files ~who ~poison ~names (files : F.file list)
             if F.element_count s <> elements || s.F.spe <> spe then
               invalid_arg
                 (Printf.sprintf "%s: shape mismatch in %S" who s.F.name);
-            scatter s (i = 0))
+            scatter s (if i = 0 then Some poison else None))
           sections
   in
-  let fpoison = Scvad_checkpoint.Failure.poison_value poison
-  and ipoison = Scvad_checkpoint.Failure.int_poison_value poison in
   List.iter
     (fun (v : Float_scalar.t Variable.t) ->
       restore_var v.Variable.name ~elements:(Variable.elements v)
-        ~spe:v.Variable.spe (fun s first ->
-          F.scatter_floats s
-            ?poison:(if first then Some fpoison else None)
-            v.Variable.set))
+        ~spe:v.Variable.spe
+        ~poison:(Scvad_checkpoint.Failure.poison_value poison)
+        (fun s poison -> F.scatter_floats s ?poison v.Variable.set))
     float_vars;
   List.iter
     (fun (v : Variable.int_t) ->
       restore_var v.Variable.iname ~elements:(Variable.int_elements v) ~spe:1
-        (fun s first ->
-          F.scatter_ints s
-            ?poison:(if first then Some ipoison else None)
-            (fun e _ x -> v.Variable.iset e x)))
+        ~poison:(Scvad_checkpoint.Failure.int_poison_value poison)
+        (fun s poison ->
+          F.scatter_ints s ?poison (fun e _ x -> v.Variable.iset e x)))
     int_vars
 
 (* Restore a checkpoint into live state.  Variables present in the file
