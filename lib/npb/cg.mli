@@ -19,6 +19,20 @@ end
 (** NPB class S: NA = 1400, NONZER = 7, SHIFT = 10, 15 iterations. *)
 module Class_s : CONFIG
 
+(** The sparse matrix in CSR form, 1-based rows and columns: row [j]
+    spans [rowstr.(j) .. rowstr.(j+1) - 1] of [colidx] and [values],
+    sorted by column. *)
+type matrix = {
+  n : int;
+  rowstr : int array;
+  colidx : int array;
+  values : float array;
+}
+
+(** NPB's makea: the matrix drawn from the randlc stream [rng] (CG's
+    [create] burns one deviate first). *)
+val makea : (module CONFIG) -> Scvad_nprand.Nprand.t -> matrix
+
 module Make_generic (C : CONFIG) (S : Scvad_ad.Scalar.S) :
   Scvad_core.App.INSTANCE with type scalar = S.t
 

@@ -226,6 +226,106 @@ let test_cg_matches_npb_reference () =
     Alcotest.failf "zeta %.13f does not match NPB reference %.13f"
       g.Harness.output zeta_ref
 
+(* The matrix generator as it was written first: a tuple-keyed hashtable
+   accumulates the outer-product triples (duplicates sum as [x +. acc]
+   from [0.]), and each CSR row is sorted by a polymorphic compare.  The
+   oracle for [Cg.makea]. *)
+let reference_makea (module C : Npb.Cg.CONFIG) rng =
+  let next () = Scvad_nprand.Nprand.next rng in
+  let n = C.na in
+  let nn1 =
+    let rec go p = if p >= n then p else go (2 * p) in
+    go 1
+  in
+  let sprnvc () =
+    let v = Array.make C.nonzer 0. and iv = Array.make C.nonzer 0 in
+    let mark = Hashtbl.create (2 * C.nonzer) in
+    let nzv = ref 0 in
+    while !nzv < C.nonzer do
+      let vecelt = next () in
+      let vecloc = next () in
+      let i = int_of_float (float_of_int nn1 *. vecloc) + 1 in
+      if i <= n && not (Hashtbl.mem mark i) then begin
+        Hashtbl.add mark i ();
+        v.(!nzv) <- vecelt;
+        iv.(!nzv) <- i;
+        incr nzv
+      end
+    done;
+    (v, iv)
+  in
+  let vecset v iv ~i =
+    match List.find_opt (fun k -> iv.(k) = i) (List.init (Array.length iv) Fun.id) with
+    | Some k ->
+        v.(k) <- 0.5;
+        (v, iv)
+    | None -> (Array.append v [| 0.5 |], Array.append iv [| i |])
+  in
+  let ratio = C.rcond ** (1. /. float_of_int n) in
+  let acc = Hashtbl.create (n * 16) in
+  let add irow jcol x =
+    let key = (irow, jcol) in
+    Hashtbl.replace acc key (x +. try Hashtbl.find acc key with Not_found -> 0.)
+  in
+  let size = ref 1. in
+  for i = 1 to n do
+    let v, iv = sprnvc () in
+    let v, iv = vecset v iv ~i in
+    Array.iteri
+      (fun ivelt jcol ->
+        let scale = !size *. v.(ivelt) in
+        Array.iteri (fun ivelt1 irow -> add irow jcol (v.(ivelt1) *. scale)) iv)
+      iv;
+    size := !size *. ratio
+  done;
+  for i = 1 to n do
+    add i i (C.rcond -. C.shift)
+  done;
+  let rows = Array.make (n + 2) [] in
+  Hashtbl.iter (fun (r, c) x -> rows.(r) <- (c, x) :: rows.(r)) acc;
+  let rowstr = Array.make (n + 2) 0 in
+  for r = 1 to n do
+    rowstr.(r + 1) <- rowstr.(r) + List.length rows.(r)
+  done;
+  let sorted = List.concat_map (fun r -> List.sort compare rows.(r)) (List.init n succ) in
+  ( rowstr,
+    Array.of_list (List.map fst sorted),
+    Array.of_list (List.map (fun (_, x) -> Int64.bits_of_float x) sorted) )
+
+let test_makea_oracle () =
+  List.iter
+    (fun (label, (module C : Npb.Cg.CONFIG)) ->
+      let rng () =
+        let r = Scvad_nprand.Nprand.create Scvad_nprand.Nprand.cg_seed in
+        ignore (Scvad_nprand.Nprand.next r);
+        r
+      in
+      let m = Npb.Cg.makea (module C) (rng ()) in
+      let rowstr, colidx, bits = reference_makea (module C) (rng ()) in
+      Alcotest.(check (array int)) (label ^ " rowstr") rowstr m.Npb.Cg.rowstr;
+      Alcotest.(check (array int)) (label ^ " colidx") colidx m.Npb.Cg.colidx;
+      Alcotest.(check bool) (label ^ " value bits") true
+        (bits = Array.map Int64.bits_of_float m.Npb.Cg.values))
+    [ ("class S", (module Npb.Cg.Class_s : Npb.Cg.CONFIG));
+      ("cg-tiny", (module Npb.Cg.Tiny_config : Npb.Cg.CONFIG)) ]
+
+(* IS's keys as [create] first drew them: four [Nprand.next] deviates
+   per key, summed as OCaml evaluates [n +. n +. n +. n] (the right
+   operand first). *)
+let test_is_keys_oracle () =
+  let rng = Scvad_nprand.Nprand.create Scvad_nprand.Nprand.cg_seed in
+  let next () = Scvad_nprand.Nprand.next rng in
+  let want =
+    Array.init Npb.Is.total_keys (fun _ ->
+        let x = next () +. next () +. next () +. next () in
+        int_of_float (float_of_int (Npb.Is.max_key / 4) *. x))
+  in
+  let module I = Npb.Is.App.Float in
+  let keys =
+    List.find (fun v -> v.Variable.iname = "key_array") (I.int_vars (I.create ()))
+  in
+  Alcotest.(check bool) "key_array" true (Variable.int_snapshot keys = want)
+
 (* ------------------------------------------------------------------ *)
 (* Crash / restart with pruned, NaN-poisoned checkpoints (§IV-C)       *)
 (* ------------------------------------------------------------------ *)
@@ -461,7 +561,11 @@ let suites =
         Alcotest.test_case "CG matches NPB reference zeta" `Quick
           test_cg_matches_npb_reference;
         Alcotest.test_case "IS masks: one recording = one per boundary"
-          `Quick test_is_one_recording ] );
+          `Quick test_is_one_recording;
+        Alcotest.test_case "CG makea = hashtable reference" `Quick
+          test_makea_oracle;
+        Alcotest.test_case "IS keys = four summed deviates" `Quick
+          test_is_keys_oracle ] );
     ( "npb.crash_restart",
       [ Alcotest.test_case "bt" `Quick test_crash_restart_bt;
         Alcotest.test_case "sp" `Quick test_crash_restart_sp;

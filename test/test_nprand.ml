@@ -52,6 +52,38 @@ let test_vranlc_matches_randlc () =
     (fun v -> Alcotest.(check (float 0.)) "vranlc = randlc" (randlc b ~a:default_mult) v)
     buf
 
+(* [vranlc] against [n] successive [randlc] calls: every deviate's bits,
+   the slots around the filled range, and the seed it leaves behind.
+   Lengths cover an empty fill, every remainder modulo four, and long
+   runs; multipliers cover NPB's default and a jump multiplier. *)
+let test_vranlc_oracle () =
+  let jump = ipow46 default_mult 12345 in
+  List.iter
+    (fun (mult_name, a) ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun off ->
+              let t = create cg_seed and r = create cg_seed in
+              let dst = Array.make (n + off + 2) (-1.) in
+              vranlc t ~a n dst off;
+              for i = 0 to Array.length dst - 1 do
+                let want =
+                  if i >= off && i < off + n then randlc r ~a else -1.
+                in
+                if Int64.bits_of_float dst.(i) <> Int64.bits_of_float want
+                then
+                  Alcotest.failf "%s, n = %d, off = %d: slot %d is %h, not %h"
+                    mult_name n off i dst.(i) want
+              done;
+              if Int64.bits_of_float (seed t) <> Int64.bits_of_float (seed r)
+              then
+                Alcotest.failf "%s, n = %d, off = %d: final seed %h, not %h"
+                  mult_name n off (seed t) (seed r))
+            [ 0; 3 ])
+        (List.init 10 Fun.id @ [ 63; 64; 65; 131072 ]))
+    [ ("default_mult", default_mult); ("ipow46 jump", jump) ]
+
 let test_ipow46_jump_ahead () =
   List.iter
     (fun k ->
@@ -77,5 +109,7 @@ let suites =
           test_uniform_range_and_mean;
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "vranlc = randlc" `Quick test_vranlc_matches_randlc;
+        Alcotest.test_case "vranlc = n randlc steps (bits and seed)" `Quick
+          test_vranlc_oracle;
         Alcotest.test_case "ipow46 jump-ahead" `Quick test_ipow46_jump_ahead;
         Alcotest.test_case "ipow46 zero" `Quick test_ipow46_zero ] ) ]
