@@ -256,7 +256,7 @@ and app_name_of t (me : module_expr) =
 (* ---- checkpoint-variable declarations ------------------------------- *)
 
 (* All state-field names mentioned through the declaration expression
-   ([st.f] reads in get/set closures, [st.f <- v] writes, positional
+   ([st.f] reads in read/write accessors, [st.f <- v] writes, positional
    array arguments). *)
 let fields_mentioned t (e : expression) =
   let acc = ref [] in
@@ -322,8 +322,8 @@ let positional args =
       match label with Asttypes.Nolabel -> Some e | _ -> None)
     args
 
-(* Unique backing field of a declaration, from the fields its get/set
-   closures (or positional array argument) mention. *)
+(* Unique backing field of a declaration, from the fields its read/write
+   accessors (or positional array argument) mention. *)
 let field_of_decl t exprs =
   match List.concat_map (fields_mentioned t) exprs with
   | [] -> None
@@ -380,7 +380,7 @@ let decl_of_element t ~kind locals (e : expression) =
                   (elements_of_shape t locals)
               in
               let accessors =
-                List.filter_map (fun l -> labelled l args) [ "get"; "set" ]
+                List.filter_map (fun l -> labelled l args) [ "read"; "write" ]
               in
               mk ~name ~field:(field_of_decl t accessors) ~elements ~spe
                 ~declared:None)
@@ -406,7 +406,7 @@ let decl_of_element t ~kind locals (e : expression) =
                 | None -> None
               in
               mk ~name ~field ~elements ~spe:1 ~declared)
-      | "of_ref" | "int_of_ref" -> (
+      | "int_of_ref" -> (
           match Option.bind (labelled "name" args) string_const with
           | None -> None
           | Some name ->

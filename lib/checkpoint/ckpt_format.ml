@@ -237,68 +237,58 @@ let decode data =
 (* Scatter/gather between full arrays and pruned payloads              *)
 (* ------------------------------------------------------------------ *)
 
-(* Pack [get e k] for every slot [k] of every covered element [e], in
-   element order, into a fresh array of [create]. *)
-let gather ~create ~spe regions get =
+(* The region walker: one span accessor call per covered region, in
+   element order, against consecutive slots of the packed array. *)
+let gather ~create ~spe regions read =
   let packed = create (Regions.cardinal regions * spe) in
   let pos = ref 0 in
   List.iter
     (fun { Regions.start; stop } ->
-      for e = start to stop - 1 do
-        for k = 0 to spe - 1 do
-          packed.(!pos) <- get e k;
-          incr pos
-        done
-      done)
+      read start stop packed !pos;
+      pos := !pos + ((stop - start) * spe))
     (Regions.spans regions);
   packed
 
-(* Hand the section's covered slots to [set] in element order, and with
-   [poison] every other slot of its variable too; without [poison] the
-   other slots are left alone, so a later section overlays an earlier
-   one.  On a real restart uncovered slots hold whatever garbage
-   survived the failure; poisoning proves they are never read. *)
-let scatter s (packed : 'a array) ?poison set =
-  let pos = ref 0 in
-  let fill lo hi =
-    for e = lo to hi - 1 do
-      for k = 0 to s.spe - 1 do
-        set e k packed.(!pos);
-        incr pos
-      done
-    done
-  and poison_between lo hi =
+(* Hand the section's covered regions to [write], and with [poison]
+   every span between them too; without [poison] those spans are left
+   alone, so a later section overlays an earlier one.  On a real restart
+   uncovered slots hold whatever garbage survived the failure; poisoning
+   proves they are never read. *)
+let scatter s (packed : 'a array) ?poison write =
+  let spe = s.spe in
+  let poison_between lo hi =
     match poison with
-    | None -> ()
-    | Some poison ->
-        for e = lo to hi - 1 do
-          for k = 0 to s.spe - 1 do
-            set e k poison
-          done
-        done
+    | Some p when hi > lo -> write lo hi (Array.make ((hi - lo) * spe) p) 0
+    | _ -> ()
   in
-  match s.regions with
-  | None -> fill 0 (element_count s)
-  | Some r ->
-      let next =
-        List.fold_left
-          (fun next { Regions.start; stop } ->
-            poison_between next start;
-            fill start stop;
-            stop)
-          0 (Regions.spans r)
-      in
-      poison_between next (element_count s)
+  let spans =
+    match s.regions with
+    | None -> [ { Regions.start = 0; stop = element_count s } ]
+    | Some r -> Regions.spans r
+  in
+  let next, _ =
+    List.fold_left
+      (fun (next, pos) { Regions.start; stop } ->
+        poison_between next start;
+        write start stop packed pos;
+        (stop, pos + ((stop - start) * spe)))
+      (0, 0) spans
+  in
+  poison_between next (element_count s)
 
-let scatter_floats s ?poison set =
+let scatter_floats ~who s ?poison write =
   match s.payload with
-  | F64 a | F32 a -> scatter s a ?poison set
-  | I64 _ -> invalid_arg "Ckpt_format.scatter_floats: integer section"
+  | F64 a | F32 a -> scatter s a ?poison write
+  | I64 _ ->
+      invalid_arg
+        (Printf.sprintf "%s: section %S holds integers, not floats" who s.name)
 
-let scatter_ints s ?poison set =
+let scatter_ints ~who s ?poison write =
   match s.payload with
-  | I64 a -> scatter s a ?poison set
-  | F64 _ | F32 _ -> invalid_arg "Ckpt_format.scatter_ints: float section"
+  | I64 a -> scatter s a ?poison write
+  | F64 _ | F32 _ ->
+      invalid_arg
+        (Printf.sprintf "%s: section %S holds floats, not integers" who s.name)
 
 (* ------------------------------------------------------------------ *)
 (* Sizes and the sidecar auxiliary file                                *)

@@ -43,25 +43,42 @@ val encoded_size : file -> int
     past its section's elements (["region out of bounds"]). *)
 val decode : string -> file
 
-(** [gather ~create ~spe regions get] packs [get e k] for every slot
-    [k < spe] of every element [e] covered by [regions], element-major,
-    into [create (cardinal regions * spe)]: a pruned payload read
-    straight from its source. *)
+(** The region walker.  Both directions take a span accessor
+    [f lo hi a off]: elements [\[lo, hi)] against the packed array [a]
+    from slot [off] on, [spe] scalars per element, element-major; each
+    covered region is one call.
+
+    [gather ~create ~spe regions read] packs every element covered by
+    [regions] into [create (cardinal regions * spe)]: a pruned payload
+    read straight from its source. *)
 val gather :
-  create:(int -> 'a array) -> spe:int -> Regions.t -> (int -> int -> 'a) -> 'a array
+  create:(int -> 'a array) ->
+  spe:int ->
+  Regions.t ->
+  (int -> int -> 'a array -> int -> unit) ->
+  'a array
 
-(** [scatter_floats s ?poison set] calls [set e k x] in element order
-    for every slot [k] of every element [e] the section covers, [x]
-    being the stored value.  With [poison] it also calls
-    [set e k poison] for every slot the section does not cover (proving
-    on restart that uncritical slots are never read); without it those
-    slots are left alone, so a later section overlays an earlier one.
-    Raises [Invalid_argument] on an integer section. *)
+(** [scatter_floats ~who s ?poison write] hands every covered region of
+    [s] to [write] with the stored scalars.  With [poison] it also writes
+    [poison] into every span the section does not cover (proving on
+    restart that uncritical slots are never read); without it those
+    spans are left alone, so a later section overlays an earlier one.
+    Raises [Invalid_argument], prefixed by [who] and naming the section,
+    on an integer payload. *)
 val scatter_floats :
-  section -> ?poison:float -> (int -> int -> float -> unit) -> unit
+  who:string ->
+  section ->
+  ?poison:float ->
+  (int -> int -> float array -> int -> unit) ->
+  unit
 
-(** Integer analogue of {!scatter_floats}; raises on a float section. *)
-val scatter_ints : section -> ?poison:int -> (int -> int -> int -> unit) -> unit
+(** Integer analogue of {!scatter_floats}; refuses a float payload. *)
+val scatter_ints :
+  who:string ->
+  section ->
+  ?poison:int ->
+  (int -> int -> int array -> int -> unit) ->
+  unit
 
 (** Payload bytes (8 per double/int scalar, 4 per single), the paper's
     storage metric. *)

@@ -233,13 +233,13 @@ let tape_analysis ?pool ~skips ?budget ~sweep (module A : App.S) ~at_iter
 let forward_analysis ?pool ~skips (module A : App.S)
     ~at_iter ~niter =
   let module I = A.Make (Dual.Scalar) in
-  (* Structure discovery run (no seeding). *)
+  (* Structure discovery run (no seeding); its values seed the probes. *)
   let skeleton = I.create () in
   I.run skeleton ~from:0 ~until:at_iter;
   let shapes =
     List.map
       (fun (v : Dual.t Variable.t) ->
-        (v.Variable.name, v.Variable.shape, v.Variable.spe))
+        (v.name, v.shape, v.spe, Variable.snapshot v))
       (I.float_vars skeleton)
   in
   (* One full re-run per scrutinized element; every probe owns its
@@ -248,9 +248,9 @@ let forward_analysis ?pool ~skips (module A : App.S)
     let state = I.create () in
     I.run state ~from:0 ~until:at_iter;
     let v = List.nth (I.float_vars state) vindex in
-    for k = 0 to v.Variable.spe - 1 do
-      v.Variable.set e k (Dual.var (Dual.value (v.Variable.get e k)))
-    done;
+    let _, _, spe, at = List.nth shapes vindex in
+    Variable.write_element v e
+      (Array.init spe (fun k -> Dual.var (Dual.value at.((e * spe) + k))));
     I.run state ~from:at_iter ~until:niter;
     (* lint: allow float-equality — exact-zero tangent is the paper's
        criticality criterion (§III-A), not an approximate comparison *)
@@ -258,7 +258,7 @@ let forward_analysis ?pool ~skips (module A : App.S)
   in
   let vars =
     List.mapi
-      (fun vindex (name, shape, spe) ->
+      (fun vindex (name, shape, spe, _) ->
         if List.mem name skips then
           fst (all_false_reports ~name ~shape ~spe)
         else

@@ -182,28 +182,24 @@ let run ?boundary ?niter ?h ~trials ~seed ~targets (module A : App.S) =
       let perturb_float (v : float Variable.t) element =
         (* Perturb every scalar slot of the element with a relative
            step, so spe = 2 (FT's dcomplex) moves the whole element. *)
-        let delta = ref 0.0 in
-        for s = 0 to v.Variable.spe - 1 do
-          let x = v.Variable.get element s in
-          let d = Scvad_ad.Finite_diff.step ?h x in
-          if s = 0 then delta := d;
-          v.Variable.set element s (x +. d)
-        done;
-        !delta
+        let cell = Variable.read_element v element in
+        let delta = Scvad_ad.Finite_diff.step ?h cell.(0) in
+        Array.map_inplace (fun x -> x +. Scvad_ad.Finite_diff.step ?h x) cell;
+        Variable.write_element v element cell;
+        delta
       in
       let fd_diagnostic (v : float Variable.t) element =
         (* Central difference of the output along this element's
            direction — two more restore+continuation runs. *)
         let shift sign =
           restore ();
-          let d = ref 0.0 in
-          for s = 0 to v.Variable.spe - 1 do
-            let x = v.Variable.get element s in
-            let step = Scvad_ad.Finite_diff.step ?h x in
-            if s = 0 then d := step;
-            v.Variable.set element s (x +. (sign *. step))
-          done;
-          (continuation_opt (), !d)
+          let cell = Variable.read_element v element in
+          let d = Scvad_ad.Finite_diff.step ?h cell.(0) in
+          Array.map_inplace
+            (fun x -> x +. (sign *. Scvad_ad.Finite_diff.step ?h x))
+            cell;
+          Variable.write_element v element cell;
+          (continuation_opt (), d)
         in
         match (shift 1.0, shift (-1.0)) with
         (* lint: allow float-equality — exact-zero step guard: the

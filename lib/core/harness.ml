@@ -166,7 +166,9 @@ let corrupt_element_experiment ?niter ?(bit = 30) ~at_iter ~var ~element
   in
   if element < 0 || element >= Variable.elements v then
     invalid_arg "Harness.corrupt_element_experiment: element out of range";
-  v.Variable.set element 0 (Failure_.flip_bit (v.Variable.get element 0) ~bit);
+  let cell = Variable.read_element v element in
+  cell.(0) <- Failure_.flip_bit cell.(0) ~bit;
+  Variable.write_element v element cell;
   I.run state ~from:at_iter ~until:niter;
   let corrupted = { output = I.output state; iterations = niter } in
   { golden; restarted = corrupted; verified = verified ~golden ~restarted:corrupted }

@@ -122,9 +122,10 @@ let experiment ?(at_iter = 1) ?niter ~threshold (module A : App.S) =
         (plan_for plans v.Variable.name, Impact.find_opt impact v.Variable.name)
       with
       | Some p, Some vi ->
+          let scalars = Variable.snapshot v in
           Regions.iter_elements p.low (fun e ->
               for k = 0 to v.Variable.spe - 1 do
-                let x = v.Variable.get e k in
+                let x = scalars.((e * v.Variable.spe) + k) in
                 predicted :=
                   !predicted
                   +. (vi.Impact.magnitude.(e) *. Float.abs (x -. to_f32 x))

@@ -49,7 +49,7 @@ let float_section ?regions ?name ?(payload = fun a -> F.F64 a)
       payload
         (F.gather ~create:Array.create_float ~spe
            (covered regions (Variable.elements v))
-           v.Variable.get);
+           v.Variable.read);
   }
 
 let int_section ?regions (v : Variable.int_t) =
@@ -62,7 +62,10 @@ let int_section ?regions (v : Variable.int_t) =
       F.I64
         (F.gather ~create:(fun n -> Array.make n 0) ~spe:1
            (covered regions (Variable.int_elements v))
-           (fun e _ -> v.Variable.iget e));
+           (fun lo hi dst off ->
+             for e = lo to hi - 1 do
+               dst.(off + e - lo) <- v.Variable.iget e
+             done));
   }
 
 (* Snapshot the live state of an application instance.  [report = None]
@@ -117,14 +120,17 @@ let restore_files ~who ~poison ~names (files : F.file list)
       restore_var v.Variable.name ~elements:(Variable.elements v)
         ~spe:v.Variable.spe
         ~poison:(Scvad_checkpoint.Failure.poison_value poison)
-        (fun s poison -> F.scatter_floats s ?poison v.Variable.set))
+        (fun s poison -> F.scatter_floats ~who s ?poison v.Variable.write))
     float_vars;
   List.iter
     (fun (v : Variable.int_t) ->
       restore_var v.Variable.iname ~elements:(Variable.int_elements v) ~spe:1
         ~poison:(Scvad_checkpoint.Failure.int_poison_value poison)
         (fun s poison ->
-          F.scatter_ints s ?poison (fun e _ x -> v.Variable.iset e x)))
+          F.scatter_ints ~who s ?poison (fun lo hi src off ->
+              for e = lo to hi - 1 do
+                v.Variable.iset e src.(off + e - lo)
+              done)))
     int_vars
 
 (* Restore a checkpoint into live state.  Variables present in the file

@@ -1,9 +1,11 @@
 (* Checkpoint variable views.
 
    A variable is "a memory location paired with an associated symbolic
-   name" (paper §III-A); here it is an accessor view over live kernel
-   state, generic in the scalar type so the same view works in float mode
-   (checkpoint writing) and AD mode (lifting elements onto the tape).
+   name" (paper §III-A); here it is a span view over live kernel state:
+   [read]/[write] copy a range of elements to and from a packed,
+   element-major scalar array.  It is generic in the scalar type, so the
+   same view works in float mode (checkpoint writing) and AD mode
+   (lifting elements onto the tape).
 
    A variable has [elements] logical elements, each made of [spe]
    scalars ([spe] = 2 for FT's dcomplex cells); criticality is judged per
@@ -13,25 +15,25 @@ type 'a t = {
   name : string;
   shape : Scvad_nd.Shape.t;
   spe : int;
-  get : int -> int -> 'a; (* element index, scalar slot *)
-  set : int -> int -> 'a -> unit;
+  fill : 'a; (* what a fresh buffer holds before a read overwrites it *)
+  read : int -> int -> 'a array -> int -> unit; (* lo hi dst off *)
+  write : int -> int -> 'a array -> int -> unit; (* lo hi src off *)
   doc : string; (* why the variable must be checkpointed (Table I) *)
 }
 
 let elements v = Scvad_nd.Shape.size v.shape
 let scalars v = elements v * v.spe
 
-(* Every constructed view carries a sanitizer identity and reports its
-   stores, scalar-granular: slot [e * spe + k].  The record is a
-   domain-local read and a return outside sanitized pool shards, so
+(* Every constructed view carries a sanitizer identity and reports each
+   write as one span of scalar slots, [lo * spe, hi * spe).  The record
+   is a domain-local read and a return outside sanitized pool shards, so
    restores and lifts stay cheap in normal runs (DESIGN.md §17). *)
-let observed_set ~spe set =
+let observed_write ~spe write =
   let id = Scvad_sanitize.Sanitize.fresh_id () in
-  fun e k x ->
-    set e k x;
-    let off = (e * spe) + k in
-    Scvad_sanitize.Sanitize.record ~obj:id ~lo:off ~hi:(off + 1)
-      ~tag:"variable.set"
+  fun lo hi src off ->
+    write lo hi src off;
+    Scvad_sanitize.Sanitize.record ~obj:id ~lo:(lo * spe) ~hi:(hi * spe)
+      ~tag:"variable.write"
 
 let observed_int_set set =
   let id = Scvad_sanitize.Sanitize.fresh_id () in
@@ -43,7 +45,7 @@ let observed_int_set set =
 (* Paper-style storage cost of the full variable: 8 bytes per scalar. *)
 let payload_bytes v = 8 * scalars v
 
-(* Flat array of scalars, one element per scalar. *)
+(* Flat array of scalars, one element per scalar: spans are blits. *)
 let of_array ~name ?(doc = "") shape (data : 'a array) =
   if Array.length data <> Scvad_nd.Shape.size shape then
     invalid_arg "Variable.of_array: array length does not match shape";
@@ -51,51 +53,54 @@ let of_array ~name ?(doc = "") shape (data : 'a array) =
     name;
     shape;
     spe = 1;
-    get = (fun e _ -> data.(e));
-    set = observed_set ~spe:1 (fun e _ x -> data.(e) <- x);
+    fill = data.(0);
+    read = (fun lo hi dst off -> Array.blit data lo dst off (hi - lo));
+    write =
+      observed_write ~spe:1 (fun lo hi src off ->
+          Array.blit src off data lo (hi - lo));
     doc;
   }
 
-(* A lone scalar (EP's sx/sy), viewed as one element. *)
-let of_ref ~name ?(doc = "") (r : 'a ref) =
-  {
-    name;
-    shape = Scvad_nd.Shape.scalar;
-    spe = 1;
-    get = (fun _ _ -> !r);
-    set = observed_set ~spe:1 (fun _ _ x -> r := x);
-    doc;
-  }
-
-(* General accessor view (used for dcomplex arrays). *)
-let make ~name ?(doc = "") ~shape ~spe ~get ~set () =
+(* General span view (dcomplex cells, record fields). *)
+let make ~name ?(doc = "") ~shape ~spe ~fill ~read ~write () =
   if spe <= 0 then invalid_arg "Variable.make: spe must be positive";
-  { name; shape; spe; get; set = observed_set ~spe set; doc }
+  { name; shape; spe; fill; read; write = observed_write ~spe write; doc }
 
-(* Lift every scalar in place and return the lifted values (element-major,
-   [spe] slots per element).  The returned snapshot is essential: the run
-   that follows may overwrite the variable, but criticality is a property
-   of the values that were {e checkpointed}, i.e. the ones lifted here. *)
-let lift_capture v f =
-  let n = elements v in
-  Array.init (n * v.spe) (fun i ->
-      let e = i / v.spe and k = i mod v.spe in
-      let x = f (v.get e k) in
-      v.set e k x;
-      x)
+(* One element's [spe] scalars, and back: for callers that touch single
+   elements (bit flips, perturbations, probes). *)
+let read_element v e =
+  let cell = Array.make v.spe v.fill in
+  v.read e (e + 1) cell 0;
+  cell
+
+let write_element v e cell = v.write e (e + 1) cell 0
 
 (* Boundary snapshot/restore: every scalar of the variable, element-major
-   ([spe] slots per element).  This is the in-memory checkpoint the
-   falsifier and the segmented tape's replay both rely on: restoring the
-   snapshot and re-running from the boundary must reproduce the
-   continuation (the checkpointing premise itself). *)
+   ([spe] slots per element), in one span each way.  This is the
+   in-memory checkpoint the falsifier and the segmented tape's replay
+   both rely on: restoring the snapshot and re-running from the boundary
+   must reproduce the continuation (the checkpointing premise itself). *)
 let snapshot v =
-  Array.init (scalars v) (fun k -> v.get (k / v.spe) (k mod v.spe))
+  let dst = Array.make (scalars v) v.fill in
+  v.read 0 (elements v) dst 0;
+  dst
 
 let restore v snap =
   if Array.length snap <> scalars v then
     invalid_arg "Variable.restore: snapshot length does not match variable";
-  Array.iteri (fun k x -> v.set (k / v.spe) (k mod v.spe) x) snap
+  v.write 0 (elements v) snap 0
+
+(* Lift every scalar and return the lifted values (element-major, [spe]
+   slots per element), lifting in that order.  The returned snapshot is
+   essential: the run that follows may overwrite the variable, but
+   criticality is a property of the values that were {e checkpointed},
+   i.e. the ones lifted here. *)
+let lift_capture v f =
+  let boundary = Array.make (scalars v) v.fill in
+  v.read 0 (elements v) boundary 0;
+  let lifted = Array.map f boundary in
+  v.write 0 (elements v) lifted 0;
+  lifted
 
 (* Mask and per-element |derivative| magnitude in one scan of the
    snapshot (reverse mode reads both from the same adjoints; scanning

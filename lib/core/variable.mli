@@ -2,17 +2,25 @@
 
     A variable (paper §III-A: "a memory location paired with an
     associated symbolic name") is exposed to the analyzer and the
-    checkpoint library as an accessor view over live kernel state,
-    generic in the scalar type.  A variable has logical {e elements},
-    each made of [spe] scalars ([spe] = 2 for FT's dcomplex cells);
-    criticality is judged per element, as in the paper's Table II. *)
+    checkpoint library as a span view over live kernel state, generic in
+    the scalar type.  A variable has logical {e elements}, each made of
+    [spe] scalars ([spe] = 2 for FT's dcomplex cells); criticality is
+    judged per element, as in the paper's Table II.
+
+    Every access is a span: [read lo hi dst off] copies elements
+    [\[lo, hi)] into [dst] from slot [off] on, [spe] scalars per
+    element, element-major; [write lo hi src off] copies them back.  A
+    view over a flat array blits; FT's dcomplex cells build one cell per
+    element.  Each [write] records one sanitizer span, the scalar slots
+    [\[lo * spe, hi * spe)]. *)
 
 type 'a t = {
   name : string;
   shape : Scvad_nd.Shape.t;
   spe : int;  (** scalars per logical element *)
-  get : int -> int -> 'a;  (** [get element slot] *)
-  set : int -> int -> 'a -> unit;
+  fill : 'a;  (** what a fresh buffer holds before a [read] overwrites it *)
+  read : int -> int -> 'a array -> int -> unit;  (** [read lo hi dst off] *)
+  write : int -> int -> 'a array -> int -> unit;  (** [write lo hi src off] *)
   doc : string;  (** why the variable must be checkpointed (Table I) *)
 }
 
@@ -24,22 +32,28 @@ val scalars : 'a t -> int
 (** Full-variable storage cost: 8 bytes per scalar. *)
 val payload_bytes : 'a t -> int
 
-(** View over a flat array, one scalar per element. *)
+(** View over a flat array, one scalar per element; spans are
+    [Array.blit]s. *)
 val of_array : name:string -> ?doc:string -> Scvad_nd.Shape.t -> 'a array -> 'a t
 
-(** View over a lone scalar held in a ref (e.g. EP's sx). *)
-val of_ref : name:string -> ?doc:string -> 'a ref -> 'a t
-
-(** General accessor view; raises on [spe <= 0]. *)
+(** General span view; [write] is wrapped to record its sanitizer span.
+    Raises on [spe <= 0]. *)
 val make :
   name:string ->
   ?doc:string ->
   shape:Scvad_nd.Shape.t ->
   spe:int ->
-  get:(int -> int -> 'a) ->
-  set:(int -> int -> 'a -> unit) ->
+  fill:'a ->
+  read:(int -> int -> 'a array -> int -> unit) ->
+  write:(int -> int -> 'a array -> int -> unit) ->
   unit ->
   'a t
+
+(** The [spe] scalars of one element, in a fresh array. *)
+val read_element : 'a t -> int -> 'a array
+
+(** Store one element's [spe] scalars (one span of one element). *)
+val write_element : 'a t -> int -> 'a array -> unit
 
 (** Lift every scalar in place and return the lifted values
     (element-major).  The snapshot matters: the run may overwrite the
@@ -48,12 +62,13 @@ val make :
 val lift_capture : 'a t -> ('a -> 'a) -> 'a array
 
 (** Boundary snapshot: every scalar, element-major ([spe] slots per
-    element).  Together with {!restore} this is the in-memory checkpoint
-    used by the falsifier's trials and the segmented tape's replay. *)
+    element), read as one span.  Together with {!restore} this is the
+    in-memory checkpoint used by the falsifier's trials and the
+    segmented tape's replay. *)
 val snapshot : 'a t -> 'a array
 
-(** Write a {!snapshot} back; raises [Invalid_argument] on a length
-    mismatch. *)
+(** Write a {!snapshot} back as one span; raises [Invalid_argument] on a
+    length mismatch. *)
 val restore : 'a t -> 'a array -> unit
 
 (** [mask_and_magnitudes_of_snapshot v snapshot magnitude_of] computes,

@@ -81,16 +81,24 @@ let vecset v iv ~i =
   | None ->
       (Array.append v [| 0.5 |], Array.append iv [| i |])
 
+(* NPB makea.  The outer products come out as (row, col, x) triples,
+   bucketed by row in generation order (a counting sort, so stable) and
+   sorted by column within each row (an insertion sort, also stable).
+   Duplicates then sum in generation order as [x +. acc] from [0.], as
+   NPB's sparse() does. *)
 let makea (module C : CONFIG) rng =
   let n = C.na in
   let ratio = C.rcond ** (1. /. float_of_int n) in
-  (* Accumulate outer-product triples row-major in a hashtable keyed by
-     (row, col); duplicates sum, as NPB's sparse() does. *)
-  let acc = Hashtbl.create (n * 16) in
+  (* Every vector has at most nonzer + 1 entries, then the diagonal. *)
+  let cap = (n * (C.nonzer + 1) * (C.nonzer + 1)) + n in
+  let rows = Array.make cap 0 and cols = Array.make cap 0 in
+  let xs = Array.create_float cap in
+  let len = ref 0 in
   let add irow jcol x =
-    let key = (irow, jcol) in
-    Hashtbl.replace acc key
-      (x +. try Hashtbl.find acc key with Not_found -> 0.)
+    rows.(!len) <- irow;
+    cols.(!len) <- jcol;
+    xs.(!len) <- x;
+    incr len
   in
   let size = ref 1. in
   for i = 1 to n do
@@ -107,36 +115,61 @@ let makea (module C : CONFIG) rng =
   for i = 1 to n do
     add i i (C.rcond -. C.shift)
   done;
-  (* Assemble CSR (1-based). *)
-  let per_row = Array.make (n + 2) 0 in
-  Hashtbl.iter (fun (r, _) _ -> per_row.(r) <- per_row.(r) + 1) acc;
+  let len = !len in
+  (* first.(r): where row r's bucket starts; first.(n + 1) = len. *)
+  let first = Array.make (n + 2) 0 in
+  for t = 0 to len - 1 do
+    first.(rows.(t) + 1) <- first.(rows.(t) + 1) + 1
+  done;
+  for r = 1 to n + 1 do
+    first.(r) <- first.(r) + first.(r - 1)
+  done;
+  let bcol = Array.make len 0 and bx = Array.create_float len in
+  let cursor = Array.copy first in
+  for t = 0 to len - 1 do
+    let k = cursor.(rows.(t)) in
+    cursor.(rows.(t)) <- k + 1;
+    bcol.(k) <- cols.(t);
+    bx.(k) <- xs.(t)
+  done;
+  (* Per row: sort by column, then one CSR entry per distinct column. *)
   let rowstr = Array.make (n + 2) 0 in
-  rowstr.(1) <- 0;
+  let colidx = Array.make len 0 and values = Array.create_float len in
+  let nnz = ref 0 in
   for r = 1 to n do
-    rowstr.(r + 1) <- rowstr.(r) + per_row.(r)
+    let lo = first.(r) and hi = first.(r + 1) in
+    for k = lo + 1 to hi - 1 do
+      let c = bcol.(k) and x = bx.(k) in
+      let j = ref (k - 1) in
+      while !j >= lo && bcol.(!j) > c do
+        bcol.(!j + 1) <- bcol.(!j);
+        bx.(!j + 1) <- bx.(!j);
+        decr j
+      done;
+      bcol.(!j + 1) <- c;
+      bx.(!j + 1) <- x
+    done;
+    rowstr.(r) <- !nnz;
+    let k = ref lo in
+    while !k < hi do
+      let c = bcol.(!k) in
+      let acc = ref 0. in
+      while !k < hi && bcol.(!k) = c do
+        acc := bx.(!k) +. !acc;
+        incr k
+      done;
+      colidx.(!nnz) <- c;
+      values.(!nnz) <- !acc;
+      incr nnz
+    done
   done;
-  let nnz = rowstr.(n + 1) in
-  let colidx = Array.make nnz 0 and values = Array.make nnz 0. in
-  let cursor = Array.copy rowstr in
-  Hashtbl.iter
-    (fun (r, c) x ->
-      let k = cursor.(r) in
-      cursor.(r) <- k + 1;
-      colidx.(k) <- c;
-      values.(k) <- x)
-    acc;
-  (* Sort each row by column for deterministic traversal. *)
-  for r = 1 to n do
-    let lo = rowstr.(r) and hi = rowstr.(r + 1) in
-    let row = Array.init (hi - lo) (fun k -> (colidx.(lo + k), values.(lo + k))) in
-    Array.sort compare row;
-    Array.iteri
-      (fun k (c, x) ->
-        colidx.(lo + k) <- c;
-        values.(lo + k) <- x)
-      row
-  done;
-  { n; rowstr; colidx; values }
+  rowstr.(n + 1) <- !nnz;
+  {
+    n;
+    rowstr;
+    colidx = Array.sub colidx 0 !nnz;
+    values = Array.sub values 0 !nnz;
+  }
 
 module Make_generic (C : CONFIG) (S : Scvad_ad.Scalar.S) = struct
   type scalar = S.t

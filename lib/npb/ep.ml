@@ -85,23 +85,29 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
   let float_vars st =
     let open Scvad_core.Variable in
     [ make ~name:"sx" ~doc:"sum of Gaussian deviates, X dimension"
-        ~shape:Scvad_nd.Shape.scalar ~spe:1
-        ~get:(fun _ _ -> st.sx)
-        ~set:(fun _ _ v -> st.sx <- v)
+        ~shape:Scvad_nd.Shape.scalar ~spe:1 ~fill:S.zero
+        ~read:(fun lo hi dst off -> if lo < hi then dst.(off) <- st.sx)
+        ~write:(fun lo hi src off -> if lo < hi then st.sx <- src.(off))
         ();
       make ~name:"sy" ~doc:"sum of Gaussian deviates, Y dimension"
-        ~shape:Scvad_nd.Shape.scalar ~spe:1
-        ~get:(fun _ _ -> st.sy)
-        ~set:(fun _ _ v -> st.sy <- v)
+        ~shape:Scvad_nd.Shape.scalar ~spe:1 ~fill:S.zero
+        ~read:(fun lo hi dst off -> if lo < hi then dst.(off) <- st.sy)
+        ~write:(fun lo hi src off -> if lo < hi then st.sy <- src.(off))
         ();
       of_array ~name:"q" ~doc:"annulus counts of the accepted pairs"
         (Scvad_nd.Shape.create [ nq ])
         st.q;
       make ~name:"buffer" ~doc:"uniform deviates of the current batch"
         ~shape:(Scvad_nd.Shape.create [ 2 * nk ])
-        ~spe:1
-        ~get:(fun e _ -> S.of_float st.buffer.(e))
-        ~set:(fun e _ v -> st.buffer.(e) <- S.to_float v)
+        ~spe:1 ~fill:S.zero
+        ~read:(fun lo hi dst off ->
+          for e = lo to hi - 1 do
+            dst.(off + e - lo) <- S.of_float st.buffer.(e)
+          done)
+        ~write:(fun lo hi src off ->
+          for e = lo to hi - 1 do
+            st.buffer.(e) <- S.to_float src.(off + e - lo)
+          done)
         () ]
 
   let int_vars st =

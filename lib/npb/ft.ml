@@ -59,11 +59,11 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
     let rng = Scvad_nprand.Nprand.create Scvad_nprand.Nprand.cg_seed in
     for z = 0 to n3 - 1 do
       for y = 0 to n2 - 1 do
-        for x = 0 to n1 - 1 do
-          let o = 2 * idx z y x in
-          grid.(o) <- Scvad_nprand.Nprand.next rng;
-          grid.(o + 1) <- Scvad_nprand.Nprand.next rng
-        done
+        (* A row's 64 cells are 128 contiguous slots, real part first:
+           the order the stream fills them in. *)
+        Scvad_nprand.Nprand.vranlc rng ~a:Scvad_nprand.Nprand.default_mult
+          (2 * n1) grid
+          (2 * idx z y 0)
       done
     done;
     (* Forward 3-D FFT, dimension by dimension (gather strided
@@ -195,6 +195,22 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
       (fun acc c -> S.(acc +. C.re c +. C.im c))
       S.zero st.sums
 
+  (* Span accessors of a dcomplex array: cell e is packed at slots
+     2(e - lo) and 2(e - lo) + 1 from [off]; a write builds one cell per
+     element. *)
+  let read_cells (a : C.t array) lo hi (dst : S.t array) off =
+    for e = lo to hi - 1 do
+      let o = off + (2 * (e - lo)) in
+      dst.(o) <- C.re a.(e);
+      dst.(o + 1) <- C.im a.(e)
+    done
+
+  let write_cells (a : C.t array) lo hi (src : S.t array) off =
+    for e = lo to hi - 1 do
+      let o = off + (2 * (e - lo)) in
+      a.(e) <- C.make src.(o) src.(o + 1)
+    done
+
   let float_vars st =
     let open Scvad_core.Variable in
     [ (* guard: assume smooth y — the Fft/Dcomplex modules do fixed-shape
@@ -203,23 +219,14 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
       make ~name:"y"
         ~doc:"frequency-domain signal (x padded to 65; dcomplex cells)"
         ~shape:(Scvad_nd.Shape.create [ n3; n2; xpad ])
-        ~spe:2
-        ~get:(fun e k -> if k = 0 then C.re st.y.(e) else C.im st.y.(e))
-        ~set:(fun e k v ->
-          let c = st.y.(e) in
-          st.y.(e) <- (if k = 0 then C.make v (C.im c) else C.make (C.re c) v))
+        ~spe:2 ~fill:S.zero ~read:(read_cells st.y) ~write:(write_cells st.y)
         ();
       (* guard: assume smooth sums — checksum accumulation is a plain
          dcomplex sum; only Dcomplex arithmetic is leaked *)
       make ~name:"sums" ~doc:"per-iteration checksums (dcomplex)"
         ~shape:(Scvad_nd.Shape.create [ niter ])
-        ~spe:2
-        ~get:(fun e k -> if k = 0 then C.re st.sums.(e) else C.im st.sums.(e))
-        ~set:(fun e k v ->
-          let c = st.sums.(e) in
-          st.sums.(e) <-
-            (if k = 0 then C.make v (C.im c) else C.make (C.re c) v))
-        () ]
+        ~spe:2 ~fill:S.zero ~read:(read_cells st.sums)
+        ~write:(write_cells st.sums) () ]
 
   let int_vars st =
     [ {

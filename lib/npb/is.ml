@@ -91,17 +91,17 @@ module Kernel (O : INT_OPS) = struct
     mutable iter_done : int;
   }
 
-  (* NPB create_seq: keys from four summed randlc deviates. *)
+  (* NPB create_seq: keys from four summed randlc deviates, drawn by one
+     vranlc call; [next +. next +. next +. next] drew the right one first. *)
   let create () =
     let rng = Scvad_nprand.Nprand.create Scvad_nprand.Nprand.cg_seed in
+    let u = Array.make (4 * total_keys) 0. in
+    Scvad_nprand.Nprand.vranlc rng ~a:Scvad_nprand.Nprand.default_mult
+      (4 * total_keys) u 0;
     let key_array =
-      Array.init total_keys (fun _ ->
-          let x =
-            Scvad_nprand.Nprand.next rng
-            +. Scvad_nprand.Nprand.next rng
-            +. Scvad_nprand.Nprand.next rng
-            +. Scvad_nprand.Nprand.next rng
-          in
+      Array.init total_keys (fun k ->
+          let b = 4 * k in
+          let x = u.(b + 3) +. u.(b + 2) +. u.(b + 1) +. u.(b) in
           O.const (int_of_float (float_of_int (max_key / 4) *. x)))
     in
     {

@@ -28,7 +28,12 @@ val randlc : t -> a:float -> float
 (** One step with {!default_mult}. *)
 val next : t -> float
 
-(** [vranlc t ~a n dst off] fills [dst.(off .. off+n-1)] with deviates. *)
+(** [vranlc t ~a n dst off] fills [dst.(off .. off+n-1)] with the next
+    [n] deviates: bit for bit the values of [n] successive
+    [randlc t ~a] calls, and it leaves the same seed.  Past the first
+    four it runs four interleaved chains, x{_k+4} = a{^4}·x{_k}
+    mod 2{^46} (exact in doubles like every step), so consecutive
+    deviates no longer wait on each other's multiply chain. *)
 val vranlc : t -> a:float -> int -> float array -> int -> unit
 
 (** [ipow46 a e] = the seed reached from 1 after multiplying [e] times by

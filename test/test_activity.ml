@@ -291,9 +291,9 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
 
   let float_vars st =
     let open Scvad_core.Variable in
-    [ make ~name:"acc" ~shape:Scvad_nd.Shape.scalar ~spe:1
-        ~get:(fun _ _ -> st.acc)
-        ~set:(fun _ _ v -> st.acc <- v)
+    [ make ~name:"acc" ~shape:Scvad_nd.Shape.scalar ~spe:1 ~fill:S.zero
+        ~read:(fun lo hi dst off -> if lo < hi then dst.(off) <- st.acc)
+        ~write:(fun lo hi src off -> if lo < hi then st.acc <- src.(off))
         ();
       %s
       of_array ~name:"scratch" (Scvad_nd.Shape.create [ n ]) st.scratch ]

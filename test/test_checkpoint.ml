@@ -136,13 +136,14 @@ let f64_section ?regions ~name ~dims ~spe data =
 (* A full scalar buffer ([spe] slots per element) packed by [regions],
    and a section expanded back into one. *)
 let gather_f64 ~data ~spe regions =
-  Ckpt_format.gather ~create:Array.create_float ~spe regions (fun e k ->
-      data.((e * spe) + k))
+  Ckpt_format.gather ~create:Array.create_float ~spe regions
+    (fun lo hi dst off -> Array.blit data (lo * spe) dst off ((hi - lo) * spe))
 
 let scatter_f64 s ~poison =
   let spe = s.Ckpt_format.spe in
   let out = Array.create_float (Ckpt_format.element_count s * spe) in
-  Ckpt_format.scatter_floats s ~poison (fun e k x -> out.((e * spe) + k) <- x);
+  Ckpt_format.scatter_floats ~who:"test" s ~poison (fun lo hi src off ->
+      Array.blit src off out (lo * spe) ((hi - lo) * spe));
   out
 
 let test_format_roundtrip_full () =
@@ -315,7 +316,11 @@ let test_restore_validation () =
       ("element-count mismatch", [ x ~dims:[| 3 |] ~spe:1; k 4 ]);
       ("spe mismatch", [ x ~dims:[| 4 |] ~spe:2; k 4 ]);
       ("same scalars, other shape", [ x ~dims:[| 2 |] ~spe:2; k 4 ]);
-      ("short int section", [ x ~dims:[| 4 |] ~spe:1; k 2 ]) ]
+      ("short int section", [ x ~dims:[| 4 |] ~spe:1; k 2 ]);
+      ( "int payload for float",
+        [ { (k 4) with Ckpt_format.name = "x" }; k 4 ] );
+      ( "float payload for int",
+        [ x ~dims:[| 4 |] ~spe:1; { (x ~dims:[| 4 |] ~spe:1) with name = "k" } ] ) ]
   in
   let policies =
     [ ("Pruned.restore", fun file ~float_vars ~int_vars ->

@@ -57,9 +57,9 @@ module Toy : App.S = struct
           (Scvad_nd.Shape.create [ 10 ])
           st.a;
         Variable.make ~name:"acc" ~doc:"running reduction"
-          ~shape:Scvad_nd.Shape.scalar ~spe:1
-          ~get:(fun _ _ -> st.acc)
-          ~set:(fun _ _ x -> st.acc <- x)
+          ~shape:Scvad_nd.Shape.scalar ~spe:1 ~fill:S.zero
+          ~read:(fun lo hi dst off -> if lo < hi then dst.(off) <- st.acc)
+          ~write:(fun lo hi src off -> if lo < hi then st.acc <- src.(off))
           () ]
 
     let int_vars st =
@@ -184,11 +184,11 @@ let test_pruned_restore_poisons_uncritical () =
   for e = 0 to 7 do
     Alcotest.(check (float 0.))
       (Printf.sprintf "critical a[%d] restored" e)
-      ((List.hd (I.float_vars st)).V.get e 0)
-      (a2.V.get e 0)
+      (V.read_element (List.hd (I.float_vars st)) e).(0)
+      (V.read_element a2 e).(0)
   done;
-  Alcotest.(check bool) "a[8] poisoned" true (Float.is_nan (a2.V.get 8 0));
-  Alcotest.(check bool) "a[9] poisoned" true (Float.is_nan (a2.V.get 9 0))
+  Alcotest.(check bool) "a[8] poisoned" true (Float.is_nan (V.read_element a2 8).(0));
+  Alcotest.(check bool) "a[9] poisoned" true (Float.is_nan (V.read_element a2 9).(0))
 
 let test_storage_accounting () =
   let report = Analyzer.run (module Toy) in
@@ -218,6 +218,170 @@ let test_report_rendering () =
   Alcotest.(check bool) "table3 row" true
     (Astring.String.is_infix ~affix:"TOY" t3)
 
+(* ------------------------------------------------------------------ *)
+(* Span views                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* Every app's plain-float instance, one iteration in. *)
+let float_instances () =
+  List.map
+    (fun (module A : App.S) ->
+      let module I = A.Float in
+      let st = I.create () in
+      I.run st ~from:0 ~until:1;
+      (A.name, (module A : App.S), I.float_vars st, I.int_vars st))
+    Scvad_npb.Suite.all
+
+(* Write [values] back in spans of 1..7 elements taken from a source
+   array that holds them at an offset: every [lo], [hi] and [off] the
+   walker can produce, not only whole variables. *)
+let write_in_pieces (v : float Variable.t) values =
+  let spe = v.Variable.spe and n = Variable.elements v in
+  let src = Array.append (Array.make 3 Float.nan) values in
+  let lo = ref 0 and width = ref 1 in
+  while !lo < n do
+    let hi = min n (!lo + !width) in
+    v.Variable.write !lo hi src (3 + (!lo * spe));
+    lo := hi;
+    width := 1 + (!width mod 7)
+  done
+
+let test_snapshot_scribble_restore () =
+  List.iter
+    (fun (app, _, fvars, _) ->
+      List.iter
+        (fun (v : float Variable.t) ->
+          let name = app ^ "." ^ v.Variable.name in
+          let snap = Variable.snapshot v in
+          write_in_pieces v (Array.map (fun x -> -.x -. 1.) snap);
+          if bits (Variable.snapshot v) = bits snap then
+            Alcotest.failf "%s: the scribble changed nothing" name;
+          Variable.restore v snap;
+          Alcotest.(check bool) (name ^ " restored bit for bit") true
+            (bits (Variable.snapshot v) = bits snap);
+          write_in_pieces v (Array.make (Array.length snap) 0.);
+          write_in_pieces v snap;
+          Alcotest.(check bool) (name ^ " rewritten in pieces") true
+            (bits (Variable.snapshot v) = bits snap))
+        fvars)
+    (float_instances ())
+
+(* A pruned checkpoint under random masks: after a restore into a fresh
+   instance the covered slots hold the saved bits and every uncovered
+   slot, and only those, holds NaN. *)
+let test_pruned_poison_exactly_uncovered () =
+  let rng = Random.State.make [| 29 |] in
+  List.iter
+    (fun (app, (module A : App.S), fvars, ivars) ->
+      let masks =
+        List.map
+          (fun (v : float Variable.t) ->
+            Array.init (Variable.elements v) (fun _ -> Random.State.bool rng))
+          fvars
+      in
+      let report =
+        {
+          Criticality.app;
+          at_iteration = 1;
+          analyzed_until = 1;
+          mode = Criticality.Reverse_gradient;
+          tape_nodes = 0;
+          tape_profile = None;
+          sweep_profile = None;
+          vars =
+            List.map2
+              (fun (v : float Variable.t) mask ->
+                Criticality.of_mask ~name:v.Variable.name
+                  ~shape:v.Variable.shape ~spe:v.Variable.spe
+                  ~kind:Criticality.Float_var mask)
+              fvars masks;
+        }
+      in
+      let file =
+        Pruned.snapshot ~report ~app ~iteration:1 ~float_vars:fvars
+          ~int_vars:ivars ()
+      in
+      let module I = A.Float in
+      let fresh = I.create () in
+      let fvars' = I.float_vars fresh in
+      ignore
+        (Pruned.restore file ~float_vars:fvars' ~int_vars:(I.int_vars fresh));
+      List.iteri
+        (fun i (v : float Variable.t) ->
+          let v' = List.nth fvars' i and mask = List.nth masks i in
+          let saved = Variable.snapshot v and got = Variable.snapshot v' in
+          (* An all-critical variable is saved in full, poison-free. *)
+          let all = Array.for_all Fun.id mask in
+          Array.iteri
+            (fun slot x ->
+              let covered = all || mask.(slot / v.Variable.spe) in
+              let ok =
+                if covered then
+                  Int64.bits_of_float x = Int64.bits_of_float saved.(slot)
+                else Float.is_nan x
+              in
+              if not ok then
+                Alcotest.failf "%s.%s slot %d: covered %b, got %h" app
+                  v.Variable.name slot covered x)
+            got)
+        fvars)
+    (float_instances ())
+
+(* A sanitized batch of [writes], one per shard, on one view. *)
+let sanitized_writes v writes =
+  Scvad_sanitize.Sanitize.arm ();
+  Fun.protect
+    ~finally:(fun () ->
+      if Scvad_sanitize.Sanitize.armed () then
+        ignore (Scvad_sanitize.Sanitize.disarm ()))
+    (fun () ->
+      Scvad_par.Pool.with_pool ~jobs:2 (fun pool ->
+          ignore
+            (Scvad_par.Pool.map ~sanitize:true pool
+               (fun (lo, hi) ->
+                 v.Variable.write lo hi
+                   (Array.make ((hi - lo) * v.Variable.spe) 1.)
+                   0)
+               writes));
+      Scvad_sanitize.Sanitize.disarm ())
+
+let test_one_span_per_write () =
+  let cells = Array.make 32 0. in
+  let pair =
+    Variable.make ~name:"pair" ~shape:(Scvad_nd.Shape.create [ 16 ]) ~spe:2
+      ~fill:0.
+      ~read:(fun lo hi dst off ->
+        Array.blit cells (2 * lo) dst off (2 * (hi - lo)))
+      ~write:(fun lo hi src off ->
+        Array.blit src off cells (2 * lo) (2 * (hi - lo)))
+      ()
+  in
+  let flat =
+    Variable.of_array ~name:"flat" (Scvad_nd.Shape.create [ 16 ])
+      (Array.make 16 0.)
+  in
+  List.iter
+    (fun (v : float Variable.t) ->
+      let spe = v.Variable.spe in
+      (* A batch of one runs inline, unsanitized: the second shard's
+         empty write records nothing. *)
+      let one = sanitized_writes v [ (3, 10); (12, 12) ] in
+      Alcotest.(check int) (v.Variable.name ^ ": one span") 1
+        one.Scvad_sanitize.Sanitize.spans;
+      let two = sanitized_writes v [ (0, 5); (4, 9) ] in
+      Alcotest.(check int) (v.Variable.name ^ ": one span per shard") 2
+        two.Scvad_sanitize.Sanitize.spans;
+      match two.Scvad_sanitize.Sanitize.witnesses with
+      | [ w ] ->
+          Alcotest.(check (pair int int))
+            (v.Variable.name ^ ": overlap in scalar slots")
+            (4 * spe, 5 * spe)
+            (w.Scvad_sanitize.Sanitize.w_lo, w.Scvad_sanitize.Sanitize.w_hi)
+      | ws -> Alcotest.failf "%d witnesses, expected one" (List.length ws))
+    [ pair; flat ]
+
 let suites =
   [ ( "core.analyzer",
       [ Alcotest.test_case "reverse on toy app" `Quick test_reverse_toy;
@@ -234,4 +398,11 @@ let suites =
           test_pruned_restore_poisons_uncritical ] );
     ( "core.report",
       [ Alcotest.test_case "storage accounting" `Quick test_storage_accounting;
-        Alcotest.test_case "table rendering" `Quick test_report_rendering ] ) ]
+        Alcotest.test_case "table rendering" `Quick test_report_rendering ] );
+    ( "core.spans",
+      [ Alcotest.test_case "snapshot, scribble, restore (every app)" `Quick
+          test_snapshot_scribble_restore;
+        Alcotest.test_case "pruned restore poisons exactly the uncovered"
+          `Quick test_pruned_poison_exactly_uncovered;
+        Alcotest.test_case "one sanitizer span per write" `Quick
+          test_one_span_per_write ] ) ]

@@ -96,7 +96,7 @@ let test_restore_chain_semantics () =
     Inc.snapshot tracker ~mode:(Inc.Combined_with report) ~app:A.name
       ~iteration:1 ~float_vars:(I.float_vars st) ~int_vars:(I.int_vars st) ()
   in
-  let boundary_value = (List.hd (I.float_vars st)).Variable.get 0 0 in
+  let boundary_value = (Variable.read_element (List.hd (I.float_vars st)) 0).(0) in
   I.run st ~from:1 ~until:2;
   let f2 =
     Inc.snapshot tracker ~mode:(Inc.Combined_with report) ~app:A.name
@@ -111,11 +111,11 @@ let test_restore_chain_semantics () =
   (* element 0 = u[0][0][0][0]: boundary, critical, never changes after
      the base. *)
   Alcotest.(check (float 0.)) "base value survives the delta"
-    boundary_value (v2.Variable.get 0 0);
+    boundary_value (Variable.read_element v2 0).(0);
   (* a padded (uncritical) element stays poisoned *)
   let pad = ((((0 * 13) + 12) * 13) + 0) * 5 in
   Alcotest.(check bool) "uncritical slot poisoned" true
-    (Float.is_nan (v2.Variable.get pad 0));
+    (Float.is_nan (Variable.read_element v2 pad).(0));
   (* empty chain rejected *)
   match
     Inc.restore ~files:[] ~float_vars:(I.float_vars st2)

@@ -164,11 +164,11 @@ let test_mixed_restore_roundtrip () =
   for e = 1 to 60 do
     Alcotest.(check (float 0.))
       (Printf.sprintf "x[%d] restored as f32" e)
-      (Mixed.to_f32 (v1.Variable.get e 0))
-      (v2.Variable.get e 0)
+      (Mixed.to_f32 (Variable.read_element v1 e).(0))
+      (Variable.read_element v2 e).(0)
   done;
   (* Uncritical slots are poisoned. *)
-  Alcotest.(check bool) "x[0] poisoned" true (Float.is_nan (v2.Variable.get 0 0))
+  Alcotest.(check bool) "x[0] poisoned" true (Float.is_nan (Variable.read_element v2 0).(0))
 
 let suites =
   [ ( "mixed.impact",
