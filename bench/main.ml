@@ -16,6 +16,10 @@
    - One iteration of FT's plain-float production instance
      ([Ft.App.Float], what golden runs and restarts execute): seconds
      and heap words ([Gc.minor_words]) per stored grid cell.
+   - [A.Float.create] of every app, the state a golden run or a restart
+     builds first: seconds.
+   - One full [Pruned.snapshot] and one full [Pruned.restore] of FT's
+     plain-float state: seconds and heap words per grid cell.
    - The 8-benchmark [Analyzer.run_suite] at jobs=1 and at jobs=N
      (perfbench runs jobs=1 only), with the masks of both compared.
    - The static passes' walk ([Absint.analyze]) over every kernel model
@@ -26,7 +30,9 @@
    disagree on an adjoint, when the sparse sweep grows [VmRSS] past its
    touched share plus slack, when recording through [Reverse] allocates
    more than 3 heap words per node, when an FT float iteration allocates
-   more than 8 heap words per grid cell, when the jobs=N masks differ
+   more than 8 heap words per grid cell, when FT's full restore allocates
+   more than 3.5 heap words per cell or its full snapshot more than 0.5,
+   when the jobs=N masks differ
    from jobs=1, or when the static walk spends more than its step
    ceiling.
 
@@ -221,6 +227,50 @@ let ft_float_step () =
   Printf.sprintf "{\"s\": %.6g, \"words_per_cell\": %.4f, \"cells\": %d}" s
     words Scvad_npb.Ft.cells
 
+(* Building each app's plain-float state: CG generates its matrix and
+   FT its initial field from the randlc stream, then transforms it. *)
+let npb_create () =
+  Printf.sprintf "{%s}"
+    (String.concat ", "
+       (List.map
+          (fun (module A : Scvad_core.App.S) ->
+            Printf.sprintf "\"%s\": %.6g" A.name
+              (time_min (fun () -> A.Float.create ())))
+          Scvad_npb.Suite.all))
+
+(* A full FT checkpoint cycle through the span views: the snapshot
+   reads each dcomplex cell straight into the packed payload (nothing
+   allocated per cell), and the restore builds one 3-word cell per
+   element.  Per-scalar accessors cost about 4 words per cell to
+   snapshot and 10 to restore. *)
+let restore_words_ceiling = 3.5
+let snapshot_words_ceiling = 0.5
+
+let restore_words () =
+  let module F = Scvad_npb.Ft.App.Float in
+  let module Pruned = Scvad_core.Pruned in
+  let st = F.create () in
+  let float_vars = F.float_vars st and int_vars = F.int_vars st in
+  let snapshot () =
+    Pruned.snapshot ~app:"ft" ~iteration:0 ~float_vars ~int_vars ()
+  in
+  let file = snapshot () in
+  let restore () = Pruned.restore file ~float_vars ~int_vars in
+  ignore (restore ());
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.minor_words () -. w0) /. float_of_int Scvad_npb.Ft.cells
+  in
+  let restore_w = words restore and snapshot_w = words snapshot in
+  if restore_w > restore_words_ceiling || snapshot_w > snapshot_words_ceiling
+  then correct := false;
+  Printf.sprintf
+    "{\"restore_s\": %.6g, \"restore_words_per_cell\": %.4f, \"snapshot_s\": \
+     %.6g, \"snapshot_words_per_cell\": %.4f, \"cells\": %d}"
+    (time_min restore) restore_w (time_min snapshot) snapshot_w
+    Scvad_npb.Ft.cells
+
 (* The whole suite at jobs=1 and jobs=N; N is at least 2 so the pool's
    fan-out always runs, even on a one-thread host. *)
 let suite_pair jobs =
@@ -293,6 +343,8 @@ let () =
   let rss = sparse_rss () in
   let record = reverse_record () in
   let ft = ft_float_step () in
+  let create = npb_create () in
+  let restore = restore_words () in
   let suite = suite_pair jobs in
   let walk = static_walk () in
   Printf.printf
@@ -303,7 +355,9 @@ let () =
     \ \"tape_backward_sparse_rss\": %s,\n\
     \ \"reverse_record_1M\": %s,\n\
     \ \"ft_float_step\": %s,\n\
+    \ \"npb_create\": %s,\n\
+    \ \"restore_words\": %s,\n\
     \ \"analyze_suite\": %s,\n\
     \ \"static_walk\": %s}\n"
     (Scvad_par.Pool.hardware_threads ())
-    !correct push dense sparse rss record ft suite walk
+    !correct push dense sparse rss record ft create restore suite walk
