@@ -96,9 +96,10 @@ let restore v snap =
    criticality is a property of the values that were {e checkpointed},
    i.e. the ones lifted here. *)
 let lift_capture v f =
-  let boundary = Array.make (scalars v) v.fill in
-  v.read 0 (elements v) boundary 0;
-  let lifted = Array.map f boundary in
+  let lifted = snapshot v in
+  for i = 0 to Array.length lifted - 1 do
+    lifted.(i) <- f lifted.(i)
+  done;
   v.write 0 (elements v) lifted 0;
   lifted
 
