@@ -46,6 +46,30 @@ let randlc t ~a =
 
 let next t = randlc t ~a:default_mult
 
+(* Seed exponentiation: a^exponent in the multiplicative group mod 2^46,
+   by square-and-multiply expressed through randlc (NPB's ipow46).  Used
+   to jump ahead in the stream. *)
+let ipow46 a exponent =
+  if exponent = 0 then 1.
+  else begin
+    let q = create a in
+    let r = create 1. in
+    let n = ref exponent in
+    while !n > 1 do
+      let n2 = !n / 2 in
+      if n2 * 2 = !n then begin
+        ignore (randlc q ~a:q.seed);
+        n := n2
+      end
+      else begin
+        ignore (randlc r ~a:q.seed);
+        n := !n - 1
+      end
+    done;
+    ignore (randlc r ~a:q.seed);
+    r.seed
+  end
+
 (* Fill [n] uniform deviates starting at [dst.(off)].  One step
    depends on the one before, so a serial loop waits out the whole
    multiply chain per deviate.  Instead four chains run interleaved:
@@ -58,13 +82,7 @@ let vranlc t ~a n (dst : float array) off =
     dst.(i) <- randlc t ~a
   done;
   if n > 4 then begin
-    let a1 = high23 a in
-    let a2 = a -. (t23 *. a1) in
-    let a4 =
-      let sq = mulmod46 a1 a2 a in
-      let s1 = high23 sq in
-      mulmod46 s1 (sq -. (t23 *. s1)) sq
-    in
+    let a4 = ipow46 a 4 in
     let b1 = high23 a4 in
     let b2 = a4 -. (t23 *. b1) in
     (* The head's deviates are r46 * seed, so t46 * deviate is the seed
@@ -101,28 +119,4 @@ let vranlc t ~a n (dst : float array) off =
     end;
     t.seed <-
       (match (n - 1) land 3 with 0 -> !x0 | 1 -> !x1 | 2 -> !x2 | _ -> !x3)
-  end
-
-(* Seed exponentiation: a^exponent in the multiplicative group mod 2^46,
-   by square-and-multiply expressed through randlc (NPB's ipow46).  Used
-   to jump ahead in the stream. *)
-let ipow46 a exponent =
-  if exponent = 0 then 1.
-  else begin
-    let q = create a in
-    let r = create 1. in
-    let n = ref exponent in
-    while !n > 1 do
-      let n2 = !n / 2 in
-      if n2 * 2 = !n then begin
-        ignore (randlc q ~a:q.seed);
-        n := n2
-      end
-      else begin
-        ignore (randlc r ~a:q.seed);
-        n := !n - 1
-      end
-    done;
-    ignore (randlc r ~a:q.seed);
-    r.seed
   end
