@@ -74,14 +74,10 @@ module Demo : App.S = struct
           st.a ]
 
     let int_vars st =
-      [ {
-          Variable.iname = "it";
-          ishape = Scvad_nd.Shape.scalar;
-          iget = (fun _ -> st.iter_done);
-          iset = (fun _ v -> st.iter_done <- v);
-          icrit = Variable.Always_critical "main loop index";
-          idoc = "main loop index";
-        } ]
+      [ Variable.int_scalar ~name:"it" ~doc:"main loop index"
+          ~crit:(Variable.Always_critical "main loop index")
+          ~get:(fun () -> st.iter_done)
+          ~set:(fun v -> st.iter_done <- v) ]
   end
 
   module Float = Make (Float_scalar)

@@ -342,6 +342,9 @@ let crit_of_construct (e : expression) =
       | _ -> None)
   | _ -> None
 
+(* The [~crit] argument's declared criticality, if any. *)
+let declared args = Option.join (Option.bind (labelled "crit" args) crit_of_construct)
+
 let decl_of_element t ~kind locals (e : expression) =
   let line = line_of e.pexp_loc in
   let mk ~name ~field ~elements ~spe ~declared =
@@ -363,7 +366,7 @@ let decl_of_element t ~kind locals (e : expression) =
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
       let pos = positional args in
       match last_segment txt with
-      | "make" -> (
+      | ("make" | "int_scalar") as ctor -> (
           match Option.bind (labelled "name" args) string_const with
           | None -> None
           | Some name ->
@@ -376,14 +379,18 @@ let decl_of_element t ~kind locals (e : expression) =
                 | None -> 1
               in
               let elements =
-                Option.bind (labelled "shape" args)
-                  (elements_of_shape t locals)
+                if ctor = "int_scalar" then Some 1
+                else
+                  Option.bind (labelled "shape" args)
+                    (elements_of_shape t locals)
               in
               let accessors =
-                List.filter_map (fun l -> labelled l args) [ "read"; "write" ]
+                List.filter_map
+                  (fun l -> labelled l args)
+                  [ "read"; "write"; "get"; "set" ]
               in
               mk ~name ~field:(field_of_decl t accessors) ~elements ~spe
-                ~declared:None)
+                ~declared:(declared args))
       | "of_array" | "int_of_array" -> (
           match Option.bind (labelled "name" args) string_const with
           | None -> None
@@ -398,47 +405,8 @@ let decl_of_element t ~kind locals (e : expression) =
                 | [ _; arr ] -> field_of_decl t [ arr ]
                 | _ -> None
               in
-              let declared =
-                match
-                  Option.bind (labelled "crit" args) crit_of_construct
-                with
-                | Some d -> d
-                | None -> None
-              in
-              mk ~name ~field ~elements ~spe:1 ~declared)
-      | "int_of_ref" -> (
-          match Option.bind (labelled "name" args) string_const with
-          | None -> None
-          | Some name ->
-              let declared =
-                match
-                  Option.bind (labelled "crit" args) crit_of_construct
-                with
-                | Some d -> d
-                | None -> None
-              in
-              mk ~name ~field:(field_of_decl t pos) ~elements:(Some 1) ~spe:1
-                ~declared)
+              mk ~name ~field ~elements ~spe:1 ~declared:(declared args))
       | _ -> None)
-  | Pexp_record (record_fields, None) ->
-      let get label =
-        List.find_map
-          (fun (({ Location.txt; _ } : Longident.t Location.loc), v) ->
-            if last_segment txt = label then Some v else None)
-          record_fields
-      in
-      Option.bind (Option.bind (get "iname") string_const) (fun name ->
-          let accessors = List.filter_map get [ "iget"; "iset" ] in
-          let elements =
-            Option.bind (get "ishape") (elements_of_shape t locals)
-          in
-          let declared =
-            match Option.bind (get "icrit") crit_of_construct with
-            | Some d -> d
-            | None -> None
-          in
-          mk ~name ~field:(field_of_decl t accessors) ~elements ~spe:1
-            ~declared)
   | _ -> None
 
 (* Walk a [float_vars]/[int_vars] body down to its list literal,

@@ -4,12 +4,10 @@
     so agreement (within truncation error) is strong evidence of
     correctness. *)
 
-val default_step : float
-
 (** [step ?h x] is the effective step at coordinate value [x]:
     [h *. max 1.0 (abs x)] — absolute for small coordinates, relative
     for large ones, so the difference quotient never drowns in
-    cancellation ([h] defaults to {!default_step}). *)
+    cancellation ([h] defaults to 1e-6). *)
 val step : ?h:float -> float -> float
 
 (** [derivative ?h f x i] ≈ ∂f/∂x{_i} at [x] by central difference with

@@ -20,9 +20,6 @@ val daly : params -> float
     C/τ + (τ/2 + R + C)/M. *)
 val expected_overhead : params -> tau:float -> float
 
-(** {!expected_overhead} at the Young optimum. *)
-val optimal_overhead : params -> float
-
 type comparison = {
   full : params;
   pruned : params;

@@ -20,7 +20,7 @@ type plan
     probabilities in [0,1]; their sum is the total fault probability
     (at most one fault per operation).  Transient faults fail
     1..[max_transient_failures] attempts (default 2) before succeeding,
-    staying below the internal retry bound of {!max_retries}.
+    staying below the internal retry bound (5 attempts).
     Raises [Invalid_argument] on rates outside [0,1]. *)
 val plan :
   ?torn_write_rate:float ->
@@ -34,10 +34,6 @@ val plan :
 
 (** Injected faults so far, oldest first. *)
 val events : plan -> event list
-
-(** Attempts (including the first) before a transient failure is
-    declared permanent. *)
-val max_retries : int
 
 (** [write_file ?faults path data] writes [data] to [path], routing
     through the fault plan when given: the landed bytes may be torn,

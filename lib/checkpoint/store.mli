@@ -14,9 +14,6 @@
     entirely. *)
 type retention = { keep_last : int option; keep_every : int option }
 
-(** [{ keep_last = None; keep_every = None }] — retain everything. *)
-val keep_all : retention
-
 type t
 
 (** A write that failed verification [attempts] times in a row; the
@@ -57,10 +54,6 @@ val describe_error : load_error -> string
 (** CRC-verified load; never raises on bad data. *)
 val load : t -> int -> (Ckpt_format.file, load_error) result
 
-(** [load] that raises {!Ckpt_format.Corrupt} on any error — for
-    callers that treat a bad checkpoint as fatal. *)
-val load_exn : t -> int -> Ckpt_format.file
-
 (** Newest checkpoint, if any; raises {!Ckpt_format.Corrupt} if the
     newest file is invalid (use {!latest_valid} to fall back). *)
 val latest : t -> Ckpt_format.file option
@@ -70,9 +63,6 @@ val latest : t -> Ckpt_format.file option
     plus every skipped iteration with the reason, newest first. *)
 val latest_valid :
   t -> (int * Ckpt_format.file) option * (int * load_error) list
-
-(** Delete one checkpoint (and its sidecar) if present. *)
-val remove_checkpoint : t -> int -> unit
 
 (** On-disk bytes of one checkpoint including its sidecar. *)
 val disk_bytes : t -> int -> int

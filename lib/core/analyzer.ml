@@ -76,19 +76,19 @@ let int_reports (module A : App.S) (int_vars : Variable.int_t list) =
     match A.int_taint_masks with Some f -> f () | None -> []
   in
   List.map
-    (fun (iv : Variable.int_t) ->
-      let n = Variable.int_elements iv in
+    (fun { Variable.view = v; crit } ->
+      let n = Variable.elements v in
       let mask =
-        match iv.Variable.icrit with
+        match crit with
         | Variable.Always_critical _ -> Array.make n true
         | Variable.By_taint -> (
-            match List.assoc_opt iv.Variable.iname taint_masks with
+            match List.assoc_opt v.Variable.name taint_masks with
             | Some m when Array.length m = n -> m
             | Some _ | None ->
                 (* No analysis answer: stay conservative (critical). *)
                 Array.make n true)
       in
-      Criticality.of_mask ~name:iv.Variable.iname ~shape:iv.Variable.ishape
+      Criticality.of_mask ~name:v.Variable.name ~shape:v.Variable.shape
         ~spe:1 ~kind:Criticality.Int_var mask)
     int_vars
 
@@ -134,11 +134,13 @@ let record_and_extract ?pool ~skips ?budget ~sweep tape (module A : App.S)
         List.map (fun v -> (v, Variable.snapshot v)) (I.float_vars state)
       in
       let is =
-        List.map (fun v -> (v, Variable.int_snapshot v)) (I.int_vars state)
+        List.map
+          (fun iv -> (iv.Variable.view, Variable.snapshot iv.Variable.view))
+          (I.int_vars state)
       in
       fun () ->
         List.iter (fun (v, s) -> Variable.restore v s) fs;
-        List.iter (fun (v, s) -> Variable.int_restore v s) is
+        List.iter (fun (v, s) -> Variable.restore v s) is
     in
     Tape.set_program tape ~capture ~replay_step:step
   end;

@@ -76,13 +76,3 @@ let find report name =
 
 let find_opt report name =
   List.find_opt (fun v -> v.name = name) report.vars
-
-(* Aggregate uncritical rate over the float variables, weighted by
-   element count — the per-benchmark number behind Table III's savings. *)
-let aggregate_uncritical_rate report =
-  let tot, unc =
-    List.fold_left
-      (fun (t, u) v -> (t + total v, u + uncritical v))
-      (0, 0) report.vars
-  in
-  if tot = 0 then 0. else float_of_int unc /. float_of_int tot

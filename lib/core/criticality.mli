@@ -75,5 +75,3 @@ val find : report -> string -> var_report
 
 val find_opt : report -> string -> var_report option
 
-(** Element-weighted uncritical rate over every variable. *)
-val aggregate_uncritical_rate : report -> float

@@ -97,10 +97,14 @@ let run ?boundary ?niter ?h ~trials ~seed ~targets (module A : App.S) =
   let fvars = I.float_vars state and ivars = I.int_vars state in
   (* Boundary snapshot: every scalar of every checkpoint variable. *)
   let fsnap = List.map (fun v -> (v, Variable.snapshot v)) fvars in
-  let isnap = List.map (fun v -> (v, Variable.int_snapshot v)) ivars in
+  let isnap =
+    List.map
+      (fun iv -> (iv.Variable.view, Variable.snapshot iv.Variable.view))
+      ivars
+  in
   let restore () =
     List.iter (fun (v, snap) -> Variable.restore v snap) fsnap;
-    List.iter (fun (v, snap) -> Variable.int_restore v snap) isnap
+    List.iter (fun (v, snap) -> Variable.restore v snap) isnap
   in
   let continuation () =
     I.run state ~from:boundary ~until:niter;
@@ -134,7 +138,10 @@ let run ?boundary ?niter ?h ~trials ~seed ~targets (module A : App.S) =
       List.find_opt (fun (v : float Variable.t) -> v.Variable.name = name) fvars
     in
     let find_ivar name =
-      List.find_opt (fun (v : Variable.int_t) -> v.Variable.iname = name) ivars
+      List.find_map
+        (fun { Variable.view; _ } ->
+          if view.Variable.name = name then Some view else None)
+        ivars
     in
     (* Flatten targets to a sampling space of (target, element) pairs,
        dropping any whose variable the instance does not expose. *)
@@ -221,7 +228,9 @@ let run ?boundary ?niter ?h ~trials ~seed ~targets (module A : App.S) =
               let v = Option.get (find_ivar t.t_var) in
               let d = 1 + Random.State.int rng 7 in
               let d = if Random.State.bool rng then d else -d in
-              v.Variable.iset element (v.Variable.iget element + d);
+              let cell = Variable.read_element v element in
+              cell.(0) <- cell.(0) + d;
+              Variable.write_element v element cell;
               float_of_int d
         in
         let out = continuation_opt () in

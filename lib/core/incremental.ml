@@ -12,7 +12,7 @@
      combined    changed AND critical elements       (both)
 
    A delta checkpoint is an ordinary pruned section, built by
-   [Pruned.float_section] over the changed (optionally also critical)
+   [Pruned.section] over the changed (optionally also critical)
    elements.  Restore goes through [Pruned.restore_files]: the base
    writes every slot, poison where it stores nothing, and each delta
    overwrites only its own, so a slot that no file covers — an
@@ -33,17 +33,18 @@ type tracker = {
 
 let create_tracker () = { floats = Hashtbl.create 8; ints = Hashtbl.create 8 }
 
-(* Per-element change mask vs the last checkpointed values (bitwise
-   comparison: what a dirty-tracking mechanism would see). *)
-let changed_mask ~spe ~(last : float array) ~(now : float array) =
+(* Per-element change mask vs the last checkpointed values: an element
+   changed when any of its [spe] slots differs under [same]. *)
+let changed_mask ~spe ~same ~last ~now =
   Array.init (Array.length now / spe) (fun e ->
       let rec any k =
         k < spe
-        && (Int64.bits_of_float now.((e * spe) + k)
-            <> Int64.bits_of_float last.((e * spe) + k)
-           || any (k + 1))
+        && ((not (same now.((e * spe) + k) last.((e * spe) + k))) || any (k + 1))
       in
       any 0)
+
+(* Floats compare by bits: what a dirty-tracking mechanism would see. *)
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 (* Snapshot: the first call for a variable produces its base (full or
    pruned); later calls produce deltas.  The tracker always records the
@@ -59,39 +60,33 @@ let snapshot tracker ~mode ~app ~iteration
         | Some v -> v.Criticality.mask
         | None -> Array.make total true)
   in
-  let float_sections =
-    List.map
-      (fun (v : Float_scalar.t Variable.t) ->
-        let name = v.Variable.name in
-        let now = Variable.snapshot v in
-        let total = Variable.elements v in
-        let mask =
-          match Hashtbl.find_opt tracker.floats name with
-          | None -> critical_mask name total (* base checkpoint *)
-          | Some last ->
-              Array.map2 ( && )
-                (changed_mask ~spe:v.Variable.spe ~last ~now)
-                (critical_mask name total)
-        in
-        Hashtbl.replace tracker.floats name now;
-        Pruned.float_section ~regions:(Regions.of_mask mask) v)
-      float_vars
+  let delta last_of ~same ~payload (v : _ Variable.t) =
+    let name = v.Variable.name in
+    let now = Variable.snapshot v in
+    let critical = critical_mask name (Variable.elements v) in
+    let mask =
+      match Hashtbl.find_opt last_of name with
+      | None -> critical (* base checkpoint *)
+      | Some last ->
+          Array.map2 ( && )
+            (changed_mask ~spe:v.Variable.spe ~same ~last ~now)
+            critical
+    in
+    Hashtbl.replace last_of name now;
+    Pruned.section ~regions:(Regions.of_mask mask) ~payload v
   in
-  let int_sections =
-    List.map
-      (fun (v : Variable.int_t) ->
-        let name = v.Variable.iname in
-        let now = Variable.int_snapshot v in
-        let mask =
-          match Hashtbl.find_opt tracker.ints name with
-          | None -> Array.make (Array.length now) true
-          | Some last -> Array.map2 ( <> ) last now
-        in
-        Hashtbl.replace tracker.ints name now;
-        Pruned.int_section ~regions:(Regions.of_mask mask) v)
-      int_vars
-  in
-  { F.app; iteration; sections = float_sections @ int_sections }
+  {
+    F.app;
+    iteration;
+    sections =
+      List.map (delta tracker.floats ~same:same_bits ~payload:Pruned.f64)
+        float_vars
+      @ List.map
+          (fun (iv : Variable.int_t) ->
+            delta tracker.ints ~same:Int.equal ~payload:Pruned.i64
+              iv.Variable.view)
+          int_vars;
+  }
 
 (* Restore from the base + delta chain, oldest first.  Slots no file
    covers (uncritical under Combined_with) stay poisoned.  Returns the

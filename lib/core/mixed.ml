@@ -47,12 +47,12 @@ let snapshot ~plans ~app ~iteration
     List.concat_map
       (fun (v : Float_scalar.t Variable.t) ->
         match plan_for plans v.Variable.name with
-        | None -> [ Pruned.float_section v ]
+        | None -> [ Pruned.section ~payload:Pruned.f64 v ]
         | Some p ->
-            [ Pruned.float_section ~regions:p.high v;
+            [ Pruned.section ~regions:p.high ~payload:Pruned.f64 v;
               (* Round now, so the in-memory payload already carries
                  single precision and encoding is lossless. *)
-              Pruned.float_section ~regions:p.low
+              Pruned.section ~regions:p.low
                 ~name:(v.Variable.name ^ f32_suffix)
                 ~payload:(fun a -> F.F32 (Array.map to_f32 a))
                 v ])
@@ -62,7 +62,11 @@ let snapshot ~plans ~app ~iteration
     F.app;
     iteration;
     sections =
-      float_sections @ List.map Pruned.int_section int_vars;
+      float_sections
+      @ List.map
+          (fun (iv : Variable.int_t) ->
+            Pruned.section ~payload:Pruned.i64 iv.Variable.view)
+          int_vars;
   }
 
 (* Restore: the double-precision base section, then the single-precision

@@ -14,12 +14,8 @@ type plan = {
   low : Scvad_checkpoint.Regions.t;  (** single precision *)
 }
 
-(** Section-name suffix of the single-precision companion. *)
-val f32_suffix : string
-
 val plan_of_impact : threshold:float -> Impact.var_impact -> plan
 val plans_of_report : threshold:float -> Impact.report -> plan list
-val plan_for : plan list -> string -> plan option
 
 (** Round to IEEE single precision. *)
 val to_f32 : float -> float

@@ -8,8 +8,8 @@
    checkpoints — the paper's baseline.
 
    This is also where every policy turns a variable into sections and
-   back: {!Mixed} and {!Incremental} build theirs with [float_section]
-   and [int_section] and restore through [restore_files]. *)
+   back: {!Mixed} and {!Incremental} build theirs with [section] and
+   restore through [restore_files]. *)
 
 open Scvad_ad
 module F = Scvad_checkpoint.Ckpt_format
@@ -33,12 +33,12 @@ let regions_for (report : Criticality.report option) name =
 let covered regions elements =
   Option.value regions ~default:[ { Regions.start = 0; stop = elements } ]
 
-(* The one section builder: every policy's sections come from here.
-   Without [regions] the section stores every element; otherwise only
-   the covered ones.  [name] defaults to the variable's, and [payload]
-   wraps the gathered scalars (F64 unless told otherwise). *)
-let float_section ?regions ?name ?(payload = fun a -> F.F64 a)
-    (v : Float_scalar.t Variable.t) =
+(* The one section builder: every policy's sections come from here,
+   for variables of both kinds.  Without [regions] the section stores
+   every element; otherwise only the covered ones.  [name] defaults to
+   the variable's, and [payload] wraps the gathered scalars ([F64] for
+   floats, [I64] for ints). *)
+let section ?regions ?name ~payload (v : 'a Variable.t) =
   let spe = v.Variable.spe in
   {
     F.name = Option.value name ~default:v.Variable.name;
@@ -47,43 +47,30 @@ let float_section ?regions ?name ?(payload = fun a -> F.F64 a)
     regions;
     payload =
       payload
-        (F.gather ~create:Array.create_float ~spe
+        (F.gather
+           ~create:(fun n -> Array.make n v.Variable.fill)
+           ~spe
            (covered regions (Variable.elements v))
            v.Variable.read);
   }
 
-let int_section ?regions (v : Variable.int_t) =
-  {
-    F.name = v.Variable.iname;
-    dims = Scvad_nd.Shape.dims v.Variable.ishape;
-    spe = 1;
-    regions;
-    payload =
-      F.I64
-        (F.gather ~create:(fun n -> Array.make n 0) ~spe:1
-           (covered regions (Variable.int_elements v))
-           (fun lo hi dst off ->
-             for e = lo to hi - 1 do
-               dst.(off + e - lo) <- v.Variable.iget e
-             done));
-  }
+let f64 a = F.F64 a
+let i64 a = F.I64 a
 
 (* Snapshot the live state of an application instance.  [report = None]
    → full checkpoint; otherwise prune by the report's regions. *)
 let snapshot ?report ~app ~iteration
     ~(float_vars : Float_scalar.t Variable.t list)
     ~(int_vars : Variable.int_t list) () =
+  let pruned payload (v : _ Variable.t) =
+    section ?regions:(regions_for report v.Variable.name) ~payload v
+  in
   {
     F.app;
     iteration;
     sections =
-      List.map
-        (fun (v : Float_scalar.t Variable.t) ->
-          float_section ?regions:(regions_for report v.Variable.name) v)
-        float_vars
-      @ List.map
-          (fun (v : Variable.int_t) ->
-            int_section ?regions:(regions_for report v.Variable.iname) v)
+      List.map (pruned f64) float_vars
+      @ List.map (fun (iv : Variable.int_t) -> pruned i64 iv.Variable.view)
           int_vars;
   }
 
@@ -91,11 +78,14 @@ let snapshot ?report ~app ~iteration
    [names v] in each file, oldest file first.  The first writes every
    slot, with poison where it holds no value; each later one overwrites
    only the slots it covers.  Every section must match the variable's
-   element count and [spe], and a variable must have one. *)
+   element count and [spe], and a variable must have one.  [scatter]
+   ([F.scatter_floats] or [F.scatter_ints]) refuses a payload of the
+   other kind. *)
 let restore_files ~who ~poison ~names (files : F.file list)
     ~(float_vars : Float_scalar.t Variable.t list)
     ~(int_vars : Variable.int_t list) =
-  let restore_var name ~elements ~spe ~poison scatter =
+  let restore_var scatter ~poison (v : _ Variable.t) =
+    let name = v.Variable.name in
     let sections =
       List.concat_map
         (fun (file : F.file) ->
@@ -109,28 +99,26 @@ let restore_files ~who ~poison ~names (files : F.file list)
     | _ ->
         List.iteri
           (fun i s ->
-            if F.element_count s <> elements || s.F.spe <> spe then
+            if
+              F.element_count s <> Variable.elements v
+              || s.F.spe <> v.Variable.spe
+            then
               invalid_arg
                 (Printf.sprintf "%s: shape mismatch in %S" who s.F.name);
-            scatter s (if i = 0 then Some poison else None))
+            scatter ~who s
+              ?poison:(if i = 0 then Some poison else None)
+              v.Variable.write)
           sections
   in
   List.iter
-    (fun (v : Float_scalar.t Variable.t) ->
-      restore_var v.Variable.name ~elements:(Variable.elements v)
-        ~spe:v.Variable.spe
-        ~poison:(Scvad_checkpoint.Failure.poison_value poison)
-        (fun s poison -> F.scatter_floats ~who s ?poison v.Variable.write))
+    (restore_var F.scatter_floats
+       ~poison:(Scvad_checkpoint.Failure.poison_value poison))
     float_vars;
   List.iter
-    (fun (v : Variable.int_t) ->
-      restore_var v.Variable.iname ~elements:(Variable.int_elements v) ~spe:1
+    (fun (iv : Variable.int_t) ->
+      restore_var F.scatter_ints
         ~poison:(Scvad_checkpoint.Failure.int_poison_value poison)
-        (fun s poison ->
-          F.scatter_ints ~who s ?poison (fun lo hi src off ->
-              for e = lo to hi - 1 do
-                v.Variable.iset e src.(off + e - lo)
-              done)))
+        iv.Variable.view)
     int_vars
 
 (* Restore a checkpoint into live state.  Variables present in the file

@@ -8,24 +8,21 @@
 
 open Scvad_ad
 
-(** The one section builder, shared by every policy.  Without
-    [regions] the section stores every element; with them, only the
-    covered ones (element-major, [spe] slots per element).  [name]
-    defaults to the variable's; [payload] wraps the gathered scalars
-    (default [F64]; the mixed-precision companion rounds them into an
-    [F32]). *)
-val float_section :
+(** The one section builder, shared by every policy and both kinds of
+    variable.  Without [regions] the section stores every element; with
+    them, only the covered ones (element-major, [spe] slots per
+    element).  [name] defaults to the variable's; [payload] wraps the
+    gathered scalars: {!f64} or {!i64} (the mixed-precision companion
+    rounds floats into an [F32]). *)
+val section :
   ?regions:Scvad_checkpoint.Regions.t ->
   ?name:string ->
-  ?payload:(float array -> Scvad_checkpoint.Ckpt_format.payload) ->
-  Float_scalar.t Variable.t ->
+  payload:('a array -> Scvad_checkpoint.Ckpt_format.payload) ->
+  'a Variable.t ->
   Scvad_checkpoint.Ckpt_format.section
 
-(** Integer analogue of {!float_section}: an [I64] section. *)
-val int_section :
-  ?regions:Scvad_checkpoint.Regions.t ->
-  Variable.int_t ->
-  Scvad_checkpoint.Ckpt_format.section
+val f64 : float array -> Scvad_checkpoint.Ckpt_format.payload
+val i64 : int array -> Scvad_checkpoint.Ckpt_format.payload
 
 (** Snapshot the live state of an application instance.
     [report = None] ⇒ full checkpoint; all-critical variables are

@@ -41,7 +41,9 @@ let declarations (module A : App.S) =
   let module I = A.Float in
   let state = I.create () in
   List.map Variable.declaration (I.float_vars state)
-  @ List.map Variable.int_declaration (I.int_vars state)
+  @ List.map
+      (fun iv -> Variable.declaration ~ctype:"int" iv.Variable.view)
+      (I.int_vars state)
 
 let table1 apps =
   let rows =

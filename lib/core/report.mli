@@ -7,9 +7,6 @@ val declarations : (module App.S) -> string list
 (** Table I: variables necessary for checkpointing. *)
 val table1 : (module App.S) list -> string
 
-(** Table II rows (float variables) of one report. *)
-val table2_rows : Criticality.report -> string list list
-
 (** Table II: uncritical / total / rate per variable. *)
 val table2 : Criticality.report list -> string
 

@@ -5,7 +5,8 @@
    [read]/[write] copy a range of elements to and from a packed,
    element-major scalar array.  It is generic in the scalar type, so the
    same view works in float mode (checkpoint writing) and AD mode
-   (lifting elements onto the tape).
+   (lifting elements onto the tape), and integer variables are [int]
+   views of the same kind.
 
    A variable has [elements] logical elements, each made of [spe]
    scalars ([spe] = 2 for FT's dcomplex cells); criticality is judged per
@@ -34,13 +35,6 @@ let observed_write ~spe write =
     write lo hi src off;
     Scvad_sanitize.Sanitize.record ~obj:id ~lo:(lo * spe) ~hi:(hi * spe)
       ~tag:"variable.write"
-
-let observed_int_set set =
-  let id = Scvad_sanitize.Sanitize.fresh_id () in
-  fun e x ->
-    set e x;
-    Scvad_sanitize.Sanitize.record ~obj:id ~lo:e ~hi:(e + 1)
-      ~tag:"variable.int_set"
 
 (* Paper-style storage cost of the full variable: 8 bytes per scalar. *)
 let payload_bytes v = 8 * scalars v
@@ -137,60 +131,35 @@ type int_criticality =
   | Always_critical of string (* justification, e.g. "main loop index" *)
   | By_taint (* resolved by the app's integer-dependence analysis *)
 
-type int_t = {
-  iname : string;
-  ishape : Scvad_nd.Shape.t;
-  iget : int -> int;
-  iset : int -> int -> unit;
-  icrit : int_criticality;
-  idoc : string;
-}
+(* An integer variable is an [int] view over its kernel state, paired
+   with how its criticality is decided. *)
+type int_t = { view : int t; crit : int_criticality }
 
-let int_elements v = Scvad_nd.Shape.size v.ishape
-let int_payload_bytes v = 8 * int_elements v
-let int_snapshot v = Array.init (int_elements v) v.iget
-
-let int_restore v snap =
-  if Array.length snap <> int_elements v then
-    invalid_arg "Variable.int_restore: snapshot length does not match variable";
-  Array.iteri v.iset snap
-
-let int_of_ref ~name ?(doc = "") ~crit (r : int ref) =
+(* One mutable int (a loop index, a counter). *)
+let int_scalar ~name ~doc ~crit ~get ~set =
   {
-    iname = name;
-    ishape = Scvad_nd.Shape.scalar;
-    iget = (fun _ -> !r);
-    iset = observed_int_set (fun _ x -> r := x);
-    icrit = crit;
-    idoc = doc;
+    view =
+      make ~name ~doc ~shape:Scvad_nd.Shape.scalar ~spe:1 ~fill:0
+        ~read:(fun lo hi dst off -> if lo < hi then dst.(off) <- get ())
+        ~write:(fun lo hi src off -> if lo < hi then set src.(off))
+        ();
+    crit;
   }
 
-let int_of_array ~name ?(doc = "") ~crit shape (data : int array) =
-  if Array.length data <> Scvad_nd.Shape.size shape then
-    invalid_arg "Variable.int_of_array: array length does not match shape";
-  {
-    iname = name;
-    ishape = shape;
-    iget = (fun e -> data.(e));
-    iset = observed_int_set (fun e x -> data.(e) <- x);
-    icrit = crit;
-    idoc = doc;
-  }
+let int_of_array ~name ?doc ~crit shape (data : int array) =
+  { view = of_array ~name ?doc shape data; crit }
 
 (* C-like declaration for Table I, e.g. "double u[12][13][13][5]" or
    "dcomplex y[64][64][65]" or "int step". *)
-let declaration_of ~ctype ~name ~shape =
-  let dims = Scvad_nd.Shape.dims shape in
-  if Array.length dims = 1 && dims.(0) = 1 then Printf.sprintf "%s %s" ctype name
+let declaration ?ctype v =
+  let ctype =
+    match ctype with
+    | Some c -> c
+    | None -> if v.spe = 2 then "dcomplex" else "double"
+  in
+  let dims = Scvad_nd.Shape.dims v.shape in
+  if Array.length dims = 1 && dims.(0) = 1 then Printf.sprintf "%s %s" ctype v.name
   else
-    Printf.sprintf "%s %s%s" ctype name
+    Printf.sprintf "%s %s%s" ctype v.name
       (String.concat ""
          (List.map (Printf.sprintf "[%d]") (Array.to_list dims)))
-
-let declaration v =
-  declaration_of
-    ~ctype:(if v.spe = 2 then "dcomplex" else "double")
-    ~name:v.name ~shape:v.shape
-
-let int_declaration v =
-  declaration_of ~ctype:"int" ~name:v.iname ~shape:v.ishape

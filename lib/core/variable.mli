@@ -3,7 +3,7 @@
     A variable (paper §III-A: "a memory location paired with an
     associated symbolic name") is exposed to the analyzer and the
     checkpoint library as a span view over live kernel state, generic in
-    the scalar type.  A variable has logical {e elements}, each made of
+    the scalar type: floats (or AD scalars) and integers alike.  A variable has logical {e elements}, each made of
     [spe] scalars ([spe] = 2 for FT's dcomplex cells); criticality is
     judged per element, as in the paper's Table II.
 
@@ -90,26 +90,21 @@ type int_criticality =
   | Always_critical of string  (** justification *)
   | By_taint  (** resolved by the app's integer-dependence analysis *)
 
-type int_t = {
-  iname : string;
-  ishape : Scvad_nd.Shape.t;
-  iget : int -> int;
-  iset : int -> int -> unit;
-  icrit : int_criticality;
-  idoc : string;
-}
+(** An integer variable: an [int] view ([spe] = 1, stored as [I64]) and
+    how its criticality is decided. *)
+type int_t = { view : int t; crit : int_criticality }
 
-val int_elements : int_t -> int
-val int_payload_bytes : int_t -> int
+(** One mutable int, e.g. a main-loop index: a scalar view over
+    [get]/[set]. *)
+val int_scalar :
+  name:string ->
+  doc:string ->
+  crit:int_criticality ->
+  get:(unit -> int) ->
+  set:(int -> unit) ->
+  int_t
 
-(** Integer analogue of {!snapshot} / {!restore}. *)
-val int_snapshot : int_t -> int array
-
-val int_restore : int_t -> int array -> unit
-
-val int_of_ref :
-  name:string -> ?doc:string -> crit:int_criticality -> int ref -> int_t
-
+(** {!of_array} over an [int array]. *)
 val int_of_array :
   name:string ->
   ?doc:string ->
@@ -118,10 +113,7 @@ val int_of_array :
   int array ->
   int_t
 
-(** C-like declaration, e.g. ["double u[12][13][13][5]"]. *)
-val declaration_of : ctype:string -> name:string -> shape:Scvad_nd.Shape.t -> string
-
-(** Declaration of a float variable ("double"/"dcomplex" by [spe]). *)
-val declaration : 'a t -> string
-
-val int_declaration : int_t -> string
+(** C-like declaration, e.g. ["double u[12][13][13][5]"] or ["int step"].
+    [ctype] defaults to ["dcomplex"] for [spe] = 2 and ["double"]
+    otherwise. *)
+val declaration : ?ctype:string -> 'a t -> string

@@ -38,9 +38,6 @@ val verdict_name : verdict -> string
 val verdict_of_name : string -> verdict option
 val is_prunable : verdict -> bool
 
-(** In the proposed checkpoint set: [Required] or [Unknown]. *)
-val is_discovered : verdict -> bool
-
 type field_rank = {
   f_field : string;  (** the mutable state field *)
   f_var : string option;

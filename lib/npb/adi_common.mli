@@ -51,11 +51,6 @@ val shape4 : Scvad_nd.Shape.t Lazy.t
 val shape3 : Scvad_nd.Shape.t Lazy.t
 
 module Make_sized (_ : GRID) (S : Scvad_ad.Scalar.S) : sig
-  (** The five-component reference solution at unit-cube coordinates. *)
-  val exact_solution : float -> float -> float -> S.t array
-
-  val coord : int -> float
-
   (** Fill the active 0..grid-1 ranges with a perturbed reference field
       (nowhere exactly at the error-norm minimum, like NPB's transfinite
       initialization); padding stays zero. *)

@@ -141,14 +141,10 @@ module Make_sized (G : Adi_common.GRID) (S : Scvad_ad.Scalar.S) = struct
         (Lazy.force A.shape4) st.u ]
 
   let int_vars st =
-    [ {
-        Scvad_core.Variable.iname = "step";
-        ishape = Scvad_nd.Shape.scalar;
-        iget = (fun _ -> st.iter_done);
-        iset = (fun _ v -> st.iter_done <- v);
-        icrit = Scvad_core.Variable.Always_critical "main loop index";
-        idoc = "main loop index";
-      } ]
+    [ Scvad_core.Variable.int_scalar ~name:"step" ~doc:"main loop index"
+        ~crit:(Scvad_core.Variable.Always_critical "main loop index")
+        ~get:(fun () -> st.iter_done)
+        ~set:(fun v -> st.iter_done <- v) ]
 end
 
 module Make_generic (S : Scvad_ad.Scalar.S) = Make_sized (Adi_common.Class_s_grid) (S)

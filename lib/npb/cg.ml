@@ -285,14 +285,10 @@ module Make_generic (C : CONFIG) (S : Scvad_ad.Scalar.S) = struct
         st.x ]
 
   let int_vars st =
-    [ {
-        Scvad_core.Variable.iname = "it";
-        ishape = Scvad_nd.Shape.scalar;
-        iget = (fun _ -> st.iter_done);
-        iset = (fun _ v -> st.iter_done <- v);
-        icrit = Scvad_core.Variable.Always_critical "main loop index";
-        idoc = "main loop index";
-      } ]
+    [ Scvad_core.Variable.int_scalar ~name:"it" ~doc:"main loop index"
+        ~crit:(Scvad_core.Variable.Always_critical "main loop index")
+        ~get:(fun () -> st.iter_done)
+        ~set:(fun v -> st.iter_done <- v) ]
 end
 
 (* Class-S application (the paper's configuration). *)

@@ -111,14 +111,11 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
         () ]
 
   let int_vars st =
-    [ {
-        Scvad_core.Variable.iname = "k";
-        ishape = Scvad_nd.Shape.scalar;
-        iget = (fun _ -> st.iter_done);
-        iset = (fun _ v -> st.iter_done <- v);
-        icrit = Scvad_core.Variable.Always_critical "main loop index";
-        idoc = "main loop index (batch counter)";
-      } ]
+    [ Scvad_core.Variable.int_scalar ~name:"k"
+        ~doc:"main loop index (batch counter)"
+        ~crit:(Scvad_core.Variable.Always_critical "main loop index")
+        ~get:(fun () -> st.iter_done)
+        ~set:(fun v -> st.iter_done <- v) ]
 end
 
 module App : Scvad_core.App.S = struct

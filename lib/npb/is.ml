@@ -283,14 +283,10 @@ module App : Scvad_core.App.S = struct
 
     let int_vars (st : state) =
       let open Scvad_core.Variable in
-      [ {
-          iname = "passed_verification";
-          ishape = Scvad_nd.Shape.scalar;
-          iget = (fun _ -> st.Plain.passed_verification);
-          iset = (fun _ v -> st.Plain.passed_verification <- v);
-          icrit = By_taint;
-          idoc = "verification counter (write-after-read)";
-        };
+      [ int_scalar ~name:"passed_verification" ~crit:By_taint
+          ~doc:"verification counter (write-after-read)"
+          ~get:(fun () -> st.Plain.passed_verification)
+          ~set:(fun v -> st.Plain.passed_verification <- v);
         int_of_array ~name:"key_array" ~crit:By_taint
           ~doc:"keys of the bucket sort"
           (Scvad_nd.Shape.create [ total_keys ])
@@ -299,14 +295,10 @@ module App : Scvad_core.App.S = struct
           ~doc:"bucket pointers of the bucket sort"
           (Scvad_nd.Shape.create [ num_buckets ])
           st.Plain.bucket_ptrs;
-        {
-          iname = "iteration";
-          ishape = Scvad_nd.Shape.scalar;
-          iget = (fun _ -> st.Plain.iter_done);
-          iset = (fun _ v -> st.Plain.iter_done <- v);
-          icrit = Always_critical "main loop index";
-          idoc = "main loop index";
-        } ]
+        int_scalar ~name:"iteration" ~doc:"main loop index"
+          ~crit:(Always_critical "main loop index")
+          ~get:(fun () -> st.Plain.iter_done)
+          ~set:(fun v -> st.Plain.iter_done <- v) ]
   end
 
   (* The kernel is plain ints: the generic instance is already native. *)

@@ -5,15 +5,16 @@
     disjoint regions; this module hunts witnesses against those
     certificates at runtime.  While a session is {e armed}, every
     sanitized pool batch records the spans each shard writes through the
-    instrumented mutation points (ndarray stores, variable restores)
-    and checks cross-shard disjointness when the batch joins.  Two shards of one batch touching overlapping spans of
-    the same object is a witness: under some schedule those writes race.
+    instrumented mutation points (checkpoint-variable writes) and checks
+    cross-shard disjointness when the batch joins.  Two shards of one
+    batch touching overlapping spans of the same object is a witness:
+    under some schedule those writes race.
 
     Recording is sampled under a per-shard span budget, so the sanitizer
     is a falsifier, not a verifier — a clean run raises confidence, a
     witness is a hard counterexample.  Everything here is standard
-    library only; the pool, the ndarray layer and the core variables
-    depend on this module, never the reverse. *)
+    library only; the pool and the core variables depend on this module,
+    never the reverse. *)
 
 (** One recorded write: the half-open element range [\[lo, hi)] of the
     object identified by [obj] (a {!fresh_id} identity), tagged with the

@@ -63,14 +63,10 @@ module Toy : App.S = struct
           () ]
 
     let int_vars st =
-      [ {
-          Variable.iname = "it";
-          ishape = Scvad_nd.Shape.scalar;
-          iget = (fun _ -> st.iter_done);
-          iset = (fun _ x -> st.iter_done <- x);
-          icrit = Variable.Always_critical "main loop index";
-          idoc = "main loop index";
-        } ]
+      [ Variable.int_scalar ~name:"it" ~doc:"main loop index"
+          ~crit:(Variable.Always_critical "main loop index")
+          ~get:(fun () -> st.iter_done)
+          ~set:(fun x -> st.iter_done <- x) ]
   end
 
   module Float = Make (Float_scalar)
@@ -235,11 +231,11 @@ let float_instances () =
     Scvad_npb.Suite.all
 
 (* Write [values] back in spans of 1..7 elements taken from a source
-   array that holds them at an offset: every [lo], [hi] and [off] the
-   walker can produce, not only whole variables. *)
-let write_in_pieces (v : float Variable.t) values =
+   array that holds them after three [pad] slots: every [lo], [hi] and
+   [off] the walker can produce, not only whole variables. *)
+let write_in_pieces ~pad (v : 'a Variable.t) values =
   let spe = v.Variable.spe and n = Variable.elements v in
-  let src = Array.append (Array.make 3 Float.nan) values in
+  let src = Array.append (Array.make 3 pad) values in
   let lo = ref 0 and width = ref 1 in
   while !lo < n do
     let hi = min n (!lo + !width) in
@@ -248,38 +244,57 @@ let write_in_pieces (v : float Variable.t) values =
     width := 1 + (!width mod 7)
   done
 
+(* Snapshot, scribble [flip]ped values, restore; then zero the view and
+   rewrite the snapshot in pieces.  [same] compares two snapshots. *)
+let scribble_and_restore ~name ~pad ~flip ~zero ~same (v : 'a Variable.t) =
+  let snap = Variable.snapshot v in
+  write_in_pieces ~pad v (Array.map flip snap);
+  if same (Variable.snapshot v) snap then
+    Alcotest.failf "%s: the scribble changed nothing" name;
+  Variable.restore v snap;
+  Alcotest.(check bool) (name ^ " restored bit for bit") true
+    (same (Variable.snapshot v) snap);
+  write_in_pieces ~pad v (Array.make (Array.length snap) zero);
+  write_in_pieces ~pad v snap;
+  Alcotest.(check bool) (name ^ " rewritten in pieces") true
+    (same (Variable.snapshot v) snap)
+
 let test_snapshot_scribble_restore () =
   List.iter
-    (fun (app, _, fvars, _) ->
+    (fun (app, _, fvars, ivars) ->
       List.iter
         (fun (v : float Variable.t) ->
-          let name = app ^ "." ^ v.Variable.name in
-          let snap = Variable.snapshot v in
-          write_in_pieces v (Array.map (fun x -> -.x -. 1.) snap);
-          if bits (Variable.snapshot v) = bits snap then
-            Alcotest.failf "%s: the scribble changed nothing" name;
-          Variable.restore v snap;
-          Alcotest.(check bool) (name ^ " restored bit for bit") true
-            (bits (Variable.snapshot v) = bits snap);
-          write_in_pieces v (Array.make (Array.length snap) 0.);
-          write_in_pieces v snap;
-          Alcotest.(check bool) (name ^ " rewritten in pieces") true
-            (bits (Variable.snapshot v) = bits snap))
-        fvars)
+          scribble_and_restore ~name:(app ^ "." ^ v.Variable.name)
+            ~pad:Float.nan ~flip:(fun x -> -.x -. 1.) ~zero:0.
+            ~same:(fun a b -> bits a = bits b)
+            v)
+        fvars;
+      List.iter
+        (fun { Variable.view = v; _ } ->
+          scribble_and_restore ~name:(app ^ "." ^ v.Variable.name)
+            ~pad:min_int ~flip:lnot ~zero:0 ~same:( = ) v)
+        ivars)
     (float_instances ())
 
-(* A pruned checkpoint under random masks: after a restore into a fresh
-   instance the covered slots hold the saved bits and every uncovered
-   slot, and only those, holds NaN. *)
+(* A pruned checkpoint under random masks (every float variable and
+   every [By_taint] int): after a restore into a fresh instance the
+   covered slots hold the saved values and every uncovered slot, and
+   only those, holds the poison. *)
 let test_pruned_poison_exactly_uncovered () =
   let rng = Random.State.make [| 29 |] in
+  let random_mask v =
+    Array.init (Variable.elements v) (fun _ -> Random.State.bool rng)
+  in
   List.iter
     (fun (app, (module A : App.S), fvars, ivars) ->
-      let masks =
-        List.map
-          (fun (v : float Variable.t) ->
-            Array.init (Variable.elements v) (fun _ -> Random.State.bool rng))
-          fvars
+      let fmasks = List.map random_mask fvars in
+      let tainted =
+        List.filter (fun iv -> iv.Variable.crit = Variable.By_taint) ivars
+      in
+      let imasks = List.map (fun iv -> random_mask iv.Variable.view) tainted in
+      let var_report ~kind (v : _ Variable.t) mask =
+        Criticality.of_mask ~name:v.Variable.name ~shape:v.Variable.shape
+          ~spe:v.Variable.spe ~kind mask
       in
       let report =
         {
@@ -291,12 +306,10 @@ let test_pruned_poison_exactly_uncovered () =
           tape_profile = None;
           sweep_profile = None;
           vars =
-            List.map2
-              (fun (v : float Variable.t) mask ->
-                Criticality.of_mask ~name:v.Variable.name
-                  ~shape:v.Variable.shape ~spe:v.Variable.spe
-                  ~kind:Criticality.Float_var mask)
-              fvars masks;
+            List.map2 (var_report ~kind:Criticality.Float_var) fvars fmasks
+            @ List.map2
+                (fun iv -> var_report ~kind:Criticality.Int_var iv.Variable.view)
+                tainted imasks;
         }
       in
       let file =
@@ -305,32 +318,50 @@ let test_pruned_poison_exactly_uncovered () =
       in
       let module I = A.Float in
       let fresh = I.create () in
-      let fvars' = I.float_vars fresh in
       ignore
-        (Pruned.restore file ~float_vars:fvars' ~int_vars:(I.int_vars fresh));
+        (Pruned.restore file ~float_vars:(I.float_vars fresh)
+           ~int_vars:(I.int_vars fresh));
+      (* [v] was saved under [mask] (all-critical when absent: saved in
+         full, poison-free), [v'] restored from the file. *)
+      let check (type a) ~same ~poisoned ~mask (v : a Variable.t) (v' : a Variable.t)
+          =
+        let saved = Variable.snapshot v and got = Variable.snapshot v' in
+        let all = Array.for_all Fun.id mask in
+        Array.iteri
+          (fun slot x ->
+            let covered = all || mask.(slot / v.Variable.spe) in
+            let ok = if covered then same x saved.(slot) else poisoned x in
+            if not ok then
+              Alcotest.failf "%s.%s slot %d: covered %b" app v.Variable.name
+                slot covered)
+          got
+      in
       List.iteri
-        (fun i (v : float Variable.t) ->
-          let v' = List.nth fvars' i and mask = List.nth masks i in
-          let saved = Variable.snapshot v and got = Variable.snapshot v' in
-          (* An all-critical variable is saved in full, poison-free. *)
-          let all = Array.for_all Fun.id mask in
-          Array.iteri
-            (fun slot x ->
-              let covered = all || mask.(slot / v.Variable.spe) in
-              let ok =
-                if covered then
-                  Int64.bits_of_float x = Int64.bits_of_float saved.(slot)
-                else Float.is_nan x
-              in
-              if not ok then
-                Alcotest.failf "%s.%s slot %d: covered %b, got %h" app
-                  v.Variable.name slot covered x)
-            got)
-        fvars)
+        (fun i v ->
+          check
+            ~same:(fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+            ~poisoned:Float.is_nan ~mask:(List.nth fmasks i) v
+            (List.nth (I.float_vars fresh) i))
+        fvars;
+      List.iteri
+        (fun i iv ->
+          let view = iv.Variable.view in
+          let mask =
+            match
+              List.find_index (fun t -> t.Variable.view == view) tainted
+            with
+            | Some k -> List.nth imasks k
+            | None -> [| true |]
+          in
+          check ~same:( = )
+            ~poisoned:(( = ) (Scvad_checkpoint.Failure.int_poison_value Nan))
+            ~mask view
+            (List.nth (I.int_vars fresh) i).Variable.view)
+        ivars)
     (float_instances ())
 
 (* A sanitized batch of [writes], one per shard, on one view. *)
-let sanitized_writes v writes =
+let sanitized_writes (v : 'a Variable.t) writes =
   Scvad_sanitize.Sanitize.arm ();
   Fun.protect
     ~finally:(fun () ->
@@ -342,7 +373,7 @@ let sanitized_writes v writes =
             (Scvad_par.Pool.map ~sanitize:true pool
                (fun (lo, hi) ->
                  v.Variable.write lo hi
-                   (Array.make ((hi - lo) * v.Variable.spe) 1.)
+                   (Array.make ((hi - lo) * v.Variable.spe) v.Variable.fill)
                    0)
                writes));
       Scvad_sanitize.Sanitize.disarm ())
@@ -362,25 +393,49 @@ let test_one_span_per_write () =
     Variable.of_array ~name:"flat" (Scvad_nd.Shape.create [ 16 ])
       (Array.make 16 0.)
   in
+  let ints =
+    Variable.int_of_array ~name:"ints" ~crit:Variable.By_taint
+      (Scvad_nd.Shape.create [ 16 ])
+      (Array.make 16 0)
+  in
+  let check (type a) (v : a Variable.t) =
+    let spe = v.Variable.spe in
+    (* A batch of one runs inline, unsanitized: the second shard's
+       empty write records nothing. *)
+    let one = sanitized_writes v [ (3, 10); (12, 12) ] in
+    Alcotest.(check int) (v.Variable.name ^ ": one span") 1
+      one.Scvad_sanitize.Sanitize.spans;
+    let two = sanitized_writes v [ (0, 5); (4, 9) ] in
+    Alcotest.(check int) (v.Variable.name ^ ": one span per shard") 2
+      two.Scvad_sanitize.Sanitize.spans;
+    match two.Scvad_sanitize.Sanitize.witnesses with
+    | [ w ] ->
+        Alcotest.(check (pair int int))
+          (v.Variable.name ^ ": overlap in scalar slots")
+          (4 * spe, 5 * spe)
+          (w.Scvad_sanitize.Sanitize.w_lo, w.Scvad_sanitize.Sanitize.w_hi)
+    | ws -> Alcotest.failf "%d witnesses, expected one" (List.length ws)
+  in
+  check pair;
+  check flat;
+  check ints.Variable.view
+
+(* Every app's every integer variable reports a whole write as one
+   sanitizer span, the scalar one-element views included. *)
+let test_int_writes_sanitized () =
   List.iter
-    (fun (v : float Variable.t) ->
-      let spe = v.Variable.spe in
-      (* A batch of one runs inline, unsanitized: the second shard's
-         empty write records nothing. *)
-      let one = sanitized_writes v [ (3, 10); (12, 12) ] in
-      Alcotest.(check int) (v.Variable.name ^ ": one span") 1
-        one.Scvad_sanitize.Sanitize.spans;
-      let two = sanitized_writes v [ (0, 5); (4, 9) ] in
-      Alcotest.(check int) (v.Variable.name ^ ": one span per shard") 2
-        two.Scvad_sanitize.Sanitize.spans;
-      match two.Scvad_sanitize.Sanitize.witnesses with
-      | [ w ] ->
-          Alcotest.(check (pair int int))
-            (v.Variable.name ^ ": overlap in scalar slots")
-            (4 * spe, 5 * spe)
-            (w.Scvad_sanitize.Sanitize.w_lo, w.Scvad_sanitize.Sanitize.w_hi)
-      | ws -> Alcotest.failf "%d witnesses, expected one" (List.length ws))
-    [ pair; flat ]
+    (fun (app, _, _, ivars) ->
+      List.iter
+        (fun { Variable.view = v; _ } ->
+          let n = Variable.elements v in
+          let snap = Variable.snapshot v in
+          let stats = sanitized_writes v [ (0, n); (n, n) ] in
+          Variable.restore v snap;
+          Alcotest.(check int)
+            (app ^ "." ^ v.Variable.name ^ ": one span")
+            1 stats.Scvad_sanitize.Sanitize.spans)
+        ivars)
+    (float_instances ())
 
 let suites =
   [ ( "core.analyzer",
@@ -405,4 +460,6 @@ let suites =
         Alcotest.test_case "pruned restore poisons exactly the uncovered"
           `Quick test_pruned_poison_exactly_uncovered;
         Alcotest.test_case "one sanitizer span per write" `Quick
-          test_one_span_per_write ] ) ]
+          test_one_span_per_write;
+        Alcotest.test_case "every app's int writes are sanitized" `Quick
+          test_int_writes_sanitized ] ) ]

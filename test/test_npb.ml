@@ -322,9 +322,12 @@ let test_is_keys_oracle () =
   in
   let module I = Npb.Is.App.Float in
   let keys =
-    List.find (fun v -> v.Variable.iname = "key_array") (I.int_vars (I.create ()))
+    List.find
+      (fun iv -> iv.Variable.view.Variable.name = "key_array")
+      (I.int_vars (I.create ()))
   in
-  Alcotest.(check bool) "key_array" true (Variable.int_snapshot keys = want)
+  Alcotest.(check bool) "key_array" true
+    (Variable.snapshot keys.Variable.view = want)
 
 (* ------------------------------------------------------------------ *)
 (* Crash / restart with pruned, NaN-poisoned checkpoints (§IV-C)       *)
@@ -480,7 +483,9 @@ let prop_float_instance (module A : App.S) =
           vars
       in
       let ints vars =
-        List.map (fun v -> (v.Variable.iname, Variable.int_snapshot v)) vars
+        List.map
+          (fun { Variable.view = v; _ } -> (v.Variable.name, Variable.snapshot v))
+          vars
       in
       if floats (G.float_vars g) <> floats (F.float_vars f) then
         QCheck.Test.fail_reportf "float_vars differ at k = %d" k;

@@ -1,4 +1,4 @@
-(* Tests for shapes and n-dimensional arrays. *)
+(* Tests for shapes. *)
 
 open Scvad_nd
 
@@ -47,42 +47,9 @@ let prop_offset_roundtrip =
       done;
       !ok)
 
-let test_nd_basics () =
-  let s = Shape.create [ 3; 4 ] in
-  let a = Nd.init s (fun idx -> (idx.(0) * 10) + idx.(1)) in
-  Alcotest.(check int) "get" 23 (Nd.get a [| 2; 3 |]);
-  Nd.set a [| 1; 2 |] 99;
-  Alcotest.(check int) "set/get" 99 (Nd.get a [| 1; 2 |]);
-  Alcotest.(check int) "get_flat" 99 (Nd.get_flat a ((1 * 4) + 2));
-  let b = Nd.map (fun x -> x * 2) a in
-  Alcotest.(check int) "map" 198 (Nd.get b [| 1; 2 |]);
-  let c = Nd.copy a in
-  Nd.set_flat c 0 (-1);
-  Alcotest.(check int) "copy independent" 0 (Nd.get_flat a 0)
-
-let test_nd_slice3 () =
-  let s = Shape.create [ 3; 4; 5 ] in
-  let a = Nd.init s (fun idx -> (idx.(0) * 100) + (idx.(1) * 10) + idx.(2)) in
-  let sl = Nd.slice3 a ~axis:0 ~at:2 in
-  Alcotest.(check int) "axis 0 slice" 234 (Nd.get sl [| 3; 4 |]);
-  let sl1 = Nd.slice3 a ~axis:1 ~at:1 in
-  Alcotest.(check int) "axis 1 slice" 214 (Nd.get sl1 [| 2; 4 |]);
-  let sl2 = Nd.slice3 a ~axis:2 ~at:0 in
-  Alcotest.(check int) "axis 2 slice" 230 (Nd.get sl2 [| 2; 3 |])
-
-let test_nd_of_array_mismatch () =
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Nd.of_array: data length does not match shape")
-    (fun () -> ignore (Nd.of_array (Shape.create [ 2; 2 ]) [| 1; 2; 3 |]))
-
 let suites =
   [ ( "nd.shape",
       [ Alcotest.test_case "basics" `Quick test_shape_basics;
         Alcotest.test_case "errors" `Quick test_shape_errors;
         Alcotest.test_case "iter order" `Quick test_shape_iter_order;
-        QCheck_alcotest.to_alcotest prop_offset_roundtrip ] );
-    ( "nd.array",
-      [ Alcotest.test_case "basics" `Quick test_nd_basics;
-        Alcotest.test_case "slice3" `Quick test_nd_slice3;
-        Alcotest.test_case "of_array mismatch" `Quick
-          test_nd_of_array_mismatch ] ) ]
+        QCheck_alcotest.to_alcotest prop_offset_roundtrip ] ) ]
