@@ -366,7 +366,7 @@ let decl_of_element t ~kind locals (e : expression) =
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
       let pos = positional args in
       match last_segment txt with
-      | ("make" | "int_scalar") as ctor -> (
+      | "make" | "int_scalar" -> (
           match Option.bind (labelled "name" args) string_const with
           | None -> None
           | Some name ->
@@ -379,10 +379,10 @@ let decl_of_element t ~kind locals (e : expression) =
                 | None -> 1
               in
               let elements =
-                if ctor = "int_scalar" then Some 1
-                else
-                  Option.bind (labelled "shape" args)
-                    (elements_of_shape t locals)
+                (* [int_scalar] takes no shape: it is one element. *)
+                match labelled "shape" args with
+                | Some shape -> elements_of_shape t locals shape
+                | None -> Some 1
               in
               let accessors =
                 List.filter_map

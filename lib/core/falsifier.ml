@@ -94,14 +94,11 @@ let run ?boundary ?niter ?h ~trials ~seed ~targets (module A : App.S) =
   let module I = A.Float in
   let state = I.create () in
   I.run state ~from:0 ~until:boundary;
-  let fvars = I.float_vars state and ivars = I.int_vars state in
+  let fvars = I.float_vars state
+  and ivars = List.map (fun iv -> iv.Variable.view) (I.int_vars state) in
   (* Boundary snapshot: every scalar of every checkpoint variable. *)
   let fsnap = List.map (fun v -> (v, Variable.snapshot v)) fvars in
-  let isnap =
-    List.map
-      (fun iv -> (iv.Variable.view, Variable.snapshot iv.Variable.view))
-      ivars
-  in
+  let isnap = List.map (fun v -> (v, Variable.snapshot v)) ivars in
   let restore () =
     List.iter (fun (v, snap) -> Variable.restore v snap) fsnap;
     List.iter (fun (v, snap) -> Variable.restore v snap) isnap
@@ -138,10 +135,7 @@ let run ?boundary ?niter ?h ~trials ~seed ~targets (module A : App.S) =
       List.find_opt (fun (v : float Variable.t) -> v.Variable.name = name) fvars
     in
     let find_ivar name =
-      List.find_map
-        (fun { Variable.view; _ } ->
-          if view.Variable.name = name then Some view else None)
-        ivars
+      List.find_opt (fun (v : int Variable.t) -> v.Variable.name = name) ivars
     in
     (* Flatten targets to a sampling space of (target, element) pairs,
        dropping any whose variable the instance does not expose. *)
