@@ -343,7 +343,8 @@ let crit_of_construct (e : expression) =
   | _ -> None
 
 (* The [~crit] argument's declared criticality, if any. *)
-let declared args = Option.join (Option.bind (labelled "crit" args) crit_of_construct)
+let declared args =
+  Option.join (Option.bind (labelled "crit" args) crit_of_construct)
 
 let decl_of_element t ~kind locals (e : expression) =
   let line = line_of e.pexp_loc in

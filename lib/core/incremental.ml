@@ -39,7 +39,8 @@ let changed_mask ~spe ~same ~last ~now =
   Array.init (Array.length now / spe) (fun e ->
       let rec any k =
         k < spe
-        && ((not (same now.((e * spe) + k) last.((e * spe) + k))) || any (k + 1))
+        && ((not (same now.((e * spe) + k) last.((e * spe) + k)))
+           || any (k + 1))
       in
       any 0)
 
