@@ -1,16 +1,41 @@
 (* Reverse-mode tape: a compact, append-only record of the data-flow graph.
 
    Each node has at most two parents.  Parents and local partial
-   derivatives are stored in Bigarrays (24 bytes per node) so that tapes
-   with tens of millions of nodes — e.g. an FT class-S inverse 3-D FFT —
-   fit comfortably in memory and put no pressure on the OCaml GC.
+   derivatives are stored in Bigarrays (16 bytes per node slot: two
+   int32 parents and one float64 partial) so that tapes with tens of
+   millions of nodes — e.g. an FT class-S inverse 3-D FFT — fit
+   comfortably in memory and put no pressure on the OCaml GC.
+
+   One partial per slot suffices for almost every node, because the
+   parent fields say what the stored partial is (see [push2]):
+   - [lhs = -1, rhs = -1]: a leaf; the partial is never read.
+   - [lhs = p >= 0, rhs = -1]: one parent [p]; the partial is its own.
+     A push with a constant on either side lands here.
+   - [lhs = l >= 0, rhs = -2 - r]: two parents, the lhs partial is
+     exactly 1; the stored partial is the rhs one.
+   - [lhs = -2 - l, rhs = r >= 0]: two parents, the lhs partial is
+     exactly 0 (or -0); the stored partial is the rhs one.
+   - [lhs = l >= 0, rhs = r >= 0]: two general partials; the stored one
+     is the lhs partial, and the rhs partial sits at the same offset in
+     the slab's overflow array.
+   A parent precedes its child, so it is at most [max_nodes - 2] and
+   [-2 - parent] never leaves the int32 range: every id stays usable.
+   The sweeps decode the kind and form the products the stored pair
+   would ([a *. 1.] and [a *. 0.] for an implied partial), in the same
+   order, so adjoints are bitwise those of a two-partial layout.  An
+   implied 0 in place of a -0 partial changes no adjoint: an
+   accumulator entry is first written as [0. +. c] and never holds -0,
+   and [x +. 0.] equals [x +. -0.] for every other [x].
 
    Storage is chunked: a tape is a sequence of equally sized Bigarray
    slabs.  Growing appends one slab instead of reallocating and copying
    the whole tape.  Slabs of the default size come from a per-domain
    free list ([pool]) and go back to it on [release], so an analysis
    that follows another in the same domain writes into pages that are
-   already mapped instead of faulting in fresh ones.
+   already mapped instead of faulting in fresh ones.  Overflow arrays
+   have a pool of their own ([overflow_pool]): a slab takes one at its
+   first general node and gives it back at [release], so a recording
+   with no general node (FT's) holds none.
 
    Node ids are global indices; because every slab holds [sn] nodes, id
    [i] lives in slab [i / sn] at offset [i mod sn].  The hot paths
@@ -30,11 +55,11 @@ type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type slab = {
-  lhs : i32; (* parent index, or -1 for none *)
+  lhs : i32; (* parent fields: together they give the node's kind *)
   rhs : i32;
-  dlhs : f64; (* d node / d lhs *)
-  drhs : f64;
-  base : int; (* global id of this slab's first node *)
+  d : f64; (* the one stored partial *)
+  mutable ovf : f64; (* rhs partials of general nodes, or [no_overflow] *)
+  mutable base : int; (* global id of this slab's first node *)
 }
 
 (* Cached backward-sweep state: the adjoint accumulator plus the
@@ -52,13 +77,19 @@ let alloc_f64 n : f64 = Bigarray.(Array1.create float64 c_layout n)
 
 let default_slab_nodes = 1 lsl 16
 
-(* Free default-size slabs of the running domain.  Domain-local, so
-   taking and returning a slab needs no lock.  [release] and the unused
-   rest of a fresh chunk fill it; a tape that is dropped unreleased
-   leaves its storage to the GC.  Recycled slabs keep whatever the
-   previous tape wrote; that is sound because a push writes all four
-   fields of its node before any sweep or replay reads it. *)
+(* The overflow array of a slab that holds no general node. *)
+let no_overflow = alloc_f64 0
+
+(* Free default-size slabs and overflow arrays of the running domain.
+   Domain-local, so taking and returning one needs no lock.  [release]
+   and the unused rest of a fresh chunk fill them; a tape that is
+   dropped unreleased leaves its storage to the GC.  Recycled storage
+   keeps whatever the previous tape wrote; that is sound because a push
+   writes every field its kind uses before any sweep or replay reads
+   it.  A pooled slab holds no overflow array: [release] detaches it,
+   so a recording without general nodes never keeps one alive. *)
 let pool : slab list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+let overflow_pool : f64 list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 (* [count] slabs of [nodes] carved out of two allocations, one for the
    ids and one for the partials.  Every Bigarray allocation paces the
@@ -69,30 +100,46 @@ let pool : slab list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
    cost no memory. *)
 let fresh_slabs ~nodes ~count =
   let ids = alloc_i32 (2 * nodes * count) in
-  let partials = alloc_f64 (2 * nodes * count) in
+  let partials = alloc_f64 (nodes * count) in
   let sub a k = Bigarray.Array1.sub a (k * nodes) nodes in
   List.init count (fun i ->
       { lhs = sub ids (2 * i); rhs = sub ids ((2 * i) + 1);
-        dlhs = sub partials (2 * i); drhs = sub partials ((2 * i) + 1);
-        base = 0 })
+        d = sub partials i; ovf = no_overflow; base = 0 })
+
+(* [count] overflow arrays of [nodes], one allocation for the same
+   reason. *)
+let fresh_overflows ~nodes ~count =
+  let a = alloc_f64 (nodes * count) in
+  List.init count (fun i -> Bigarray.Array1.sub a (i * nodes) nodes)
+
+(* One item of [key]'s pool, refilled when empty with [fresh count]. *)
+let rec take key fresh ~chunk =
+  match Domain.DLS.get key with
+  | x :: rest ->
+      Domain.DLS.set key rest;
+      x
+  | [] ->
+      Domain.DLS.set key (fresh (Stdlib.max 1 chunk));
+      take key fresh ~chunk
 
 (* One slab based at [base]: from the domain's pool when it has the
    default size, else fresh.  An empty pool is refilled with a chunk of
    [chunk] slabs, so a tape that doubles its chunk with its size
    allocates O(log n) times. *)
-let rec alloc_slab ?(chunk = 1) ~nodes ~base () =
-  if nodes <> default_slab_nodes then
-    { (List.hd (fresh_slabs ~nodes ~count:1)) with base }
-  else
-    match Domain.DLS.get pool with
-    | s :: rest ->
-        Domain.DLS.set pool rest;
-        { s with base }
-    | [] ->
-        Domain.DLS.set pool (fresh_slabs ~nodes ~count:(Stdlib.max 1 chunk));
-        alloc_slab ~nodes ~base ()
+let alloc_slab ?(chunk = 1) ~nodes ~base () =
+  let s =
+    if nodes <> default_slab_nodes then List.hd (fresh_slabs ~nodes ~count:1)
+    else take pool (fun count -> fresh_slabs ~nodes ~count) ~chunk
+  in
+  s.base <- base;
+  s
 
+(* Hand a slab, and apart from it its overflow array, to the pools. *)
 let recycle_slab s =
+  let o = s.ovf in
+  s.ovf <- no_overflow;
+  if Bigarray.Array1.dim o = default_slab_nodes then
+    Domain.DLS.set overflow_pool (o :: Domain.DLS.get overflow_pool);
   if Bigarray.Array1.dim s.lhs = default_slab_nodes then
     Domain.DLS.set pool (s :: Domain.DLS.get pool)
 
@@ -200,11 +247,25 @@ let frontier_scan ~get_slab ~sn ~(adj : f64) ~bits ~hi ~lo =
             let sl = !s in
             let j = ip - sl.base in
             let l = Int32.to_int (Bigarray.Array1.unsafe_get sl.lhs j) in
-            if l >= 0 then
-              contribute adj bits l (a *. Bigarray.Array1.unsafe_get sl.dlhs j);
             let r = Int32.to_int (Bigarray.Array1.unsafe_get sl.rhs j) in
-            if r >= 0 then
-              contribute adj bits r (a *. Bigarray.Array1.unsafe_get sl.drhs j)
+            let d = Bigarray.Array1.unsafe_get sl.d j in
+            (* Decode the kind (see the top of this file); a leaf
+               propagates nothing. *)
+            if l >= 0 then
+              if r = -1 then contribute adj bits l (a *. d)
+              else if r >= 0 then begin
+                contribute adj bits l (a *. d);
+                contribute adj bits r
+                  (a *. Bigarray.Array1.unsafe_get sl.ovf j)
+              end
+              else begin
+                contribute adj bits l (a *. 1.);
+                contribute adj bits (-2 - r) (a *. d)
+              end
+            else if l < -1 then begin
+              contribute adj bits (-2 - l) (a *. 0.);
+              contribute adj bits r (a *. d)
+            end
           end
         end;
         i := ip - 1
@@ -254,10 +315,13 @@ let adjoint g id =
    without a second level of checkpointing.  Only the entries the sweep
    touches are written (see [frontier]), so its resident share follows
    the adjoint cone, not the tape.  The memory budget bounds tape *node
-   storage* (24 bytes per slot); callers size budgets accordingly.
+   slots* (16 bytes each, plus 8 in a slab's overflow array once the
+   slab holds a node with two general partials); callers size budgets
+   accordingly.
 
-   Push keeps the dense cost — one compare against [cur_end], four
-   stores, one increment — because every exceptional case takes the
+   Push keeps the dense cost — one compare against [cur_end], three
+   stores, one increment, plus the kind tests of a two-parent push —
+   because every exceptional case takes the
    [cur_end] slow path: a registered prelude holds [cur_end = n], so
    each prelude push is checked there, and a replay below its target
    window writes into [scratch] instead of testing a flag per push. *)
@@ -291,6 +355,7 @@ type t = {
   mutable replays : int;
   mutable replayed_nodes : int;
   mutable peak_live : int; (* in slabs *)
+  mutable overflow_slabs : int; (* overflow arrays attached *)
   mutable snapshots_taken : int;
   mutable fr : frontier option; (* sweep state cached across backwards *)
   mutable last : Tape_intf.sweep_stats option;
@@ -361,6 +426,7 @@ let create ?capacity_hint ?budget_nodes ?(snapshot_slots = 32) () =
     replays = 0;
     replayed_nodes = 0;
     peak_live = 1;
+    overflow_slabs = 0;
     snapshots_taken = 0;
     fr = None;
     last = None;
@@ -399,7 +465,8 @@ let materialize t k =
         match t.free with
         | s :: rest ->
             t.free <- rest;
-            { s with base }
+            s.base <- base;
+            s
         | [] ->
             (* An unbudgeted tape grows in chunks as large as itself. *)
             let chunk = if t.budget_slabs = max_int then t.live_cnt else 1 in
@@ -465,7 +532,8 @@ let advance_replaying t =
           t.scratch <- Some s;
           s
     in
-    t.cur <- { scratch with base = k * t.sn };
+    scratch.base <- k * t.sn;
+    t.cur <- scratch;
     t.cur_end <- (k + 1) * t.sn
   end
 
@@ -485,22 +553,61 @@ let advance t l r =
       (* Still in the prelude: check the next push too. *)
       if prelude then t.cur_end <- t.n + 1
 
-let[@inline] push t l dl r dr =
-  let i = t.n in
-  if i = t.cur_end then advance t l r;
-  let s = t.cur in
-  let j = i - s.base in
+let[@inline] store s j l r d =
   Bigarray.Array1.unsafe_set s.lhs j (Int32.of_int l);
   Bigarray.Array1.unsafe_set s.rhs j (Int32.of_int r);
-  Bigarray.Array1.unsafe_set s.dlhs j dl;
-  Bigarray.Array1.unsafe_set s.drhs j dr;
+  Bigarray.Array1.unsafe_set s.d j d
+
+(* The overflow array of [s], attached at its first general node. *)
+let attach_overflow t s =
+  let o =
+    if t.sn <> default_slab_nodes then alloc_f64 t.sn
+    else
+      (* Chunks double with the tape's overflow storage, as slabs do. *)
+      take overflow_pool
+        (fun count -> fresh_overflows ~nodes:t.sn ~count)
+        ~chunk:t.overflow_slabs
+  in
+  s.ovf <- o;
+  t.overflow_slabs <- t.overflow_slabs + 1;
+  o
+
+let[@inline] push1 t parent partial =
+  let i = t.n in
+  if i = t.cur_end then advance t parent (-1);
+  let s = t.cur in
+  store s (i - s.base) parent (-1) partial;
   t.n <- i + 1;
   i
 
 (* An input (independent) variable: a parentless node. *)
-let[@inline] fresh_var t = push t (-1) 0. (-1) 0.
-let[@inline] push1 t parent partial = push t parent partial (-1) 0.
-let[@inline] push2 t l dl r dr = push t l dl r dr
+let[@inline] fresh_var t = push1 t (-1) 0.
+
+(* A constant side folds into a one-parent node, and an exact 1 or 0
+   lhs partial into the rhs-partial kinds; only two general partials
+   spill the rhs one into the overflow array.  [dl = 0.] also holds for
+   -0 (see the top of this file for why that is exact). *)
+let[@inline] push2 t l dl r dr =
+  let i = t.n in
+  if i = t.cur_end then advance t l r;
+  let s = t.cur in
+  let j = i - s.base in
+  if r < 0 then store s j l (-1) dl
+  else if l < 0 then store s j r (-1) dr
+  (* lint: allow float-equality — an exact 1 lhs partial is implied by
+     the node's kind, so only exact equality may drop it *)
+  else if dl = 1. then store s j l (-2 - r) dr
+  (* lint: allow float-equality — likewise for an exact 0 (or -0) *)
+  else if dl = 0. then store s j (-2 - l) r dr
+  else begin
+    store s j l r dl;
+    let o =
+      if Bigarray.Array1.dim s.ovf = 0 then attach_overflow t s else s.ovf
+    in
+    Bigarray.Array1.unsafe_set o j dr
+  end;
+  t.n <- i + 1;
+  i
 
 let set_program t ~capture ~replay_step =
   check_live "Tape.set_program" t;
@@ -800,9 +907,18 @@ let reach t ~output =
         let sl = !s in
         let j = ip - sl.base in
         let l = Int32.to_int (Bigarray.Array1.unsafe_get sl.lhs j) in
-        if l >= 0 then set_bit bits l;
         let r = Int32.to_int (Bigarray.Array1.unsafe_get sl.rhs j) in
-        if r >= 0 then set_bit bits r
+        (* Both parents of a two-parent kind, whichever field carries
+           the flag. *)
+        if l >= 0 then begin
+          set_bit bits l;
+          if r >= 0 then set_bit bits r
+          else if r < -1 then set_bit bits (-2 - r)
+        end
+        else if l < -1 then begin
+          set_bit bits (-2 - l);
+          set_bit bits r
+        end
       end;
       i := ip - 1
     end
@@ -864,6 +980,7 @@ type stats = {
   s_replays : int;
   s_replayed_nodes : int;
   s_peak_live_nodes : int;
+  s_overflow_slabs : int;
 }
 
 let stats t =
@@ -875,6 +992,7 @@ let stats t =
     s_replays = t.replays;
     s_replayed_nodes = t.replayed_nodes;
     s_peak_live_nodes = t.peak_live * t.sn;
+    s_overflow_slabs = t.overflow_slabs;
   }
 
 (* A recording that keeps only its length: every push returns the next

@@ -3,9 +3,14 @@
     The tape is an append-only record of the data-flow graph of a program
     execution: one node per arithmetic operation, each with at most two
     parent nodes and the local partial derivatives towards them.  Storage
-    is Bigarray-backed (24 bytes per node) and chunked into equally sized
-    slabs, so large kernels — tens of millions of nodes — stay off the
-    OCaml heap and growth never copies recorded nodes.
+    is Bigarray-backed and chunked into equally sized slabs, so large
+    kernels — tens of millions of nodes — stay off the OCaml heap and
+    growth never copies recorded nodes.  A node slot takes 16 bytes: two
+    int32 parents and one float64 partial.  The parent fields say whether
+    the other partial is absent (a leaf, or a constant on one side) or
+    implied (a lhs partial of exactly 1 or 0); only a node with two
+    general partials stores its rhs partial in the slab's overflow array,
+    8 more bytes per slot of that slab.
 
     {b How long storage lives.}  A tape owns its slabs from {!create}
     until {!release} or, if it is never released, until the GC
@@ -15,9 +20,11 @@
     every later growth in that domain take from that list before they
     allocate, so the next analysis writes into pages that are already
     mapped.  The list keeps what it is given for the life of the domain.
-    A recycled slab keeps whatever its last tape wrote, which is sound
-    because a push writes every field of its node before any sweep or
-    replay reads it.  Slabs of other sizes (small budgets, the
+    Overflow arrays have a pool of their own: a slab takes one at its
+    first general node and {!release} detaches it again.  Recycled
+    storage keeps whatever its last tape wrote, which is sound because a
+    push writes every field its node uses before any sweep or replay
+    reads it.  Slabs of other sizes (small budgets, the
     [capacity_hint] test seam) are never pooled.
 
     One engine serves every analysis.  Without a memory budget it stores
@@ -168,6 +175,9 @@ type stats = {
   s_replays : int;  (** replay passes during [backward] *)
   s_replayed_nodes : int;  (** nodes re-pushed by those passes *)
   s_peak_live_nodes : int;  (** peak materialized node slots *)
+  s_overflow_slabs : int;
+      (** overflow arrays attached over the tape's life: one per slab
+          that held a node with two general partials *)
 }
 
 val stats : t -> stats
