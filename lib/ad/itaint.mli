@@ -6,7 +6,15 @@
     array subscripts and through comparisons — and an element is critical
     iff the output is reachable from it. *)
 
-type t = { id : int; v : int }
+(** A traced int: its tape node id (-1 for a constant) and its value,
+    packed into one immediate.  The value is a signed 32-bit int and the
+    id is below 2{^30}. *)
+type t = private int
+
+(** Raised when the result of operation [op] does not fit a traced int:
+    its [value] is outside the signed 32-bit range, or its node [id] is
+    2{^30} or more.  The operation never wraps. *)
+exception Overflow of { op : string; id : int; value : int }
 
 val const : int -> t
 val value : t -> int

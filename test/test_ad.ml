@@ -545,6 +545,29 @@ let test_itaint_untraced_subscript () =
   Alcotest.(check bool) "other cell not critical" false
     (Itaint.critical r arr.(1))
 
+(* A traced int is a signed 32-bit value packed with its node id: -1
+   (full_verify's [le - 1]) round-trips, and a product that leaves the
+   range raises naming [mul] instead of wrapping. *)
+let test_itaint_range () =
+  let t = Tape.create () in
+  let one = Itaint.var t 1 in
+  let m = Itaint.sub t (Itaint.le t one one) (Itaint.const 2) in
+  Alcotest.(check int) "negative value" (-1) (Itaint.value m);
+  Alcotest.(check bool) "still traced" false (Itaint.is_const m);
+  let lo = Itaint.const (-(1 lsl 31)) and hi = Itaint.var t ((1 lsl 31) - 1) in
+  Alcotest.(check int) "int32 min" (-(1 lsl 31)) (Itaint.value lo);
+  Alcotest.(check int) "int32 max" ((1 lsl 31) - 1) (Itaint.value hi);
+  let big = Itaint.var t (1 lsl 20) in
+  (match Itaint.mul t big big with
+  | x -> Alcotest.failf "mul wrapped to %d" (Itaint.value x)
+  | exception Itaint.Overflow { op; value; _ } ->
+      Alcotest.(check string) "names the operation" "mul" op;
+      Alcotest.(check int) "carries the exact value" (1 lsl 40) value);
+  match Itaint.const (1 lsl 31) with
+  | _ -> Alcotest.fail "const 2^31 did not raise"
+  | exception Itaint.Overflow { op; _ } ->
+      Alcotest.(check string) "const names itself" "const" op
+
 (* ------------------------------------------------------------------ *)
 (* Finite differences                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -813,7 +836,9 @@ let suites =
         Alcotest.test_case "comparison control dep" `Quick
           test_itaint_comparison_control_dep;
         Alcotest.test_case "untraced subscript" `Quick
-          test_itaint_untraced_subscript ] );
+          test_itaint_untraced_subscript;
+        Alcotest.test_case "values are signed int32, overflow raises" `Quick
+          test_itaint_range ] );
     ( "ad.finite_diff",
       [ Alcotest.test_case "polynomial" `Quick test_finite_diff_polynomial;
         Alcotest.test_case "relative step" `Quick
