@@ -513,9 +513,33 @@ let bits_md5 (a : float array) =
   Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) a;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* FT's recording of the analysis window straight onto a tape, for its
+   storage statistics. *)
+let ft_tape_stats () =
+  let tape = Scvad_ad.Tape.create () in
+  let module S = Scvad_ad.Reverse.Scalar_of (struct
+    let tape = tape
+  end) in
+  let module I = Npb.Ft.App.Make (S) in
+  let st = I.create () in
+  List.iter
+    (fun v -> ignore (Variable.lift_capture v (Scvad_ad.Reverse.lift tape)))
+    (I.float_vars st);
+  I.run st ~from:0 ~until:Npb.Ft.App.analysis_niter;
+  ignore (I.output st);
+  let stats = Scvad_ad.Tape.stats tape in
+  Scvad_ad.Tape.release tape;
+  stats
+
 let test_ft_recording_pinned () =
   let r = report_of (module Npb.Ft.App) in
   Alcotest.(check int) "tape nodes" 24_530_844 r.Criticality.tape_nodes;
+  (* Every FT node has one parent, an implied lhs partial or none: its
+     tape takes 16 bytes per node and no overflow array. *)
+  let stats = ft_tape_stats () in
+  Alcotest.(check int) "recorded nodes" 24_530_844
+    stats.Scvad_ad.Tape.s_total_nodes;
+  Alcotest.(check int) "overflow arrays" 0 stats.Scvad_ad.Tape.s_overflow_slabs;
   Alcotest.(check int) "visited nodes" 7_856_238
     (match r.Criticality.sweep_profile with
     | None -> 0
