@@ -77,8 +77,9 @@ let jobs_arg =
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* --memory-budget accepts a node count with an optional k/M/G suffix
-   (1e3/1e6/1e9); the budget caps materialized tape storage at 24 bytes
-   per node slot, so e.g. 6M nodes is ~144 MiB of tape. *)
+   (1e3/1e6/1e9); the budget caps materialized tape node slots, 16 bytes
+   each (24 in a slab that holds a node with two general partials), so
+   e.g. 6M nodes is ~96 MB of tape. *)
 let budget_conv =
   let parse s =
     let fail () =
@@ -276,7 +277,7 @@ let print_plan name (p : Scvad_cost.Predict.t) =
     p.Scvad_cost.Predict.p_at_iter p.Scvad_cost.Predict.p_analysis_niter;
   Printf.printf "  predicted tape: %d nodes (%.1f MB), lift %d, output %d\n"
     p.Scvad_cost.Predict.p_total
-    (float_of_int p.Scvad_cost.Predict.p_total *. 24. /. 1e6)
+    (float_of_int p.Scvad_cost.Predict.p_total *. 16. /. 1e6)
     p.Scvad_cost.Predict.p_lift p.Scvad_cost.Predict.p_output;
   let segs = p.Scvad_cost.Predict.p_segments in
   if Array.length segs > 0 then begin

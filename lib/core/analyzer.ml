@@ -221,7 +221,7 @@ let tape_analysis ?pool ~skips ?budget ~sweep (module A : App.S) ~at_iter
      its accumulator (69% of FT's 196 MB) stay resident until a major
      cycle finalizes it, and pooled slabs no longer pace the GC the way
      fresh Bigarrays did: without this call, perfbench's [scrutinize]
-     peaked at 841 MB instead of 825 MB on a 2-core host. *)
+     peaked at 684-688 MB instead of 664 MB on a 2-core host. *)
   Gc.full_major ();
   let tape = Tape.create ?budget_nodes:budget () in
   (* Once the reports are extracted the slabs go back to this domain's

@@ -62,7 +62,8 @@ module Config : sig
             pass ranked prunable; their gates assert that this leaves
             every mask of the unfiltered analysis unchanged. *)
     memory_budget : int option;
-        (** cap on materialized tape node slots (24 bytes each).  Set:
+        (** cap on materialized tape node slots (16 bytes each, 24 in
+            a slab that holds a node with two general partials).  Set:
             reverse mode records on a budgeted {!Scvad_ad.Tape} —
             discarded tape windows are rebuilt by replaying iterations
             during the backward sweep — and the report carries a

@@ -104,7 +104,7 @@ let render_text costs fits =
             Buffer.add_string b
               (Printf.sprintf "    class %-2s grid %-3d -> %d nodes (~%s tape)\n"
                  k.k_label k.k_grid k.k_nodes
-                 (let bytes = float_of_int k.k_nodes *. 24. in
+                 (let bytes = float_of_int k.k_nodes *. 16. in
                   if bytes >= 1e9 then Printf.sprintf "%.1f GB" (bytes /. 1e9)
                   else Printf.sprintf "%.0f MB" (bytes /. 1e6))))
           f.y_points)

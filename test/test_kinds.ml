@@ -65,7 +65,8 @@ let parent_gen id =
   if id = 0 then return (-1)
   else
     frequency
-      [ (1, return (-1)); (6, map (fun k -> id - 1 - k) (int_bound (min (id - 1) 7)));
+      [ (1, return (-1));
+        (6, map (fun k -> id - 1 - k) (int_bound (min (id - 1) 7)));
         (2, int_bound (id - 1)) ]
 
 let node_gen id =
@@ -113,7 +114,8 @@ let setup_gen =
 let setup_print (p, budget, slots) =
   Printf.sprintf "{ninputs=%d; segs=[|%s|]} budget=%d slots=%d" p.ninputs
     (String.concat "; "
-       (Array.to_list (Array.map (fun s -> string_of_int (Array.length s)) p.segs)))
+       (Array.to_list
+          (Array.map (fun s -> string_of_int (Array.length s)) p.segs)))
     budget slots
 
 (* ------------------------------------------------------------------ *)
