@@ -321,10 +321,10 @@ let adjoint g id =
 
    Push keeps the dense cost — one compare against [cur_end], three
    stores, one increment, plus the kind tests of a two-parent push —
-   because every exceptional case takes the
-   [cur_end] slow path: a registered prelude holds [cur_end = n], so
-   each prelude push is checked there, and a replay below its target
-   window writes into [scratch] instead of testing a flag per push. *)
+   because every exceptional case takes the [cur_end] slow path: a
+   registered prelude holds [cur_end = n], so each prelude push is
+   checked there, and a replay below its target window writes into
+   [scratch] instead of testing a flag per push. *)
 
 type mode = Recording | Replaying
 
